@@ -15,12 +15,9 @@ from .amplify import (
     Schedule,
     ScheduleReport,
     ScheduleRow,
-    TelescopeResult,
     l0_defect,
-    l0_expectation,
     push_forward,
     run_schedule,
-    telescoping_bound,
 )
 from .errors import (
     CarrierMismatch,
@@ -79,10 +76,6 @@ from .mean_transfer import (
 from .mmspace import (
     FiniteMMSpace,
     alpha_profile,
-    concentration_alpha_exact,
-    deviation_mass,
-    expectation,
-    median,
     weighted_deviation_mass,
     weighted_median,
 )
@@ -107,6 +100,4 @@ from .wordgroups import (
     ball_uniform,
     folner_measure,
     make_group,
-    translate_measure,
-    translation_defect,
 )

@@ -3,8 +3,9 @@
 Given an almost-invariant measure mu on G, the n-fold product measure is
 transported to step maps through the uniform-grid embedding.  The defect
 of the transported measure against translation by a target map is then
-controlled by a telescoping chain of single-coordinate steps: each step is
-a base-group defect of a pulled-back family (a Fubini reduction), and the
+controlled by a telescoping chain of single-coordinate steps: step j is the
+change in expectation when the translation grows by its j-th coordinate
+(by Fubini, a base-group defect of a pulled-back family), and the
 off-grid remainder is charged to the family's Lipschitz constant times the
 grid-approximation disagreement.  A schedule runs the construction along a
 sequence of (n_i, mu_i) pairs and reports defects, bounds, concentration
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 from math import sqrt
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     TooLargeForExact,
 )
 from .families import BLFamily, L0Carrier
-from .hamming import talagrand_bound
+from .hamming import DiscreteBase, HammingProduct, product_weights, sample_product, talagrand_bound
 from .mmspace import weighted_deviation_mass, weighted_median
 from .stepmaps import AnyMap, StepMap, grid_approximate, pointwise_translate
 from .wordgroups import FinSuppMeasure
@@ -84,89 +84,17 @@ def push_forward(
         size = len(mu.support) ** n
         if size > exact_cap:
             raise TooLargeForExact(f"{size} tuples exceeds exact cap {exact_cap}")
-        w = np.asarray(mu.weights, dtype=np.float64)
-        weights = reduce(np.multiply.outer, [w] * n).ravel()
+        weights = product_weights(mu.weights, n)
         support = tuple(StepMap(group, combo) for combo in itertools.product(mu.support, repeat=n))
         return L0Measure(mu, n, support, weights, "exact")
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if samples is None or samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
-    cum = np.cumsum(mu.weights)
-    idx = rng.counter_choice(seed, 0, samples * n, cum).reshape(samples, n)
-    sup = mu.support
-    support = tuple(StepMap(group, tuple(sup[i] for i in row)) for row in idx.tolist())
+    product = HammingProduct(DiscreteBase(mu.support, mu.weights), n)
+    support = tuple(StepMap(group, row) for row in sample_product(product, samples, seed))
     weights = np.full(samples, 1.0 / samples)
     return L0Measure(mu, n, support, weights, "sampled", seed)
-
-
-def l0_expectation(nu: L0Measure, member) -> float:
-    vals = np.fromiter((member(h) for h in nu.support), dtype=np.float64, count=len(nu.support))
-    return float(nu.weights @ vals)
-
-
-def _check_family(nu_or_mu, family: BLFamily):
-    group = nu_or_mu.group if isinstance(nu_or_mu, FinSuppMeasure) else nu_or_mu.base.group
-    if not isinstance(family.carrier, L0Carrier) or family.carrier.group != group:
-        raise CarrierMismatch("family must live over step maps of the same base group")
-    return group
-
-
-@dataclass(frozen=True)
-class TelescopeResult:
-    per_step: tuple
-    total: float
-
-
-def telescoping_bound(
-    mu: FinSuppMeasure,
-    n: int,
-    gprime: tuple,
-    family: BLFamily,
-    *,
-    exact_cap: int = EXACT_PUSHFORWARD_LIMIT,
-) -> TelescopeResult:
-    """Single-coordinate steps of the invariance telescope, via Fubini.
-
-    Step j is the family maximum of the integral, over the remaining n-1
-    coordinates z, of the base-group defect terms of the spliced members
-    x -> f(h_n(b_j z with x at slot j)) against translation by gprime_j.
-    Each step therefore inherits the base measure's invariance defect for
-    the pulled-back family, and the sum bounds the transported measure's
-    defect against translation by the embedded tuple.
-    """
-    group = _check_family(mu, family)
-    gprime = tuple(group.validate(v) for v in gprime)
-    if len(gprime) != n:
-        raise DimensionMismatch(f"gprime has length {len(gprime)}, expected {n}")
-    if len(mu.support) ** n > exact_cap:
-        raise TooLargeForExact("telescoping enumeration exceeds the exact cap")
-
-    e = group.identity
-    sup = mu.support
-    w = mu.weights
-    members = family.members
-    per_step = []
-    rest = list(itertools.product(range(len(sup)), repeat=n - 1))
-    rest_weights = [float(np.prod([w[i] for i in combo])) if combo else 1.0 for combo in rest]
-    for j in range(1, n + 1):
-        b = gprime[: j - 1] + (e,) * (n - j)
-        gj = gprime[j - 1]
-        accs = np.zeros(len(members))
-        for combo, wz in zip(rest, rest_weights):
-            z = tuple(sup[i] for i in combo)
-            bz = tuple(group.op(bi, zi) for bi, zi in zip(b, z))
-            direct = np.zeros(len(members))
-            shifted = np.zeros(len(members))
-            for x, wx in zip(sup, w):
-                m1 = StepMap(group, bz[: j - 1] + (x,) + bz[j - 1 :])
-                m2 = StepMap(group, bz[: j - 1] + (group.op(gj, x),) + bz[j - 1 :])
-                for fi, f in enumerate(members):
-                    direct[fi] += wx * f(m1)
-                    shifted[fi] += wx * f(m2)
-            accs += wz * (direct - shifted)
-        per_step.append(float(np.max(np.abs(accs))))
-    return TelescopeResult(tuple(per_step), float(sum(per_step)))
 
 
 def _member_values(nu: L0Measure, family: BLFamily) -> np.ndarray:
@@ -210,12 +138,15 @@ def l0_defect(
     bound  = sum of telescope steps for the grid approximation g' of g
              plus L * disagreement(g, embedded g').
 
-    The bound dominates the defect up to float roundoff in both modes: for
-    exact push-forwards the steps come from the Fubini reduction over the
-    base measure, for sampled ones they are evaluated on the same
-    empirical measure, so the telescope identity still holds exactly.
+    Step j is max over the family of |E_nu(f o lambda_{a_{j-1}}) -
+    E_nu(f o lambda_{a_j})| for the prefixes a_j = (g'_1..g'_j, e..e).  The
+    steps are evaluated on nu itself, exact or sampled, so the telescope
+    identity holds exactly and the bound dominates the defect up to float
+    roundoff.
     """
-    group = _check_family(nu, family)
+    group = nu.base.group
+    if not isinstance(family.carrier, L0Carrier) or family.carrier.group != group:
+        raise CarrierMismatch("family must live over step maps of the same base group")
     if g.group != group:
         raise CarrierMismatch("target map lives over a different group")
     n_eff = nu.n if approx_n is None else approx_n
@@ -226,18 +157,14 @@ def l0_defect(
     e_shift = _translate_expectations(nu, family, g)
     defect = float(np.max(np.abs(e_id - e_shift)))
 
-    if nu.mode == "exact" and n_eff == nu.n:
-        steps = telescoping_bound(nu.base, nu.n, gp, family).per_step
-    else:
-        e = group.identity
-        prev = e_id
-        steps = []
-        for j in range(1, n_eff + 1):
-            a_j = StepMap(group, gp[:j] + (e,) * (n_eff - j))
-            cur = _translate_expectations(nu, family, a_j)
-            steps.append(float(np.max(np.abs(prev - cur))))
-            prev = cur
-        steps = tuple(steps)
+    e = group.identity
+    prev = e_id
+    steps = []
+    for j in range(1, n_eff + 1):
+        a_j = StepMap(group, gp[:j] + (e,) * (n_eff - j))
+        cur = _translate_expectations(nu, family, a_j)
+        steps.append(float(np.max(np.abs(prev - cur))))
+        prev = cur
     bound = float(sum(steps)) + family.lipschitz * dis
     return DefectResult(defect, bound, tuple(steps), gp, dis)
 
@@ -342,7 +269,7 @@ def run_schedule(
     for i, (n_i, mu_i) in enumerate(schedule.entries, start=1):
         size = len(mu_i.support) ** n_i
         if mode == "exact" or (mode == "auto" and size <= exact_cap):
-            nu = push_forward(mu_i, n_i, "exact")
+            nu = push_forward(mu_i, n_i, "exact", exact_cap=exact_cap)
             entry_mode = "exact"
         else:
             entry_mode = "sampled"

@@ -462,24 +462,18 @@ def _load_config_file(path: str) -> dict:
 
 
 def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the --config file's entries as flags ahead of the user's.
+
+    Config values pass the same type and choice checks as flags, and an
+    explicit flag wins because argparse keeps the last occurrence.
+    """
     ns = parser.parse_args(argv)
     if not ns.config:
         return ns
-    data = _load_config_file(ns.config)
-    sub_actions = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    subparser = sub_actions.choices[ns.command]
-    known = {a.dest: a for a in subparser._actions if a.dest != "help"}
-    defaults = {}
-    for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise UsageError(f"config key {key!r} is not a flag of {ns.command!r}")
-        action = known[dest]
-        defaults[dest] = action.type(value) if action.type else value
-    subparser.set_defaults(**defaults)
-    return parser.parse_args(argv)
+    config = _load_config_file(ns.config)
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in config.items()]
+    at = argv.index(ns.command) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,12 +15,8 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .errors import (
-    CarrierMismatch,
-    DimensionMismatch,
-    LipschitzViolation,
-    OutOfRange,
-)
+from .errors import CarrierMismatch, DimensionMismatch, OutOfRange
+from .hamming import check_lipschitz
 from .stepmaps import (
     AnyMap,
     PiecewiseMap,
@@ -29,6 +25,7 @@ from .stepmaps import (
     disagreement,
     h_embed,
     iter_cells,
+    merge_breakpoints,
 )
 from .wordgroups import FinSuppMeasure, WordGroup
 
@@ -97,14 +94,11 @@ def eval_member(family: BLFamily, index: int, x) -> float:
 def spot_check_lipschitz(family: BLFamily, *, seed: int = 0, pairs: int = 64, radius: int = 4) -> None:
     """Sample point pairs and verify |f(x)-f(y)| <= L*d(x,y) + 1e-9."""
     gen = np.random.default_rng(rng.derive_seed(seed, "family-lipschitz"))
-    for _ in range(pairs):
-        x = family.carrier.random_point(gen, radius)
-        y = family.carrier.random_point(gen, radius)
-        d = family.carrier.distance(x, y)
-        for i, f in enumerate(family.members):
-            gap = abs(float(f(x)) - float(f(y))) - family.lipschitz * d
-            if gap > _BOUND_TOL:
-                raise LipschitzViolation(f"member {i} exceeds declared L by {gap:.3e}")
+    carrier = family.carrier
+    points = (
+        (carrier.random_point(gen, radius), carrier.random_point(gen, radius)) for _ in range(pairs)
+    )
+    check_lipschitz(points, family.members, family.lipschitz, carrier.distance)
 
 
 def splice(i: int, a: tuple, x) -> tuple:
@@ -168,9 +162,8 @@ def invariance_defect(mu: FinSuppMeasure, g, family: BLFamily) -> float:
     op = mu.group.op
     best = 0.0
     for f in family.members:
-        direct = sum(w * f(x) for x, w in zip(mu.support, mu.weights))
-        shifted = sum(w * f(op(g, x)) for x, w in zip(mu.support, mu.weights))
-        best = max(best, abs(direct - shifted))
+        shifted = mu.expectation(lambda x: f(op(g, x)))
+        best = max(best, abs(mu.expectation(f) - shifted))
     return best
 
 
@@ -211,23 +204,11 @@ def disagreement_member(reference: AnyMap) -> Callable:
     cache: dict[int, list] = {}
 
     def grid_parts(n: int) -> list:
-        rb, rv = ref.breakpoints, ref.values
         grid = [i / n for i in range(1, n)]
-        parts = []
-        start, gi, ri, ig, ir = 0.0, 0, 0, 0, 0
-        while start < 1.0:
-            next_g = grid[ig] if ig < len(grid) else 1.0
-            next_r = rb[ir] if ir < len(rb) else 1.0
-            stop = next_g if next_g <= next_r else next_r
-            parts.append((gi, stop - start, rv[ri]))
-            if stop == next_g and ig < len(grid):
-                ig += 1
-                gi += 1
-            if stop == next_r and ir < len(rb):
-                ir += 1
-                ri += 1
-            start = stop
-        return parts
+        return [
+            (gi, stop - start, ref.values[ri])
+            for start, stop, gi, ri in merge_breakpoints(grid, ref.breakpoints)
+        ]
 
     def member(h: AnyMap) -> float:
         if isinstance(h, StepMap) and h.group == ref.group:

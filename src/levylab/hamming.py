@@ -47,7 +47,7 @@ class DiscreteBase:
             raise InvalidMeasure("atoms must be distinct")
         if len(atoms) != len(weights):
             raise LengthMismatch("atoms and weights must have equal length")
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > _MASS_TOL:
+        if any(w < 0 for w in weights) or abs(math.fsum(weights) - 1.0) > _MASS_TOL:
             raise InvalidMeasure("weights must be a probability vector")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
@@ -110,15 +110,31 @@ def sample_product(product: HammingProduct, count: int, seed: int) -> list[tuple
     return [tuple(row) for row in lookup[idx].tolist()]
 
 
+def product_weights(weights, n: int) -> np.ndarray:
+    """Product-measure weights of all n-tuples, in itertools.product order."""
+    w = np.asarray(weights, dtype=np.float64)
+    return reduce(np.multiply.outer, [w] * n).ravel()
+
+
+def check_lipschitz(pairs, members, lipschitz: float, distance) -> None:
+    """Verify |f(x)-f(y)| <= L*d(x,y) + 1e-9 for every member on every pair."""
+    for x, y in pairs:
+        d = distance(x, y)
+        for i, f in enumerate(members):
+            gap = abs(float(f(x)) - float(f(y))) - lipschitz * d
+            if gap > 1e-9:
+                raise LipschitzViolation(
+                    f"member {i} exceeds declared L={lipschitz} by {gap:.3e} on a sampled pair"
+                )
+
+
 def product_space(product: HammingProduct, *, limit: int = 20) -> FiniteMMSpace:
     """Materialize the product as a FiniteMMSpace (small products only)."""
     if product.point_count > limit:
         raise TooLargeForExact(f"{product.point_count} points exceeds limit {limit}")
     points = list(itertools.product(product.base.atoms, repeat=product.n))
     dist = np.array([[hamming_distance(x, y) for y in points] for x in points])
-    w = np.asarray(product.base.weights)
-    mu = reduce(np.multiply.outer, [w] * product.n).ravel()
-    return FiniteMMSpace(tuple(points), dist, mu)
+    return FiniteMMSpace(tuple(points), dist, product_weights(product.base.weights, product.n))
 
 
 def fraction_differing(atom) -> Callable[[tuple], float]:
@@ -139,14 +155,6 @@ class ProfileResult:
     median: float
     mode: str
     count: int
-
-
-def _spot_check_lipschitz(product: HammingProduct, f, lipschitz: float, seed: int, pairs: int) -> None:
-    xs = sample_product(product, 2 * pairs, rng.derive_seed(seed, "lipschitz-check"))
-    for x, y in zip(xs[::2], xs[1::2]):
-        gap = abs(f(x) - f(y)) - lipschitz * hamming_distance(x, y)
-        if gap > 1e-9:
-            raise LipschitzViolation(f"declared L={lipschitz} violated by {gap:.3e} on a sampled pair")
 
 
 def lipschitz_profile(
@@ -173,19 +181,15 @@ def lipschitz_profile(
         raise NegativeEps("eps must be > 0")
     del bound  # recorded by callers; the profile itself only needs L
     if check_pairs > 0:
-        _spot_check_lipschitz(product, f, lipschitz, seed, check_pairs)
+        xs = sample_product(product, 2 * check_pairs, rng.derive_seed(seed, "lipschitz-check"))
+        check_lipschitz(zip(xs[::2], xs[1::2]), (f,), lipschitz, hamming_distance)
 
     if mode == "exact":
         if product.point_count > exact_limit:
             raise TooLargeForExact(f"{product.point_count} tuples exceeds exact cap {exact_limit}")
-        values = []
-        weights = []
-        w = product.base.weights
-        for combo in itertools.product(range(len(product.base.atoms)), repeat=product.n):
-            values.append(f(tuple(product.base.atoms[i] for i in combo)))
-            weights.append(math.prod(w[i] for i in combo))
-        values = np.asarray(values)
-        weights = np.asarray(weights)
+        tuples = itertools.product(product.base.atoms, repeat=product.n)
+        values = np.asarray([f(x) for x in tuples])
+        weights = product_weights(product.base.weights, product.n)
         m = weighted_median(values, weights)
         mass = weighted_deviation_mass(values, weights, m, eps)
         return ProfileResult(mass, 0.0, m, "exact", len(values))

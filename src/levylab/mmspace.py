@@ -9,6 +9,7 @@ inequality |f - c| > eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ class FiniteMMSpace:
             raise InvalidSpace("triangle inequality violated")
         if mu.shape != (n,):
             raise InvalidSpace(f"measure length {mu.shape} does not match {n} points")
-        if np.any(mu < -_MASS_TOL) or abs(mu.sum() - 1.0) > _MASS_TOL:
+        if np.any(mu < -_MASS_TOL) or abs(math.fsum(mu) - 1.0) > _MASS_TOL:
             raise InvalidSpace("measure must be a probability vector")
         dist.flags.writeable = False
         mu.flags.writeable = False
@@ -79,16 +80,6 @@ class FiniteMMSpace:
     def uniform(cls, points, dist) -> "FiniteMMSpace":
         n = len(points)
         return cls(tuple(points), dist, np.full(n, 1.0 / n))
-
-
-def as_function_table(space: FiniteMMSpace, f) -> np.ndarray:
-    """Coerce f to one finite real value per point of the space."""
-    values = np.asarray(f, dtype=np.float64)
-    if values.shape != (len(space),):
-        raise LengthMismatch(f"expected {len(space)} values, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise InvalidFunctionTable("function table contains non-finite values")
-    return values
 
 
 def alpha_profile(space: FiniteMMSpace, eps_values, *, limit: int = DEFAULT_ENUMERATION_LIMIT) -> np.ndarray:
@@ -132,48 +123,29 @@ def alpha_profile(space: FiniteMMSpace, eps_values, *, limit: int = DEFAULT_ENUM
     return out
 
 
-def concentration_alpha_exact(space: FiniteMMSpace, eps: float, *, limit: int = DEFAULT_ENUMERATION_LIMIT) -> float:
-    """Exact concentration function of the space at a single radius."""
-    return float(alpha_profile(space, [eps], limit=limit)[0])
+def _function_table(values, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce a function table and its weights to arrays; one finite value per weight."""
+    values = np.asarray(values, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if values.shape != weights.shape:
+        raise LengthMismatch(f"table shape {values.shape} != weights shape {weights.shape}")
+    if not np.all(np.isfinite(values)):
+        raise InvalidFunctionTable("function table contains non-finite values")
+    return values, weights
 
 
 def weighted_median(values, weights) -> float:
     """Smallest m with mass(f >= m) >= 1/2 and mass(f <= m) >= 1/2."""
-    values = np.asarray(values, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    values, weights = _function_table(values, weights)
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
     pos = int(np.searchsorted(cum, 0.5 - _MASS_TOL, side="left"))
     return float(values[order[min(pos, len(order) - 1)]])
 
 
-def median(space: FiniteMMSpace, f) -> float:
-    """Median of a function table with the smallest-median tie-break."""
-    return weighted_median(as_function_table(space, f), space.mu)
-
-
-def expectation(mu, f) -> float:
-    """Mean of f under a probability vector."""
-    mu = np.asarray(mu, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    if mu.shape != f.shape:
-        raise LengthMismatch(f"measure shape {mu.shape} != table shape {f.shape}")
-    return float(mu @ f)
-
-
 def weighted_deviation_mass(values, weights, center: float, eps: float) -> float:
     """Mass of {|f - center| > eps} (strict inequality)."""
     if eps <= 0:
         raise NonPositiveEps("eps must be > 0")
-    values = np.asarray(values, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    values, weights = _function_table(values, weights)
     return float(weights[np.abs(values - center) > eps].sum())
-
-
-def deviation_mass(mu, f, center: float, eps: float) -> float:
-    """Mass of {x : |f(x) - center| > eps} under the probability vector mu."""
-    mu = np.asarray(mu, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    if mu.shape != f.shape:
-        raise LengthMismatch(f"measure shape {mu.shape} != table shape {f.shape}")
-    return weighted_deviation_mass(f, mu, center, eps)

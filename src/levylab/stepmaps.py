@@ -106,22 +106,31 @@ def iter_cells(m: AnyMap):
         yield edges[i], edges[i + 1], v
 
 
-def iter_joint_cells(a: AnyMap, b: AnyMap):
-    """Yield (start, stop, va, vb) over the merged cell structure of a, b."""
-    ab, bb = a.breakpoints, b.breakpoints
-    va, vb = a.values, b.values
+def merge_breakpoints(ab, bb):
+    """Yield (start, stop, ia, ib) over the common refinement of two breakpoint lists.
+
+    Both lists are sorted inside (0, 1); [start, stop) lies in cell ia of
+    the first list and in cell ib of the second.
+    """
     ia = ib = 0
     start = 0.0
     while start < 1.0:
         next_a = ab[ia] if ia < len(ab) else 1.0
         next_b = bb[ib] if ib < len(bb) else 1.0
         stop = next_a if next_a <= next_b else next_b
-        yield start, stop, va[ia], vb[ib]
+        yield start, stop, ia, ib
         if stop == next_a and ia < len(ab):
             ia += 1
         if stop == next_b and ib < len(bb):
             ib += 1
         start = stop
+
+
+def iter_joint_cells(a: AnyMap, b: AnyMap):
+    """Yield (start, stop, va, vb) over the merged cell structure of a, b."""
+    va, vb = a.values, b.values
+    for start, stop, ia, ib in merge_breakpoints(a.breakpoints, b.breakpoints):
+        yield start, stop, va[ia], vb[ib]
 
 
 def _check_same_group(a: AnyMap, b: AnyMap) -> WordGroup:
@@ -130,26 +139,30 @@ def _check_same_group(a: AnyMap, b: AnyMap) -> WordGroup:
     return a.group
 
 
+def _common_grid(a: tuple, b: tuple, cap: int) -> tuple[tuple, tuple]:
+    """Two value tuples of uniform grids, both refined to the lcm grid."""
+    if len(a) == len(b):
+        return a, b
+    n = lcm(len(a), len(b))
+    if n > cap:
+        raise GridBlowup(f"common refinement grid {n} exceeds cap {cap}")
+    sa, sb = n // len(a), n // len(b)
+    return tuple(a[i // sa] for i in range(n)), tuple(b[i // sb] for i in range(n))
+
+
 def step_op(f: StepMap, g: StepMap, op: str = "multiply", *, cap: int = GRID_CAP) -> StepMap:
     """Pointwise product f(t)*g(t) (or f(t)*g(t)^-1) on the lcm grid."""
     group = _check_same_group(f, g)
     if op not in ("multiply", "invert-second"):
         raise ValueError(f"unknown op {op!r}")
-    n = lcm(f.n, g.n)
-    if n > cap:
-        raise GridBlowup(f"common refinement grid {n} exceeds cap {cap}")
-    sa, sb = n // f.n, n // g.n
     second = g.values if op == "multiply" else tuple(group.inv(v) for v in g.values)
-    values = tuple(group.op(f.values[i // sa], second[i // sb]) for i in range(n))
-    return StepMap(group, values)
+    fa, gb = _common_grid(f.values, second, cap)
+    return StepMap(group, tuple(group.op(a, b) for a, b in zip(fa, gb)))
 
 
 def pointwise_translate(g: AnyMap, h: AnyMap, *, cap: int = GRID_CAP) -> AnyMap:
     """The left translate t -> g(t)*h(t); StepMap when both are step maps."""
     if isinstance(g, StepMap) and isinstance(h, StepMap):
-        if g.n == h.n:
-            group = _check_same_group(g, h)
-            return StepMap(group, tuple(group.op(a, b) for a, b in zip(g.values, h.values)))
         return step_op(g, h, cap=cap)
     group = _check_same_group(g, h)
     breaks: list[float] = []
@@ -169,13 +182,8 @@ def disagreement(f: AnyMap, g: AnyMap, *, cap: int = GRID_CAP) -> float:
     """
     _check_same_group(f, g)
     if isinstance(f, StepMap) and isinstance(g, StepMap):
-        if f.n == g.n:
-            return sum(1 for a, b in zip(f.values, g.values) if a != b) / f.n
-        n = lcm(f.n, g.n)
-        if n > cap:
-            raise GridBlowup(f"common refinement grid {n} exceeds cap {cap}")
-        sa, sb = n // f.n, n // g.n
-        return sum(1 for i in range(n) if f.values[i // sa] != g.values[i // sb]) / n
+        fa, gb = _common_grid(f.values, g.values, cap)
+        return sum(1 for a, b in zip(fa, gb) if a != b) / len(fa)
     return sum(stop - start for start, stop, va, vb in iter_joint_cells(f, g) if va != vb)
 
 

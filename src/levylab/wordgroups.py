@@ -10,6 +10,7 @@ the right uniformity all defect computations refer to.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,7 +287,7 @@ class FinSuppMeasure:
             raise InvalidMeasure("support entries must be distinct")
         if not support:
             raise InvalidMeasure("support must be non-empty")
-        if any(w <= 0 for w in weights) or abs(sum(weights) - 1.0) > _MASS_TOL:
+        if any(w <= 0 for w in weights) or abs(math.fsum(weights) - 1.0) > _MASS_TOL:
             raise InvalidMeasure("weights must be positive and sum to 1")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
@@ -324,23 +325,6 @@ class FinSuppMeasure:
         theirs = dict(zip(other.support, other.weights))
         keys = set(mine) | set(theirs)
         return 0.5 * sum(abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys)
-
-
-def translate_measure(mu: FinSuppMeasure, g) -> FinSuppMeasure:
-    """Push-forward of mu under left translation x -> g*x."""
-    return mu.translate(g)
-
-
-def translation_defect(mu: FinSuppMeasure, g, members) -> float:
-    """max over members f of |E_mu(f) - E_mu(f o lambda_g)|."""
-    g = mu.group.validate(g)
-    op = mu.group.op
-    best = 0.0
-    for f in members:
-        direct = sum(w * f(x) for x, w in zip(mu.support, mu.weights))
-        shifted = sum(w * f(op(g, x)) for x, w in zip(mu.support, mu.weights))
-        best = max(best, abs(direct - shifted))
-    return best
 
 
 def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:

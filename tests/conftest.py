@@ -161,3 +161,33 @@ def brute_translated_expectation(mu, n: int, shift_tuple, members) -> list[float
             total += w * f(StepMap(group, vals))
         out.append(total)
     return out
+
+
+def fubini_telescope_steps(mu, n: int, gprime, members) -> list[float]:
+    """Telescope steps of the transported measure's defect, via Fubini.
+
+    Step j is the family maximum of the integral, over the remaining n-1
+    coordinates z, of the base-group defect terms of the spliced members
+    x -> f(h_n(b_j z with x at slot j)) against translation by gprime_j,
+    where b_j = (gprime_1, ..., gprime_{j-1}, e, ..., e).
+    """
+    group = mu.group
+    e = group.identity
+    steps = []
+    for j in range(1, n + 1):
+        b = tuple(gprime[: j - 1]) + (e,) * (n - j)
+        gj = gprime[j - 1]
+        accs = [0.0] * len(members)
+        for combo in itertools.product(range(len(mu.support)), repeat=n - 1):
+            wz = math.prod(mu.weights[i] for i in combo)
+            bz = tuple(group.op(bi, mu.support[i]) for bi, i in zip(b, combo))
+            head, tail = bz[: j - 1], bz[j - 1 :]
+            for fi, f in enumerate(members):
+                direct = 0.0
+                shifted = 0.0
+                for x, wx in zip(mu.support, mu.weights):
+                    direct += wx * f(StepMap(group, head + (x,) + tail))
+                    shifted += wx * f(StepMap(group, head + (group.op(gj, x),) + tail))
+                accs[fi] += wz * (direct - shifted)
+        steps.append(max(abs(a) for a in accs))
+    return steps

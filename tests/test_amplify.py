@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import brute_l0_defect, brute_translated_expectation
+from conftest import brute_l0_defect, brute_translated_expectation, fubini_telescope_steps
 from levylab import (
     BLFamily,
     CyclicGroup,
     FinSuppMeasure,
+    DiscreteBase,
+    HammingProduct,
     InvalidSchedule,
     L0Carrier,
+    MeanApprox,
     PiecewiseMap,
     Schedule,
     TooLargeForExact,
@@ -18,12 +21,11 @@ from levylab import (
     h_embed,
     identity_map,
     l0_defect,
-    l0_expectation,
     pullback_family,
     push_forward,
     run_schedule,
-    telescoping_bound,
     invariance_defect,
+    sample_product,
 )
 
 Z = ZdGroup(1)
@@ -66,6 +68,12 @@ class TestPushForward:
         assert nu1.support == nu2.support
         assert all(h.n == 3 for h in nu1.support)
 
+    def test_sampled_draws_product_samples(self):
+        mu = FinSuppMeasure(Z, z_elems(0, 1, 5), (0.2, 0.5, 0.3))
+        nu = push_forward(mu, 3, "sampled", samples=200, seed=4)
+        product = HammingProduct(DiscreteBase(mu.support, mu.weights), 3)
+        assert [h.values for h in nu.support] == sample_product(product, 200, 4)
+
     def test_sampled_hits_support_only(self):
         mu = z_uniform(4, 7)
         nu = push_forward(mu, 2, "sampled", samples=50, seed=1)
@@ -73,37 +81,47 @@ class TestPushForward:
         assert all(set(h.values) <= allowed for h in nu.support)
 
 
+def exact_steps(mu, n, gp, fam):
+    # telescope steps of the exact push-forward against the embedded tuple
+    return l0_defect(push_forward(mu, n), h_embed(mu.group, gp), fam).per_step
+
+
 class TestTelescoping:
+    # exact-mode l0_defect steps against the Fubini reduction in conftest
+
     def test_identity_tuple_gives_zero(self):
         mu = z_uniform(0, 1, 2)
         fam = disagreement_family(Z, 3, seed=2)
-        res = telescoping_bound(mu, 2, z_elems(0, 0), fam)
-        assert res.per_step == (0.0, 0.0)
-        assert res.total == 0.0
+        assert fubini_telescope_steps(mu, 2, z_elems(0, 0), fam.members) == [0.0, 0.0]
+        assert exact_steps(mu, 2, z_elems(0, 0), fam) == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_single_step_is_base_defect_of_pullback(self):
         mu = z_uniform(0, 1, 2, 3)
         fam = disagreement_family(Z, 4, seed=5)
         g = (2,)
-        res = telescoping_bound(mu, 1, (g,), fam)
         pulled = pullback_family(fam, 1, 1, ())
-        assert res.total == pytest.approx(invariance_defect(mu, g, pulled), abs=1e-12)
+        base = invariance_defect(mu, g, pulled)
+        assert fubini_telescope_steps(mu, 1, (g,), fam.members) == [pytest.approx(base, abs=1e-12)]
+        assert exact_steps(mu, 1, (g,), fam) == (pytest.approx(base, abs=1e-12),)
 
     def test_haar_invariance(self):
         group = CyclicGroup(5)
         mu = FinSuppMeasure.haar(group)
         fam = disagreement_family(group, 3, seed=8)
-        res = telescoping_bound(mu, 2, (2, 4), fam)
-        assert res.total == pytest.approx(0.0, abs=1e-12)
+        fubini = fubini_telescope_steps(mu, 2, (2, 4), fam.members)
+        assert sum(fubini) == pytest.approx(0.0, abs=1e-12)
+        assert sum(exact_steps(mu, 2, (2, 4), fam)) == pytest.approx(0.0, abs=1e-12)
 
     def test_fubini_steps_equal_direct_differences(self):
         # each telescope step, computed by the coordinate-wise reduction,
-        # matches the directly enumerated expectation difference
+        # matches the directly enumerated expectation difference and the
+        # step l0_defect reports
         mu = z_uniform(0, 1, 5)
         n = 3
         gp = z_elems(1, -2, 3)
         fam = disagreement_family(Z, 2, seed=11)
-        res = telescoping_bound(mu, n, gp, fam)
+        fubini = fubini_telescope_steps(mu, n, gp, fam.members)
+        steps = exact_steps(mu, n, gp, fam)
         e = Z.identity
         prefixes = [gp[:j] + (e,) * (n - j) for j in range(n + 1)]
         direct = [
@@ -113,7 +131,21 @@ class TestTelescoping:
             gap = max(
                 abs(a - b) for a, b in zip(direct[j], direct[j + 1])
             )
-            assert res.per_step[j] == pytest.approx(gap, abs=1e-9)
+            assert fubini[j] == pytest.approx(gap, abs=1e-9)
+            assert steps[j] == pytest.approx(fubini[j], abs=1e-12)
+
+    def test_exact_steps_match_fubini_on_random_instances(self):
+        gen = np.random.default_rng(99)
+        for _ in range(8):
+            size = int(gen.integers(2, 5))
+            n = int(gen.integers(1, 4))
+            support = z_elems(*gen.choice(np.arange(-5, 6), size=size, replace=False))
+            raw = gen.uniform(0.2, 1.0, size=size)
+            mu = FinSuppMeasure(Z, support, tuple(raw / raw.sum()))
+            fam = cell_window_family(Z, 3, seed=int(gen.integers(0, 1000)))
+            gp = z_elems(*gen.integers(-3, 4, size=n))
+            fubini = fubini_telescope_steps(mu, n, gp, fam.members)
+            assert exact_steps(mu, n, gp, fam) == pytest.approx(tuple(fubini), abs=1e-12)
 
 
 def wl_mean_member(scale: float):
@@ -197,7 +229,7 @@ class TestL0Defect:
         nu = push_forward(z_uniform(0, 3), 1)
         member = wl_mean_member(3.0)
         expected = 0.5 * member(h_embed(Z, z_elems(0))) + 0.5 * member(h_embed(Z, z_elems(3)))
-        assert l0_expectation(nu, member) == pytest.approx(expected, abs=1e-12)
+        assert MeanApprox(nu).expect(member) == pytest.approx(expected, abs=1e-12)
 
 
 class TestSchedule:
@@ -245,6 +277,17 @@ class TestSchedule:
         with pytest.raises(InvalidSchedule):
             Schedule(entries, target_eps=0.1)
         Schedule(entries, target_eps=0.1, enforce_hypothesis=False)
+
+    def test_exact_mode_honours_cap(self):
+        entries = tuple((i, folner_measure(Z, 4 * i * i)) for i in (1, 2))
+        sched = Schedule(entries, target_eps=0.5)
+        fam = disagreement_family(Z, 2, seed=10)
+        g = PiecewiseMap(Z, (0.35,), z_elems(1, 0))
+        # 9 and 33^2 = 1089 tuples
+        report = run_schedule(sched, g, fam, eps=0.2, mode="exact", exact_cap=1089)
+        assert report.entry_modes == ("exact", "exact")
+        with pytest.raises(TooLargeForExact):
+            run_schedule(sched, g, fam, eps=0.2, mode="exact", exact_cap=1088)
 
     def test_half_radius_implication_row_wise(self):
         # expectation-centered mass at eps is controlled by median-centered

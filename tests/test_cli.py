@@ -94,6 +94,12 @@ class TestDefectCommand:
         assert code == 0
         assert float(read_csv(out)[1][1]) == pytest.approx(0.04, abs=1e-12)
 
+    def test_f2_default_k_range(self, tmp_path):
+        # k = 10 builds a ball of 2*3^10 - 1 atoms
+        code, out, _ = run(tmp_path, "defect", "defect", "--group", "F2")
+        assert code == 0
+        assert len(read_csv(out)) == 11
+
     def test_f2_contrast(self, tmp_path):
         code, out, summary = run(
             tmp_path, "defect", "defect", "--group", "F2", "--k-range", "1..4"
@@ -143,6 +149,11 @@ class TestAmplifyCommand:
             "--family", "disagreement:count=2",
             "--samples", "20",
         )
+        assert code == 2
+
+    def test_exact_mode_over_cap_is_computation_error(self, tmp_path):
+        # stage 2 of the default schedule has 33^2 tuples
+        code, _, _ = run(tmp_path, "amplify", "amplify", "--mode", "exact", "--exact-cap", "10")
         assert code == 2
 
 
@@ -210,6 +221,13 @@ class TestDeterminismAndConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("volume = 11\n")
         code = main(["alpha", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+
+    @pytest.mark.parametrize("line", ["mode = bogus", "n = abc"])
+    def test_config_values_checked_like_flags(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["profile", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
     def test_bad_flag_usage_error(self, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from levylab import (
     sample_product,
     talagrand_bound,
 )
+from levylab.hamming import product_weights
 
 UNIFORM2 = DiscreteBase.uniform((0, 1))
 
@@ -96,6 +98,22 @@ class TestSampleProduct:
     def test_distinct_atoms_required(self):
         with pytest.raises(InvalidMeasure):
             DiscreteBase(("a", "a"), (0.5, 0.5))
+
+
+class TestProductWeights:
+    @pytest.mark.parametrize("atoms,n", [(3, 11), (5, 6), (21, 3), (7, 5)])
+    def test_bit_identical_to_sequential_products(self, atoms, n):
+        gen = np.random.default_rng(atoms * 100 + n)
+        raw = gen.uniform(0.1, 1.0, size=atoms)
+        w = tuple(float(v) for v in raw / raw.sum())
+        expected = [math.prod(c) for c in itertools.product(w, repeat=n)]
+        assert product_weights(w, n).tolist() == expected
+
+    def test_product_space_measure(self):
+        base = DiscreteBase((0, 1), (0.3, 0.7))
+        space = product_space(HammingProduct(base, 2))
+        assert space.points == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert space.mu.tolist() == [0.3 * 0.3, 0.3 * 0.7, 0.7 * 0.3, 0.7 * 0.7]
 
 
 class TestLipschitzProfile:

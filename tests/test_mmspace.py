@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 from conftest import brute_alpha, brute_median, mm_space_strategy
 from levylab import (
     FiniteMMSpace,
+    InvalidFunctionTable,
     InvalidSpace,
     LengthMismatch,
     NegativeEps,
     NonPositiveEps,
     SpaceTooLarge,
     alpha_profile,
-    concentration_alpha_exact,
-    deviation_mass,
-    expectation,
-    median,
+    weighted_deviation_mass,
+    weighted_median,
 )
 
 TWO_POINT = FiniteMMSpace.uniform(("p", "q"), np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -49,31 +48,31 @@ class TestConstruction:
 
 class TestAlpha:
     def test_two_point_at_zero(self):
-        assert concentration_alpha_exact(TWO_POINT, 0.0) == 0.5
+        assert alpha_profile(TWO_POINT, [0.0])[0] == 0.5
 
     def test_two_point_at_one(self):
         expected = brute_alpha(TWO_POINT, 1.0)
-        assert concentration_alpha_exact(TWO_POINT, 1.0) == pytest.approx(expected, abs=1e-12)
+        assert alpha_profile(TWO_POINT, [1.0])[0] == pytest.approx(expected, abs=1e-12)
         assert expected == 0.0
 
     def test_one_point(self):
-        assert concentration_alpha_exact(ONE_POINT, 0.1) == 0.0
+        assert alpha_profile(ONE_POINT, [0.1])[0] == 0.0
 
     def test_negative_eps(self):
         with pytest.raises(NegativeEps):
-            concentration_alpha_exact(TWO_POINT, -0.1)
+            alpha_profile(TWO_POINT, [-0.1])
 
     def test_too_large(self):
         pts = tuple(range(25))
         dist = np.abs(np.subtract.outer(np.arange(25.0), np.arange(25.0)))
         space = FiniteMMSpace.uniform(pts, dist)
         with pytest.raises(SpaceTooLarge):
-            concentration_alpha_exact(space, 0.5)
+            alpha_profile(space, [0.5])
 
     @settings(max_examples=40, deadline=None)
     @given(mm_space_strategy(max_points=5), st.floats(min_value=0.0, max_value=4.0))
     def test_matches_brute_force(self, space, eps):
-        assert concentration_alpha_exact(space, eps) == pytest.approx(
+        assert alpha_profile(space, [eps])[0] == pytest.approx(
             brute_alpha(space, eps), abs=1e-12
         )
 
@@ -91,15 +90,15 @@ class TestAlpha:
 class TestMedian:
     def test_constant(self):
         space = cube2()
-        assert median(space, [3.0] * 4) == 3.0
+        assert weighted_median([3.0] * 4, space.mu) == 3.0
 
     def test_two_point_smallest(self):
         expected = brute_median([0.0, 1.0], [0.5, 0.5])
-        assert median(TWO_POINT, [0.0, 1.0]) == expected == 0.0
+        assert weighted_median([0.0, 1.0], TWO_POINT.mu) == expected == 0.0
 
     def test_cube_fraction_of_ones(self):
         expected = brute_median(FRACTION_OF_ONES, [0.25] * 4)
-        assert median(cube2(), FRACTION_OF_ONES) == expected == 0.5
+        assert weighted_median(FRACTION_OF_ONES, cube2().mu) == expected == 0.5
 
     @settings(max_examples=60, deadline=None)
     @given(mm_space_strategy(max_points=6), st.data())
@@ -107,43 +106,43 @@ class TestMedian:
         values = [
             data.draw(st.floats(min_value=-3, max_value=3)) for _ in range(len(space))
         ]
-        m = median(space, values)
+        m = weighted_median(values, space.mu)
         above = sum(w for v, w in zip(values, space.mu) if v >= m)
         below = sum(w for v, w in zip(values, space.mu) if v <= m)
         assert above >= 0.5 - 1e-9
         assert below >= 0.5 - 1e-9
         assert m == brute_median(values, space.mu)
 
-
-class TestExpectation:
-    def test_dirac(self):
-        assert expectation([0.0, 1.0, 0.0], [5.0, 7.0, 9.0]) == 7.0
-
-    def test_uniform_clamped_wordlength(self):
-        f = [min(abs(x), 5) / 5 for x in range(4)]
-        assert expectation([0.25] * 4, f) == pytest.approx(0.3, abs=1e-12)
-
-    def test_cube_symmetry(self):
-        assert expectation([0.25] * 4, FRACTION_OF_ONES) == 0.5
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            expectation([0.5, 0.5], [1.0])
+            weighted_median([1.0], [0.5, 0.5])
+
+    def test_non_finite_table(self):
+        with pytest.raises(InvalidFunctionTable):
+            weighted_median([0.0, float("nan")], TWO_POINT.mu)
 
 
 class TestDeviationMass:
     def test_constant(self):
-        assert deviation_mass([0.25] * 4, [2.0] * 4, 2.0, 0.1) == 0.0
+        assert weighted_deviation_mass([2.0] * 4, [0.25] * 4, 2.0, 0.1) == 0.0
 
     def test_cube_eps_04(self):
-        assert deviation_mass([0.25] * 4, FRACTION_OF_ONES, 0.5, 0.4) == 0.5
+        assert weighted_deviation_mass(FRACTION_OF_ONES, [0.25] * 4, 0.5, 0.4) == 0.5
 
     def test_cube_eps_06(self):
-        assert deviation_mass([0.25] * 4, FRACTION_OF_ONES, 0.5, 0.6) == 0.0
+        assert weighted_deviation_mass(FRACTION_OF_ONES, [0.25] * 4, 0.5, 0.6) == 0.0
 
     def test_nonpositive_eps(self):
         with pytest.raises(NonPositiveEps):
-            deviation_mass([1.0], [0.0], 0.0, 0.0)
+            weighted_deviation_mass([0.0], [1.0], 0.0, 0.0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            weighted_deviation_mass([1.0], [0.5, 0.5], 0.0, 0.1)
+
+    def test_non_finite_table(self):
+        with pytest.raises(InvalidFunctionTable):
+            weighted_deviation_mass([0.0, float("inf")], TWO_POINT.mu, 0.0, 0.1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,6 +157,6 @@ def test_expectation_median_gap_estimate(space, data, eps):
     values = [
         data.draw(st.floats(min_value=-bound, max_value=bound)) for _ in range(len(space))
     ]
-    m = median(space, values)
-    mass = deviation_mass(space.mu, values, m, eps)
-    assert abs(expectation(space.mu, values) - m) <= 2 * bound * mass + eps + 1e-9
+    m = weighted_median(values, space.mu)
+    mass = weighted_deviation_mass(values, space.mu, m, eps)
+    assert abs(float(space.mu @ np.asarray(values)) - m) <= 2 * bound * mass + eps + 1e-9

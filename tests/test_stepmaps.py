@@ -20,6 +20,7 @@ from levylab import (
     pointwise_translate,
     step_op,
 )
+from levylab.stepmaps import merge_breakpoints
 
 Z = ZdGroup(1)
 
@@ -93,6 +94,10 @@ class TestDisagreement:
     def test_refinement(self):
         assert disagreement(h_embed(Z, (A,)), h_embed(Z, (A, B))) == 0.5
 
+    def test_grid_blowup(self):
+        with pytest.raises(GridBlowup):
+            disagreement(StepMap(Z, (A,) * 1021), StepMap(Z, (B,) * 1031))
+
     def test_piecewise_vs_step(self):
         pm = PiecewiseMap(Z, (0.25,), (A, B))
         assert disagreement(pm, h_embed(Z, (A, B))) == 0.25
@@ -117,6 +122,31 @@ class TestDisagreement:
         f, g, h = maps
         assert disagreement(f, g) == pytest.approx(disagreement(g, f), abs=1e-12)
         assert disagreement(f, h) <= disagreement(f, g) + disagreement(g, h) + 1e-12
+
+
+class TestMergeBreakpoints:
+    def test_shared_and_distinct_breakpoints(self):
+        assert list(merge_breakpoints((0.5,), (0.25, 0.5))) == [
+            (0.0, 0.25, 0, 0),
+            (0.25, 0.5, 0, 1),
+            (0.5, 1.0, 1, 2),
+        ]
+
+    def test_no_breakpoints(self):
+        assert list(merge_breakpoints((), ())) == [(0.0, 1.0, 0, 0)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_cells_cover_unit_interval(self, data):
+        group = data.draw(group_strategy())
+        a = data.draw(st.one_of(step_map_strategy(group=group), piecewise_strategy(group=group)))
+        b = data.draw(st.one_of(step_map_strategy(group=group), piecewise_strategy(group=group)))
+        cells = list(merge_breakpoints(a.breakpoints, b.breakpoints))
+        assert cells[0][0] == 0.0 and cells[-1][1] == 1.0
+        assert all(c[1] == d[0] for c, d in zip(cells, cells[1:]))
+        for start, stop, ia, ib in cells:
+            assert start < stop
+            assert a.value_at(start) == a.values[ia] and b.value_at(start) == b.values[ib]
 
 
 class TestNeighborhood:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,17 +15,17 @@ from levylab import (
     ZdGroup,
     ball_uniform,
     folner_measure,
+    invariance_defect,
     make_group,
-    translate_measure,
-    translation_defect,
+    wordlen_clamp_family,
 )
 
 Z = ZdGroup(1)
 F2 = FreeGroup2()
 
 
-def clamp5(x):
-    return min(abs(x[0]), 5) / 5
+# the single member min(wl(x), 5) / 5
+CLAMP5 = wordlen_clamp_family(Z, [5])
 
 
 class TestWordLength:
@@ -97,11 +99,11 @@ class TestBalls:
 class TestMeasures:
     def test_point_mass_translation(self):
         mu = FinSuppMeasure.point_mass(Z, (3,))
-        assert translate_measure(mu, (2,)).support == ((5,),)
+        assert mu.translate((2,)).support == ((5,),)
 
     def test_uniform_shift(self):
         mu = FinSuppMeasure.uniform(Z, [(i,) for i in range(4)])
-        nu = translate_measure(mu, (1,))
+        nu = mu.translate((1,))
         assert nu.support == ((1,), (2,), (3,), (4,))
         assert sum(nu.weights) == pytest.approx(1.0, abs=1e-12)
 
@@ -120,27 +122,40 @@ class TestMeasures:
         mu = FinSuppMeasure.uniform(group, elems)
         f = lambda x: min(group.word_length(x), 7) / 7.0  # noqa: E731
         ginv = group.inv(g)
-        lhs = translate_measure(mu, g).expectation(lambda x: f(group.op(ginv, x)))
+        lhs = mu.translate(g).expectation(lambda x: f(group.op(ginv, x)))
         rhs = mu.expectation(f)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestExpectation:
+    def test_dirac(self):
+        mu = FinSuppMeasure.point_mass(CyclicGroup(3), 1)
+        assert mu.expectation(lambda x: [5.0, 7.0, 9.0][x]) == 7.0
+
+    def test_uniform_clamped_wordlength(self):
+        mu = FinSuppMeasure.uniform(Z, [(i,) for i in range(4)])
+        assert mu.expectation(CLAMP5.members[0]) == pytest.approx(0.3, abs=1e-12)
+
+    def test_cube_symmetry(self):
+        mu = FinSuppMeasure.uniform(ZdGroup(2), [(0, 0), (0, 1), (1, 0), (1, 1)])
+        assert mu.expectation(lambda x: sum(x) / 2) == 0.5
 
 
 class TestTranslationDefect:
     def test_uniform_interval(self):
         mu = FinSuppMeasure.uniform(Z, [(i,) for i in range(4)])
-        assert translation_defect(mu, (1,), [clamp5]) == pytest.approx(0.2, abs=1e-12)
+        assert invariance_defect(mu, (1,), CLAMP5) == pytest.approx(0.2, abs=1e-12)
 
     def test_haar_invariance(self):
         group = CyclicGroup(8)
         mu = FinSuppMeasure.haar(group)
-        f = lambda x: min(group.word_length(x), 3) / 3  # noqa: E731
+        fam = wordlen_clamp_family(group, [3])
         for g in (1, 3, 5):
-            assert translation_defect(mu, g, [f]) == pytest.approx(0.0, abs=1e-12)
+            assert invariance_defect(mu, g, fam) == pytest.approx(0.0, abs=1e-12)
 
     def test_dirac_against_generator(self):
         mu = FinSuppMeasure.point_mass(Z, (0,))
-        f = lambda x: min(Z.word_length(x), 1)  # noqa: E731
-        assert translation_defect(mu, (1,), [f]) == 1.0
+        assert invariance_defect(mu, (1,), wordlen_clamp_family(Z, [1])) == 1.0
 
 
 class TestFolner:
@@ -151,13 +166,13 @@ class TestFolner:
 
     def test_k2_defect(self):
         mu = folner_measure(Z, 2)
-        assert translation_defect(mu, (1,), [clamp5]) == pytest.approx(0.04, abs=1e-12)
+        assert invariance_defect(mu, (1,), CLAMP5) == pytest.approx(0.04, abs=1e-12)
 
     def test_defect_bound_and_decay(self):
         defects = {}
         for k in range(1, 11):
             mu = folner_measure(Z, k)
-            d = translation_defect(mu, (1,), [clamp5])
+            d = invariance_defect(mu, (1,), CLAMP5)
             assert d <= 2.0 / (2 * k + 1) + 1e-12
             defects[k] = d
         for k in range(1, 6):
@@ -166,12 +181,18 @@ class TestFolner:
     def test_z2_box(self):
         mu = folner_measure(ZdGroup(2), 1)
         assert len(mu.support) == 9
-        f = lambda x: min(abs(x[0]) + abs(x[1]), 4) / 4  # noqa: E731
-        assert translation_defect(mu, (1, 0), [f]) <= 2.0 / 3 + 1e-12
+        fam = wordlen_clamp_family(ZdGroup(2), [4])
+        assert invariance_defect(mu, (1, 0), fam) <= 2.0 / 3 + 1e-12
 
     def test_wrong_kind(self):
         with pytest.raises(WrongKind):
             folner_measure(F2, 2)
+
+    def test_large_box_mass(self):
+        # 401^2 equal weights: the plain float sum misses 1 by more than 1e-12
+        mu = folner_measure(ZdGroup(2), 200)
+        assert len(mu.support) == 401**2
+        assert math.fsum(mu.weights) == 1.0
 
 
 class TestF2Contrast:
@@ -181,14 +202,20 @@ class TestF2Contrast:
         for k in range(1, 7):
             mu = ball_uniform(F2, k)
             assert len(mu.support) == 2 * 3**k - 1
-            f = lambda x, cap=k + 1: min(F2.word_length(x), cap)  # noqa: E731
-            assert translation_defect(mu, "a", [f]) >= 0.2
+            fam = wordlen_clamp_family(F2, [k + 1], normalize=False)
+            assert invariance_defect(mu, "a", fam) >= 0.2
 
     def test_k1_value(self):
         mu = ball_uniform(F2, 1)
-        f = lambda x: min(F2.word_length(x), 2)  # noqa: E731
-        assert translation_defect(mu, "a", [f]) == pytest.approx(0.6, abs=1e-12)
+        fam = wordlen_clamp_family(F2, [2], normalize=False)
+        assert invariance_defect(mu, "a", fam) == pytest.approx(0.6, abs=1e-12)
+
+    def test_large_ball_mass(self):
+        # 2*3^10 - 1 equal weights: the plain float sum misses 1 by more than 1e-12
+        mu = ball_uniform(F2, 10)
+        assert len(mu.support) == 2 * 3**10 - 1
+        assert math.fsum(mu.weights) == 1.0
 
     def test_tv_distance_large(self):
         mu = ball_uniform(F2, 3)
-        assert mu.tv_distance(translate_measure(mu, "a")) >= 0.4
+        assert mu.tv_distance(mu.translate("a")) >= 0.4
