@@ -42,6 +42,7 @@ from .errors import (
 from .families import (
     BLFamily,
     GroupCarrier,
+    IntegralMember,
     L0Carrier,
     cell_window_family,
     compose_with_translation,
@@ -63,6 +64,7 @@ from .hamming import (
     hamming_distance,
     lipschitz_profile,
     product_space,
+    sample_indices,
     sample_product,
     talagrand_bound,
 )

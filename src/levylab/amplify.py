@@ -1,20 +1,19 @@
 """Push-forward product measures on step maps and the amplification pipeline.
 
 Given an almost-invariant measure mu on G, the n-fold product measure is
-transported to step maps through the uniform-grid embedding.  The defect
-of the transported measure against translation by a target map is then
-controlled by a telescoping chain of single-coordinate steps: step j is the
-change in expectation when the translation grows by its j-th coordinate
-(by Fubini, a base-group defect of a pulled-back family), and the
-off-grid remainder is charged to the family's Lipschitz constant times the
-grid-approximation disagreement.  A schedule runs the construction along a
-sequence of (n_i, mu_i) pairs and reports defects, bounds, concentration
-masses, and expectation-median gaps per entry.
+transported to step maps through the uniform-grid embedding, held as an
+array of indices into the support of mu.  Its defect against translation
+by a target map is controlled by a telescoping chain of single-coordinate
+steps (step j: the change in expectation when the translation grows by
+its j-th coordinate) plus the off-grid remainder, charged to the family's
+Lipschitz constant times the grid-approximation disagreement.  Integral
+members are evaluated on the whole batch by table lookup.  A schedule runs
+the construction along a sequence of (n_i, mu_i) pairs and reports
+defects, bounds, concentration masses, and expectation-median gaps.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import sqrt
 
@@ -27,10 +26,10 @@ from .errors import (
     InvalidSchedule,
     TooLargeForExact,
 )
-from .families import BLFamily, L0Carrier
-from .hamming import DiscreteBase, HammingProduct, product_weights, sample_product, talagrand_bound
+from .families import BLFamily, IntegralMember, L0Carrier
+from .hamming import DiscreteBase, HammingProduct, product_weights, sample_indices, talagrand_bound
 from .mmspace import weighted_deviation_mass, weighted_median
-from .stepmaps import AnyMap, StepMap, grid_approximate, pointwise_translate
+from .stepmaps import AnyMap, StepMap, grid_approximate, merge_breakpoints, pointwise_translate
 from .wordgroups import FinSuppMeasure
 
 EXACT_PUSHFORWARD_LIMIT = 10**6
@@ -44,27 +43,36 @@ class L0Measure:
 
     Represents the push-forward of base^(x)n under the grid embedding,
     either exactly (full enumeration, product weights) or as a seeded
-    empirical measure with equal weights.
+    empirical measure with equal weights.  Map j is row j of the (m, n)
+    index array codes: its value on grid cell i is base.support[codes[j, i]].
     """
 
     base: FinSuppMeasure
     n: int
-    support: tuple
+    codes: np.ndarray
     weights: np.ndarray
     mode: str
     seed: int | None = None
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
-        if len(self.support) != len(weights):
-            raise DimensionMismatch("support and weights must have equal length")
+        codes = np.asarray(self.codes, dtype=np.intp)
+        if codes.shape != (len(weights), self.n):
+            raise DimensionMismatch(f"codes shape {codes.shape} != ({len(weights)}, {self.n})")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise InvalidSchedule("push-forward weights must sum to 1")
-        if any(h.n != self.n for h in self.support):
-            raise DimensionMismatch("all support maps must share the grid size")
+        if codes.size and not 0 <= codes.min() <= codes.max() < len(self.base.support):
+            raise DimensionMismatch("codes must index the base support")
         weights.flags.writeable = False
-        object.__setattr__(self, "support", tuple(self.support))
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "weights", weights)
+
+    @property
+    def support(self) -> tuple:
+        """The step maps, built from codes on each access."""
+        atoms, group = self.base.support, self.base.group
+        return tuple(StepMap(group, tuple(atoms[c] for c in row)) for row in self.codes.tolist())
 
 
 def push_forward(
@@ -79,40 +87,55 @@ def push_forward(
     """Transport mu^(x)n to step maps on the uniform n-grid."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    group = mu.group
+    k = len(mu.support)
     if mode == "exact":
-        size = len(mu.support) ** n
-        if size > exact_cap:
-            raise TooLargeForExact(f"{size} tuples exceeds exact cap {exact_cap}")
-        weights = product_weights(mu.weights, n)
-        support = tuple(StepMap(group, combo) for combo in itertools.product(mu.support, repeat=n))
-        return L0Measure(mu, n, support, weights, "exact")
+        if k**n > exact_cap:
+            raise TooLargeForExact(f"{k**n} tuples exceeds exact cap {exact_cap}")
+        # the index tuples in itertools.product order, matching product_weights
+        codes = np.indices((k,) * n).reshape(n, -1).T
+        return L0Measure(mu, n, codes, product_weights(mu.weights, n), "exact")
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if samples is None or samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
     product = HammingProduct(DiscreteBase(mu.support, mu.weights), n)
-    support = tuple(StepMap(group, row) for row in sample_product(product, samples, seed))
-    weights = np.full(samples, 1.0 / samples)
-    return L0Measure(mu, n, support, weights, "sampled", seed)
+    codes = sample_indices(product, samples, seed)
+    return L0Measure(mu, n, codes, np.full(samples, 1.0 / samples), "sampled", seed)
 
 
-def _member_values(nu: L0Measure, family: BLFamily) -> np.ndarray:
-    m = len(nu.support)
-    out = np.empty((len(family.members), m))
-    for fi, f in enumerate(family.members):
-        out[fi] = np.fromiter((f(h) for h in nu.support), dtype=np.float64, count=m)
+def _member_values(nu: L0Measure, members, shift: AnyMap | None = None) -> np.ndarray:
+    """The members x maps matrix of f(shift * h) over the maps h of nu.
+
+    An IntegralMember is integrated once per grid cell and support atom on
+    the joint refinement of the grid, the shift and its own breakpoints;
+    each map's value is then a gather of its n cells from that table.  Any
+    other callable is called on every (translated) map.
+    """
+    atoms, group, n = nu.base.support, nu.base.group, nu.n
+    by = StepMap(group, (group.identity,)) if shift is None else shift
+    moved = [[group.op(v, x) for x in atoms] for v in by.values]
+    # the grid refined by the shift: the grid and shift cell of each piece, and the inner cuts
+    refined = list(merge_breakpoints([i / n for i in range(1, n)], by.breakpoints))
+    cuts = [stop for _, stop, _, _ in refined[:-1]]
+    # cell i of map j in a raveled (n, |support|) table, cell-major so that summing adds rows
+    at = np.ascontiguousarray((nu.codes + np.arange(n) * len(atoms)).T)
+    maps = None
+    out = np.empty((len(members), len(nu.weights)))
+    for fi, f in enumerate(members):
+        if not isinstance(f, IntegralMember):
+            if maps is None:
+                maps = [h if shift is None else pointwise_translate(shift, h) for h in nu.support]
+            out[fi] = [f(h) for h in maps]
+            continue
+        table = np.zeros((n, len(atoms)))
+        columns = {}
+        for start, stop, ri, p in merge_breakpoints(cuts, f.breakpoints):
+            _, _, gi, si = refined[ri]
+            if (si, p) not in columns:
+                columns[si, p] = np.fromiter(map(f.kernel[p], moved[si]), np.float64, len(atoms))
+            table[gi] += (stop - start) * columns[si, p]
+        out[fi] = f.phi(table.ravel()[at].sum(axis=0))
     return out
-
-
-def _translate_expectations(nu: L0Measure, family: BLFamily, shift: AnyMap) -> np.ndarray:
-    """E_nu(f o lambda_shift) for every member f."""
-    sums = np.zeros(len(family.members))
-    for h, wh in zip(nu.support, nu.weights):
-        th = pointwise_translate(shift, h)
-        for fi, f in enumerate(family.members):
-            sums[fi] += wh * f(th)
-    return sums
 
 
 @dataclass(frozen=True)
@@ -124,14 +147,7 @@ class DefectResult:
     grid_disagreement: float
 
 
-def l0_defect(
-    nu: L0Measure,
-    g: AnyMap,
-    family: BLFamily,
-    *,
-    approx_n: int | None = None,
-    _values: np.ndarray | None = None,
-) -> DefectResult:
+def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     """Defect of nu against translation by g, with its telescoping bound.
 
     defect = max over the family of |E_nu(f) - E_nu(f o lambda_g)|;
@@ -149,20 +165,19 @@ def l0_defect(
         raise CarrierMismatch("family must live over step maps of the same base group")
     if g.group != group:
         raise CarrierMismatch("target map lives over a different group")
-    n_eff = nu.n if approx_n is None else approx_n
-    gp, dis = grid_approximate(g, n_eff)
+    gp, dis = grid_approximate(g, nu.n)
 
-    values = _member_values(nu, family) if _values is None else _values
-    e_id = values @ nu.weights
-    e_shift = _translate_expectations(nu, family, g)
-    defect = float(np.max(np.abs(e_id - e_shift)))
+    def expectations(shift):
+        return _member_values(nu, family.members, shift) @ nu.weights
+
+    e_id = expectations(None)
+    defect = float(np.max(np.abs(e_id - expectations(g))))
 
     e = group.identity
     prev = e_id
     steps = []
-    for j in range(1, n_eff + 1):
-        a_j = StepMap(group, gp[:j] + (e,) * (n_eff - j))
-        cur = _translate_expectations(nu, family, a_j)
+    for j in range(1, nu.n + 1):
+        cur = expectations(StepMap(group, gp[:j] + (e,) * (nu.n - j)))
         steps.append(float(np.max(np.abs(prev - cur))))
         prev = cur
     bound = float(sum(steps)) + family.lipschitz * dis
@@ -278,8 +293,8 @@ def run_schedule(
             )
         modes.append(entry_mode)
 
-        values = _member_values(nu, family)
-        res = l0_defect(nu, g, family, _values=values)
+        values = _member_values(nu, family.members)
+        res = l0_defect(nu, g, family)
         e_vals = values @ nu.weights
 
         conc_mass = 0.0
@@ -299,7 +314,7 @@ def run_schedule(
         implication_all &= implication_ok
         sigma = 0.0
         if entry_mode == "sampled":
-            sigma = sqrt(max(conc_mass * (1 - conc_mass), 0.0) / len(nu.support))
+            sigma = sqrt(max(conc_mass * (1 - conc_mass), 0.0) / len(nu.weights))
         conc_under_talagrand &= conc_mass <= talagrand_bound(eps / family.lipschitz, n_i) + 4 * sigma
 
         rows.append(ScheduleRow(i, n_i, res.defect, res.bound, conc_mass, median_gap))

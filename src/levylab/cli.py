@@ -86,7 +86,7 @@ def _parse_space(text: str) -> FiniteMMSpace:
         return FiniteMMSpace.uniform(("p", "q"), np.array([[0.0, 1.0], [1.0, 0.0]]))
     if text.startswith("cube:"):
         n = int(text[5:])
-        return product_space(HammingProduct(DiscreteBase.uniform((0, 1)), n), limit=1 << 20)
+        return product_space(HammingProduct(DiscreteBase.uniform((0, 1)), n))
     raise UsageError(f"unknown space {text!r} (use one-point, two-point, or cube:N)")
 
 
@@ -488,6 +488,9 @@ def main(argv: list[str] | None = None) -> int:
     except LevyLabError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     out_path = ns.out or f"{ns.command}.csv"
     summary_path = ns.json_summary or f"{ns.command}-summary.json"

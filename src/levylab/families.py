@@ -2,14 +2,17 @@
 
 A BLFamily is a finite list of evaluable members with a shared sup-norm
 bound B and Lipschitz constant L for the carrier's metric (word metric on
-a group carrier, disagreement pseudometric on a step-map carrier).  All
-suprema over a family are maxima over the list.  Lipschitz verification is
-probabilistic: sampled pairs, not exhaustive checks.
+a group carrier, disagreement pseudometric on a step-map carrier).  The
+built-in step-map members are IntegralMembers h -> phi(int k(t, h(t)) dt).
+All suprema over a family are maxima over the list.  Lipschitz
+verification is probabilistic: sampled pairs, not exhaustive checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import ne
 from typing import Callable
 
 import numpy as np
@@ -17,16 +20,7 @@ import numpy as np
 from . import rng
 from .errors import CarrierMismatch, DimensionMismatch, OutOfRange
 from .hamming import check_lipschitz
-from .stepmaps import (
-    AnyMap,
-    PiecewiseMap,
-    StepMap,
-    as_piecewise,
-    disagreement,
-    h_embed,
-    iter_cells,
-    merge_breakpoints,
-)
+from .stepmaps import AnyMap, PiecewiseMap, StepMap, disagreement, h_embed, merge_breakpoints
 from .wordgroups import FinSuppMeasure, WordGroup
 
 _BOUND_TOL = 1e-9
@@ -79,6 +73,32 @@ class BLFamily:
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+def _zero(x) -> float:
+    return 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class IntegralMember:
+    """The member h -> phi(integral over [0, 1) of kernel[p](h(t)) dt).
+
+    The breakpoints (sorted, inside (0, 1)) cut [0, 1) into pieces, and p
+    is the piece holding t, so the kernel is constant in t on each piece.
+    phi maps the integral, a float or an array of them, to the value.
+    """
+
+    breakpoints: tuple
+    kernel: tuple
+    phi: Callable = np.asarray  # the identity on floats and arrays
+
+    def __call__(self, h: AnyMap) -> float:
+        values = h.values
+        total = sum(
+            (stop - start) * self.kernel[p](values[i])
+            for start, stop, p, i in merge_breakpoints(self.breakpoints, h.breakpoints)
+        )
+        return float(self.phi(total))
 
 
 def eval_member(family: BLFamily, index: int, x) -> float:
@@ -193,34 +213,10 @@ def wordlen_clamp_family(group: WordGroup, caps, *, normalize: bool = True) -> B
     return BLFamily(GroupCarrier(group), members, bound, lipschitz)
 
 
-def disagreement_member(reference: AnyMap) -> Callable:
-    """The member h -> disagreement(reference, h); 1-bounded, 1-Lipschitz.
-
-    Evaluations on uniform-grid step maps are served from a per-grid
-    alignment cache of the reference, so repeated calls at a fixed grid
-    cost O(n) with no re-merging.
-    """
-    ref = as_piecewise(reference)
-    cache: dict[int, list] = {}
-
-    def grid_parts(n: int) -> list:
-        grid = [i / n for i in range(1, n)]
-        return [
-            (gi, stop - start, ref.values[ri])
-            for start, stop, gi, ri in merge_breakpoints(grid, ref.breakpoints)
-        ]
-
-    def member(h: AnyMap) -> float:
-        if isinstance(h, StepMap) and h.group == ref.group:
-            parts = cache.get(h.n)
-            if parts is None:
-                parts = cache[h.n] = grid_parts(h.n)
-            values = h.values
-            return sum(length for gi, length, rv in parts if values[gi] != rv)
-        return disagreement(ref, h)
-
-    member.reference = ref
-    return member
+def disagreement_member(reference: AnyMap) -> IntegralMember:
+    """The member h -> disagreement(reference, h); 1-bounded, 1-Lipschitz."""
+    kernel = tuple(partial(ne, v) for v in reference.values)
+    return IntegralMember(tuple(reference.breakpoints), kernel)
 
 
 def disagreement_family(
@@ -254,17 +250,16 @@ def disagreement_family(
     return BLFamily(L0Carrier(group), tuple(members), 1.0, 1.0)
 
 
-def cell_window_member(group: WordGroup, lo: float, hi: float, value, width: float) -> Callable:
-    value = group.validate(value)
+def cell_window_member(group: WordGroup, lo: float, hi: float, value, width: float) -> IntegralMember:
+    """h -> max(0, 1 - |{t in [lo, hi) : h(t) != value}| / width)."""
+    mismatch = partial(ne, group.validate(value))
+    breaks = tuple(b for b in (lo, hi) if 0.0 < b < 1.0)
+    kernel = tuple(mismatch if lo <= start < hi else _zero for start in (0.0,) + breaks)
+    return IntegralMember(breaks, kernel, partial(_clipped_slope, width))
 
-    def member(h: AnyMap) -> float:
-        mass = 0.0
-        for start, stop, v in iter_cells(h):
-            if v != value:
-                mass += max(0.0, min(stop, hi) - max(start, lo))
-        return max(0.0, 1.0 - mass / width)
 
-    return member
+def _clipped_slope(width: float, s):
+    return np.maximum(0.0, 1.0 - s / width)
 
 
 def cell_window_family(

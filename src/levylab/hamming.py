@@ -26,9 +26,11 @@ from .errors import (
     NegativeEps,
     TooLargeForExact,
 )
-from .mmspace import FiniteMMSpace, weighted_deviation_mass, weighted_median
+from .mmspace import DEFAULT_ENUMERATION_LIMIT, FiniteMMSpace, weighted_deviation_mass, weighted_median
 
 EXACT_PRODUCT_LIMIT = 10**6
+# sampled pairs on which lipschitz_profile checks the declared constant
+CHECK_PAIRS = 32
 
 _MASS_TOL = 1e-12
 
@@ -92,8 +94,8 @@ def talagrand_bound(eps: float, n: int) -> float:
     return 2.0 * math.exp(-(eps * eps) * n)
 
 
-def sample_product(product: HammingProduct, count: int, seed: int) -> list[tuple]:
-    """Draw count i.i.d. tuples from the product measure.
+def sample_indices(product: HammingProduct, count: int, seed: int) -> np.ndarray:
+    """Draw count i.i.d. tuples from the product measure, as atom indices of shape (count, n).
 
     Coordinate (i, j) is a pure function of (seed, i, j), so sample i does
     not depend on count or batching; chunked or parallel generation gives
@@ -101,13 +103,14 @@ def sample_product(product: HammingProduct, count: int, seed: int) -> list[tuple
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    atoms = product.base.atoms
-    n = product.n
     cum = np.cumsum(product.base.weights)
-    idx = rng.counter_choice(seed, 0, count * n, cum).reshape(count, n)
-    lookup = np.empty(len(atoms), dtype=object)
-    lookup[:] = list(atoms)
-    return [tuple(row) for row in lookup[idx].tolist()]
+    return rng.counter_choice(seed, 0, count * product.n, cum).reshape(count, product.n)
+
+
+def sample_product(product: HammingProduct, count: int, seed: int) -> list[tuple]:
+    """The draws of sample_indices as tuples of atoms."""
+    lookup = np.fromiter(product.base.atoms, dtype=object, count=len(product.base.atoms))
+    return [tuple(row) for row in lookup[sample_indices(product, count, seed)].tolist()]
 
 
 def product_weights(weights, n: int) -> np.ndarray:
@@ -128,10 +131,10 @@ def check_lipschitz(pairs, members, lipschitz: float, distance) -> None:
                 )
 
 
-def product_space(product: HammingProduct, *, limit: int = 20) -> FiniteMMSpace:
-    """Materialize the product as a FiniteMMSpace (small products only)."""
-    if product.point_count > limit:
-        raise TooLargeForExact(f"{product.point_count} points exceeds limit {limit}")
+def product_space(product: HammingProduct) -> FiniteMMSpace:
+    """Materialize the product as a FiniteMMSpace of at most DEFAULT_ENUMERATION_LIMIT points."""
+    if product.point_count > DEFAULT_ENUMERATION_LIMIT:
+        raise TooLargeForExact(f"{product.point_count} points exceeds limit {DEFAULT_ENUMERATION_LIMIT}")
     points = list(itertools.product(product.base.atoms, repeat=product.n))
     dist = np.array([[hamming_distance(x, y) for y in points] for x in points])
     return FiniteMMSpace(tuple(points), dist, product_weights(product.base.weights, product.n))
@@ -167,26 +170,23 @@ def lipschitz_profile(
     mode: str = "exact",
     samples: int | None = None,
     seed: int = 0,
-    check_pairs: int = 32,
-    exact_limit: int = EXACT_PRODUCT_LIMIT,
 ) -> ProfileResult:
     """Mass of {|f - median(f)| > eps} under the product measure.
 
-    Exact mode enumerates all tuples (up to exact_limit points); sampled
-    mode is Monte Carlo over `samples` seeded draws and reports a binomial
-    standard error.  The declared Lipschitz constant is spot-verified on
-    sampled pairs in both modes.
+    Exact mode enumerates all tuples (up to EXACT_PRODUCT_LIMIT points);
+    sampled mode is Monte Carlo over `samples` seeded draws and reports a
+    binomial standard error.  The declared Lipschitz constant is
+    spot-verified on CHECK_PAIRS sampled pairs in both modes.
     """
     if eps <= 0:
         raise NegativeEps("eps must be > 0")
     del bound  # recorded by callers; the profile itself only needs L
-    if check_pairs > 0:
-        xs = sample_product(product, 2 * check_pairs, rng.derive_seed(seed, "lipschitz-check"))
-        check_lipschitz(zip(xs[::2], xs[1::2]), (f,), lipschitz, hamming_distance)
+    xs = sample_product(product, 2 * CHECK_PAIRS, rng.derive_seed(seed, "lipschitz-check"))
+    check_lipschitz(zip(xs[::2], xs[1::2]), (f,), lipschitz, hamming_distance)
 
     if mode == "exact":
-        if product.point_count > exact_limit:
-            raise TooLargeForExact(f"{product.point_count} tuples exceeds exact cap {exact_limit}")
+        if product.point_count > EXACT_PRODUCT_LIMIT:
+            raise TooLargeForExact(f"{product.point_count} tuples exceeds exact cap {EXACT_PRODUCT_LIMIT}")
         tuples = itertools.product(product.base.atoms, repeat=product.n)
         values = np.asarray([f(x) for x in tuples])
         weights = product_weights(product.base.weights, product.n)

@@ -1,12 +1,12 @@
 """Averaging group functions along step maps.
 
 The transfer operator sends a bounded function f on G to the function
-h -> integral of f(h(t)) dt on step maps.  For step data the integral is
-the cell-length-weighted sum, which makes the algebra exact: unitality,
-linearity, monotonicity, and the equivariance identity
-transfer(f o lambda_g) = transfer(f) o lambda_{const g} all hold to float
-roundoff.  Composing with the expectation of a measure on step maps turns
-almost-invariance at the step-map level into almost-invariance on G.
+h -> integral of f(h(t)) dt on step maps, the one-piece IntegralMember
+with kernel f.  For step data the integral is the cell-length-weighted
+sum, which makes the algebra exact: unitality, linearity, monotonicity,
+and transfer(f o lambda_g) = transfer(f) o lambda_{const g} all hold to
+float roundoff.  Composing with the expectation of a measure on step maps
+turns almost-invariance at the step-map level into almost-invariance on G.
 """
 
 from __future__ import annotations
@@ -14,25 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import CarrierMismatch
-from .stepmaps import AnyMap, StepMap, h_embed, iter_cells, pointwise_translate
+from .families import IntegralMember
+from .stepmaps import AnyMap, h_embed, pointwise_translate
 from .wordgroups import WordGroup
 
-from .amplify import L0Measure
+from .amplify import L0Measure, _member_values
 
 
 def phi_eval(f: Callable, h: AnyMap) -> float:
     """Cell-length-weighted average of f over the values of h."""
-    return float(sum((stop - start) * f(v) for start, stop, v in iter_cells(h)))
+    return phi_member(f)(h)
 
 
-def phi_member(f: Callable) -> Callable:
+def phi_member(f: Callable) -> IntegralMember:
     """f averaged along maps, as a member over the step-map carrier."""
-
-    def member(h: AnyMap) -> float:
-        return phi_eval(f, h)
-
-    return member
+    return IntegralMember((), (f,))
 
 
 def phi_equivariance_check(group: WordGroup, f: Callable, g, h: AnyMap) -> float:
@@ -59,10 +55,7 @@ class MeanApprox:
     measure: L0Measure
 
     def expect(self, member: Callable) -> float:
-        total = 0.0
-        for h, w in zip(self.measure.support, self.measure.weights):
-            total += w * member(h)
-        return float(total)
+        return float(_member_values(self.measure, (member,))[0] @ self.measure.weights)
 
 
 def transfer_defect(mean: MeanApprox, f: Callable, g) -> float:
@@ -73,8 +66,6 @@ def transfer_defect(mean: MeanApprox, f: Callable, g) -> float:
     """
     group = mean.measure.base.group
     g = group.validate(g)
-    if not isinstance(mean.measure.support[0], StepMap):
-        raise CarrierMismatch("mean must be supported on step maps")
     direct = mean.expect(phi_member(f))
     shifted = mean.expect(phi_member(lambda x: f(group.op(g, x))))
     return abs(direct - shifted)

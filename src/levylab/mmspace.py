@@ -82,7 +82,7 @@ class FiniteMMSpace:
         return cls(tuple(points), dist, np.full(n, 1.0 / n))
 
 
-def alpha_profile(space: FiniteMMSpace, eps_values, *, limit: int = DEFAULT_ENUMERATION_LIMIT) -> np.ndarray:
+def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
     """Concentration function evaluated on a grid of radii.
 
     For eps > 0 this is 1 minus the infimum, over subsets A with
@@ -94,8 +94,8 @@ def alpha_profile(space: FiniteMMSpace, eps_values, *, limit: int = DEFAULT_ENUM
     if np.any(eps_values < 0):
         raise NegativeEps("eps must be >= 0")
     npts = len(space)
-    if npts > limit:
-        raise SpaceTooLarge(f"{npts} points exceeds the enumeration limit {limit}")
+    if npts > DEFAULT_ENUMERATION_LIMIT:
+        raise SpaceTooLarge(f"{npts} points exceeds the enumeration limit {DEFAULT_ENUMERATION_LIMIT}")
 
     positive = eps_values[eps_values > 0]
     out = np.full(eps_values.shape, 0.5)

@@ -98,14 +98,6 @@ def as_piecewise(m: AnyMap) -> PiecewiseMap:
     return PiecewiseMap(m.group, m.breakpoints, m.values)
 
 
-def iter_cells(m: AnyMap):
-    """Yield (start, stop, value) cells of a map, covering [0, 1)."""
-    breaks = m.breakpoints
-    edges = (0.0,) + tuple(breaks) + (1.0,)
-    for i, v in enumerate(m.values):
-        yield edges[i], edges[i + 1], v
-
-
 def merge_breakpoints(ab, bb):
     """Yield (start, stop, ia, ib) over the common refinement of two breakpoint lists.
 
@@ -194,8 +186,9 @@ def in_neighborhood(f: AnyMap, radius: int, eps: float) -> bool:
     i.e. f stays inside the open word ball of the given radius outside a
     set of measure < eps.
     """
-    wl = f.group.word_length
-    offending = sum(stop - start for start, stop, v in iter_cells(f) if wl(v) >= radius)
+    wl, values = f.group.word_length, f.values
+    cells = merge_breakpoints(f.breakpoints, ())
+    offending = sum(stop - start for start, stop, i, _ in cells if wl(values[i]) >= radius)
     return offending < eps
 
 

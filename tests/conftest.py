@@ -191,3 +191,13 @@ def fubini_telescope_steps(mu, n: int, gprime, members) -> list[float]:
                 accs[fi] += wz * (direct - shifted)
         steps.append(max(abs(a) for a in accs))
     return steps
+
+
+def cell_window_closed_form(h, lo: float, hi: float, value, width: float) -> float:
+    """max(0, 1 - sum of overlaps of [lo, hi) with the cells where h != value, over width)."""
+    edges = (0.0,) + tuple(h.breakpoints) + (1.0,)
+    mass = 0.0
+    for i, v in enumerate(h.values):
+        if v != value:
+            mass += max(0.0, min(edges[i + 1], hi) - max(edges[i], lo))
+    return max(0.0, 1.0 - mass / width)

@@ -1,32 +1,50 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from conftest import brute_l0_defect, brute_translated_expectation, fubini_telescope_steps
+from conftest import (
+    brute_l0_defect,
+    brute_translated_expectation,
+    cell_window_closed_form,
+    fubini_telescope_steps,
+)
 from levylab import (
     BLFamily,
     CyclicGroup,
+    DimensionMismatch,
     FinSuppMeasure,
+    FreeGroup2,
     DiscreteBase,
     HammingProduct,
     InvalidSchedule,
     L0Carrier,
+    L0Measure,
     MeanApprox,
     PiecewiseMap,
     Schedule,
+    StepMap,
     TooLargeForExact,
     ZdGroup,
     cell_window_family,
+    disagreement,
     disagreement_family,
+    disagreement_member,
     folner_measure,
     h_embed,
     identity_map,
     l0_defect,
+    phi_member,
+    pointwise_translate,
     pullback_family,
     push_forward,
     run_schedule,
     invariance_defect,
     sample_product,
 )
+from levylab.amplify import _member_values
+from levylab.families import cell_window_member
 
 Z = ZdGroup(1)
 
@@ -73,6 +91,22 @@ class TestPushForward:
         nu = push_forward(mu, 3, "sampled", samples=200, seed=4)
         product = HammingProduct(DiscreteBase(mu.support, mu.weights), 3)
         assert [h.values for h in nu.support] == sample_product(product, 200, 4)
+
+    def test_exact_codes_in_product_order(self):
+        mu = FinSuppMeasure(Z, z_elems(0, 1, 5), (0.2, 0.5, 0.3))
+        nu = push_forward(mu, 3)
+        combos = list(itertools.product(range(3), repeat=3))
+        assert nu.codes.tolist() == [list(c) for c in combos]
+        assert nu.support == tuple(StepMap(Z, tuple(mu.support[i] for i in c)) for c in combos)
+        for c, w in zip(combos, nu.weights):
+            assert w == pytest.approx(math.prod(mu.weights[i] for i in c), abs=1e-15)
+
+    def test_codes_are_checked(self):
+        mu = z_uniform(0, 1)
+        with pytest.raises(DimensionMismatch):
+            L0Measure(mu, 2, np.zeros((3, 3), dtype=int), np.full(3, 1 / 3), "exact")
+        with pytest.raises(DimensionMismatch):
+            L0Measure(mu, 1, np.array([[0], [2]]), np.full(2, 0.5), "exact")
 
     def test_sampled_hits_support_only(self):
         mu = z_uniform(4, 7)
@@ -298,3 +332,68 @@ class TestSchedule:
         g = PiecewiseMap(Z, (0.45,), z_elems(2, -1))
         report = run_schedule(sched, g, fam, eps=0.4, samples=500, seed=3)
         assert report.flags["half_radius_implication"]
+
+
+def _distinct_elements(group, gen, size):
+    elems = []
+    while len(elems) < size:
+        x = group.random_element(gen, 3)
+        if x not in elems:
+            elems.append(x)
+    return tuple(elems)
+
+
+class TestMemberValues:
+    # the gather path of _member_values against each member called on each translated map
+
+    @pytest.mark.parametrize("group", [Z, CyclicGroup(7), FreeGroup2()], ids=["Z", "Z7", "F2"])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_gather_matches_per_map_calls(self, group, mode):
+        gen = np.random.default_rng(31 if mode == "exact" else 32)
+        for n in (1, 2, 3, 4):
+            raw = gen.uniform(0.2, 1.0, size=3)
+            mu = FinSuppMeasure(group, _distinct_elements(group, gen, 3), tuple(raw / raw.sum()))
+            nu = push_forward(mu, n, mode, samples=60, seed=n)
+
+            def element():
+                return group.random_element(gen, 3)
+
+            off_grid = tuple(sorted(float(b) for b in gen.uniform(0.05, 0.95, size=2)))
+            on_grid = tuple(sorted({i / n for i in range(1, n)} | {0.5}))
+            shifts = [
+                None,
+                StepMap(group, tuple(element() for _ in range(n + 1))),
+                StepMap(group, tuple(element() for _ in range(5))),
+                PiecewiseMap(group, off_grid, tuple(element() for _ in off_grid + (0,))),
+                PiecewiseMap(group, on_grid, tuple(element() for _ in on_grid + (0,))),
+            ]
+            refs = [
+                PiecewiseMap(group, off_grid, tuple(element() for _ in off_grid + (0,))),
+                StepMap(group, tuple(element() for _ in range(3))),
+            ]
+            windows = [
+                (*sorted(float(t) for t in gen.uniform(0, 1, size=2)), element(), 0.25),
+                (float(gen.uniform(0, 1)), 1.0, element(), 0.5),
+                (0.0, 1 / (n + 1), element(), 1.0),
+                (1 / n if n > 1 else 0.5, 1.0, element(), 0.25),
+            ]
+            members = [disagreement_member(ref) for ref in refs]
+            members += [phi_member(lambda x: math.sin(group.word_length(x) + 0.5))]
+            members += [cell_window_member(group, *w) for w in windows]
+            for shift in shifts:
+                rows = _member_values(nu, members, shift)
+                maps = [h if shift is None else pointwise_translate(shift, h) for h in nu.support]
+                for f, row in zip(members, rows):
+                    assert row == pytest.approx([f(h) for h in maps], abs=1e-12)
+                for ref, row in zip(refs, rows):
+                    assert row == pytest.approx([disagreement(ref, h) for h in maps], abs=1e-12)
+                for w, row in zip(windows, rows[-len(windows):]):
+                    oracle = [cell_window_closed_form(h, *w) for h in maps]
+                    assert row == pytest.approx(oracle, abs=1e-12)
+
+    def test_opaque_callables_take_the_per_map_path(self):
+        nu = push_forward(z_uniform(0, 2, 3), 2, "sampled", samples=40, seed=3)
+        shift = PiecewiseMap(Z, (0.3,), z_elems(1, -1))
+        member = wl_mean_member(3.0)
+        rows = _member_values(nu, (member,), shift)
+        assert rows[0].tolist() == [member(pointwise_translate(shift, h)) for h in nu.support]

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +238,64 @@ class TestDeterminismAndConfig:
     def test_bad_flag_usage_error(self, tmp_path):
         assert main(["alpha", "--nope"]) == 1
         assert main([]) == 1
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["alpha", "--space", "cube:x"],
+            ["amplify", "--group", "Z^x"],
+            ["defect", "--group", "Zm:1"],
+            ["amplify", "--g", "n=x:1"],
+            ["amplify", "--g", "0.x:1|0"],
+            ["amplify", "--family", "disagreement:count=abc"],
+            ["defect", "--family", "wordlen-clamp:cap=z"],
+            ["profile", "--n", "0"],
+        ],
+    )
+    def test_usage_error_without_traceback(self, tmp_path, capsys, args):
+        code, out, _ = run(tmp_path, "bad", *args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_child(tmp_path, args, limit_mib):
+    """Run the CLI in a child process whose address space is capped at limit_mib."""
+    limit = limit_mib << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "levylab.cli", *args],
+        cwd=tmp_path,
+        env=env,
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestDefaultsSmoke:
+    # every subcommand at its default flags, in a child with a capped address space
+
+    @pytest.mark.parametrize("command", ["alpha", "profile", "defect", "amplify", "phi-check"])
+    def test_default_run_succeeds(self, tmp_path, command):
+        proc = run_child(tmp_path, [command], 768)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (tmp_path / f"{command}.csv").exists()
+        assert (tmp_path / f"{command}-summary.json").exists()
+
+    def test_large_cube_is_refused_before_building(self, tmp_path):
+        proc = run_child(tmp_path, ["alpha", "--space", "cube:10"], 1024)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("computation error: ") and "Traceback" not in proc.stderr

@@ -14,6 +14,7 @@ from levylab import (
     L0Carrier,
     LipschitzViolation,
     OutOfRange,
+    PiecewiseMap,
     ZdGroup,
     cell_window_family,
     compose_with_translation,
@@ -153,13 +154,16 @@ class TestBuilders:
         h = h_embed(Z, z_elems(1, 0, -2))
         assert [m(h) for m in fam1.members] == [m(h) for m in fam2.members]
 
-    def test_disagreement_member_grid_cache_matches_generic(self):
-        fam = disagreement_family(Z, 5, seed=13)
-        for member in fam.members:
-            ref = member.reference
+    def test_disagreement_member_matches_disagreement(self):
+        refs = (
+            h_embed(Z, z_elems(0, 2, 1)),
+            PiecewiseMap(Z, (0.2, 0.5), z_elems(3, 1, 4)),
+            PiecewiseMap(Z, (1 / 3, 0.7), z_elems(0, 1, 2)),
+        )
+        for ref in refs:
+            member = disagreement_member(ref)
             for n in (1, 2, 3, 5, 8):
-                values = z_elems(*range(n))
-                h = h_embed(Z, values)
+                h = h_embed(Z, z_elems(*range(n)))
                 assert member(h) == pytest.approx(disagreement(ref, h), abs=1e-12)
 
     def test_cell_window_family(self):
