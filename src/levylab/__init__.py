@@ -23,7 +23,6 @@ from .errors import (
     CarrierMismatch,
     DimensionMismatch,
     EmptyTuple,
-    GridBlowup,
     InvalidElement,
     InvalidFunctionTable,
     InvalidMeasure,
@@ -84,14 +83,12 @@ from .mmspace import (
 from .stepmaps import (
     PiecewiseMap,
     StepMap,
-    as_piecewise,
     disagreement,
     grid_approximate,
     h_embed,
     identity_map,
     in_neighborhood,
     pointwise_translate,
-    step_op,
 )
 from .wordgroups import (
     CyclicGroup,

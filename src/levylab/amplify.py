@@ -29,7 +29,7 @@ from .errors import (
 from .families import BLFamily, IntegralMember, L0Carrier
 from .hamming import DiscreteBase, HammingProduct, product_weights, sample_indices, talagrand_bound
 from .mmspace import weighted_deviation_mass, weighted_median
-from .stepmaps import AnyMap, StepMap, grid_approximate, merge_breakpoints, pointwise_translate
+from .stepmaps import AnyMap, StepMap, grid_approximate, merge_breakpoints
 from .wordgroups import FinSuppMeasure
 
 EXACT_PUSHFORWARD_LIMIT = 10**6
@@ -106,10 +106,10 @@ def push_forward(
 def _member_values(nu: L0Measure, members, shift: AnyMap | None = None) -> np.ndarray:
     """The members x maps matrix of f(shift * h) over the maps h of nu.
 
-    An IntegralMember is integrated once per grid cell and support atom on
-    the joint refinement of the grid, the shift and its own breakpoints;
-    each map's value is then a gather of its n cells from that table.  Any
-    other callable is called on every (translated) map.
+    Each member, an IntegralMember, is integrated once per grid cell and
+    support atom on the joint refinement of the grid, the shift and its
+    own breakpoints; each map's value is then a gather of its n cells from
+    that table.  Any other member raises CarrierMismatch.
     """
     atoms, group, n = nu.base.support, nu.base.group, nu.n
     by = StepMap(group, (group.identity,)) if shift is None else shift
@@ -119,14 +119,10 @@ def _member_values(nu: L0Measure, members, shift: AnyMap | None = None) -> np.nd
     cuts = [stop for _, stop, _, _ in refined[:-1]]
     # cell i of map j in a raveled (n, |support|) table, cell-major so that summing adds rows
     at = np.ascontiguousarray((nu.codes + np.arange(n) * len(atoms)).T)
-    maps = None
     out = np.empty((len(members), len(nu.weights)))
     for fi, f in enumerate(members):
         if not isinstance(f, IntegralMember):
-            if maps is None:
-                maps = [h if shift is None else pointwise_translate(shift, h) for h in nu.support]
-            out[fi] = [f(h) for h in maps]
-            continue
+            raise CarrierMismatch(f"member {fi} is not an IntegralMember")
         table = np.zeros((n, len(atoms)))
         columns = {}
         for start, stop, ri, p in merge_breakpoints(cuts, f.breakpoints):
@@ -191,13 +187,11 @@ class Schedule:
     On construction the witness products n_i * (max generator total
     variation of mu_i) are recorded and required to be non-increasing;
     they quantify the hypothesis that base defects shrink faster than the
-    grid grows.  Pass enforce_hypothesis=False for deliberately degenerate
-    schedules.
+    grid grows.
     """
 
     entries: tuple
     target_eps: float
-    enforce_hypothesis: bool = True
 
     def __post_init__(self):
         entries = tuple((int(n), mu) for n, mu in self.entries)
@@ -217,13 +211,8 @@ class Schedule:
         ns = [n for n, _ in entries]
         if any(a > b for a, b in zip(ns, ns[1:])):
             raise InvalidSchedule("grid sizes must be non-decreasing")
-        if self.enforce_hypothesis and any(
-            b > a + _TOL for a, b in zip(witnesses, witnesses[1:])
-        ):
-            raise InvalidSchedule(
-                "witness products n_i * defect(mu_i) must be non-increasing; "
-                "pass enforce_hypothesis=False to override"
-            )
+        if any(b > a + _TOL for a, b in zip(witnesses, witnesses[1:])):
+            raise InvalidSchedule("witness products n_i * defect(mu_i) must be non-increasing")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "witnesses", tuple(witnesses))
 

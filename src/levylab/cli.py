@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, rng
 from .amplify import Schedule, run_schedule
-from .errors import LevyLabError
+from .errors import LevyLabError, WrongKind
 from .families import (
     cell_window_family,
     disagreement_family,
@@ -482,15 +482,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = _apply_config(parser, argv)
         header, rows, flags = _COMMANDS[ns.command](ns)
-    except UsageError as exc:
+    except (UsageError, ValueError, WrongKind) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except LevyLabError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
     out_path = ns.out or f"{ns.command}.csv"
     summary_path = ns.json_summary or f"{ns.command}-summary.json"

@@ -41,10 +41,6 @@ class TooLargeForExact(LevyLabError):
     """Product enumeration would exceed the exact-mode cap."""
 
 
-class GridBlowup(LevyLabError):
-    """A common-refinement grid would exceed the grid cap."""
-
-
 class EmptyTuple(LevyLabError, ValueError):
     """A step map needs at least one cell."""
 

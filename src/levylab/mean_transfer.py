@@ -54,7 +54,7 @@ class MeanApprox:
 
     measure: L0Measure
 
-    def expect(self, member: Callable) -> float:
+    def expect(self, member: IntegralMember) -> float:
         return float(_member_values(self.measure, (member,))[0] @ self.measure.weights)
 
 

@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import lcm
 
-from .errors import CarrierMismatch, EmptyTuple, GridBlowup
+from .errors import CarrierMismatch, EmptyTuple
 from .wordgroups import WordGroup
-
-GRID_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -92,12 +89,6 @@ def identity_map(group: WordGroup, n: int = 1) -> StepMap:
     return StepMap(group, (group.identity,) * n)
 
 
-def as_piecewise(m: AnyMap) -> PiecewiseMap:
-    if isinstance(m, PiecewiseMap):
-        return m
-    return PiecewiseMap(m.group, m.breakpoints, m.values)
-
-
 def merge_breakpoints(ab, bb):
     """Yield (start, stop, ia, ib) over the common refinement of two breakpoint lists.
 
@@ -131,51 +122,32 @@ def _check_same_group(a: AnyMap, b: AnyMap) -> WordGroup:
     return a.group
 
 
-def _common_grid(a: tuple, b: tuple, cap: int) -> tuple[tuple, tuple]:
-    """Two value tuples of uniform grids, both refined to the lcm grid."""
-    if len(a) == len(b):
-        return a, b
-    n = lcm(len(a), len(b))
-    if n > cap:
-        raise GridBlowup(f"common refinement grid {n} exceeds cap {cap}")
-    sa, sb = n // len(a), n // len(b)
-    return tuple(a[i // sa] for i in range(n)), tuple(b[i // sb] for i in range(n))
+def pointwise_translate(g: AnyMap, h: AnyMap) -> AnyMap:
+    """The left translate t -> g(t)*h(t) on the merged breakpoints of g and h.
 
-
-def step_op(f: StepMap, g: StepMap, op: str = "multiply", *, cap: int = GRID_CAP) -> StepMap:
-    """Pointwise product f(t)*g(t) (or f(t)*g(t)^-1) on the lcm grid."""
-    group = _check_same_group(f, g)
-    if op not in ("multiply", "invert-second"):
-        raise ValueError(f"unknown op {op!r}")
-    second = g.values if op == "multiply" else tuple(group.inv(v) for v in g.values)
-    fa, gb = _common_grid(f.values, second, cap)
-    return StepMap(group, tuple(group.op(a, b) for a, b in zip(fa, gb)))
-
-
-def pointwise_translate(g: AnyMap, h: AnyMap, *, cap: int = GRID_CAP) -> AnyMap:
-    """The left translate t -> g(t)*h(t); StepMap when both are step maps."""
-    if isinstance(g, StepMap) and isinstance(h, StepMap):
-        return step_op(g, h, cap=cap)
+    A StepMap when both are step maps and one grid refines the other,
+    otherwise a PiecewiseMap.  Uniform breakpoints i/n are correctly
+    rounded, so grid points shared by two grids merge into one.
+    """
     group = _check_same_group(g, h)
-    breaks: list[float] = []
-    values = []
-    for start, _, va, vb in iter_joint_cells(g, h):
-        if start > 0.0:
-            breaks.append(start)
-        values.append(group.op(va, vb))
-    return PiecewiseMap(group, tuple(breaks), tuple(values))
+    cells = list(iter_joint_cells(g, h))
+    values = tuple(group.op(va, vb) for _, _, va, vb in cells)
+    if isinstance(g, StepMap) and isinstance(h, StepMap) and len(values) == max(g.n, h.n):
+        return StepMap(group, values)
+    return PiecewiseMap(group, tuple(start for start, _, _, _ in cells[1:]), values)
 
 
-def disagreement(f: AnyMap, g: AnyMap, *, cap: int = GRID_CAP) -> float:
+def disagreement(f: AnyMap, g: AnyMap) -> float:
     """Lebesgue measure of {t : f(t) != g(t)}.
 
     A pseudometric on maps; on equal-grid step maps it equals the
     normalized Hamming distance of the value tuples.
     """
     _check_same_group(f, g)
-    if isinstance(f, StepMap) and isinstance(g, StepMap):
-        fa, gb = _common_grid(f.values, g.values, cap)
-        return sum(1 for a, b in zip(fa, gb) if a != b) / len(fa)
+    if isinstance(f, StepMap) and isinstance(g, StepMap) and f.n == g.n:
+        # count / n is exact, so it equals the normalized Hamming distance
+        # bit for bit; summing the merged cell lengths would round
+        return sum(1 for a, b in zip(f.values, g.values) if a != b) / f.n
     return sum(stop - start for start, stop, va, vb in iter_joint_cells(f, g) if va != vb)
 
 
@@ -203,6 +175,6 @@ def grid_approximate(f: AnyMap, n: int) -> tuple[tuple, float]:
         raise ValueError("n must be >= 1")
     if isinstance(f, StepMap) and f.n == n:
         return f.values, 0.0
-    pm = as_piecewise(f)
-    g = tuple(pm.value_at(i / n) for i in range(n))
+    breaks = f.breakpoints
+    g = tuple(f.values[bisect_right(breaks, i / n)] for i in range(n))
     return g, disagreement(f, StepMap(f.group, g))

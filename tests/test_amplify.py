@@ -12,12 +12,14 @@ from conftest import (
 )
 from levylab import (
     BLFamily,
+    CarrierMismatch,
     CyclicGroup,
     DimensionMismatch,
     FinSuppMeasure,
     FreeGroup2,
     DiscreteBase,
     HammingProduct,
+    IntegralMember,
     InvalidSchedule,
     L0Carrier,
     L0Measure,
@@ -184,14 +186,7 @@ class TestTelescoping:
 
 def wl_mean_member(scale: float):
     # min(1, average cell word length / scale)
-    def member(h):
-        total = 0.0
-        edges = (0.0,) + tuple(h.breakpoints) + (1.0,)
-        for i, v in enumerate(h.values):
-            total += (edges[i + 1] - edges[i]) * Z.word_length(v)
-        return min(1.0, total / scale)
-
-    return member
+    return IntegralMember((), (Z.word_length,), lambda s: np.minimum(1.0, s / scale))
 
 
 class TestL0Defect:
@@ -310,7 +305,6 @@ class TestSchedule:
         )
         with pytest.raises(InvalidSchedule):
             Schedule(entries, target_eps=0.1)
-        Schedule(entries, target_eps=0.1, enforce_hypothesis=False)
 
     def test_exact_mode_honours_cap(self):
         entries = tuple((i, folner_measure(Z, 4 * i * i)) for i in (1, 2))
@@ -391,9 +385,14 @@ class TestMemberValues:
                     oracle = [cell_window_closed_form(h, *w) for h in maps]
                     assert row == pytest.approx(oracle, abs=1e-12)
 
-    def test_opaque_callables_take_the_per_map_path(self):
+    def test_opaque_callables_are_rejected(self):
         nu = push_forward(z_uniform(0, 2, 3), 2, "sampled", samples=40, seed=3)
         shift = PiecewiseMap(Z, (0.3,), z_elems(1, -1))
-        member = wl_mean_member(3.0)
-        rows = _member_values(nu, (member,), shift)
-        assert rows[0].tolist() == [member(pointwise_translate(shift, h)) for h in nu.support]
+        opaque = lambda h: 0.0  # noqa: E731
+        with pytest.raises(CarrierMismatch, match="member 1"):
+            _member_values(nu, (wl_mean_member(3.0), opaque), shift)
+        with pytest.raises(CarrierMismatch, match="member 0"):
+            MeanApprox(nu).expect(opaque)
+        fam = BLFamily(L0Carrier(Z), (opaque,), bound=1.0, lipschitz=1.0)
+        with pytest.raises(CarrierMismatch, match="member 0"):
+            l0_defect(nu, shift, fam)

@@ -143,19 +143,6 @@ class TestAmplifyCommand:
         code, _, _ = run(tmp_path, "amplify", "amplify", "--schedule", "k=i..3")
         assert code == 1
 
-    def test_computation_error_exit_code(self, tmp_path):
-        # huge lcm grid between the target and the schedule grids
-        code, _, _ = run(
-            tmp_path,
-            "amplify",
-            "amplify",
-            "--schedule", "k=2,n=1021,i=1..1",
-            "--g", "n=1031: " + ",".join(["1"] * 1031),
-            "--family", "disagreement:count=2",
-            "--samples", "20",
-        )
-        assert code == 2
-
     def test_exact_mode_over_cap_is_computation_error(self, tmp_path):
         # stage 2 of the default schedule has 33^2 tuples
         code, _, _ = run(tmp_path, "amplify", "amplify", "--mode", "exact", "--exact-cap", "10")
@@ -252,6 +239,13 @@ class TestMalformedValues:
             ["amplify", "--family", "disagreement:count=abc"],
             ["defect", "--family", "wordlen-clamp:cap=z"],
             ["profile", "--n", "0"],
+            ["amplify", "--group", "Q"],
+            ["amplify", "--g", "0.35:x|0"],
+            ["amplify", "--group", "Z^2", "--schedule", "k=1,n=1,i=1..1"],
+            ["defect", "--group", "F2", "--g", "q"],
+            ["amplify", "--target-eps", "0"],
+            ["profile", "--eps", "0"],
+            ["profile", "--base", "0.5,0.6"],
         ],
     )
     def test_usage_error_without_traceback(self, tmp_path, capsys, args):

@@ -132,5 +132,5 @@ class TestTransferDefect:
     def test_positive_unital(self):
         nu = push_forward(FinSuppMeasure.uniform(Z, z_elems(0, 2)), 2)
         mean = MeanApprox(nu)
-        assert mean.expect(lambda h: 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert mean.expect(lambda h: abs(math.sin(h.values[0][0]))) >= 0.0
+        assert mean.expect(phi_member(lambda x: 1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert mean.expect(phi_member(lambda x: abs(math.sin(x[0])))) >= 0.0

@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +50,59 @@ class TestConstruction:
     def test_rejects_bad_measure(self):
         with pytest.raises(InvalidSpace):
             FiniteMMSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), [0.9, 0.2])
+
+
+# builds the n-point line space, with d(a, b) = d(b, a) = v for each "a,b,v" argument
+LINE_SPACE = """
+import sys
+import numpy as np
+from levylab import FiniteMMSpace, InvalidSpace
+n = int(sys.argv[1])
+x = np.arange(n, dtype=float)
+dist = np.abs(x[:, None] - x[None, :])
+for arg in sys.argv[2:]:
+    a, b, v = arg.split(",")
+    dist[int(a), int(b)] = dist[int(b), int(a)] = float(v)
+try:
+    FiniteMMSpace.uniform(tuple(range(n)), dist)
+except InvalidSpace:
+    print("invalid")
+else:
+    print("built")
+"""
+
+
+def build_line_space(n, *edits, limit_mib=768):
+    """Build a line space in a child whose address space is capped at limit_mib."""
+    limit = limit_mib << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", LINE_SPACE, str(n), *edits],
+        env=env,
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestLargeSpace:
+    # the triangle check runs in blocks of rows, so its memory stays bounded
+
+    def test_600_points_build_under_768_mib(self):
+        assert build_line_space(600) == "built"
+
+    def test_violation_in_last_block_is_found(self):
+        # only the triples (598, 599, 597) and (599, 598, 597) violate, both in the last rows
+        assert build_line_space(600, "598,599,3.5") == "invalid"
+        assert build_line_space(600, "598,599,3.0") == "built"
 
 
 class TestAlpha:

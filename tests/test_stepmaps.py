@@ -2,15 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import element_strategy, group_strategy, piecewise_strategy, step_map_strategy
+from conftest import (
+    element_strategy,
+    group_strategy,
+    manual_product_map,
+    piecewise_strategy,
+    step_map_strategy,
+)
 from levylab import (
     CarrierMismatch,
     EmptyTuple,
-    GridBlowup,
     PiecewiseMap,
     StepMap,
     ZdGroup,
-    as_piecewise,
     disagreement,
     grid_approximate,
     h_embed,
@@ -18,7 +22,6 @@ from levylab import (
     identity_map,
     in_neighborhood,
     pointwise_translate,
-    step_op,
 )
 from levylab.stepmaps import merge_breakpoints
 
@@ -58,29 +61,44 @@ class TestEmbed:
         assert lhs == rhs
 
 
-class TestStepOp:
+class TestPointwiseTranslate:
     def test_inverse_gives_identity(self):
         f = h_embed(Z, (A, B, C))
-        assert step_op(f, f, "invert-second") == identity_map(Z, 3)
+        inverse = h_embed(Z, tuple(Z.inv(v) for v in f.values))
+        assert pointwise_translate(f, inverse) == identity_map(Z, 3)
 
-    def test_lcm_grid(self):
+    def test_merged_breakpoints(self):
         f = h_embed(Z, (A, B))
         g = h_embed(Z, (A, B, C))
-        assert step_op(f, g).n == 6
+        m = pointwise_translate(f, g)
+        assert isinstance(m, PiecewiseMap)
+        assert m.breakpoints == (1 / 3, 1 / 2, 2 / 3)
+        assert m.values == ((2,), (3,), (4,), (5,))
 
     def test_identity_neutral(self):
         f = h_embed(Z, (A, B))
-        assert step_op(identity_map(Z), f) == f
+        assert pointwise_translate(identity_map(Z), f) == f
 
-    def test_grid_blowup(self):
+    def test_coprime_grids(self):
         f = StepMap(Z, (A,) * 1021)
         g = StepMap(Z, (B,) * 1031)
-        with pytest.raises(GridBlowup):
-            step_op(f, g)
+        m = pointwise_translate(f, g)
+        assert len(m.values) == 1021 + 1031 - 1
+        assert set(m.values) == {C}
 
     def test_carrier_mismatch(self):
         with pytest.raises(CarrierMismatch):
-            step_op(h_embed(Z, (A,)), h_embed(ZdGroup(2), ((1, 1),)))
+            pointwise_translate(h_embed(Z, (A,)), h_embed(ZdGroup(2), ((1, 1),)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_manual_product(self, data):
+        group = data.draw(group_strategy())
+        g = data.draw(st.one_of(step_map_strategy(group=group), piecewise_strategy(group=group)))
+        h = data.draw(st.one_of(step_map_strategy(group=group), piecewise_strategy(group=group)))
+        m = pointwise_translate(g, h)
+        oracle = manual_product_map(g, h)
+        assert m.breakpoints == oracle.breakpoints and m.values == oracle.values
 
 
 class TestDisagreement:
@@ -94,9 +112,10 @@ class TestDisagreement:
     def test_refinement(self):
         assert disagreement(h_embed(Z, (A,)), h_embed(Z, (A, B))) == 0.5
 
-    def test_grid_blowup(self):
-        with pytest.raises(GridBlowup):
-            disagreement(StepMap(Z, (A,) * 1021), StepMap(Z, (B,) * 1031))
+    def test_coprime_grids(self):
+        f = StepMap(Z, (A,) * 1020 + (B,))
+        g = StepMap(Z, (A,) * 1031)
+        assert disagreement(f, g) == pytest.approx(1 / 1021, abs=1e-12)
 
     def test_piecewise_vs_step(self):
         pm = PiecewiseMap(Z, (0.25,), (A, B))
@@ -201,7 +220,7 @@ class TestPiecewiseValidation:
         with pytest.raises(ValueError):
             PiecewiseMap(Z, (0.5,), (A, B, C))
 
-    def test_as_piecewise_roundtrip(self):
+    def test_step_map_breakpoints(self):
         f = h_embed(Z, (A, B))
-        pm = as_piecewise(f)
+        pm = PiecewiseMap(Z, f.breakpoints, f.values)
         assert pm.breakpoints == (0.5,) and pm.values == (A, B)
