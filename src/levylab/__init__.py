@@ -56,6 +56,7 @@ from .families import (
     wordlen_clamp_family,
 )
 from .hamming import (
+    CoordinateMean,
     DiscreteBase,
     HammingProduct,
     ProfileResult,

@@ -308,9 +308,10 @@ def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
 def _cmd_amplify(ns) -> tuple[list[str], list[tuple], dict]:
     group = make_group(ns.group)
     target_eps = ns.target_eps if ns.target_eps is not None else ns.eps
-    schedule = _parse_schedule(group, ns.schedule, target_eps)
+    # the schedule builds every box measure, so the cheap literals are checked first
     g = _parse_map(group, ns.g)
     family = _parse_family(group, ns.family, ns.seed)
+    schedule = _parse_schedule(group, ns.schedule, target_eps)
     report = run_schedule(
         schedule,
         g,

@@ -5,21 +5,28 @@ d_n(x, y) = #{i : x_i != y_i} / n.  The exponential bound 2*exp(-eps^2 n)
 controls both the concentration function and, after rescaling by the
 Lipschitz constant, deviation masses of Lipschitz functions about their
 medians.  Large products are probed by sampled deviation profiles; exact
-enumeration is available up to a configurable cap.
+enumeration runs up to EXACT_PRODUCT_LIMIT tuples.
+
+Profiles take coordinate means x -> (1/n) * sum_i kernel(x_i)
+(CoordinateMean).  They are evaluated on atom indices, not on tuples: one
+table of kernel values over the base atoms, summed along each row of
+indices left to right, which is the order of the tuple evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
 
 from . import rng
 from .errors import (
+    CarrierMismatch,
     InvalidMeasure,
     LengthMismatch,
     LipschitzViolation,
@@ -31,6 +38,10 @@ from .mmspace import DEFAULT_ENUMERATION_LIMIT, FiniteMMSpace, weighted_deviatio
 EXACT_PRODUCT_LIMIT = 10**6
 # sampled pairs on which lipschitz_profile checks the declared constant
 CHECK_PAIRS = 32
+# coordinates drawn per block of a sampled lipschitz_profile
+PROFILE_BLOCK_DRAWS = 1 << 15
+# z of the Wilson score upper bound that sampled profiles report
+WILSON_Z = 4.0
 
 _MASS_TOL = 1e-12
 
@@ -94,17 +105,20 @@ def talagrand_bound(eps: float, n: int) -> float:
     return 2.0 * math.exp(-(eps * eps) * n)
 
 
-def sample_indices(product: HammingProduct, count: int, seed: int) -> np.ndarray:
-    """Draw count i.i.d. tuples from the product measure, as atom indices of shape (count, n).
+def sample_indices(product: HammingProduct, count: int, seed: int, start: int = 0) -> np.ndarray:
+    """Draw samples start..start+count-1 of the product measure, as atom indices of shape (count, n).
 
     Coordinate (i, j) is a pure function of (seed, i, j), so sample i does
-    not depend on count or batching; chunked or parallel generation gives
-    identical output.
+    not depend on count or batching; blocks of rows drawn with ``start``
+    concatenate to the draw made in one call.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if start < 0:
+        raise ValueError("start must be >= 0")
     cum = np.cumsum(product.base.weights)
-    return rng.counter_choice(seed, 0, count * product.n, cum).reshape(count, product.n)
+    n = product.n
+    return rng.counter_choice(seed, start * n, count * n, cum).reshape(count, n)
 
 
 def sample_product(product: HammingProduct, count: int, seed: int) -> list[tuple]:
@@ -140,29 +154,56 @@ def product_space(product: HammingProduct) -> FiniteMMSpace:
     return FiniteMMSpace(tuple(points), dist, product_weights(product.base.weights, product.n))
 
 
-def fraction_differing(atom) -> Callable[[tuple], float]:
+@dataclass(frozen=True)
+class CoordinateMean:
+    """The function x -> (1/n) * sum_i kernel(x_i) on n-tuples of atoms.
+
+    Under d_n it is Lipschitz with constant max(kernel) - min(kernel).
+    Calling it on a tuple adds the kernel values left to right;
+    lipschitz_profile gets the same values from a table over the atoms.
+    """
+
+    kernel: Callable[[object], float]
+
+    def __call__(self, x) -> float:
+        return reduce(operator.add, map(self.kernel, x), 0.0) / len(x)
+
+
+def fraction_differing(atom) -> CoordinateMean:
     """The 1-Lipschitz function x -> d_n(x, (atom, ..., atom))."""
+    return CoordinateMean(partial(operator.ne, atom))
 
-    def f(x):
-        return sum(1 for c in x if c != atom) / len(x)
 
-    return f
+def _wilson_upper(estimate: float, count: int) -> float:
+    """Wilson score upper bound at z = WILSON_Z for a proportion observed in count trials.
+
+    Unlike estimate + z * stderr it stays positive at an estimate of 0,
+    where it is z^2 / (count + z^2).
+    """
+    z2n = WILSON_Z * WILSON_Z / count
+    spread = WILSON_Z * math.sqrt(estimate * (1.0 - estimate) / count + z2n / (4 * count))
+    return min(1.0, (estimate + z2n / 2 + spread) / (1.0 + z2n))
 
 
 @dataclass(frozen=True)
 class ProfileResult:
-    """Deviation mass about the median, with sampling metadata."""
+    """Deviation mass about the median, with sampling metadata.
+
+    ``upper`` is the Wilson score upper bound at z = WILSON_Z in sampled
+    mode and equals ``estimate`` in exact mode.
+    """
 
     estimate: float
     stderr: float
     median: float
     mode: str
     count: int
+    upper: float
 
 
 def lipschitz_profile(
     product: HammingProduct,
-    f: Callable[[tuple], float],
+    f: CoordinateMean,
     *,
     bound: float,
     lipschitz: float,
@@ -173,35 +214,48 @@ def lipschitz_profile(
 ) -> ProfileResult:
     """Mass of {|f - median(f)| > eps} under the product measure.
 
-    Exact mode enumerates all tuples (up to EXACT_PRODUCT_LIMIT points);
-    sampled mode is Monte Carlo over `samples` seeded draws and reports a
-    binomial standard error.  The declared Lipschitz constant is
-    spot-verified on CHECK_PAIRS sampled pairs in both modes.
+    f must be a CoordinateMean; any other callable raises CarrierMismatch.
+    Its values come from one table of kernel values over the base atoms,
+    added along rows of atom indices.  Exact mode enumerates all index
+    tuples (up to EXACT_PRODUCT_LIMIT) in itertools.product order, aligned
+    with product_weights; sampled mode draws `samples` seeded rows through
+    sample_indices in blocks of about PROFILE_BLOCK_DRAWS coordinates and
+    reports a binomial standard error and a Wilson upper bound.  The
+    declared Lipschitz constant is spot-verified on CHECK_PAIRS sampled
+    pairs in both modes.
     """
     if eps <= 0:
         raise NegativeEps("eps must be > 0")
+    if not isinstance(f, CoordinateMean):
+        raise CarrierMismatch("lipschitz_profile evaluates CoordinateMean functions only")
     del bound  # recorded by callers; the profile itself only needs L
     xs = sample_product(product, 2 * CHECK_PAIRS, rng.derive_seed(seed, "lipschitz-check"))
     check_lipschitz(zip(xs[::2], xs[1::2]), (f,), lipschitz, hamming_distance)
+    table = np.array([f.kernel(a) for a in product.base.atoms], dtype=np.float64)
+    n = product.n
 
     if mode == "exact":
         if product.point_count > EXACT_PRODUCT_LIMIT:
             raise TooLargeForExact(f"{product.point_count} tuples exceeds exact cap {EXACT_PRODUCT_LIMIT}")
-        tuples = itertools.product(product.base.atoms, repeat=product.n)
-        values = np.asarray([f(x) for x in tuples])
-        weights = product_weights(product.base.weights, product.n)
+        values = reduce(np.add.outer, [table] * n).ravel() / n
+        weights = product_weights(product.base.weights, n)
         m = weighted_median(values, weights)
         mass = weighted_deviation_mass(values, weights, m, eps)
-        return ProfileResult(mass, 0.0, m, "exact", len(values))
+        return ProfileResult(mass, 0.0, m, "exact", len(values), mass)
 
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if samples is None or samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
-    xs = sample_product(product, samples, seed)
-    values = np.asarray([f(x) for x in xs])
+    values = np.empty(samples)
+    rows = max(1, PROFILE_BLOCK_DRAWS // n)
+    for start in range(0, samples, rows):
+        idx = sample_indices(product, min(rows, samples - start), seed, start=start)
+        # cumsum adds the coordinates left to right, as CoordinateMean does
+        values[start : start + len(idx)] = table[idx].cumsum(axis=1)[:, -1]
+    values /= n
     weights = np.full(samples, 1.0 / samples)
     m = weighted_median(values, weights)
     mass = weighted_deviation_mass(values, weights, m, eps)
     stderr = math.sqrt(max(mass * (1.0 - mass), 0.0) / samples)
-    return ProfileResult(mass, stderr, m, "sampled", samples)
+    return ProfileResult(mass, stderr, m, "sampled", samples, _wilson_upper(mass, samples))

@@ -5,6 +5,13 @@ a probability vector.  Everything here is exact (up to float arithmetic):
 the concentration function enumerates all subsets, medians follow the
 smallest-valid-median convention, and deviation masses use the strict
 inequality |f - c| > eps.
+
+The subset enumeration splits the points into a low and a high half and
+tabulates, for every subset of each half, its distance to every point and
+its lightest weight.  A subset's distances are then the pointwise minimum
+of two table rows, so all 2^N subsets cost N * 2^N work, and only
+inclusion-minimal heavy subsets are scored: the neighbourhood mass only
+grows with the set, so the infimum is attained at a minimal one.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ DEFAULT_ENUMERATION_LIMIT = 20
 
 _MASS_TOL = 1e-12
 _DIST_TOL = 1e-12
+# subset masks per block of alpha_profile's enumeration
+_MASK_BLOCK = 1 << 14
+# (subset, radius, point) comparisons per block of neighbourhood masses
+_RADIUS_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +97,38 @@ class FiniteMMSpace:
         return cls(tuple(points), dist, np.full(n, 1.0 / n))
 
 
+def _half_tables(space: FiniteMMSpace, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and lightest weights of every subset of the points first..first+count-1.
+
+    Bit j of row S stands for point first + j.  dist[S, x] is the distance
+    from x to the subset S and weight[S] its smallest point weight (both inf
+    for the empty set), built by doubling: row S | 2^j is the minimum of row
+    S and point first + j.
+    """
+    dist = np.full((1 << count, len(space)), np.inf)
+    weight = np.full(1 << count, np.inf)
+    for j in range(count):
+        half = 1 << j
+        np.minimum(dist[:half], space.dist[first + j], out=dist[half : 2 * half])
+        np.minimum(weight[:half], space.mu[first + j], out=weight[half : 2 * half])
+    return dist, weight
+
+
 def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
     """Concentration function evaluated on a grid of radii.
 
     For eps > 0 this is 1 minus the infimum, over subsets A with
     mu(A) >= 1/2, of the mass of the closed eps-neighborhood of A; the
-    value at eps = 0 is 1/2 by convention.  The subset enumeration is
-    shared across all radii, which is what makes grid sweeps affordable.
+    value at eps = 0 is 1/2 by convention.
+
+    Bit i of a subset mask stands for point i, and A is heavy when
+    ``bits @ mu >= 1/2 - 1e-12``.  The distance from a point to A is the
+    minimum of two rows of the half-subset tables of ``_half_tables`` (low
+    ``N // 2`` bits and high bits).  The neighbourhood of A only grows with
+    A, so only inclusion-minimal heavy sets are scored: A is skipped when it
+    still has mass >= 1/2 after losing its lightest point, which leaves a
+    heavy proper subset with no larger neighbourhood.  All radii are
+    compared in one pass over the scored subsets.
     """
     eps_values = np.asarray(eps_values, dtype=np.float64)
     if np.any(eps_values < 0):
@@ -106,22 +142,31 @@ def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
     if positive.size == 0:
         return out
 
+    nlo = npts // 2
+    dist_lo, weight_lo = _half_tables(space, 0, nlo)
+    dist_hi, weight_hi = _half_tables(space, nlo, npts - nlo)
+    thresholds = positive + _DIST_TOL
     best = np.full(positive.size, np.inf)
     total = 1 << npts
     cols = np.arange(npts, dtype=np.uint32)
-    chunk = max(1, min(total, (1 << 22) // max(1, npts * npts)))
-    for lo in range(0, total, chunk):
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.uint32)
+    for lo in range(0, total, _MASK_BLOCK):
+        masks = np.arange(lo, min(lo + _MASK_BLOCK, total), dtype=np.uint32)
         bits = ((masks[:, None] >> cols[None, :]) & 1).astype(bool)
-        heavy = bits @ space.mu >= 0.5 - _MASS_TOL
-        if not heavy.any():
+        mass = bits @ space.mu
+        low, high = masks & np.uint32((1 << nlo) - 1), masks >> np.uint32(nlo)
+        # skip A when A minus its lightest point keeps mass >= 1/2: that is 1e-12
+        # above the heavy threshold, so the smaller set is heavy despite rounding
+        lightest = np.minimum(weight_lo[low], weight_hi[high])
+        minimal = (mass >= 0.5 - _MASS_TOL) & (mass - lightest < 0.5)
+        if not minimal.any():
             continue
-        sel = bits[heavy]
         # dmin[s, x] = distance from point x to subset s
-        dmin = np.where(sel[:, None, :], space.dist[None, :, :], np.inf).min(axis=2)
-        for t, eps in enumerate(positive):
-            masses = (dmin <= eps + _DIST_TOL) @ space.mu
-            best[t] = min(best[t], masses.min())
+        dmin = np.minimum(dist_lo[low[minimal]], dist_hi[high[minimal]])
+        step = max(1, _RADIUS_BLOCK // dmin.size)
+        for t in range(0, positive.size, step):
+            near = dmin[:, None, :] <= thresholds[t : t + step, None]
+            masses = (near.reshape(-1, npts) @ space.mu).reshape(len(dmin), -1)
+            best[t : t + step] = np.minimum(best[t : t + step], masses.min(axis=0))
     # keep float roundoff inside the declared codomain [0, 1/2]
     out[eps_values > 0] = np.clip(1.0 - best, 0.0, 0.5)
     return out

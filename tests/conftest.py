@@ -12,7 +12,18 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from levylab import CyclicGroup, FiniteMMSpace, FreeGroup2, PiecewiseMap, StepMap, ZdGroup
+from levylab import (
+    CyclicGroup,
+    FiniteMMSpace,
+    FreeGroup2,
+    PiecewiseMap,
+    StepMap,
+    ZdGroup,
+    sample_product,
+    weighted_deviation_mass,
+    weighted_median,
+)
+from levylab.hamming import product_weights
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -119,6 +130,23 @@ def brute_median(values, weights) -> float:
             break
     assert best is not None
     return best
+
+
+def tuple_profile(product, f, eps: float, mode: str = "exact", samples: int = 0, seed: int = 0):
+    """(median, deviation mass) of f from one call per tuple of atoms.
+
+    Exact mode walks itertools.product; sampled mode takes the tuples of
+    sample_product, so the draws are those of lipschitz_profile.
+    """
+    if mode == "exact":
+        tuples = itertools.product(product.base.atoms, repeat=product.n)
+        values = np.asarray([f(x) for x in tuples])
+        weights = product_weights(product.base.weights, product.n)
+    else:
+        values = np.asarray([f(x) for x in sample_product(product, samples, seed)])
+        weights = np.full(samples, 1.0 / samples)
+    m = weighted_median(values, weights)
+    return m, weighted_deviation_mass(values, weights, m, eps)
 
 
 def manual_product_map(g, h) -> PiecewiseMap:

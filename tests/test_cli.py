@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from levylab import cli
 from levylab.cli import main
 
 
@@ -147,6 +148,16 @@ class TestAmplifyCommand:
         # stage 2 of the default schedule has 33^2 tuples
         code, _, _ = run(tmp_path, "amplify", "amplify", "--mode", "exact", "--exact-cap", "10")
         assert code == 2
+
+    def test_bad_target_is_reported_before_boxes_are_built(self, tmp_path, monkeypatch, capsys):
+        # the default --g "0.35: 1|0" is not a Z^2 element
+        def no_boxes(*args, **kwargs):
+            raise AssertionError("box measures built before --g was parsed")
+
+        monkeypatch.setattr(cli, "folner_measure", no_boxes)
+        code, _, _ = run(tmp_path, "amplify", "amplify", "--group", "Z^2")
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestPhiCheckCommand:

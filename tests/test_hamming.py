@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tuple_profile
 from levylab import (
+    CarrierMismatch,
+    CoordinateMean,
     DiscreteBase,
     HammingProduct,
     InvalidMeasure,
@@ -19,10 +22,11 @@ from levylab import (
     hamming_distance,
     lipschitz_profile,
     product_space,
+    sample_indices,
     sample_product,
     talagrand_bound,
 )
-from levylab.hamming import product_weights
+from levylab.hamming import PROFILE_BLOCK_DRAWS, WILSON_Z, product_weights
 
 UNIFORM2 = DiscreteBase.uniform((0, 1))
 
@@ -82,6 +86,9 @@ class TestSampleProduct:
         # sample i does not depend on how many samples are requested
         product = HammingProduct(UNIFORM2, 3)
         assert sample_product(product, 20, 5)[:7] == sample_product(product, 7, 5)
+        # blocks of rows drawn with start concatenate to the one-call draw
+        blocks = [sample_indices(product, stop - start, 5, start=start) for start, stop in ((0, 7), (7, 8), (8, 20))]
+        assert np.array_equal(np.concatenate(blocks), sample_indices(product, 20, 5))
 
     def test_empirical_frequency(self):
         # binomial tail: P(|freq - 0.5| > 0.01) < 4e-10 at 1e5 draws
@@ -127,13 +134,15 @@ class TestLipschitzProfile:
 
     def test_constant_function(self):
         product = HammingProduct(UNIFORM2, 3)
-        result = lipschitz_profile(product, lambda x: 1.5, bound=2.0, lipschitz=0.0, eps=0.1)
+        result = lipschitz_profile(
+            product, CoordinateMean(lambda a: 1.5), bound=2.0, lipschitz=0.0, eps=0.1
+        )
         assert result.estimate == 0.0
 
     def test_range_bounded(self):
         product = HammingProduct(UNIFORM2, 1)
         result = lipschitz_profile(
-            product, lambda x: float(x[0]), bound=1.0, lipschitz=1.0, eps=1.5
+            product, CoordinateMean(float), bound=1.0, lipschitz=1.0, eps=1.5
         )
         assert result.estimate == 0.0
 
@@ -146,7 +155,7 @@ class TestLipschitzProfile:
 
     def test_misdeclared_lipschitz(self):
         product = HammingProduct(UNIFORM2, 4)
-        steep = lambda x: 5.0 * sum(x) / len(x)  # noqa: E731
+        steep = CoordinateMean(lambda a: 5.0 * a)
         with pytest.raises(LipschitzViolation):
             lipschitz_profile(product, steep, bound=5.0, lipschitz=1.0, eps=0.3, seed=11)
 
@@ -173,7 +182,7 @@ class TestLipschitzProfile:
         # the bound rescales by the Lipschitz constant: mass <= 2exp(-(eps/L)^2 n)
         n, L = 5, 0.5
         product = HammingProduct(UNIFORM2, n)
-        f = lambda x: L * sum(x) / len(x)  # noqa: E731
+        f = CoordinateMean(lambda a: L * a)
         for eps in (0.1, 0.2, 0.3, 0.5):
             res = lipschitz_profile(product, f, bound=1.0, lipschitz=L, eps=eps)
             assert res.estimate <= talagrand_bound(eps / L, n) + 1e-12
@@ -188,6 +197,88 @@ class TestLipschitzProfile:
         )
         sigma = math.sqrt(max(exact.estimate * (1 - exact.estimate), 1e-6) / 40000)
         assert abs(sampled.estimate - exact.estimate) <= 4 * sigma
+
+    def test_opaque_callables_are_rejected(self):
+        product = HammingProduct(UNIFORM2, 3)
+        for mode in ("exact", "sampled"):
+            with pytest.raises(CarrierMismatch):
+                lipschitz_profile(
+                    product, lambda x: sum(x) / len(x), bound=1.0, lipschitz=1.0, eps=0.3,
+                    mode=mode, samples=10,
+                )
+
+    def test_coordinate_mean_on_tuples(self):
+        assert fraction_differing(0)((0, 1, 2, 0)) == 0.5
+        assert CoordinateMean(lambda a: 0.25 * a)((1, 2, 3)) == 0.5
+
+
+class TestProfileOracle:
+    # lipschitz_profile against one call of f per tuple, compared with ==
+
+    BASES = [
+        UNIFORM2,
+        DiscreteBase((0, 1, 2), (0.2, 0.3, 0.5)),
+        DiscreteBase(("a", "b", "c", "d", "e"), (0.1, 0.2, 0.3, 0.15, 0.25)),
+    ]
+
+    @staticmethod
+    def members(base):
+        # an exact 0/1 kernel and one whose sums round, so the order of addition shows
+        levels = dict(zip(base.atoms, (0.1, 0.7, 0.33, 0.05, 0.9)))
+        return [(fraction_differing(base.atoms[-1]), 1.0), (CoordinateMean(levels.__getitem__), 0.85)]
+
+    @pytest.mark.parametrize("base", BASES, ids=["uniform2", "three", "five"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_exact(self, base, n):
+        product = HammingProduct(base, n)
+        for f, lipschitz in self.members(base):
+            for eps in (0.05, 0.2, 0.45):
+                res = lipschitz_profile(product, f, bound=1.0, lipschitz=lipschitz, eps=eps)
+                assert (res.median, res.estimate) == tuple_profile(product, f, eps)
+                assert res.count == len(base.atoms) ** n
+
+    @pytest.mark.parametrize("base", BASES, ids=["uniform2", "three", "five"])
+    @pytest.mark.parametrize("n,samples", [(1, 70_001), (7, 9_999), (100, 1_000)])
+    def test_sampled(self, base, n, samples):
+        # each count spans several blocks of PROFILE_BLOCK_DRAWS // n rows and
+        # is not a multiple of the block
+        rows = PROFILE_BLOCK_DRAWS // n
+        assert samples > rows and samples % rows
+        product = HammingProduct(base, n)
+        for f, lipschitz in self.members(base):
+            res = lipschitz_profile(
+                product, f, bound=1.0, lipschitz=lipschitz, eps=0.1, mode="sampled",
+                samples=samples, seed=n,
+            )
+            assert (res.median, res.estimate) == tuple_profile(product, f, 0.1, "sampled", samples, n)
+
+
+class TestWilsonUpper:
+    def test_zero_estimate(self):
+        product = HammingProduct(UNIFORM2, 4)
+        res = lipschitz_profile(
+            product, CoordinateMean(lambda a: 1.0), bound=1.0, lipschitz=0.0, eps=0.1,
+            mode="sampled", samples=100_000, seed=1,
+        )
+        assert res.estimate == 0.0 and res.stderr == 0.0
+        assert res.upper == pytest.approx(16 / 100_016, rel=1e-12)
+
+    def test_interior_estimate_is_the_upper_wilson_root(self):
+        # the Wilson bound is the larger p with (estimate - p)^2 = z^2 p (1 - p) / N
+        product = HammingProduct(UNIFORM2, 6)
+        res = lipschitz_profile(
+            product, fraction_differing(0), bound=1.0, lipschitz=1.0, eps=0.34,
+            mode="sampled", samples=40_000, seed=4,
+        )
+        p, N, z = res.upper, res.count, WILSON_Z
+        assert 0.0 < res.estimate < p
+        assert (res.estimate - p) ** 2 == pytest.approx(z * z * p * (1 - p) / N, rel=1e-9)
+
+    def test_exact_upper_is_the_estimate(self):
+        res = lipschitz_profile(
+            HammingProduct(UNIFORM2, 5), fraction_differing(0), bound=1.0, lipschitz=1.0, eps=0.3
+        )
+        assert res.upper == res.estimate
 
 
 class TestProductSpaceAlpha:

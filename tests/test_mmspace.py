@@ -135,6 +135,22 @@ class TestAlpha:
             brute_alpha(space, eps), abs=1e-12
         )
 
+    @pytest.mark.parametrize("npts", [7, 8, 11, 12])
+    @pytest.mark.parametrize("weights", ["dirichlet", "uniform"])
+    def test_half_tables_match_brute_force(self, npts, weights):
+        # odd npts splits into halves of different sizes; uniform weights make
+        # many subsets of mass exactly 1/2; the radii are pairwise distances
+        gen = np.random.default_rng(npts)
+        pts = gen.random((npts, 2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        mu = gen.dirichlet(np.ones(npts)) if weights == "dirichlet" else np.full(npts, 1.0 / npts)
+        space = FiniteMMSpace(tuple(range(npts)), dist, mu)
+        radii = np.unique(dist[np.triu_indices(npts, 1)])
+        if npts > 8:
+            radii = radii[:: len(radii) // 8]
+        for eps, a in zip(radii, alpha_profile(space, radii)):
+            assert a == pytest.approx(brute_alpha(space, float(eps)), abs=1e-12)
+
     @settings(max_examples=30, deadline=None)
     @given(mm_space_strategy(max_points=5))
     def test_profile_nonincreasing_and_capped(self, space):
