@@ -36,6 +36,7 @@ from .errors import (
     OutOfRange,
     SpaceTooLarge,
     TooLargeForExact,
+    TooManySamples,
     WrongKind,
 )
 from .families import (
@@ -92,6 +93,7 @@ from .stepmaps import (
     pointwise_translate,
 )
 from .wordgroups import (
+    ClampedLength,
     CyclicGroup,
     FinSuppMeasure,
     FreeGroup2,

@@ -113,7 +113,7 @@ def _member_values(nu: L0Measure, members, shift: AnyMap | None = None) -> np.nd
     """
     atoms, group, n = nu.base.support, nu.base.group, nu.n
     by = StepMap(group, (group.identity,)) if shift is None else shift
-    moved = [[group.op(v, x) for x in atoms] for v in by.values]
+    moved = [group.translate_all(group.validate(v), atoms) for v in by.values]
     # the grid refined by the shift: the grid and shift cell of each piece, and the inner cuts
     refined = list(merge_breakpoints([i / n for i in range(1, n)], by.breakpoints))
     cuts = [stop for _, stop, _, _ in refined[:-1]]

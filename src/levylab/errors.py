@@ -41,6 +41,10 @@ class TooLargeForExact(LevyLabError):
     """Product enumeration would exceed the exact-mode cap."""
 
 
+class TooManySamples(LevyLabError):
+    """A sampled run would draw more coordinates than the sampling cap."""
+
+
 class EmptyTuple(LevyLabError, ValueError):
     """A step map needs at least one cell."""
 

@@ -21,7 +21,7 @@ from . import rng
 from .errors import CarrierMismatch, DimensionMismatch, OutOfRange
 from .hamming import check_lipschitz
 from .stepmaps import AnyMap, PiecewiseMap, StepMap, disagreement, h_embed, merge_breakpoints
-from .wordgroups import FinSuppMeasure, WordGroup
+from .wordgroups import ClampedLength, FinSuppMeasure, WordGroup
 
 _BOUND_TOL = 1e-9
 
@@ -178,26 +178,16 @@ def invariance_defect(mu: FinSuppMeasure, g, family: BLFamily) -> float:
     """
     if not isinstance(family.carrier, GroupCarrier) or family.carrier.group != mu.group:
         raise CarrierMismatch("family is not carried by the measure's group")
-    g = mu.group.validate(g)
-    op = mu.group.op
-    best = 0.0
-    for f in family.members:
-        shifted = mu.expectation(lambda x: f(op(g, x)))
-        best = max(best, abs(mu.expectation(f) - shifted))
-    return best
+    moved = mu.translate(g)
+    return max(abs(mu.expectation(f) - moved.expectation(f)) for f in family.members)
 
 
 # ---------------------------------------------------------------------------
 # Named builders (also reachable from CLI descriptors)
 
 
-def wordlen_clamp_member(group: WordGroup, cap: int, *, normalize: bool = True) -> Callable:
-    scale = cap if normalize else 1
-
-    def member(x):
-        return min(group.word_length(x), cap) / scale
-
-    return member
+def wordlen_clamp_member(group: WordGroup, cap: int, *, normalize: bool = True) -> ClampedLength:
+    return ClampedLength(group, cap, cap if normalize else 1)
 
 
 def wordlen_clamp_family(group: WordGroup, caps, *, normalize: bool = True) -> BLFamily:

@@ -32,10 +32,14 @@ from .errors import (
     LipschitzViolation,
     NegativeEps,
     TooLargeForExact,
+    TooManySamples,
 )
 from .mmspace import DEFAULT_ENUMERATION_LIMIT, FiniteMMSpace, weighted_deviation_mass, weighted_median
 
 EXACT_PRODUCT_LIMIT = 10**6
+# most entries one sampled array may hold (samples x n codes, or samples values): a
+# profile of 2^24 samples completes under a 768 MiB address-space cap, 2 x 10^7 do not
+SAMPLE_ARRAY_LIMIT = 1 << 24
 # sampled pairs on which lipschitz_profile checks the declared constant
 CHECK_PAIRS = 32
 # coordinates drawn per block of a sampled lipschitz_profile
@@ -110,15 +114,25 @@ def sample_indices(product: HammingProduct, count: int, seed: int, start: int = 
 
     Coordinate (i, j) is a pure function of (seed, i, j), so sample i does
     not depend on count or batching; blocks of rows drawn with ``start``
-    concatenate to the draw made in one call.
+    concatenate to the draw made in one call.  More than SAMPLE_ARRAY_LIMIT
+    coordinates raise TooManySamples before anything is drawn.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if start < 0:
         raise ValueError("start must be >= 0")
+    _check_sample_array(count, product.n)
     cum = np.cumsum(product.base.weights)
     n = product.n
     return rng.counter_choice(seed, start * n, count * n, cum).reshape(count, n)
+
+
+def _check_sample_array(samples: int, n: int = 1) -> None:
+    """Refuse an array of samples x n entries above SAMPLE_ARRAY_LIMIT before it is allocated."""
+    if samples * n > SAMPLE_ARRAY_LIMIT:
+        raise TooManySamples(
+            f"{samples * n} sampled entries ({samples} samples x {n}) exceed the cap of {SAMPLE_ARRAY_LIMIT}"
+        )
 
 
 def sample_product(product: HammingProduct, count: int, seed: int) -> list[tuple]:
@@ -220,7 +234,9 @@ def lipschitz_profile(
     tuples (up to EXACT_PRODUCT_LIMIT) in itertools.product order, aligned
     with product_weights; sampled mode draws `samples` seeded rows through
     sample_indices in blocks of about PROFILE_BLOCK_DRAWS coordinates and
-    reports a binomial standard error and a Wilson upper bound.  The
+    reports a binomial standard error and a Wilson upper bound; more
+    samples than SAMPLE_ARRAY_LIMIT raise TooManySamples before any
+    allocation.  The
     declared Lipschitz constant is spot-verified on CHECK_PAIRS sampled
     pairs in both modes.
     """
@@ -247,6 +263,7 @@ def lipschitz_profile(
         raise ValueError(f"unknown mode {mode!r}")
     if samples is None or samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
+    _check_sample_array(samples)
     values = np.empty(samples)
     rows = max(1, PROFILE_BLOCK_DRAWS // n)
     for start in range(0, samples, rows):

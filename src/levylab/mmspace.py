@@ -114,6 +114,17 @@ def _half_tables(space: FiniteMMSpace, first: int, count: int) -> tuple[np.ndarr
     return dist, weight
 
 
+def _masses(members, mu: np.ndarray) -> np.ndarray:
+    """The sum over points j of mu[j] * members[j] (0/1 flags per subset), added in index order.
+
+    A matrix product rounds a subset's mass differently by where its row sits in the matrix.
+    """
+    total = 0.0
+    for member, w in zip(members, mu):
+        total = total + member * w
+    return total
+
+
 def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
     """Concentration function evaluated on a grid of radii.
 
@@ -121,14 +132,16 @@ def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
     mu(A) >= 1/2, of the mass of the closed eps-neighborhood of A; the
     value at eps = 0 is 1/2 by convention.
 
-    Bit i of a subset mask stands for point i, and A is heavy when
-    ``bits @ mu >= 1/2 - 1e-12``.  The distance from a point to A is the
-    minimum of two rows of the half-subset tables of ``_half_tables`` (low
-    ``N // 2`` bits and high bits).  The neighbourhood of A only grows with
-    A, so only inclusion-minimal heavy sets are scored: A is skipped when it
-    still has mass >= 1/2 after losing its lightest point, which leaves a
-    heavy proper subset with no larger neighbourhood.  All radii are
-    compared in one pass over the scored subsets.
+    Bit i of a subset mask stands for point i, and A is heavy when its
+    mass is >= 1/2 - 1e-12.  Every mass adds the point weights in index
+    order (``_masses``), so the result does not depend on the blocking.
+    The distance from a point to A is the minimum of two rows of the
+    half-subset tables of ``_half_tables`` (low ``N // 2`` bits and high
+    bits).  The neighbourhood of A only grows with A, so only
+    inclusion-minimal heavy sets are scored: A is skipped when it still
+    has mass >= 1/2 after losing its lightest point, which leaves a heavy
+    proper subset with no larger neighbourhood.  All radii are compared in
+    one pass over the scored subsets.
     """
     eps_values = np.asarray(eps_values, dtype=np.float64)
     if np.any(eps_values < 0):
@@ -148,11 +161,10 @@ def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
     thresholds = positive + _DIST_TOL
     best = np.full(positive.size, np.inf)
     total = 1 << npts
-    cols = np.arange(npts, dtype=np.uint32)
+    points = np.arange(npts, dtype=np.uint32)[:, None]
     for lo in range(0, total, _MASK_BLOCK):
         masks = np.arange(lo, min(lo + _MASK_BLOCK, total), dtype=np.uint32)
-        bits = ((masks[:, None] >> cols[None, :]) & 1).astype(bool)
-        mass = bits @ space.mu
+        mass = _masses((masks >> points) & 1, space.mu)
         low, high = masks & np.uint32((1 << nlo) - 1), masks >> np.uint32(nlo)
         # skip A when A minus its lightest point keeps mass >= 1/2: that is 1e-12
         # above the heavy threshold, so the smaller set is heavy despite rounding
@@ -160,12 +172,12 @@ def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
         minimal = (mass >= 0.5 - _MASS_TOL) & (mass - lightest < 0.5)
         if not minimal.any():
             continue
-        # dmin[s, x] = distance from point x to subset s
-        dmin = np.minimum(dist_lo[low[minimal]], dist_hi[high[minimal]])
-        step = max(1, _RADIUS_BLOCK // dmin.size)
+        # dist_to[x, s] = distance from point x to subset s
+        dist_to = np.minimum(dist_lo[low[minimal]], dist_hi[high[minimal]]).T.copy()
+        step = max(1, _RADIUS_BLOCK // dist_to.size)
         for t in range(0, positive.size, step):
-            near = dmin[:, None, :] <= thresholds[t : t + step, None]
-            masses = (near.reshape(-1, npts) @ space.mu).reshape(len(dmin), -1)
+            radii = thresholds[t : t + step]
+            masses = _masses((d[:, None] <= radii for d in dist_to), space.mu)
             best[t : t + step] = np.minimum(best[t : t + step], masses.min(axis=0))
     # keep float roundoff inside the declared codomain [0, 1/2]
     out[eps_values > 0] = np.clip(1.0 - best, 0.0, 0.5)

@@ -5,12 +5,23 @@ l1 word length, cyclic groups Z_m under the cyclic distance, and the free
 group on two letters as reduced words over {a, A, b, B}.  The word length
 induces the right-invariant metric d(x, y) = wl(x * y^-1), which realizes
 the right uniformity all defect computations refer to.
+
+``validate`` is the one definition of an element's canonical form.  Whole
+supports go through three bulk kernels: ``validate_all`` (one test of the
+whole support when it is already canonical, ``validate`` per element
+otherwise), ``translate_all`` (left translation of canonical elements; on
+F2 only the junction of g and x cancels) and ``word_lengths`` (an integer
+array, of Python ints where a length would not fit int64).  The base class
+applies the per-element methods; Z^d and F2 override all three, Z_m uses
+the defaults.  Measures, the clamped word-length member ``ClampedLength``
+and the step-map tables evaluate supports through them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +32,18 @@ _MASS_TOL = 1e-12
 
 _F2_LETTERS = "aAbB"
 _F2_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
+# the letters that may follow a word's last letter, in _F2_LETTERS order
+_F2_NEXT = {"": "aAbB", "a": "abB", "A": "AbB", "b": "aAb", "B": "aAB"}
+_F2_DELETE = str.maketrans("", "", _F2_LETTERS)
+_F2_PAIRS = ("aA", "Aa", "bB", "Bb")
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# float64 holds every integer up to 2^53 exactly
+_EXACT_FLOAT_INT = 1 << 53
+
+
+def _length_array(lengths: list) -> np.ndarray:
+    """Non-negative lengths as int64, or as Python ints when one does not fit int64."""
+    return np.array(lengths, np.int64 if max(lengths, default=0) <= _INT64_MAX else object)
 
 
 class WordGroup:
@@ -44,6 +67,23 @@ class WordGroup:
 
     def word_length(self, x) -> int:
         raise NotImplementedError
+
+    def _all_canonical(self, elements: tuple) -> bool:
+        """A whole-support test that is True only if validate returns every element as it is."""
+        return False
+
+    def validate_all(self, elements) -> tuple:
+        """tuple(map(validate, elements)), raising what validate raises."""
+        elements = tuple(elements)
+        return elements if self._all_canonical(elements) else tuple(map(self.validate, elements))
+
+    def translate_all(self, g, elements) -> tuple:
+        """The products g * x, for canonical g and canonical elements x."""
+        return tuple(self.op(g, x) for x in elements)
+
+    def word_lengths(self, elements) -> np.ndarray:
+        """The word lengths of canonical elements: int64, or Python ints when one exceeds int64."""
+        return _length_array(list(map(self.word_length, elements)))
 
     def generators(self) -> tuple:
         raise NotImplementedError
@@ -112,6 +152,29 @@ class ZdGroup(WordGroup):
 
     def word_length(self, x) -> int:
         return sum(abs(c) for c in self.validate(x))
+
+    def _all_canonical(self, elements: tuple) -> bool:
+        return (
+            set(map(type, elements)) <= {tuple}
+            and set(map(len, elements)) <= {self.d}
+            and set(map(type, itertools.chain.from_iterable(elements))) <= {int}
+        )
+
+    def translate_all(self, g, elements) -> tuple:
+        # shift each coordinate column by its entry of g, then zip the columns back into tuples
+        shifted = (map(operator.add, col, itertools.repeat(c)) for col, c in zip(zip(*elements), g))
+        return tuple(zip(*shifted))
+
+    def word_lengths(self, elements) -> np.ndarray:
+        # a row of d coordinates inside (-bound, bound) sums its absolute values inside int64
+        bound = _INT64_MAX // self.d
+        try:
+            coords = np.fromiter(itertools.chain.from_iterable(elements), np.int64, len(elements) * self.d)
+        except OverflowError:
+            return super().word_lengths(elements)
+        if coords.size and not -bound < coords.min() <= coords.max() < bound:
+            return super().word_lengths(elements)
+        return np.abs(coords.reshape(len(elements), self.d)).sum(axis=1)
 
     def generators(self) -> tuple:
         gens = []
@@ -221,6 +284,28 @@ class FreeGroup2(WordGroup):
     def word_length(self, x) -> int:
         return len(self.validate(x))
 
+    def _all_canonical(self, elements: tuple) -> bool:
+        if not set(map(type, elements)) <= {str}:
+            return False
+        # the separator keeps a cancelling pair from spanning two words; with the
+        # letters deleted, only the len - 1 separators may be left
+        joined = "|".join(elements)
+        return joined.translate(_F2_DELETE) == "|" * (len(elements) - 1) and not any(
+            pair in joined for pair in _F2_PAIRS
+        )
+
+    def translate_all(self, g, elements) -> tuple:
+        # g and x are reduced, so g * x cancels at most the first |g| letters of x:
+        # g * x = (g * head) + rest for x = head + rest with |head| = min(|g|, |x|)
+        cut = len(g)
+        heads = list(map(operator.getitem, elements, itertools.repeat(slice(cut))))
+        product = {head: self.op(g, head) for head in set(heads)}
+        rests = map(operator.getitem, elements, itertools.repeat(slice(cut, None)))
+        return tuple(map(operator.add, map(product.__getitem__, heads), rests))
+
+    def word_lengths(self, elements) -> np.ndarray:
+        return np.fromiter(map(len, elements), np.int64, len(elements))
+
     def generators(self) -> tuple:
         return ("a", "A", "b", "B")
 
@@ -229,13 +314,8 @@ class FreeGroup2(WordGroup):
         order = [""]
         frontier = [""]
         for _ in range(radius):
-            nxt = []
-            for w in frontier:
-                for ch in _F2_LETTERS:
-                    if not w or w[-1] != _F2_INVERSE[ch]:
-                        nxt.append(w + ch)
-            order.extend(nxt)
-            frontier = nxt
+            frontier = [w + ch for w in frontier for ch in _F2_NEXT[w[-1:]]]
+            order.extend(frontier)
         return order
 
     def random_element(self, gen: np.random.Generator, radius: int = 4):
@@ -271,6 +351,29 @@ def make_group(spec: str) -> WordGroup:
 
 
 @dataclass(frozen=True)
+class ClampedLength:
+    """The member x -> min(wl(x), cap) / scale on a group carrier."""
+
+    group: WordGroup
+    cap: int
+    scale: int
+
+    def __call__(self, x) -> float:
+        return min(self.group.word_length(x), self.cap) / self.scale
+
+    def values(self, elements) -> np.ndarray:
+        """The member on canonical elements, from one word_lengths call.
+
+        min(length, cap) / scale is exact in float64 while cap and scale are
+        at most 2^53; larger ones take the per-element call.
+        """
+        if max(self.cap, self.scale) > _EXACT_FLOAT_INT:
+            return np.array(list(map(self, elements)), np.float64)
+        clamped = np.minimum(self.group.word_lengths(elements), self.cap)
+        return np.asarray(clamped / self.scale, np.float64)
+
+
+@dataclass(frozen=True)
 class FinSuppMeasure:
     """A finitely supported probability measure on a word group."""
 
@@ -279,8 +382,8 @@ class FinSuppMeasure:
     weights: tuple
 
     def __post_init__(self):
-        support = tuple(self.group.validate(x) for x in self.support)
-        weights = tuple(float(w) for w in self.weights)
+        support = self.group.validate_all(self.support)
+        weights = tuple(map(float, self.weights))
         if len(support) != len(weights):
             raise LengthMismatch("support and weights must have equal length")
         if len(support) != len(set(support)):
@@ -308,15 +411,20 @@ class FinSuppMeasure:
         return cls.uniform(group, range(group.m))
 
     def expectation(self, f) -> float:
-        return float(sum(w * f(x) for x, w in zip(self.support, self.weights)))
+        """The sum of w * f(x) over the support, added left to right in support order.
+
+        A ClampedLength on the measure's group is evaluated on the whole
+        support at once; any other callable is called once per element.
+        """
+        if isinstance(f, ClampedLength) and f.group == self.group:
+            values = f.values(self.support)
+        else:
+            values = np.fromiter(map(f, self.support), np.float64, len(self.support))
+        return float(np.cumsum(np.multiply(self.weights, values))[-1])
 
     def translate(self, g) -> "FinSuppMeasure":
         g = self.group.validate(g)
-        return FinSuppMeasure(
-            self.group,
-            tuple(self.group.op(g, x) for x in self.support),
-            self.weights,
-        )
+        return FinSuppMeasure(self.group, self.group.translate_all(g, self.support), self.weights)
 
     def tv_distance(self, other: "FinSuppMeasure") -> float:
         if self.group != other.group:

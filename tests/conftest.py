@@ -100,6 +100,18 @@ def mm_space_strategy(draw, max_points=6):
 # oracles
 
 
+def left_sum(values) -> float:
+    """Add the values left to right from 0.0.
+
+    This is what sum() does on floats before Python 3.12; from 3.12 on,
+    sum() compensates, so oracles that pin float sums bit for bit use this.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def brute_alpha(space: FiniteMMSpace, eps: float) -> float:
     """Concentration function by direct subset enumeration."""
     if eps == 0:
@@ -108,9 +120,9 @@ def brute_alpha(space: FiniteMMSpace, eps: float) -> float:
     worst = 1.0
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
-        if sum(space.mu[i] for i in members) < 0.5 - 1e-12:
+        if left_sum(space.mu[i] for i in members) < 0.5 - 1e-12:
             continue
-        mass = sum(
+        mass = left_sum(
             space.mu[x]
             for x in range(n)
             if min(space.dist[x][a] for a in members) <= eps + 1e-12
@@ -147,6 +159,18 @@ def tuple_profile(product, f, eps: float, mode: str = "exact", samples: int = 0,
         weights = np.full(samples, 1.0 / samples)
     m = weighted_median(values, weights)
     return m, weighted_deviation_mass(values, weights, m, eps)
+
+
+def loop_invariance_defect(mu, g, family) -> float:
+    """The invariance defect from one member call per element, shifted by op, summed left to right."""
+    group = mu.group
+    g = group.validate(g)
+    best = 0.0
+    for f in family.members:
+        direct = left_sum(w * f(x) for x, w in zip(mu.support, mu.weights))
+        shifted = left_sum(w * f(group.op(g, x)) for x, w in zip(mu.support, mu.weights))
+        best = max(best, abs(direct - shifted))
+    return best
 
 
 def manual_product_map(g, h) -> PiecewiseMap:

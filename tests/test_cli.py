@@ -300,6 +300,15 @@ class TestDefaultsSmoke:
         assert (tmp_path / f"{command}.csv").exists()
         assert (tmp_path / f"{command}-summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [["profile", "--samples", "200000000"], ["amplify", "--samples", "100000000"]],
+    )
+    def test_huge_sample_counts_are_refused_before_drawing(self, tmp_path, args):
+        proc = run_child(tmp_path, args, 768)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("computation error: ") and "Traceback" not in proc.stderr
+
     def test_large_cube_is_refused_before_building(self, tmp_path):
         proc = run_child(tmp_path, ["alpha", "--space", "cube:10"], 1024)
         assert proc.returncode == 2

@@ -17,6 +17,7 @@ from levylab import (
     LipschitzViolation,
     NegativeEps,
     TooLargeForExact,
+    TooManySamples,
     alpha_profile,
     fraction_differing,
     hamming_distance,
@@ -26,6 +27,7 @@ from levylab import (
     sample_product,
     talagrand_bound,
 )
+from levylab import hamming
 from levylab.hamming import PROFILE_BLOCK_DRAWS, WILSON_Z, product_weights
 
 UNIFORM2 = DiscreteBase.uniform((0, 1))
@@ -89,6 +91,20 @@ class TestSampleProduct:
         # blocks of rows drawn with start concatenate to the one-call draw
         blocks = [sample_indices(product, stop - start, 5, start=start) for start, stop in ((0, 7), (7, 8), (8, 20))]
         assert np.array_equal(np.concatenate(blocks), sample_indices(product, 20, 5))
+
+    def test_sample_array_cap(self, monkeypatch):
+        # arrays up to the cap are built; one sample more is refused before allocating.
+        # sample_indices holds samples x n codes; a profile draws in blocks and holds samples values
+        monkeypatch.setattr(hamming, "SAMPLE_ARRAY_LIMIT", 1000)
+        product = HammingProduct(UNIFORM2, 10)
+        assert sample_indices(product, 100, 5).shape == (100, 10)
+        with pytest.raises(TooManySamples):
+            sample_indices(product, 101, 5)
+        line = HammingProduct(UNIFORM2, 1)
+        f = fraction_differing(0)
+        lipschitz_profile(line, f, bound=1.0, lipschitz=1.0, eps=0.3, mode="sampled", samples=1000)
+        with pytest.raises(TooManySamples):
+            lipschitz_profile(line, f, bound=1.0, lipschitz=1.0, eps=0.3, mode="sampled", samples=1001)
 
     def test_empirical_frequency(self):
         # binomial tail: P(|freq - 0.5| > 0.01) < 4e-10 at 1e5 draws

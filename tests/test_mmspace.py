@@ -22,6 +22,7 @@ from levylab import (
     weighted_deviation_mass,
     weighted_median,
 )
+from levylab import mmspace
 
 TWO_POINT = FiniteMMSpace.uniform(("p", "q"), np.array([[0.0, 1.0], [1.0, 0.0]]))
 ONE_POINT = FiniteMMSpace.uniform(("p",), np.zeros((1, 1)))
@@ -137,9 +138,12 @@ class TestAlpha:
 
     @pytest.mark.parametrize("npts", [7, 8, 11, 12])
     @pytest.mark.parametrize("weights", ["dirichlet", "uniform"])
-    def test_half_tables_match_brute_force(self, npts, weights):
+    def test_half_tables_match_brute_force(self, npts, weights, monkeypatch):
         # odd npts splits into halves of different sizes; uniform weights make
-        # many subsets of mass exactly 1/2; the radii are pairwise distances
+        # many subsets of mass exactly 1/2; the radii are pairwise distances.
+        # Masses add the weights in index order, as the oracle does, so the
+        # values are equal bit for bit, also when the subsets come in blocks
+        # of an odd size that splits the scored rows differently.
         gen = np.random.default_rng(npts)
         pts = gen.random((npts, 2))
         dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
@@ -148,8 +152,10 @@ class TestAlpha:
         radii = np.unique(dist[np.triu_indices(npts, 1)])
         if npts > 8:
             radii = radii[:: len(radii) // 8]
-        for eps, a in zip(radii, alpha_profile(space, radii)):
-            assert a == pytest.approx(brute_alpha(space, float(eps)), abs=1e-12)
+        expected = [brute_alpha(space, float(eps)) for eps in radii]
+        assert alpha_profile(space, radii).tolist() == expected
+        monkeypatch.setattr(mmspace, "_MASK_BLOCK", 37)
+        assert alpha_profile(space, radii).tolist() == expected
 
     @settings(max_examples=30, deadline=None)
     @given(mm_space_strategy(max_points=5))

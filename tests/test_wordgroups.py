@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import element_strategy, group_with_elements
+from conftest import element_strategy, group_strategy, group_with_elements, left_sum, loop_invariance_defect
 from levylab import (
+    ClampedLength,
     CyclicGroup,
     FinSuppMeasure,
     FreeGroup2,
@@ -14,9 +16,11 @@ from levylab import (
     WrongKind,
     ZdGroup,
     ball_uniform,
+    disagreement_family,
     folner_measure,
     invariance_defect,
     make_group,
+    pullback_family,
     wordlen_clamp_family,
 )
 
@@ -219,3 +223,175 @@ class TestF2Contrast:
     def test_tv_distance_large(self):
         mu = ball_uniform(F2, 3)
         assert mu.tv_distance(mu.translate("a")) >= 0.4
+
+
+def raw_entry_strategy(group):
+    """Inputs of the group's own kind that validate rewrites or rejects."""
+    if isinstance(group, ZdGroup):
+        coord = st.one_of(st.integers(-5, 5), st.sampled_from([np.int64(-1), 2.0, 2.5, True, "3"]))
+        return st.one_of(
+            st.tuples(*[coord] * group.d),
+            st.lists(st.integers(-5, 5), min_size=group.d, max_size=group.d),
+            st.tuples(*[st.integers(-5, 5)] * (group.d + 1)),
+        )
+    if isinstance(group, CyclicGroup):
+        return st.one_of(st.integers(-30, 30), st.sampled_from([np.int64(1), 1.0, True, False]))
+    return st.text("aAbB|x", max_size=6)
+
+
+JUNK = st.sampled_from([1.0, True, None, "1", [1], np.int64(2), "a|A", "ab|", ()])
+
+
+def typed(x):
+    """x with the type of every entry, so np.int64(2) and 2, or (1,) and [1], differ."""
+    if isinstance(x, (tuple, list)):
+        return type(x), tuple(map(typed, x))
+    return type(x), x
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", typed(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is the result compared
+        return "raises", type(exc)
+
+
+class TestBulkKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_validate_all_matches_validate(self, data):
+        group = data.draw(group_strategy())
+        canonical = element_strategy(group)
+        kind = data.draw(st.sampled_from(["canonical", "own kind", "any"]))
+        entry = {
+            "canonical": canonical,
+            "own kind": st.one_of(canonical, raw_entry_strategy(group)),
+            "any": st.one_of(canonical, raw_entry_strategy(group), JUNK),
+        }[kind]
+        entries = data.draw(st.lists(entry, max_size=8))
+        per_element = outcome(lambda xs: tuple(map(group.validate, xs)), entries)
+        assert outcome(group.validate_all, entries) == per_element
+        if kind == "canonical":
+            assert per_element[0] == "ok"
+
+    @pytest.mark.parametrize(
+        "group, entries",
+        [
+            (ZdGroup(2), [(1, 2), (1, True)]),
+            (ZdGroup(2), [(0, 0), (np.int64(1), 2)]),
+            (ZdGroup(2), [(1.0, 2)]),
+            (ZdGroup(2), [[1, 2]]),
+            (ZdGroup(2), [(1, 2, 3)]),
+            (ZdGroup(1), [(1,), 1]),
+            (CyclicGroup(5), [0, 4, np.int64(3)]),
+            (CyclicGroup(5), [1, True]),
+            (CyclicGroup(5), [1, 5]),
+            (CyclicGroup(5), [-1, 2]),
+            (CyclicGroup(5), [2.0]),
+            (F2, ["ab", "aA"]),
+            (F2, ["", "Bb"]),
+            (F2, ["abAB", "ba", "bB"]),
+            (F2, ["a|A"]),
+            (F2, ["a", "x"]),
+            (F2, ["a", 1]),
+        ],
+    )
+    def test_non_canonical_input_takes_validate(self, group, entries):
+        per_element = outcome(lambda xs: tuple(map(group.validate, xs)), entries)
+        assert outcome(group.validate_all, entries) == per_element
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_translate_all_and_word_lengths_match_per_element(self, data):
+        group = data.draw(group_strategy())
+        if isinstance(group, FreeGroup2):
+            letters = st.lists(st.sampled_from("aAbB"), max_size=4)
+            g = group.validate("".join(data.draw(letters)))
+        else:
+            g = data.draw(element_strategy(group))
+        elements = tuple(data.draw(st.lists(element_strategy(group), max_size=10)))
+        assert typed(group.translate_all(g, elements)) == typed(tuple(group.op(g, x) for x in elements))
+        lengths = group.word_lengths(elements)
+        assert lengths.tolist() == [group.word_length(x) for x in elements]
+        for cap in (1, 3):
+            for scale in (1, cap):
+                member = ClampedLength(group, cap, scale)
+                assert member.values(elements).tolist() == [member(x) for x in elements]
+
+    def test_f2_shifts_of_length_zero_to_four(self):
+        ball = F2.ball(5)
+        for g in F2.ball(4):
+            assert F2.translate_all(g, ball) == tuple(F2.op(g, x) for x in ball)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_invariance_defect_matches_loop_oracle(self, data):
+        group = data.draw(group_strategy())
+        elements = data.draw(st.lists(element_strategy(group), min_size=1, max_size=12, unique=True))
+        raw = data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(elements), max_size=len(elements)))
+        mu = FinSuppMeasure(group, elements, [w / math.fsum(raw) for w in raw])
+        g = data.draw(element_strategy(group))
+        caps = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+        for normalize in (True, False):
+            family = wordlen_clamp_family(group, caps, normalize=normalize)
+            assert invariance_defect(mu, g, family) == loop_invariance_defect(mu, g, family)
+
+    def test_sweeps_match_loop_oracle(self):
+        # supports of hundreds of atoms, where a pairwise sum would round differently
+        for k in (3, 6):
+            mu = ball_uniform(F2, k)
+            for g in ("a", "Ab", "bbaB"):
+                family = wordlen_clamp_family(F2, [k + 1, 2], normalize=False)
+                assert invariance_defect(mu, g, family) == loop_invariance_defect(mu, g, family)
+        mu = folner_measure(ZdGroup(2), 12)
+        family = wordlen_clamp_family(ZdGroup(2), [5, 30])
+        for g in ((1, 0), (-2, 3)):
+            assert invariance_defect(mu, g, family) == loop_invariance_defect(mu, g, family)
+
+    @pytest.mark.parametrize(
+        "group, g",
+        [
+            (ZdGroup(2), (2**62, 2**62)),
+            (ZdGroup(2), (-(2**62), 3)),
+            (Z, (2**63,)),
+            (Z, (-(2**63),)),
+            (Z, (2**70,)),
+        ],
+    )
+    def test_large_shifts_stay_exact(self, group, g):
+        # translated coordinates that leave int64, or whose l1 sums would
+        mu = folner_measure(group, 4)
+        for normalize in (True, False):
+            family = wordlen_clamp_family(group, [3, 2**60], normalize=normalize)
+            assert invariance_defect(mu, g, family) == loop_invariance_defect(mu, g, family)
+        moved = mu.translate(g).support
+        assert group.word_lengths(moved).tolist() == [group.word_length(x) for x in moved]
+
+    def test_caps_beyond_float_precision_match_per_element(self):
+        # 3531295936391233072 / 66 rounds differently once the length is a float64
+        for elements in (((3531295936391233072,), (-3,)), ((2**60 + 1,), (2**70,))):
+            for cap, scale in ((2**80, 1), (2**62, 66), (2**80, 2**80), (5, 2**60 + 1)):
+                member = ClampedLength(Z, cap, scale)
+                assert member.values(elements).tolist() == [member(x) for x in elements]
+        cyclic = CyclicGroup(2**70)
+        assert cyclic.word_lengths((2**69, 3)).tolist() == [2**69, 3]
+
+    def test_member_on_another_group_takes_per_element_calls(self):
+        # 6 is not a residue mod 5: the member reduces it, as its call does
+        member = ClampedLength(CyclicGroup(5), 5, 5)
+        mu = FinSuppMeasure.haar(CyclicGroup(7))
+        assert mu.expectation(member) == left_sum(w * member(x) for x, w in zip(mu.support, mu.weights))
+        assert member(6) == 0.2
+        # a Z member on a Z^2 support refuses each element, as its call does
+        with pytest.raises(InvalidElement):
+            folner_measure(ZdGroup(2), 1).expectation(ClampedLength(Z, 5, 5))
+        with pytest.raises(InvalidElement):
+            folner_measure(Z, 1).expectation(ClampedLength(F2, 5, 5))
+
+    def test_pullback_members_match_loop_oracle(self):
+        # opaque callables are called once per element, in the same order
+        pulled = pullback_family(disagreement_family(Z, 3, 11), 3, 2, ((1,), (-2,)))
+        for k in (1, 4):
+            mu = folner_measure(Z, k)
+            for g in ((1,), (-3,)):
+                assert invariance_defect(mu, g, pulled) == loop_invariance_defect(mu, g, pulled)
