@@ -66,13 +66,11 @@ from .hamming import (
     lipschitz_profile,
     product_space,
     sample_indices,
-    sample_product,
     talagrand_bound,
 )
 from .mean_transfer import (
     MeanApprox,
     phi_equivariance_check,
-    phi_eval,
     phi_member,
     transfer_defect,
 )

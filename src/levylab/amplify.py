@@ -59,7 +59,7 @@ class L0Measure:
         codes = np.asarray(self.codes, dtype=np.intp)
         if codes.shape != (len(weights), self.n):
             raise DimensionMismatch(f"codes shape {codes.shape} != ({len(weights)}, {self.n})")
-        if abs(weights.sum() - 1.0) > 1e-9:
+        if not abs(weights.sum() - 1.0) <= 1e-9:
             raise InvalidSchedule("push-forward weights must sum to 1")
         if codes.size and not 0 <= codes.min() <= codes.max() < len(self.base.support):
             raise DimensionMismatch("codes must index the base support")
@@ -197,7 +197,7 @@ class Schedule:
         entries = tuple((int(n), mu) for n, mu in self.entries)
         if not entries:
             raise InvalidSchedule("schedule must have at least one entry")
-        if self.target_eps <= 0:
+        if not self.target_eps > 0:
             raise InvalidSchedule("target_eps must be > 0")
         group = entries[0][1].group
         witnesses = []
@@ -263,7 +263,7 @@ def run_schedule(
     """
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be > 0")
     rows = []
     modes = []

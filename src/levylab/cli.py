@@ -34,7 +34,7 @@ from .hamming import (
     product_space,
     talagrand_bound,
 )
-from .mean_transfer import phi_equivariance_check, phi_eval
+from .mean_transfer import phi_equivariance_check, phi_member
 from .mmspace import FiniteMMSpace, alpha_profile
 from .stepmaps import PiecewiseMap, StepMap, h_embed
 from .wordgroups import (
@@ -362,14 +362,14 @@ def _cmd_phi_check(ns) -> tuple[list[str], list[tuple], dict]:
         h = StepMap(group, tuple(group.random_element(gen, 4) for _ in range(n)))
         alpha, beta = (float(v) for v in gen.uniform(-2.0, 2.0, size=2))
 
-        worst["unitality"] = max(worst["unitality"], abs(phi_eval(one, h) - 1.0))
+        worst["unitality"] = max(worst["unitality"], abs(phi_member(one)(h) - 1.0))
         lin = abs(
-            phi_eval(lambda x: alpha * f1(x) + beta * f2(x), h)
-            - (alpha * phi_eval(f1, h) + beta * phi_eval(f2, h))
+            phi_member(lambda x: alpha * f1(x) + beta * f2(x))(h)
+            - (alpha * phi_member(f1)(h) + beta * phi_member(f2)(h))
         )
         worst["linearity"] = max(worst["linearity"], lin)
         hi = lambda x: f1(x) + abs(f2(x))  # noqa: E731
-        worst["monotonicity"] = max(worst["monotonicity"], phi_eval(f1, h) - phi_eval(hi, h))
+        worst["monotonicity"] = max(worst["monotonicity"], phi_member(f1)(h) - phi_member(hi)(h))
         worst["equivariance"] = max(
             worst["equivariance"], phi_equivariance_check(group, f1, g, h)
         )

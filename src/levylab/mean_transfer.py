@@ -2,7 +2,8 @@
 
 The transfer operator sends a bounded function f on G to the function
 h -> integral of f(h(t)) dt on step maps, the one-piece IntegralMember
-with kernel f.  For step data the integral is the cell-length-weighted
+with kernel f: ``phi_member(f)``, evaluated on a map h as
+``phi_member(f)(h)``.  For step data the integral is the cell-length-weighted
 sum, which makes the algebra exact: unitality, linearity, monotonicity,
 and transfer(f o lambda_g) = transfer(f) o lambda_{const g} all hold to
 float roundoff.  Composing with the expectation of a measure on step maps
@@ -21,11 +22,6 @@ from .wordgroups import WordGroup
 from .amplify import L0Measure, _member_values
 
 
-def phi_eval(f: Callable, h: AnyMap) -> float:
-    """Cell-length-weighted average of f over the values of h."""
-    return phi_member(f)(h)
-
-
 def phi_member(f: Callable) -> IntegralMember:
     """f averaged along maps, as a member over the step-map carrier."""
     return IntegralMember((), (f,))
@@ -38,8 +34,8 @@ def phi_equivariance_check(group: WordGroup, f: Callable, g, h: AnyMap) -> float
     up to float roundoff (contract: <= 1e-12).
     """
     g = group.validate(g)
-    left = phi_eval(lambda x: f(group.op(g, x)), h)
-    right = phi_eval(f, pointwise_translate(h_embed(group, (g,)), h))
+    left = phi_member(lambda x: f(group.op(g, x)))(h)
+    right = phi_member(f)(pointwise_translate(h_embed(group, (g,)), h))
     return abs(left - right)
 
 

@@ -76,7 +76,8 @@ class FiniteMMSpace:
                 raise InvalidSpace("triangle inequality violated")
         if mu.shape != (n,):
             raise InvalidSpace(f"measure length {mu.shape} does not match {n} points")
-        if np.any(mu < -_MASS_TOL) or abs(math.fsum(mu) - 1.0) > _MASS_TOL:
+        # written so that a NaN weight, or a NaN sum, fails
+        if not np.all(mu >= -_MASS_TOL) or not abs(math.fsum(mu) - 1.0) <= _MASS_TOL:
             raise InvalidSpace("measure must be a probability vector")
         dist.flags.writeable = False
         mu.flags.writeable = False
@@ -144,7 +145,7 @@ def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
     one pass over the scored subsets.
     """
     eps_values = np.asarray(eps_values, dtype=np.float64)
-    if np.any(eps_values < 0):
+    if not np.all(eps_values >= 0):
         raise NegativeEps("eps must be >= 0")
     npts = len(space)
     if npts > DEFAULT_ENUMERATION_LIMIT:
@@ -206,7 +207,7 @@ def weighted_median(values, weights) -> float:
 
 def weighted_deviation_mass(values, weights, center: float, eps: float) -> float:
     """Mass of {|f - center| > eps} (strict inequality)."""
-    if eps <= 0:
+    if not eps > 0:
         raise NonPositiveEps("eps must be > 0")
     values, weights = _function_table(values, weights)
     return float(weights[np.abs(values - center) > eps].sum())

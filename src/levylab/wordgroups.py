@@ -6,15 +6,17 @@ group on two letters as reduced words over {a, A, b, B}.  The word length
 induces the right-invariant metric d(x, y) = wl(x * y^-1), which realizes
 the right uniformity all defect computations refer to.
 
-``validate`` is the one definition of an element's canonical form.  Whole
-supports go through three bulk kernels: ``validate_all`` (one test of the
-whole support when it is already canonical, ``validate`` per element
-otherwise), ``translate_all`` (left translation of canonical elements; on
-F2 only the junction of g and x cancels) and ``word_lengths`` (an integer
-array, of Python ints where a length would not fit int64).  The base class
-applies the per-element methods; Z^d and F2 override all three, Z_m uses
-the defaults.  Measures, the clamped word-length member ``ClampedLength``
-and the step-map tables evaluate supports through them.
+``validate`` is the one definition of an element's canonical form, and
+the public ``FinSuppMeasure`` constructors apply it to every element of
+outside input.  The library's own builders (boxes, balls, Haar measure,
+translates) produce canonical, distinct supports and valid weights by
+construction and skip those checks.  Whole canonical supports go through
+two bulk kernels: ``translate_all`` (left translation; on F2 only the
+junction of g and x cancels) and ``word_lengths`` (an integer array, of
+Python ints where a length would not fit int64).  The base class applies
+the per-element methods; Z^d and F2 override both, Z_m uses the defaults.
+Measures, the clamped word-length member ``ClampedLength`` and the
+step-map tables evaluate supports through them.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ _F2_LETTERS = "aAbB"
 _F2_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 # the letters that may follow a word's last letter, in _F2_LETTERS order
 _F2_NEXT = {"": "aAbB", "a": "abB", "A": "AbB", "b": "aAb", "B": "aAB"}
-_F2_DELETE = str.maketrans("", "", _F2_LETTERS)
-_F2_PAIRS = ("aA", "Aa", "bB", "Bb")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # float64 holds every integer up to 2^53 exactly
 _EXACT_FLOAT_INT = 1 << 53
@@ -67,15 +67,6 @@ class WordGroup:
 
     def word_length(self, x) -> int:
         raise NotImplementedError
-
-    def _all_canonical(self, elements: tuple) -> bool:
-        """A whole-support test that is True only if validate returns every element as it is."""
-        return False
-
-    def validate_all(self, elements) -> tuple:
-        """tuple(map(validate, elements)), raising what validate raises."""
-        elements = tuple(elements)
-        return elements if self._all_canonical(elements) else tuple(map(self.validate, elements))
 
     def translate_all(self, g, elements) -> tuple:
         """The products g * x, for canonical g and canonical elements x."""
@@ -152,13 +143,6 @@ class ZdGroup(WordGroup):
 
     def word_length(self, x) -> int:
         return sum(abs(c) for c in self.validate(x))
-
-    def _all_canonical(self, elements: tuple) -> bool:
-        return (
-            set(map(type, elements)) <= {tuple}
-            and set(map(len, elements)) <= {self.d}
-            and set(map(type, itertools.chain.from_iterable(elements))) <= {int}
-        )
 
     def translate_all(self, g, elements) -> tuple:
         # shift each coordinate column by its entry of g, then zip the columns back into tuples
@@ -284,16 +268,6 @@ class FreeGroup2(WordGroup):
     def word_length(self, x) -> int:
         return len(self.validate(x))
 
-    def _all_canonical(self, elements: tuple) -> bool:
-        if not set(map(type, elements)) <= {str}:
-            return False
-        # the separator keeps a cancelling pair from spanning two words; with the
-        # letters deleted, only the len - 1 separators may be left
-        joined = "|".join(elements)
-        return joined.translate(_F2_DELETE) == "|" * (len(elements) - 1) and not any(
-            pair in joined for pair in _F2_PAIRS
-        )
-
     def translate_all(self, g, elements) -> tuple:
         # g and x are reduced, so g * x cancels at most the first |g| letters of x:
         # g * x = (g * head) + rest for x = head + rest with |head| = min(|g|, |x|)
@@ -375,14 +349,22 @@ class ClampedLength:
 
 @dataclass(frozen=True)
 class FinSuppMeasure:
-    """A finitely supported probability measure on a word group."""
+    """A finitely supported probability measure on a word group.
+
+    The constructor, ``uniform`` and ``point_mass`` check outside input:
+    each element is put in canonical form by ``group.validate``, the
+    elements must be distinct, and the weights positive with sum 1.  The
+    library's builders (``folner_measure``, ``ball_uniform``, ``haar``,
+    ``translate``) go through ``_unchecked``, which stores the fields as
+    given.
+    """
 
     group: WordGroup
     support: tuple
     weights: tuple
 
     def __post_init__(self):
-        support = self.group.validate_all(self.support)
+        support = tuple(map(self.group.validate, self.support))
         weights = tuple(map(float, self.weights))
         if len(support) != len(weights):
             raise LengthMismatch("support and weights must have equal length")
@@ -390,10 +372,26 @@ class FinSuppMeasure:
             raise InvalidMeasure("support entries must be distinct")
         if not support:
             raise InvalidMeasure("support must be non-empty")
-        if any(w <= 0 for w in weights) or abs(math.fsum(weights) - 1.0) > _MASS_TOL:
+        # written so that a NaN weight, or a NaN sum, fails
+        if not all(w > 0 for w in weights) or not abs(math.fsum(weights) - 1.0) <= _MASS_TOL:
             raise InvalidMeasure("weights must be positive and sum to 1")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
+
+    @classmethod
+    def _unchecked(cls, group: WordGroup, support: tuple, weights: tuple | None = None) -> "FinSuppMeasure":
+        """A measure whose support is canonical and distinct by construction.
+
+        weights are float, positive and sum to 1, or None for the uniform
+        weights; nothing is checked.
+        """
+        if weights is None:
+            weights = (1.0 / len(support),) * len(support)
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "group", group)
+        object.__setattr__(measure, "support", support)
+        object.__setattr__(measure, "weights", weights)
+        return measure
 
     @classmethod
     def uniform(cls, group: WordGroup, elements) -> "FinSuppMeasure":
@@ -408,7 +406,7 @@ class FinSuppMeasure:
     def haar(cls, group: CyclicGroup) -> "FinSuppMeasure":
         if not isinstance(group, CyclicGroup):
             raise WrongKind("haar measure is only materialized for cyclic groups")
-        return cls.uniform(group, range(group.m))
+        return cls._unchecked(group, tuple(range(group.m)))
 
     def expectation(self, f) -> float:
         """The sum of w * f(x) over the support, added left to right in support order.
@@ -424,7 +422,8 @@ class FinSuppMeasure:
 
     def translate(self, g) -> "FinSuppMeasure":
         g = self.group.validate(g)
-        return FinSuppMeasure(self.group, self.group.translate_all(g, self.support), self.weights)
+        # left translation is a bijection of canonical elements
+        return FinSuppMeasure._unchecked(self.group, self.group.translate_all(g, self.support), self.weights)
 
     def tv_distance(self, other: "FinSuppMeasure") -> float:
         if self.group != other.group:
@@ -445,10 +444,9 @@ def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:
         raise WrongKind("folner boxes are defined for Z^d groups")
     if k < 1:
         raise ValueError("k must be >= 1")
-    box = itertools.product(range(-k, k + 1), repeat=group.d)
-    return FinSuppMeasure.uniform(group, box)
+    return FinSuppMeasure._unchecked(group, tuple(itertools.product(range(-k, k + 1), repeat=group.d)))
 
 
 def ball_uniform(group: WordGroup, k: int) -> FinSuppMeasure:
     """Uniform measure on the word-metric ball of radius k."""
-    return FinSuppMeasure.uniform(group, group.ball(k))
+    return FinSuppMeasure._unchecked(group, tuple(group.ball(k)))

@@ -19,7 +19,7 @@ from levylab import (
     PiecewiseMap,
     StepMap,
     ZdGroup,
-    sample_product,
+    sample_indices,
     weighted_deviation_mass,
     weighted_median,
 )
@@ -147,15 +147,16 @@ def brute_median(values, weights) -> float:
 def tuple_profile(product, f, eps: float, mode: str = "exact", samples: int = 0, seed: int = 0):
     """(median, deviation mass) of f from one call per tuple of atoms.
 
-    Exact mode walks itertools.product; sampled mode takes the tuples of
-    sample_product, so the draws are those of lipschitz_profile.
+    Exact mode walks itertools.product; sampled mode looks up the atoms of
+    the rows of sample_indices, so the draws are those of lipschitz_profile.
     """
     if mode == "exact":
         tuples = itertools.product(product.base.atoms, repeat=product.n)
         values = np.asarray([f(x) for x in tuples])
         weights = product_weights(product.base.weights, product.n)
     else:
-        values = np.asarray([f(x) for x in sample_product(product, samples, seed)])
+        rows = sample_indices(product, samples, seed).tolist()
+        values = np.asarray([f(tuple(product.base.atoms[c] for c in row)) for row in rows])
         weights = np.full(samples, 1.0 / samples)
     m = weighted_median(values, weights)
     return m, weighted_deviation_mass(values, weights, m, eps)

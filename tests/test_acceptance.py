@@ -32,7 +32,7 @@ from levylab import (
     l0_defect,
     lipschitz_profile,
     phi_equivariance_check,
-    phi_eval,
+    phi_member,
     product_space,
     push_forward,
     run_schedule,
@@ -197,14 +197,14 @@ def test_criterion_6_phi_algebra():
             h_map = h_embed(group, tuple(group.random_element(gen, 5) for _ in range(n)))
             al, be = (float(v) for v in gen.uniform(-2, 2, size=2))
 
-            ok &= abs(phi_eval(lambda x: 1.0, h_map) - 1.0) <= 1e-12
+            ok &= abs(phi_member(lambda x: 1.0)(h_map) - 1.0) <= 1e-12
             lin = abs(
-                phi_eval(lambda x: al * f1(x) + be * f2(x), h_map)
-                - (al * phi_eval(f1, h_map) + be * phi_eval(f2, h_map))
+                phi_member(lambda x: al * f1(x) + be * f2(x))(h_map)
+                - (al * phi_member(f1)(h_map) + be * phi_member(f2)(h_map))
             )
             ok &= lin <= 1e-12
             hi = lambda x: f1(x) + abs(f2(x))  # noqa: E731
-            ok &= phi_eval(f1, h_map) <= phi_eval(hi, h_map) + 1e-12
+            ok &= phi_member(f1)(h_map) <= phi_member(hi)(h_map) + 1e-12
             ok &= phi_equivariance_check(group, f1, g, h_map) <= 1e-12
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5

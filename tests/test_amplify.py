@@ -43,7 +43,7 @@ from levylab import (
     push_forward,
     run_schedule,
     invariance_defect,
-    sample_product,
+    sample_indices,
 )
 from levylab.amplify import _member_values
 from levylab.families import cell_window_member
@@ -92,7 +92,8 @@ class TestPushForward:
         mu = FinSuppMeasure(Z, z_elems(0, 1, 5), (0.2, 0.5, 0.3))
         nu = push_forward(mu, 3, "sampled", samples=200, seed=4)
         product = HammingProduct(DiscreteBase(mu.support, mu.weights), 3)
-        assert [h.values for h in nu.support] == sample_product(product, 200, 4)
+        rows = sample_indices(product, 200, 4).tolist()
+        assert [h.values for h in nu.support] == [tuple(mu.support[c] for c in row) for row in rows]
 
     def test_exact_codes_in_product_order(self):
         mu = FinSuppMeasure(Z, z_elems(0, 1, 5), (0.2, 0.5, 0.3))
@@ -109,6 +110,11 @@ class TestPushForward:
             L0Measure(mu, 2, np.zeros((3, 3), dtype=int), np.full(3, 1 / 3), "exact")
         with pytest.raises(DimensionMismatch):
             L0Measure(mu, 1, np.array([[0], [2]]), np.full(2, 0.5), "exact")
+
+    def test_nan_weights_rejected(self):
+        mu = z_uniform(0, 1)
+        with pytest.raises(InvalidSchedule):
+            L0Measure(mu, 1, np.array([[0], [1]]), np.array([float("nan"), 1.0]), "exact")
 
     def test_sampled_hits_support_only(self):
         mu = z_uniform(4, 7)
@@ -292,6 +298,15 @@ class TestSchedule:
         sched = Schedule(entries, target_eps=0.1)
         expected = [i / (8 * i * i + 1) for i in (1, 2, 3)]
         assert list(sched.witnesses) == pytest.approx(expected, abs=1e-12)
+
+    def test_nan_eps_rejected(self):
+        entries = ((1, z_uniform(0, 1)),)
+        with pytest.raises(InvalidSchedule):
+            Schedule(entries, target_eps=float("nan"))
+        sched = Schedule(entries, target_eps=0.5)
+        fam = disagreement_family(Z, 2, seed=1)
+        with pytest.raises(ValueError):
+            run_schedule(sched, h_embed(Z, z_elems(1)), fam, eps=float("nan"))
 
     def test_rejects_decreasing_n(self):
         entries = ((2, z_uniform(0, 1)), (1, z_uniform(0, 1)))

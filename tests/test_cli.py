@@ -257,6 +257,11 @@ class TestMalformedValues:
             ["amplify", "--target-eps", "0"],
             ["profile", "--eps", "0"],
             ["profile", "--base", "0.5,0.6"],
+            ["profile", "--base", "nan,1"],
+            ["alpha", "--eps-grid", "nan"],
+            ["profile", "--eps", "nan"],
+            ["amplify", "--eps", "nan", "--schedule", "k=1,n=1,i=1..2"],
+            ["amplify", "--target-eps", "nan", "--schedule", "k=1,n=1,i=1..2"],
         ],
     )
     def test_usage_error_without_traceback(self, tmp_path, capsys, args):

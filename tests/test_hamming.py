@@ -24,7 +24,6 @@ from levylab import (
     lipschitz_profile,
     product_space,
     sample_indices,
-    sample_product,
     talagrand_bound,
 )
 from levylab import hamming
@@ -76,18 +75,20 @@ class TestTalagrandBound:
 
 
 class TestSampleProduct:
+    # draws of the product measure, as the atom indices of sample_indices
+
     def test_degenerate_base(self):
         base = DiscreteBase(("a",), (1.0,))
-        assert sample_product(HammingProduct(base, 3), 3, 0) == [("a",) * 3] * 3
+        assert sample_indices(HammingProduct(base, 3), 3, 0).tolist() == [[0] * 3] * 3
 
     def test_deterministic(self):
         product = HammingProduct(UNIFORM2, 4)
-        assert sample_product(product, 50, 9) == sample_product(product, 50, 9)
+        assert np.array_equal(sample_indices(product, 50, 9), sample_indices(product, 50, 9))
 
     def test_per_sample_derivation(self):
         # sample i does not depend on how many samples are requested
         product = HammingProduct(UNIFORM2, 3)
-        assert sample_product(product, 20, 5)[:7] == sample_product(product, 7, 5)
+        assert np.array_equal(sample_indices(product, 20, 5)[:7], sample_indices(product, 7, 5))
         # blocks of rows drawn with start concatenate to the one-call draw
         blocks = [sample_indices(product, stop - start, 5, start=start) for start, stop in ((0, 7), (7, 8), (8, 20))]
         assert np.array_equal(np.concatenate(blocks), sample_indices(product, 20, 5))
@@ -108,19 +109,23 @@ class TestSampleProduct:
 
     def test_empirical_frequency(self):
         # binomial tail: P(|freq - 0.5| > 0.01) < 4e-10 at 1e5 draws
-        xs = sample_product(HammingProduct(UNIFORM2, 1), 100000, 42)
-        freq = sum(x[0] for x in xs) / len(xs)
+        idx = sample_indices(HammingProduct(UNIFORM2, 1), 100000, 42)
+        freq = float(np.mean(idx[:, 0] == 1))
         assert abs(freq - 0.5) < 0.01
 
     def test_weighted_base(self):
         base = DiscreteBase((0, 1), (0.9, 0.1))
-        xs = sample_product(HammingProduct(base, 1), 100000, 3)
-        freq = sum(x[0] for x in xs) / len(xs)
+        idx = sample_indices(HammingProduct(base, 1), 100000, 3)
+        freq = float(np.mean(idx[:, 0] == 1))
         assert abs(freq - 0.1) < 0.01
 
     def test_distinct_atoms_required(self):
         with pytest.raises(InvalidMeasure):
             DiscreteBase(("a", "a"), (0.5, 0.5))
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(InvalidMeasure):
+            DiscreteBase((0, 1), (float("nan"), 1.0))
 
 
 class TestProductWeights:
@@ -174,6 +179,20 @@ class TestLipschitzProfile:
         steep = CoordinateMean(lambda a: 5.0 * a)
         with pytest.raises(LipschitzViolation):
             lipschitz_profile(product, steep, bound=5.0, lipschitz=1.0, eps=0.3, seed=11)
+
+    def test_lipschitz_checked_exactly(self):
+        # the constant is max - min of the kernel over the atoms, also where an atom is rarely drawn
+        product = HammingProduct(DiscreteBase((0, 1, 2), (0.5, 0.5 - 1e-9, 1e-9)), 50)
+        f = CoordinateMean(lambda a: 0.5 * a)
+        lipschitz_profile(product, f, bound=1.0, lipschitz=1.0, eps=0.3, mode="sampled", samples=100)
+        with pytest.raises(LipschitzViolation):
+            lipschitz_profile(product, f, bound=1.0, lipschitz=0.99, eps=0.3, mode="sampled", samples=100)
+
+    def test_nan_eps_rejected(self):
+        with pytest.raises(NegativeEps):
+            lipschitz_profile(
+                HammingProduct(UNIFORM2, 2), fraction_differing(0), bound=1.0, lipschitz=1.0, eps=float("nan")
+            )
 
     def test_nonincreasing_in_eps(self):
         product = HammingProduct(DiscreteBase.uniform((0, 1, 2)), 4)

@@ -14,7 +14,6 @@ from levylab import (
     h_embed,
     l0_defect,
     phi_equivariance_check,
-    phi_eval,
     phi_member,
     push_forward,
     transfer_defect,
@@ -40,23 +39,23 @@ z_maps = st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(
 class TestPhiEval:
     def test_unitality(self):
         for h in (h_embed(Z, z_elems(0)), h_embed(Z, z_elems(3, -1, 2))):
-            assert phi_eval(lambda x: 1.0, h) == 1.0
+            assert phi_member(lambda x: 1.0)(h) == 1.0
 
     def test_three_cell_average(self):
         h = h_embed(Z, z_elems(0, 1, 2))
-        assert phi_eval(clamp5, h) == pytest.approx(0.2, abs=1e-12)
+        assert phi_member(clamp5)(h) == pytest.approx(0.2, abs=1e-12)
 
     def test_constant_map(self):
         h = h_embed(Z, z_elems(4))
-        assert phi_eval(clamp5, h) == clamp5((4,))
+        assert phi_member(clamp5)(h) == clamp5((4,))
 
     def test_piecewise_weights(self):
         h = PiecewiseMap(Z, (0.25,), z_elems(0, 4))
-        assert phi_eval(clamp5, h) == pytest.approx(0.75 * 0.8, abs=1e-12)
+        assert phi_member(clamp5)(h) == pytest.approx(0.75 * 0.8, abs=1e-12)
 
     def test_bounded_by_sup_norm(self):
         h = h_embed(Z, z_elems(1, -5, 9))
-        assert abs(phi_eval(lambda x: math.sin(x[0]), h)) <= 1.0
+        assert abs(phi_member(lambda x: math.sin(x[0]))(h)) <= 1.0
 
 
 class TestEquivariance:
@@ -82,8 +81,8 @@ class TestAlgebra:
         f1 = lambda x: math.sin(x[0])  # noqa: E731
         f2 = lambda x: math.cos(0.5 * x[0])  # noqa: E731
         combo = lambda x: a * f1(x) + b * f2(x)  # noqa: E731
-        assert phi_eval(combo, h) == pytest.approx(
-            a * phi_eval(f1, h) + b * phi_eval(f2, h), abs=1e-12
+        assert phi_member(combo)(h) == pytest.approx(
+            a * phi_member(f1)(h) + b * phi_member(f2)(h), abs=1e-12
         )
 
     @settings(max_examples=80, deadline=None)
@@ -91,7 +90,7 @@ class TestAlgebra:
     def test_monotonicity(self, h):
         f1 = lambda x: math.sin(x[0])  # noqa: E731
         f2 = lambda x: math.sin(x[0]) + abs(math.cos(x[0]))  # noqa: E731
-        assert phi_eval(f1, h) <= phi_eval(f2, h) + 1e-12
+        assert phi_member(f1)(h) <= phi_member(f2)(h) + 1e-12
 
     def test_uniform_continuity_transfer(self):
         # maps agreeing off a set of mass eps' give averages within 2B*eps'
@@ -101,7 +100,7 @@ class TestAlgebra:
         h1 = h_embed(Z, z_elems(1, 5, 3, 4))
         eps_prime = disagreement(h0, h1)
         assert eps_prime == 0.25
-        assert abs(phi_eval(f, h0) - phi_eval(f, h1)) <= 2 * bound * eps_prime + 1e-12
+        assert abs(phi_member(f)(h0) - phi_member(f)(h1)) <= 2 * bound * eps_prime + 1e-12
 
 
 class TestTransferDefect:

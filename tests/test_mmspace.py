@@ -52,6 +52,10 @@ class TestConstruction:
         with pytest.raises(InvalidSpace):
             FiniteMMSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), [0.9, 0.2])
 
+    def test_rejects_nan_weight(self):
+        with pytest.raises(InvalidSpace):
+            FiniteMMSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), [float("nan"), 1.0])
+
 
 # builds the n-point line space, with d(a, b) = d(b, a) = v for each "a,b,v" argument
 LINE_SPACE = """
@@ -121,6 +125,8 @@ class TestAlpha:
     def test_negative_eps(self):
         with pytest.raises(NegativeEps):
             alpha_profile(TWO_POINT, [-0.1])
+        with pytest.raises(NegativeEps):
+            alpha_profile(TWO_POINT, [0.1, float("nan")])
 
     def test_too_large(self):
         pts = tuple(range(25))
@@ -216,6 +222,8 @@ class TestDeviationMass:
     def test_nonpositive_eps(self):
         with pytest.raises(NonPositiveEps):
             weighted_deviation_mass([0.0], [1.0], 0.0, 0.0)
+        with pytest.raises(NonPositiveEps):
+            weighted_deviation_mass([0.0], [1.0], 0.0, float("nan"))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -114,6 +115,10 @@ class TestMeasures:
     def test_duplicate_support_rejected(self):
         with pytest.raises(InvalidMeasure):
             FinSuppMeasure(Z, ((1,), (1,)), (0.5, 0.5))
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(InvalidMeasure):
+            FinSuppMeasure(Z, ((0,), (1,)), (float("nan"), 1.0))
 
     @settings(max_examples=80, deadline=None)
     @given(group_with_elements(count=1), st.data())
@@ -256,10 +261,24 @@ def outcome(fn, *args):
         return "raises", type(exc)
 
 
+def checked_outcome(group, entries):
+    """What the checked constructor makes of entries under equal weights: the support, or the error type."""
+    weights = [1.0 / max(len(entries), 1)] * len(entries)
+    return outcome(lambda xs: FinSuppMeasure(group, xs, weights).support, entries)
+
+
+def validate_outcome(group, entries):
+    """The same from per-element validate: the canonical forms, refused when empty or repeated."""
+    per_element = outcome(lambda xs: tuple(map(group.validate, xs)), entries)
+    if per_element[0] == "ok" and not 0 < len(entries) == len(set(map(group.validate, entries))):
+        return "raises", InvalidMeasure
+    return per_element
+
+
 class TestBulkKernels:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_validate_all_matches_validate(self, data):
+    def test_checked_constructor_matches_validate(self, data):
         group = data.draw(group_strategy())
         canonical = element_strategy(group)
         kind = data.draw(st.sampled_from(["canonical", "own kind", "any"]))
@@ -269,10 +288,10 @@ class TestBulkKernels:
             "any": st.one_of(canonical, raw_entry_strategy(group), JUNK),
         }[kind]
         entries = data.draw(st.lists(entry, max_size=8))
-        per_element = outcome(lambda xs: tuple(map(group.validate, xs)), entries)
-        assert outcome(group.validate_all, entries) == per_element
-        if kind == "canonical":
-            assert per_element[0] == "ok"
+        expected = validate_outcome(group, entries)
+        assert checked_outcome(group, entries) == expected
+        if kind == "canonical" and 0 < len(set(entries)) == len(entries):
+            assert expected[0] == "ok"
 
     @pytest.mark.parametrize(
         "group, entries",
@@ -297,8 +316,8 @@ class TestBulkKernels:
         ],
     )
     def test_non_canonical_input_takes_validate(self, group, entries):
-        per_element = outcome(lambda xs: tuple(map(group.validate, xs)), entries)
-        assert outcome(group.validate_all, entries) == per_element
+        # the checked constructor canonicalizes each entry, or raises, as validate does
+        assert checked_outcome(group, entries) == validate_outcome(group, entries)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -395,3 +414,40 @@ class TestBulkKernels:
             mu = folner_measure(Z, k)
             for g in ((1,), (-3,)):
                 assert invariance_defect(mu, g, pulled) == loop_invariance_defect(mu, g, pulled)
+
+
+Z7 = CyclicGroup(7)
+
+
+def library_built_measures():
+    """(group, measure, checked) for boxes, balls of radius 0-6 and Haar, each with its
+    checked public construction from the same support and weights."""
+    for group in (Z, ZdGroup(2), Z7, F2):
+        for k in range(7):
+            yield group, ball_uniform(group, k), FinSuppMeasure.uniform(group, group.ball(k))
+    for group, ks in ((Z, range(1, 7)), (ZdGroup(2), range(1, 5))):
+        for k in ks:
+            box = itertools.product(range(-k, k + 1), repeat=group.d)
+            yield group, folner_measure(group, k), FinSuppMeasure.uniform(group, box)
+    yield Z7, FinSuppMeasure.haar(Z7), FinSuppMeasure.uniform(Z7, range(7))
+
+
+class TestLibraryBuiltMeasures:
+    # the builders skip the checks; each must give what the checked constructor gives
+
+    def assert_same(self, built, checked):
+        assert built == checked
+        assert typed(built.support) == typed(checked.support)
+        assert typed(built.weights) == typed(checked.weights)
+
+    def test_builders_match_checked_constructor(self):
+        for _, built, checked in library_built_measures():
+            self.assert_same(built, checked)
+
+    def test_translates_match_checked_constructor(self):
+        f2_words = [w for w in F2.ball(4) if len(w) >= 2]
+        for group, mu, _ in library_built_measures():
+            shifts = group.generators() + (tuple(f2_words) if group == F2 else ())
+            for g in shifts:
+                checked = FinSuppMeasure(group, [group.op(g, x) for x in mu.support], mu.weights)
+                self.assert_same(mu.translate(g), checked)
