@@ -15,7 +15,9 @@ defects, bounds, concentration masses, and expectation-median gaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import sqrt
+from operator import add
 
 import numpy as np
 
@@ -27,12 +29,17 @@ from .errors import (
     TooLargeForExact,
 )
 from .families import BLFamily, IntegralMember, L0Carrier
-from .hamming import DiscreteBase, HammingProduct, product_weights, sample_indices, talagrand_bound
+from .hamming import (
+    EXACT_PRODUCT_LIMIT,
+    DiscreteBase,
+    HammingProduct,
+    product_weights,
+    sample_indices,
+    talagrand_bound,
+)
 from .mmspace import weighted_deviation_mass, weighted_median
-from .stepmaps import AnyMap, StepMap, grid_approximate, merge_breakpoints
+from .stepmaps import AnyMap, StepMap, grid_approximate, identity_map, merge_breakpoints
 from .wordgroups import FinSuppMeasure
-
-EXACT_PUSHFORWARD_LIMIT = 10**6
 
 _TOL = 1e-9
 
@@ -59,8 +66,9 @@ class L0Measure:
         codes = np.asarray(self.codes, dtype=np.intp)
         if codes.shape != (len(weights), self.n):
             raise DimensionMismatch(f"codes shape {codes.shape} != ({len(weights)}, {self.n})")
-        if not abs(weights.sum() - 1.0) <= 1e-9:
-            raise InvalidSchedule("push-forward weights must sum to 1")
+        # written so that a NaN weight, or a NaN sum, fails
+        if not np.all(weights >= 0) or not abs(weights.sum() - 1.0) <= 1e-9:
+            raise InvalidSchedule("push-forward weights must be non-negative and sum to 1")
         if codes.size and not 0 <= codes.min() <= codes.max() < len(self.base.support):
             raise DimensionMismatch("codes must index the base support")
         weights.flags.writeable = False
@@ -82,7 +90,7 @@ def push_forward(
     *,
     samples: int | None = None,
     seed: int = 0,
-    exact_cap: int = EXACT_PUSHFORWARD_LIMIT,
+    exact_cap: int = EXACT_PRODUCT_LIMIT,
 ) -> L0Measure:
     """Transport mu^(x)n to step maps on the uniform n-grid."""
     if n < 1:
@@ -112,7 +120,7 @@ def _member_values(nu: L0Measure, members, shift: AnyMap | None = None) -> np.nd
     that table.  Any other member raises CarrierMismatch.
     """
     atoms, group, n = nu.base.support, nu.base.group, nu.n
-    by = StepMap(group, (group.identity,)) if shift is None else shift
+    by = identity_map(group) if shift is None else shift
     moved = [group.translate_all(group.validate(v), atoms) for v in by.values]
     # the grid refined by the shift: the grid and shift cell of each piece, and the inner cuts
     refined = list(merge_breakpoints([i / n for i in range(1, n)], by.breakpoints))
@@ -176,7 +184,8 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
         cur = expectations(StepMap(group, gp[:j] + (e,) * (nu.n - j)))
         steps.append(float(np.max(np.abs(prev - cur))))
         prev = cur
-    bound = float(sum(steps)) + family.lipschitz * dis
+    # left to right from 0.0: from Python 3.12 on, sum() compensates
+    bound = reduce(add, steps, 0.0) + family.lipschitz * dis
     return DefectResult(defect, bound, tuple(steps), gp, dis)
 
 
@@ -274,13 +283,11 @@ def run_schedule(
         size = len(mu_i.support) ** n_i
         if mode == "exact" or (mode == "auto" and size <= exact_cap):
             nu = push_forward(mu_i, n_i, "exact", exact_cap=exact_cap)
-            entry_mode = "exact"
         else:
-            entry_mode = "sampled"
             nu = push_forward(
                 mu_i, n_i, "sampled", samples=samples, seed=rng.derive_seed(seed, "entry", i)
             )
-        modes.append(entry_mode)
+        modes.append(nu.mode)
 
         values = _member_values(nu, family.members)
         res = l0_defect(nu, g, family)
@@ -302,7 +309,7 @@ def run_schedule(
         bounded &= res.defect <= res.bound + _TOL
         implication_all &= implication_ok
         sigma = 0.0
-        if entry_mode == "sampled":
+        if nu.mode == "sampled":
             sigma = sqrt(max(conc_mass * (1 - conc_mass), 0.0) / len(nu.weights))
         conc_under_talagrand &= conc_mass <= talagrand_bound(eps / family.lipschitz, n_i) + 4 * sigma
 

@@ -11,15 +11,14 @@ verification is probabilistic: sampled pairs, not exhaustive checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from operator import ne
+from functools import partial, reduce
+from operator import add, ne
 from typing import Callable
 
 import numpy as np
 
 from . import rng
-from .errors import CarrierMismatch, DimensionMismatch, OutOfRange
-from .hamming import check_lipschitz
+from .errors import CarrierMismatch, DimensionMismatch, LipschitzViolation, OutOfRange
 from .stepmaps import AnyMap, PiecewiseMap, StepMap, disagreement, h_embed, merge_breakpoints
 from .wordgroups import ClampedLength, FinSuppMeasure, WordGroup
 
@@ -93,11 +92,10 @@ class IntegralMember:
     phi: Callable = np.asarray  # the identity on floats and arrays
 
     def __call__(self, h: AnyMap) -> float:
-        values = h.values
-        total = sum(
-            (stop - start) * self.kernel[p](values[i])
-            for start, stop, p, i in merge_breakpoints(self.breakpoints, h.breakpoints)
-        )
+        v = h.values
+        pieces = merge_breakpoints(self.breakpoints, h.breakpoints)
+        # left to right from 0.0: from Python 3.12 on, sum() compensates
+        total = reduce(add, ((stop - start) * self.kernel[p](v[i]) for start, stop, p, i in pieces), 0.0)
         return float(self.phi(total))
 
 
@@ -114,11 +112,16 @@ def eval_member(family: BLFamily, index: int, x) -> float:
 def spot_check_lipschitz(family: BLFamily, *, seed: int = 0, pairs: int = 64, radius: int = 4) -> None:
     """Sample point pairs and verify |f(x)-f(y)| <= L*d(x,y) + 1e-9."""
     gen = np.random.default_rng(rng.derive_seed(seed, "family-lipschitz"))
-    carrier = family.carrier
-    points = (
-        (carrier.random_point(gen, radius), carrier.random_point(gen, radius)) for _ in range(pairs)
-    )
-    check_lipschitz(points, family.members, family.lipschitz, carrier.distance)
+    carrier, lipschitz = family.carrier, family.lipschitz
+    for _ in range(pairs):
+        x, y = carrier.random_point(gen, radius), carrier.random_point(gen, radius)
+        d = carrier.distance(x, y)
+        for i, f in enumerate(family.members):
+            gap = abs(float(f(x)) - float(f(y))) - lipschitz * d
+            if gap > 1e-9:
+                raise LipschitzViolation(
+                    f"member {i} exceeds declared L={lipschitz} by {gap:.3e} on a sampled pair"
+                )
 
 
 def splice(i: int, a: tuple, x) -> tuple:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .families import IntegralMember
+from .families import IntegralMember, compose_with_translation
 from .stepmaps import AnyMap, h_embed, pointwise_translate
 from .wordgroups import WordGroup
 
@@ -33,8 +33,7 @@ def phi_equivariance_check(group: WordGroup, f: Callable, g, h: AnyMap) -> float
     Both sides reduce to the same finite cell sum, so the residual is zero
     up to float roundoff (contract: <= 1e-12).
     """
-    g = group.validate(g)
-    left = phi_member(lambda x: f(group.op(g, x)))(h)
+    left = phi_member(compose_with_translation(f, g, group))(h)
     right = phi_member(f)(pointwise_translate(h_embed(group, (g,)), h))
     return abs(left - right)
 
@@ -60,8 +59,5 @@ def transfer_defect(mean: MeanApprox, f: Callable, g) -> float:
     Equals the step-map-level defect of the measure against the constant
     map at g, evaluated on the single member transfer(f).
     """
-    group = mean.measure.base.group
-    g = group.validate(g)
-    direct = mean.expect(phi_member(f))
-    shifted = mean.expect(phi_member(lambda x: f(group.op(g, x))))
-    return abs(direct - shifted)
+    moved = compose_with_translation(f, g, mean.measure.base.group)
+    return abs(mean.expect(phi_member(f)) - mean.expect(phi_member(moved)))

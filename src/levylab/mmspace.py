@@ -95,7 +95,8 @@ class FiniteMMSpace:
     @classmethod
     def uniform(cls, points, dist) -> "FiniteMMSpace":
         n = len(points)
-        return cls(tuple(points), dist, np.full(n, 1.0 / n))
+        # no points get no mass, which the mass check refuses
+        return cls(tuple(points), dist, np.full(n, 1.0 / max(n, 1)))
 
 
 def _half_tables(space: FiniteMMSpace, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:

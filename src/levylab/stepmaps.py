@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .errors import CarrierMismatch, EmptyTuple
+from .hamming import hamming_distance
 from .wordgroups import WordGroup
 
 
@@ -145,10 +148,10 @@ def disagreement(f: AnyMap, g: AnyMap) -> float:
     """
     _check_same_group(f, g)
     if isinstance(f, StepMap) and isinstance(g, StepMap) and f.n == g.n:
-        # count / n is exact, so it equals the normalized Hamming distance
-        # bit for bit; summing the merged cell lengths would round
-        return sum(1 for a, b in zip(f.values, g.values) if a != b) / f.n
-    return sum(stop - start for start, stop, va, vb in iter_joint_cells(f, g) if va != vb)
+        # count / n is exact; summing the merged cell lengths would round
+        return hamming_distance(f.values, g.values)
+    # left to right from 0.0: from Python 3.12 on, sum() compensates
+    return reduce(add, (stop - start for start, stop, va, vb in iter_joint_cells(f, g) if va != vb), 0.0)
 
 
 def in_neighborhood(f: AnyMap, radius: int, eps: float) -> bool:
@@ -160,7 +163,7 @@ def in_neighborhood(f: AnyMap, radius: int, eps: float) -> bool:
     """
     wl, values = f.group.word_length, f.values
     cells = merge_breakpoints(f.breakpoints, ())
-    offending = sum(stop - start for start, stop, i, _ in cells if wl(values[i]) >= radius)
+    offending = reduce(add, (stop - start for start, stop, i, _ in cells if wl(values[i]) >= radius), 0.0)
     return offending < eps
 
 
@@ -173,8 +176,6 @@ def grid_approximate(f: AnyMap, n: int) -> tuple[tuple, float]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(f, StepMap) and f.n == n:
-        return f.values, 0.0
     breaks = f.breakpoints
     g = tuple(f.values[bisect_right(breaks, i / n)] for i in range(n))
     return g, disagreement(f, StepMap(f.group, g))

@@ -14,7 +14,8 @@ construction and skip those checks.  Whole canonical supports go through
 two bulk kernels: ``translate_all`` (left translation; on F2 only the
 junction of g and x cancels) and ``word_lengths`` (an integer array, of
 Python ints where a length would not fit int64).  The base class applies
-the per-element methods; Z^d and F2 override both, Z_m uses the defaults.
+the per-element methods, exact at any coordinate size.  Z^d overrides
+``translate_all``, F2 overrides both, Z_m uses the defaults.
 Measures, the clamped word-length member ``ClampedLength`` and the
 step-map tables evaluate supports through them.
 """
@@ -25,6 +26,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -148,17 +150,6 @@ class ZdGroup(WordGroup):
         # shift each coordinate column by its entry of g, then zip the columns back into tuples
         shifted = (map(operator.add, col, itertools.repeat(c)) for col, c in zip(zip(*elements), g))
         return tuple(zip(*shifted))
-
-    def word_lengths(self, elements) -> np.ndarray:
-        # a row of d coordinates inside (-bound, bound) sums its absolute values inside int64
-        bound = _INT64_MAX // self.d
-        try:
-            coords = np.fromiter(itertools.chain.from_iterable(elements), np.int64, len(elements) * self.d)
-        except OverflowError:
-            return super().word_lengths(elements)
-        if coords.size and not -bound < coords.min() <= coords.max() < bound:
-            return super().word_lengths(elements)
-        return np.abs(coords.reshape(len(elements), self.d)).sum(axis=1)
 
     def generators(self) -> tuple:
         gens = []
@@ -296,7 +287,7 @@ class FreeGroup2(WordGroup):
         length = int(gen.integers(0, radius + 1))
         word = ""
         for _ in range(length):
-            choices = [ch for ch in _F2_LETTERS if not word or word[-1] != _F2_INVERSE[ch]]
+            choices = _F2_NEXT[word[-1:]]
             word += choices[int(gen.integers(0, len(choices)))]
         return word
 
@@ -396,7 +387,8 @@ class FinSuppMeasure:
     @classmethod
     def uniform(cls, group: WordGroup, elements) -> "FinSuppMeasure":
         elements = tuple(elements)
-        return cls(group, elements, (1.0 / len(elements),) * len(elements))
+        # no elements get no weights, which the constructor refuses
+        return cls(group, elements, (1.0 / max(len(elements), 1),) * len(elements))
 
     @classmethod
     def point_mass(cls, group: WordGroup, x) -> "FinSuppMeasure":
@@ -430,8 +422,10 @@ class FinSuppMeasure:
             raise WrongKind("total variation needs measures on the same group")
         mine = dict(zip(self.support, self.weights))
         theirs = dict(zip(other.support, other.weights))
-        keys = set(mine) | set(theirs)
-        return 0.5 * sum(abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys)
+        # support order, then left to right from 0.0: a set's order of words follows string
+        # hashing, which changes between processes, and from Python 3.12 on sum() compensates
+        keys = {**mine, **theirs}
+        return 0.5 * reduce(operator.add, (abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys), 0.0)
 
 
 def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:

@@ -112,6 +112,17 @@ def left_sum(values) -> float:
     return total
 
 
+# cells 0, 2, 4 and 6 of [0, 1) cut at these points have lengths whose sum
+# left to right (0.678) is one ulp above the correctly rounded one
+UNEVEN_BREAKS = (0.259, 0.405, 0.421, 0.511, 0.758, 0.844)
+
+
+def alternate_cell_lengths(breaks) -> list[float]:
+    """The lengths of cells 0, 2, 4, ... of [0, 1) cut at the sorted breaks."""
+    edges = (0.0, *breaks, 1.0)
+    return [stop - start for start, stop in zip(edges[::2], edges[1::2])]
+
+
 def brute_alpha(space: FiniteMMSpace, eps: float) -> float:
     """Concentration function by direct subset enumeration."""
     if eps == 0:

@@ -9,6 +9,7 @@ from conftest import (
     brute_translated_expectation,
     cell_window_closed_form,
     fubini_telescope_steps,
+    left_sum,
 )
 from levylab import (
     BLFamily,
@@ -115,6 +116,11 @@ class TestPushForward:
         mu = z_uniform(0, 1)
         with pytest.raises(InvalidSchedule):
             L0Measure(mu, 1, np.array([[0], [1]]), np.array([float("nan"), 1.0]), "exact")
+
+    def test_negative_weights_rejected(self):
+        mu = z_uniform(0, 1)
+        with pytest.raises(InvalidSchedule):
+            L0Measure(mu, 1, np.array([[0], [1]]), np.array([2.0, -1.0]), "exact")
 
     def test_sampled_hits_support_only(self):
         mu = z_uniform(4, 7)
@@ -246,6 +252,18 @@ class TestL0Defect:
         nu = push_forward(mu, 4, "sampled", samples=3000, seed=23)
         res = l0_defect(nu, g, fam)
         assert res.defect <= res.bound + 1e-9
+
+    def test_bound_adds_steps_left_to_right(self):
+        fam = cell_window_family(Z, 3, seed=5)
+        mu = folner_measure(Z, 2)
+        g = PiecewiseMap(Z, (0.2, 0.7), z_elems(1, 2, 0))
+        orders_differ = False
+        for seed in range(32):
+            res = l0_defect(push_forward(mu, 9, "sampled", samples=100, seed=seed), g, fam)
+            assert res.bound == left_sum(res.per_step) + fam.lipschitz * res.grid_disagreement
+            orders_differ |= left_sum(res.per_step) != math.fsum(res.per_step)
+        # some of these step lists add differently under a compensated sum
+        assert orders_differ
 
     def test_hypothesis_propagation(self):
         # small per-step defects plus a small grid remainder force a small defect

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import element_strategy, group_strategy
+from conftest import UNEVEN_BREAKS, alternate_cell_lengths, element_strategy, group_strategy, left_sum
 from levylab import (
     BLFamily,
     CarrierMismatch,
@@ -165,6 +167,12 @@ class TestBuilders:
             for n in (1, 2, 3, 5, 8):
                 h = h_embed(Z, z_elems(*range(n)))
                 assert member(h) == pytest.approx(disagreement(ref, h), abs=1e-12)
+
+    def test_integral_adds_pieces_left_to_right(self):
+        lengths = alternate_cell_lengths(UNEVEN_BREAKS)
+        assert left_sum(lengths) != math.fsum(lengths)
+        member = disagreement_member(PiecewiseMap(Z, UNEVEN_BREAKS, z_elems(1, 0, 1, 0, 1, 0, 1)))
+        assert member(identity_map(Z)) == left_sum(lengths)
 
     def test_cell_window_family(self):
         fam = cell_window_family(Z, 6, seed=3, width=0.25)

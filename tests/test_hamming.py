@@ -73,6 +73,10 @@ class TestTalagrandBound:
         with pytest.raises(NegativeEps):
             talagrand_bound(-0.1, 5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(NegativeEps):
+            talagrand_bound(float("nan"), 5)
+
 
 class TestSampleProduct:
     # draws of the product measure, as the atom indices of sample_indices
@@ -126,6 +130,10 @@ class TestSampleProduct:
     def test_nan_weight_rejected(self):
         with pytest.raises(InvalidMeasure):
             DiscreteBase((0, 1), (float("nan"), 1.0))
+
+    def test_empty_uniform_rejected(self):
+        with pytest.raises(InvalidMeasure):
+            DiscreteBase.uniform(())
 
 
 class TestProductWeights:

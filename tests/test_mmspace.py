@@ -56,6 +56,10 @@ class TestConstruction:
         with pytest.raises(InvalidSpace):
             FiniteMMSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), [float("nan"), 1.0])
 
+    def test_rejects_empty_uniform(self):
+        with pytest.raises(InvalidSpace):
+            FiniteMMSpace.uniform((), np.zeros((0, 0)))
+
 
 # builds the n-point line space, with d(a, b) = d(b, a) = v for each "a,b,v" argument
 LINE_SPACE = """

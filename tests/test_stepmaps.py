@@ -1,10 +1,15 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    UNEVEN_BREAKS,
+    alternate_cell_lengths,
     element_strategy,
     group_strategy,
+    left_sum,
     manual_product_map,
     piecewise_strategy,
     step_map_strategy,
@@ -121,6 +126,17 @@ class TestDisagreement:
         pm = PiecewiseMap(Z, (0.25,), (A, B))
         assert disagreement(pm, h_embed(Z, (A, B))) == 0.25
 
+    def test_agreeing_maps_give_float_zero(self):
+        d = disagreement(PiecewiseMap(Z, (0.5,), (A, B)), h_embed(Z, (A, B)))
+        assert d == 0.0 and type(d) is float
+
+    def test_lengths_added_left_to_right(self):
+        lengths = alternate_cell_lengths(UNEVEN_BREAKS)
+        assert left_sum(lengths) != math.fsum(lengths)
+        f = PiecewiseMap(Z, UNEVEN_BREAKS, (A, B) * 3 + (A,))
+        g = PiecewiseMap(Z, UNEVEN_BREAKS, (B,) * 7)
+        assert disagreement(f, g) == left_sum(lengths)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_equals_hamming_on_common_grid(self, data):
@@ -181,6 +197,14 @@ class TestNeighborhood:
         m = h_embed(Z, ((0,), (5,)))
         assert in_neighborhood(m, 6, 0.01)
 
+    def test_lengths_added_left_to_right(self):
+        lengths = alternate_cell_lengths(UNEVEN_BREAKS)
+        offending = left_sum(lengths)
+        assert math.fsum(lengths) < offending
+        f = PiecewiseMap(Z, UNEVEN_BREAKS, ((5,), (0,)) * 3 + ((5,),))
+        assert not in_neighborhood(f, 1, offending)
+        assert in_neighborhood(f, 1, math.nextafter(offending, 1.0))
+
 
 class TestGridApproximate:
     def test_breakpoint_between_grid_points(self):
@@ -194,10 +218,10 @@ class TestGridApproximate:
         g, dis = grid_approximate(f, 20)
         assert dis == 0.0
 
-    def test_already_on_grid(self):
-        f = h_embed(Z, (A, B, C))
-        g, dis = grid_approximate(f, 3)
-        assert g == (A, B, C) and dis == 0.0
+    @settings(max_examples=64, deadline=None)
+    @given(step_map_strategy(max_n=64))
+    def test_already_on_grid(self, f):
+        assert grid_approximate(f, f.n) == (f.values, 0.0)
 
     @settings(max_examples=120, deadline=None)
     @given(piecewise_strategy(), st.integers(1, 64))

@@ -100,6 +100,17 @@ class TestBalls:
         assert F2.parse("e") == "" and F2.format("") == "e"
         assert F2.parse("abA") == "abA"
 
+    def test_f2_random_words_are_pinned(self):
+        # reduced words from fixed seeds; a change here changes every seeded F2 run
+        expected = {
+            (0, 1): ["b", "A", "", ""],
+            (1, 4): ["bb", "aaBB", "A", "AABa"],
+            (7, 7): ["bbbABBa", "", "AB", "abbaBab"],
+        }
+        for (seed, radius), words in expected.items():
+            gen = np.random.default_rng(seed)
+            assert [F2.random_element(gen, radius) for _ in range(4)] == words
+
 
 class TestMeasures:
     def test_point_mass_translation(self):
@@ -115,6 +126,28 @@ class TestMeasures:
     def test_duplicate_support_rejected(self):
         with pytest.raises(InvalidMeasure):
             FinSuppMeasure(Z, ((1,), (1,)), (0.5, 0.5))
+
+    def test_empty_uniform_rejected(self):
+        with pytest.raises(InvalidMeasure):
+            FinSuppMeasure.uniform(Z, [])
+
+    def test_tv_distance_adds_left_to_right(self):
+        # twenty terms of 0.1 add to 2.0000000000000004 left to right, to 2.0 correctly rounded
+        mu = FinSuppMeasure.uniform(Z, [(i,) for i in range(10)])
+        nu = FinSuppMeasure.uniform(Z, [(i,) for i in range(10, 20)])
+        terms = [0.1] * 20
+        assert left_sum(terms) != math.fsum(terms)
+        assert mu.tv_distance(nu) == 0.5 * left_sum(terms)
+
+    def test_tv_distance_adds_in_support_order(self):
+        # unequal terms over words: a set's order of them changes with PYTHONHASHSEED
+        words = F2.ball(3)
+        raw = [1.0 / (i + 3) for i in range(len(words))]
+        mu = FinSuppMeasure(F2, words, [r / math.fsum(raw) for r in raw])
+        nu = mu.translate("a")
+        mine, theirs = dict(zip(mu.support, mu.weights)), dict(zip(nu.support, nu.weights))
+        keys = dict.fromkeys(mu.support + nu.support)
+        assert mu.tv_distance(nu) == 0.5 * left_sum(abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys)
 
     def test_nan_weight_rejected(self):
         with pytest.raises(InvalidMeasure):
