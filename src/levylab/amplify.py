@@ -7,9 +7,14 @@ by a target map is controlled by a telescoping chain of single-coordinate
 steps (step j: the change in expectation when the translation grows by
 its j-th coordinate) plus the off-grid remainder, charged to the family's
 Lipschitz constant times the grid-approximation disagreement.  Integral
-members are evaluated on the whole batch by table lookup.  A schedule runs
-the construction along a sequence of (n_i, mu_i) pairs and reports
-defects, bounds, concentration masses, and expectation-median gaps.
+members are evaluated on the whole batch by table lookup.  The tables of
+one push-forward and one family add kernel columns, each built once per
+(member, shift value, piece) and shared by every shift evaluated in one
+l0_defect or one schedule stage; nothing is cached beyond that call.  A
+telescope step whose new coordinate is e is exactly 0 and is not
+evaluated.  A schedule runs the construction along a sequence of
+(n_i, mu_i) pairs and reports defects, bounds, concentration masses, and
+expectation-median gaps.
 """
 
 from __future__ import annotations
@@ -99,8 +104,10 @@ def push_forward(
     if mode == "exact":
         if k**n > exact_cap:
             raise TooLargeForExact(f"{k**n} tuples exceeds exact cap {exact_cap}")
-        # the index tuples in itertools.product order, matching product_weights
-        codes = np.indices((k,) * n).reshape(n, -1).T
+        # the index tuples in itertools.product order, matching product_weights:
+        # column i holds the base-k digit of the tuple's rank at place n-1-i
+        rank = np.arange(k**n)
+        codes = np.stack([rank // k ** (n - 1 - i) % k for i in range(n)], axis=1)
         return L0Measure(mu, n, codes, product_weights(mu.weights, n), "exact")
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
@@ -111,17 +118,29 @@ def push_forward(
     return L0Measure(mu, n, codes, np.full(samples, 1.0 / samples), "sampled", seed)
 
 
-def _member_values(nu: L0Measure, members, shift: AnyMap | None = None) -> np.ndarray:
+def _member_values(nu: L0Measure, members, shift: AnyMap | None = None, memo=None) -> np.ndarray:
     """The members x maps matrix of f(shift * h) over the maps h of nu.
 
     Each member, an IntegralMember, is integrated once per grid cell and
     support atom on the joint refinement of the grid, the shift and its
     own breakpoints; each map's value is then a gather of its n cells from
     that table.  Any other member raises CarrierMismatch.
+
+    A table row adds kernel columns: the kernel of one piece over the
+    support translated by one shift value.  They depend on nothing else,
+    so calls on one nu and one members tuple may share them through memo,
+    a pair of dicts (translated supports by shift value, columns by
+    (member index, shift value, piece)).  Each column is then built once
+    however many shifts, or cells of one shift, carry its value; shared or
+    not, every table entry adds the same floats in the same order.
     """
     atoms, group, n = nu.base.support, nu.base.group, nu.n
     by = identity_map(group) if shift is None else shift
-    moved = [group.translate_all(group.validate(v), atoms) for v in by.values]
+    moved, columns = ({}, {}) if memo is None else memo
+    values = [group.validate(v) for v in by.values]
+    for v in values:
+        if v not in moved:
+            moved[v] = group.translate_all(v, atoms)
     # the grid refined by the shift: the grid and shift cell of each piece, and the inner cuts
     refined = list(merge_breakpoints([i / n for i in range(1, n)], by.breakpoints))
     cuts = [stop for _, stop, _, _ in refined[:-1]]
@@ -132,12 +151,12 @@ def _member_values(nu: L0Measure, members, shift: AnyMap | None = None) -> np.nd
         if not isinstance(f, IntegralMember):
             raise CarrierMismatch(f"member {fi} is not an IntegralMember")
         table = np.zeros((n, len(atoms)))
-        columns = {}
         for start, stop, ri, p in merge_breakpoints(cuts, f.breakpoints):
             _, _, gi, si = refined[ri]
-            if (si, p) not in columns:
-                columns[si, p] = np.fromiter(map(f.kernel[p], moved[si]), np.float64, len(atoms))
-            table[gi] += (stop - start) * columns[si, p]
+            key = (fi, values[si], p)
+            if key not in columns:
+                columns[key] = np.fromiter(map(f.kernel[p], moved[values[si]]), np.float64, len(atoms))
+            table[gi] += (stop - start) * columns[key]
         out[fi] = f.phi(table.ravel()[at].sum(axis=0))
     return out
 
@@ -162,8 +181,16 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     E_nu(f o lambda_{a_j})| for the prefixes a_j = (g'_1..g'_j, e..e).  The
     steps are evaluated on nu itself, exact or sampled, so the telescope
     identity holds exactly and the bound dominates the defect up to float
-    roundoff.
+    roundoff.  Where g'_j is e, a_j is a_{j-1} and step j is exactly 0.0
+    without an evaluation.  The identity, the target and the prefixes
+    share one set of kernel columns (see _member_values), which lives for
+    this call only.
     """
+    return _defect(nu, g, family, ({}, {}))
+
+
+def _defect(nu: L0Measure, g: AnyMap, family: BLFamily, memo, e_id=None) -> DefectResult:
+    """l0_defect sharing memo with the caller; e_id, if given, is E_nu(f) per member."""
     group = nu.base.group
     if not isinstance(family.carrier, L0Carrier) or family.carrier.group != group:
         raise CarrierMismatch("family must live over step maps of the same base group")
@@ -172,15 +199,19 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     gp, dis = grid_approximate(g, nu.n)
 
     def expectations(shift):
-        return _member_values(nu, family.members, shift) @ nu.weights
+        return _member_values(nu, family.members, shift, memo) @ nu.weights
 
-    e_id = expectations(None)
+    if e_id is None:
+        e_id = expectations(None)
     defect = float(np.max(np.abs(e_id - expectations(g))))
 
     e = group.identity
     prev = e_id
     steps = []
     for j in range(1, nu.n + 1):
+        if group.validate(gp[j - 1]) == e:
+            steps.append(0.0)
+            continue
         cur = expectations(StepMap(group, gp[:j] + (e,) * (nu.n - j)))
         steps.append(float(np.max(np.abs(prev - cur))))
         prev = cur
@@ -289,9 +320,11 @@ def run_schedule(
             )
         modes.append(nu.mode)
 
-        values = _member_values(nu, family.members)
-        res = l0_defect(nu, g, family)
+        # one set of kernel columns for this entry's identity, target and telescope
+        memo = ({}, {})
+        values = _member_values(nu, family.members, memo=memo)
         e_vals = values @ nu.weights
+        res = _defect(nu, g, family, memo, e_vals)
 
         conc_mass = 0.0
         median_gap = 0.0

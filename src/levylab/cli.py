@@ -232,6 +232,7 @@ def _cmd_profile(ns) -> tuple[list[str], list[tuple], dict]:
     product = HammingProduct(base, ns.n)
     f = fraction_differing(base.atoms[0])
     rows = []
+    uppers = []
     ok = True
     for eps in grid:
         result = lipschitz_profile(
@@ -246,8 +247,10 @@ def _cmd_profile(ns) -> tuple[list[str], list[tuple], dict]:
         )
         bound = talagrand_bound(eps, ns.n)
         rows.append((eps, ns.n, result.estimate, result.stderr, bound))
+        uppers.append(float(result.upper))
         ok &= result.estimate <= bound + 4 * result.stderr + 1e-12
-    return ["eps", "n", "estimate", "stderr", "bound"], rows, {"within_bound_plus_4sigma": ok}
+    flags = {"within_bound_plus_4sigma": ok, "wilson_upper": uppers}
+    return ["eps", "n", "estimate", "stderr", "bound"], rows, flags
 
 
 def _parse_k_range(text: str) -> list[int]:

@@ -140,7 +140,8 @@ def _check_sample_array(samples: int, n: int = 1) -> None:
 def product_weights(weights, n: int) -> np.ndarray:
     """Product-measure weights of all n-tuples, in itertools.product order."""
     w = np.asarray(weights, dtype=np.float64)
-    return reduce(np.multiply.outer, [w] * n).ravel()
+    # flat after each factor: an n-axis outer product fails past numpy's axis limit
+    return reduce(lambda s, t: (s[:, None] * t[None, :]).ravel(), [w] * n)
 
 
 def product_space(product: HammingProduct) -> FiniteMMSpace:
@@ -237,7 +238,8 @@ def lipschitz_profile(
     if mode == "exact":
         if product.point_count > EXACT_PRODUCT_LIMIT:
             raise TooLargeForExact(f"{product.point_count} tuples exceeds exact cap {EXACT_PRODUCT_LIMIT}")
-        values = reduce(np.add.outer, [table] * n).ravel() / n
+        # flat after each coordinate, in product_weights' order
+        values = reduce(lambda s, t: (s[:, None] + t[None, :]).ravel(), [table] * n) / n
         weights = product_weights(product.base.weights, n)
         m = weighted_median(values, weights)
         mass = weighted_deviation_mass(values, weights, m, eps)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from levylab import (
     invariance_defect,
     sample_indices,
 )
+from levylab import amplify, cli
 from levylab.amplify import _member_values
 from levylab.families import cell_window_member
 
@@ -121,6 +123,20 @@ class TestPushForward:
         mu = z_uniform(0, 1)
         with pytest.raises(InvalidSchedule):
             L0Measure(mu, 1, np.array([[0], [1]]), np.array([2.0, -1.0]), "exact")
+
+    @pytest.mark.parametrize("n", [64, 65, 100])
+    def test_exact_past_64_coordinates(self, n):
+        # numpy arrays have at most 64 dimensions; the codes are built by digits
+        point = FinSuppMeasure.point_mass(Z, (0,))
+        nu = push_forward(point, n, "exact")
+        assert nu.codes.shape == (1, n) and not nu.codes.any()
+        assert nu.weights.tolist() == [1.0]
+        report = run_schedule(
+            Schedule(((n, point),), target_eps=1.0), h_embed(Z, z_elems(0, 1)),
+            disagreement_family(Z, 2, seed=1), eps=0.3, mode="exact",
+        )
+        assert report.entry_modes == ("exact",)
+        assert report.rows[0].defect <= report.rows[0].bound
 
     def test_sampled_hits_support_only(self):
         mu = z_uniform(4, 7)
@@ -429,3 +445,76 @@ class TestMemberValues:
         fam = BLFamily(L0Carrier(Z), (opaque,), bound=1.0, lipschitz=1.0)
         with pytest.raises(CarrierMismatch, match="member 0"):
             l0_defect(nu, shift, fam)
+
+
+class TestSharedColumns:
+    # one set of kernel columns per schedule entry: built once per
+    # (member, shift value, piece) and shared by every shift of that entry
+
+    def test_each_translated_atom_meets_each_piece_once(self):
+        calls = Counter()
+
+        def counted(p):
+            def kernel(x):
+                calls[p, x] += 1
+                return float(x[0] % 2)
+
+            return kernel
+
+        member = IntegralMember((0.5,), (counted(0), counted(1)))
+        fam = BLFamily(L0Carrier(Z), (member,), bound=1.0, lipschitz=1.0)
+        # the target is 10 on [0, 0.3) and 100 after, so g' = (10, 100) and the
+        # telescope prefixes are (10, e) and (10, 100)
+        g = PiecewiseMap(Z, (0.3,), z_elems(10, 100))
+        run_schedule(Schedule(((2, z_uniform(0, 1, 2)),), 1.0), g, fam, eps=0.2, mode="exact")
+        values = {0: (0, 10, 100), 1: (0, 100)}  # the shift values that meet each piece
+        assert calls == Counter({(p, (v + a,)): 1 for p in values for v in values[p] for a in (0, 1, 2)})
+
+    def test_cli_amplify_calls(self, tmp_path, monkeypatch):
+        # 8 stages: the identity and the target once each, plus one prefix per
+        # telescope step whose new coordinate is not e (17 of 36)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _member_values(*args, **kwargs)
+
+        monkeypatch.setattr(amplify, "_member_values", counting)
+        out, summary = tmp_path / "a.csv", tmp_path / "a.json"
+        argv = ["amplify", "--samples", "500", "--seed", "1"]
+        assert cli.main([*argv, "--out", str(out), "--json-summary", str(summary)]) == 0
+        assert len(calls) <= 33
+
+    def test_identity_coordinates_give_zero_steps(self):
+        gp = z_elems(0, 1, 0, 0, -2, 0)
+        fam = cell_window_family(Z, 4, seed=5)
+        exact = push_forward(z_uniform(0, 1), 6)
+        sampled = push_forward(z_uniform(0, 1, 3), 6, "sampled", samples=300, seed=2)
+        for nu in (exact, sampled):
+            steps = l0_defect(nu, h_embed(Z, gp), fam).per_step
+            assert [steps[j] for j in (0, 2, 3, 5)] == [0.0] * 4
+            assert any(steps)
+
+    @pytest.mark.parametrize("gp", [(0, 1, 0, 0, -2, 0), (0, 0, 3), (2, 0, 0, 0, 1)])
+    def test_steps_match_fubini_with_interior_identities(self, gp):
+        raw = np.array([0.5, 0.2, 0.3])
+        mu = FinSuppMeasure(Z, z_elems(0, 1, -1), tuple(raw))
+        fam = cell_window_family(Z, 3, seed=12)
+        gp = z_elems(*gp)
+        fubini = fubini_telescope_steps(mu, len(gp), gp, fam.members)
+        assert exact_steps(mu, len(gp), gp, fam) == pytest.approx(tuple(fubini), abs=1e-12)
+
+    def test_no_state_between_calls(self):
+        entries = tuple((i, folner_measure(Z, 4 * i * i)) for i in (1, 2, 3))
+        sched = Schedule(entries, target_eps=0.5)
+        g = PiecewiseMap(Z, (0.35,), z_elems(1, 0))
+        fam = disagreement_family(Z, 4, seed=10)
+        first = run_schedule(sched, g, fam, eps=0.2, samples=300, seed=7, exact_cap=2000)
+        # another target and family in between must not change the answer
+        run_schedule(sched, h_embed(Z, z_elems(2, -1)), cell_window_family(Z, 3, seed=1), eps=0.2,
+                     samples=300, seed=7, exact_cap=2000)
+        second = run_schedule(sched, g, fam, eps=0.2, samples=300, seed=7, exact_cap=2000)
+        assert first.entry_modes == ("exact", "exact", "sampled")
+        assert first == second
+        nu = push_forward(entries[1][1], 2)
+        assert l0_defect(nu, g, fam) == l0_defect(nu, g, fam)

@@ -76,6 +76,27 @@ class TestProfileCommand:
         est = float(read_csv(out)[1][2])
         assert est == 0.125  # P(|X/4 - 1/2| > 0.3) for X ~ Bin(4, 1/2)
 
+    def test_exact_past_64_coordinates(self, tmp_path):
+        # one tuple, far under the exact cap, on more axes than a numpy array has
+        code, out, _ = run(tmp_path, "profile", "profile", "--base", "1", "--mode", "exact", "--n", "70")
+        assert code == 0
+        assert read_csv(out)[1][:3] == ["0.3", "70", "0.0"]
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_wilson_upper_per_eps(self, tmp_path, mode):
+        code, out, summary = run(
+            tmp_path, "profile", "profile", "--n", "6", "--eps-grid", "0.1:0.4:0.1",
+            "--mode", mode, "--samples", "2000",
+        )
+        assert code == 0
+        estimates = [float(row[2]) for row in read_csv(out)[1:]]
+        uppers = json.loads(summary.read_text())["flags"]["wilson_upper"]
+        assert len(uppers) == len(estimates) == 4
+        if mode == "exact":
+            assert uppers == estimates
+        else:
+            assert all(est < up <= 1.0 for est, up in zip(estimates, uppers))
+
 
 class TestDefectCommand:
     def test_folner_sweep(self, tmp_path):

@@ -137,7 +137,8 @@ class TestSampleProduct:
 
 
 class TestProductWeights:
-    @pytest.mark.parametrize("atoms,n", [(3, 11), (5, 6), (21, 3), (7, 5)])
+    # one atom past 64 coordinates, more than a numpy array has axes
+    @pytest.mark.parametrize("atoms,n", [(3, 11), (5, 6), (21, 3), (7, 5), (1, 64), (1, 65), (1, 100)])
     def test_bit_identical_to_sequential_products(self, atoms, n):
         gen = np.random.default_rng(atoms * 100 + n)
         raw = gen.uniform(0.1, 1.0, size=atoms)
@@ -181,6 +182,12 @@ class TestLipschitzProfile:
             lipschitz_profile(
                 product, fraction_differing(0), bound=1.0, lipschitz=1.0, eps=0.3
             )
+
+    @pytest.mark.parametrize("n", [64, 65, 100])
+    def test_exact_past_64_coordinates(self, n):
+        product = HammingProduct(DiscreteBase((0,), (1.0,)), n)
+        result = lipschitz_profile(product, fraction_differing(0), bound=1.0, lipschitz=1.0, eps=0.3)
+        assert (result.estimate, result.median, result.count) == (0.0, 0.0, 1)
 
     def test_misdeclared_lipschitz(self):
         product = HammingProduct(UNIFORM2, 4)
