@@ -10,18 +10,18 @@ Lipschitz constant times the grid-approximation disagreement.  Integral
 members are evaluated on the whole batch by table lookup.  The tables of
 one push-forward and one family add kernel columns, each built once per
 (member, shift value, piece) and shared by every shift evaluated in one
-l0_defect or one schedule stage; nothing is cached beyond that call.  A
-telescope step whose new coordinate is e is exactly 0 and is not
-evaluated.  A schedule runs the construction along a sequence of
-(n_i, mu_i) pairs and reports defects, bounds, concentration masses, and
-expectation-median gaps.
+l0_defect call, which also returns the member values at the identity;
+nothing is cached beyond that call.  A telescope step whose new
+coordinate is e is exactly 0 and is not evaluated.  A schedule runs
+l0_defect on each of a sequence of (n_i, mu_i) pairs and reports
+defects, bounds, concentration masses, and expectation-median gaps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
-from math import sqrt
+from math import inf, sqrt
 from operator import add
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import (
     CarrierMismatch,
     DimensionMismatch,
     InvalidSchedule,
+    SpaceTooLarge,
     TooLargeForExact,
 )
 from .families import BLFamily, IntegralMember, L0Carrier
@@ -47,6 +48,9 @@ from .stepmaps import AnyMap, StepMap, grid_approximate, identity_map, merge_bre
 from .wordgroups import FinSuppMeasure
 
 _TOL = 1e-9
+# the most floats one l0_defect call may hold in kernel columns and member tables,
+# (member pieces x shift values + n) x atoms, checked before any is built
+TABLE_ENTRY_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,12 +85,6 @@ class L0Measure:
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def support(self) -> tuple:
-        """The step maps, built from codes on each access."""
-        atoms, group = self.base.support, self.base.group
-        return tuple(StepMap(group, tuple(atoms[c] for c in row)) for row in self.codes.tolist())
-
 
 def push_forward(
     mu: FinSuppMeasure,
@@ -95,15 +93,14 @@ def push_forward(
     *,
     samples: int | None = None,
     seed: int = 0,
-    exact_cap: int = EXACT_PRODUCT_LIMIT,
 ) -> L0Measure:
-    """Transport mu^(x)n to step maps on the uniform n-grid."""
+    """Transport mu^(x)n to step maps on the uniform n-grid (exactly: up to EXACT_PRODUCT_LIMIT tuples)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = len(mu.support)
     if mode == "exact":
-        if k**n > exact_cap:
-            raise TooLargeForExact(f"{k**n} tuples exceeds exact cap {exact_cap}")
+        if k**n > EXACT_PRODUCT_LIMIT:
+            raise TooLargeForExact(f"{k**n} tuples exceeds exact cap {EXACT_PRODUCT_LIMIT}")
         # the index tuples in itertools.product order, matching product_weights:
         # column i holds the base-k digit of the tuple's rank at place n-1-i
         rank = np.arange(k**n)
@@ -168,6 +165,8 @@ class DefectResult:
     per_step: tuple
     gprime: tuple
     grid_disagreement: float
+    # f(h) at the identity: one row per member, one column per map of nu
+    values: np.ndarray = field(compare=False, repr=False)
 
 
 def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
@@ -182,27 +181,34 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     steps are evaluated on nu itself, exact or sampled, so the telescope
     identity holds exactly and the bound dominates the defect up to float
     roundoff.  Where g'_j is e, a_j is a_{j-1} and step j is exactly 0.0
-    without an evaluation.  The identity, the target and the prefixes
-    share one set of kernel columns (see _member_values), which lives for
-    this call only.
+    without an evaluation.  The identity comes first and its member values
+    are returned (values); it, the target and the prefixes share one set of
+    kernel columns (see _member_values), which lives for this call only.
+    More than TABLE_ENTRY_LIMIT column and table entries raise
+    SpaceTooLarge before any is built.
     """
-    return _defect(nu, g, family, ({}, {}))
-
-
-def _defect(nu: L0Measure, g: AnyMap, family: BLFamily, memo, e_id=None) -> DefectResult:
-    """l0_defect sharing memo with the caller; e_id, if given, is E_nu(f) per member."""
     group = nu.base.group
     if not isinstance(family.carrier, L0Carrier) or family.carrier.group != group:
         raise CarrierMismatch("family must live over step maps of the same base group")
     if g.group != group:
         raise CarrierMismatch("target map lives over a different group")
     gp, dis = grid_approximate(g, nu.n)
+    # the identity, g and its prefixes take these shift values
+    shifts = len({group.identity, *map(group.validate, g.values)})
+    pieces = sum(len(f.kernel) for f in family.members if isinstance(f, IntegralMember))
+    entries = (pieces * shifts + nu.n) * len(nu.base.support)
+    if entries > TABLE_ENTRY_LIMIT:
+        raise SpaceTooLarge(
+            f"{entries} table entries exceed the cap of {TABLE_ENTRY_LIMIT}: ({pieces} member pieces"
+            f" x {shifts} shift values + {nu.n} cells) x {len(nu.base.support)} atoms"
+        )
+    memo = ({}, {})
 
     def expectations(shift):
         return _member_values(nu, family.members, shift, memo) @ nu.weights
 
-    if e_id is None:
-        e_id = expectations(None)
+    values = _member_values(nu, family.members, memo=memo)
+    e_id = values @ nu.weights
     defect = float(np.max(np.abs(e_id - expectations(g))))
 
     e = group.identity
@@ -217,7 +223,7 @@ def _defect(nu: L0Measure, g: AnyMap, family: BLFamily, memo, e_id=None) -> Defe
         prev = cur
     # left to right from 0.0: from Python 3.12 on, sum() compensates
     bound = reduce(add, steps, 0.0) + family.lipschitz * dis
-    return DefectResult(defect, bound, tuple(steps), gp, dis)
+    return DefectResult(defect, bound, tuple(steps), gp, dis, values)
 
 
 @dataclass(frozen=True)
@@ -295,8 +301,9 @@ def run_schedule(
 
     Per entry: push the i-th base measure forward on grid n_i (exactly
     when the enumeration stays below exact_cap, otherwise with a seeded
-    per-entry sample), then report the defect against g with its bound,
-    the worst concentration mass nu{|f - E f| > eps}, and the worst
+    per-entry sample; mode="exact" over the cap raises TooLargeForExact),
+    then run l0_defect and report the defect against g with its bound, the
+    worst concentration mass nu{|f - E f| > eps}, and the worst
     expectation-median gap over the family.  Entries are independent and
     deterministic given (seed, i), so they may run in any order or in
     parallel without changing the report.
@@ -312,28 +319,27 @@ def run_schedule(
     conc_under_talagrand = True
     for i, (n_i, mu_i) in enumerate(schedule.entries, start=1):
         size = len(mu_i.support) ** n_i
+        if mode == "exact" and size > exact_cap:
+            raise TooLargeForExact(f"{size} tuples exceeds exact cap {exact_cap}")
         if mode == "exact" or (mode == "auto" and size <= exact_cap):
-            nu = push_forward(mu_i, n_i, "exact", exact_cap=exact_cap)
+            nu = push_forward(mu_i, n_i, "exact")
         else:
             nu = push_forward(
                 mu_i, n_i, "sampled", samples=samples, seed=rng.derive_seed(seed, "entry", i)
             )
         modes.append(nu.mode)
 
-        # one set of kernel columns for this entry's identity, target and telescope
-        memo = ({}, {})
-        values = _member_values(nu, family.members, memo=memo)
-        e_vals = values @ nu.weights
-        res = _defect(nu, g, family, memo, e_vals)
+        res = l0_defect(nu, g, family)
+        e_vals = res.values @ nu.weights
 
         conc_mass = 0.0
         median_gap = 0.0
         implication_ok = True
         for fi in range(len(family.members)):
-            med = weighted_median(values[fi], nu.weights)
+            med = weighted_median(res.values[fi], nu.weights)
             gap = float(abs(e_vals[fi] - med))
-            mass_e = weighted_deviation_mass(values[fi], nu.weights, float(e_vals[fi]), eps)
-            mass_m_half = weighted_deviation_mass(values[fi], nu.weights, med, eps / 2)
+            mass_e = weighted_deviation_mass(res.values[fi], nu.weights, float(e_vals[fi]), eps)
+            mass_m_half = weighted_deviation_mass(res.values[fi], nu.weights, med, eps / 2)
             conc_mass = max(conc_mass, mass_e)
             median_gap = max(median_gap, gap)
             if gap <= eps / 2 and mass_e > mass_m_half + 1e-12:
@@ -344,7 +350,9 @@ def run_schedule(
         sigma = 0.0
         if nu.mode == "sampled":
             sigma = sqrt(max(conc_mass * (1 - conc_mass), 0.0) / len(nu.weights))
-        conc_under_talagrand &= conc_mass <= talagrand_bound(eps / family.lipschitz, n_i) + 4 * sigma
+        # a 0-Lipschitz member deviates at no radius; talagrand_bound(inf, n) is 0
+        radius = eps / family.lipschitz if family.lipschitz else inf
+        conc_under_talagrand &= conc_mass <= talagrand_bound(radius, n_i) + 4 * sigma
 
         rows.append(ScheduleRow(i, n_i, res.defect, res.bound, conc_mass, median_gap))
 

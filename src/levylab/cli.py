@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, rng
 from .amplify import Schedule, run_schedule
-from .errors import LevyLabError, WrongKind
+from .errors import LevyLabError, SpaceTooLarge, WrongKind
 from .families import (
     cell_window_family,
     disagreement_family,
@@ -48,6 +48,10 @@ from .wordgroups import (
 )
 
 
+# the most radii an eps grid may list, checked before the list is built
+EPS_GRID_LIMIT = 10**5
+
+
 class UsageError(Exception):
     pass
 
@@ -68,14 +72,21 @@ def _parse_eps_grid(text: str) -> list[float]:
             start, stop, step = (float(p) for p in text.split(":"))
         except ValueError as exc:
             raise UsageError(f"bad eps grid {text!r}, expected start:stop:step") from exc
-        if step <= 0:
+        if not step > 0:
             raise UsageError("eps grid step must be > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + k * step for k in range(max(count, 0))]
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad eps list {text!r}") from exc
+        # the index of the last radius; NaN fails both tests and gives no radius
+        last = (stop - start) / step + 1e-9
+        if last >= EPS_GRID_LIMIT:
+            raise SpaceTooLarge(f"eps grid {text!r} has more than {EPS_GRID_LIMIT} radii")
+        grid = [start + k * step for k in range(int(last) + 1)] if last >= 0 else []
+    else:
+        try:
+            grid = [float(p) for p in text.split(",") if p.strip()]
+        except ValueError as exc:
+            raise UsageError(f"bad eps list {text!r}") from exc
+    if not grid:
+        raise UsageError(f"eps grid {text!r} has no radius")
+    return grid
 
 
 def _parse_space(text: str) -> FiniteMMSpace:
@@ -113,7 +124,8 @@ def _parse_map(group: WordGroup, text: str):
     body = body.strip()
     if head.startswith("n="):
         n = int(head[2:])
-        values = tuple(group.parse(v) for v in body.split(","))
+        # commas inside parentheses belong to a Z^d element such as (1,0)
+        values = tuple(group.parse(v) for v in re.split(r",(?![^()]*\))", body))
         if len(values) != n:
             raise UsageError(f"step literal declares n={n} but has {len(values)} values")
         return h_embed(group, values)
@@ -354,6 +366,8 @@ def _random_bounded_function(group: WordGroup, gen: np.random.Generator):
 
 def _cmd_phi_check(ns) -> tuple[list[str], list[tuple], dict]:
     group = make_group(ns.group)
+    if ns.trials < 1:
+        raise UsageError("--trials must be >= 1")
     gen = np.random.default_rng(rng.derive_seed(ns.seed, "phi-check"))
     worst = {"unitality": 0.0, "linearity": 0.0, "monotonicity": 0.0, "equivariance": 0.0}
     one = lambda x: 1.0  # noqa: E731

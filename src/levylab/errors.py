@@ -34,7 +34,7 @@ class NonPositiveEps(LevyLabError, ValueError):
 
 
 class SpaceTooLarge(LevyLabError):
-    """Point count exceeds the exact subset-enumeration limit."""
+    """A space, support, grid or table would exceed its size limit; checked before it is built."""
 
 
 class TooLargeForExact(LevyLabError):

@@ -30,9 +30,12 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import InvalidElement, InvalidMeasure, LengthMismatch, WrongKind
+from .errors import InvalidElement, InvalidMeasure, LengthMismatch, SpaceTooLarge, WrongKind
 
 _MASS_TOL = 1e-12
+# the most elements a box or ball measure may hold, checked before it is built: CLI `defect`
+# on 998,001 Z^2 points peaks near 265 MB, under a 768 MiB address-space cap
+SUPPORT_LIMIT = 10**6
 
 _F2_LETTERS = "aAbB"
 _F2_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -438,9 +441,14 @@ def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:
         raise WrongKind("folner boxes are defined for Z^d groups")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if (2 * k + 1) ** group.d > SUPPORT_LIMIT:
+        raise SpaceTooLarge(f"the box [-{k}, {k}]^{group.d} has more than {SUPPORT_LIMIT} points")
     return FinSuppMeasure._unchecked(group, tuple(itertools.product(range(-k, k + 1), repeat=group.d)))
 
 
 def ball_uniform(group: WordGroup, k: int) -> FinSuppMeasure:
     """Uniform measure on the word-metric ball of radius k."""
+    # an F2 ball holds 2*3^k - 1 words; 3^k exceeds the limit once k reaches its bit length
+    if isinstance(group, FreeGroup2) and 2 * 3 ** min(k, SUPPORT_LIMIT.bit_length()) - 1 > SUPPORT_LIMIT:
+        raise SpaceTooLarge(f"the F2 ball of radius {k} has more than {SUPPORT_LIMIT} words")
     return FinSuppMeasure._unchecked(group, tuple(group.ball(k)))

@@ -185,6 +185,12 @@ def loop_invariance_defect(mu, g, family) -> float:
     return best
 
 
+def step_maps(nu) -> tuple:
+    """The step maps of a push-forward, one StepMap per row of its codes."""
+    atoms, group = nu.base.support, nu.base.group
+    return tuple(StepMap(group, tuple(atoms[c] for c in row)) for row in nu.codes.tolist())
+
+
 def manual_product_map(g, h) -> PiecewiseMap:
     """Pointwise product built from value lookups only (oracle path)."""
     group = h.group

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     cell_window_closed_form,
     fubini_telescope_steps,
     left_sum,
+    step_maps,
 )
 from levylab import (
     BLFamily,
@@ -28,6 +30,7 @@ from levylab import (
     MeanApprox,
     PiecewiseMap,
     Schedule,
+    SpaceTooLarge,
     StepMap,
     TooLargeForExact,
     ZdGroup,
@@ -47,7 +50,8 @@ from levylab import (
     invariance_defect,
     sample_indices,
 )
-from levylab import amplify, cli
+from levylab import amplify, cli, rng
+from levylab.hamming import EXACT_PRODUCT_LIMIT
 from levylab.amplify import _member_values
 from levylab.families import cell_window_member
 
@@ -65,14 +69,14 @@ def z_uniform(*ints):
 class TestPushForward:
     def test_dirac(self):
         nu = push_forward(FinSuppMeasure.point_mass(Z, (2,)), 3)
-        assert nu.support == (h_embed(Z, z_elems(2, 2, 2)),)
+        assert step_maps(nu) == (h_embed(Z, z_elems(2, 2, 2)),)
         assert nu.weights[0] == 1.0
 
     def test_uniform_two_by_two(self):
         nu = push_forward(z_uniform(0, 1), 2)
-        assert len(nu.support) == 4
+        assert len(step_maps(nu)) == 4
         assert np.allclose(nu.weights, 0.25)
-        assert set(nu.support) == {
+        assert set(step_maps(nu)) == {
             h_embed(Z, z_elems(a, b)) for a in (0, 1) for b in (0, 1)
         }
 
@@ -88,22 +92,22 @@ class TestPushForward:
         mu = z_uniform(0, 1, 2)
         nu1 = push_forward(mu, 3, "sampled", samples=64, seed=9)
         nu2 = push_forward(mu, 3, "sampled", samples=64, seed=9)
-        assert nu1.support == nu2.support
-        assert all(h.n == 3 for h in nu1.support)
+        assert step_maps(nu1) == step_maps(nu2)
+        assert all(h.n == 3 for h in step_maps(nu1))
 
     def test_sampled_draws_product_samples(self):
         mu = FinSuppMeasure(Z, z_elems(0, 1, 5), (0.2, 0.5, 0.3))
         nu = push_forward(mu, 3, "sampled", samples=200, seed=4)
         product = HammingProduct(DiscreteBase(mu.support, mu.weights), 3)
         rows = sample_indices(product, 200, 4).tolist()
-        assert [h.values for h in nu.support] == [tuple(mu.support[c] for c in row) for row in rows]
+        assert [h.values for h in step_maps(nu)] == [tuple(mu.support[c] for c in row) for row in rows]
 
     def test_exact_codes_in_product_order(self):
         mu = FinSuppMeasure(Z, z_elems(0, 1, 5), (0.2, 0.5, 0.3))
         nu = push_forward(mu, 3)
         combos = list(itertools.product(range(3), repeat=3))
         assert nu.codes.tolist() == [list(c) for c in combos]
-        assert nu.support == tuple(StepMap(Z, tuple(mu.support[i] for i in c)) for c in combos)
+        assert step_maps(nu) == tuple(StepMap(Z, tuple(mu.support[i] for i in c)) for c in combos)
         for c, w in zip(combos, nu.weights):
             assert w == pytest.approx(math.prod(mu.weights[i] for i in c), abs=1e-15)
 
@@ -142,7 +146,7 @@ class TestPushForward:
         mu = z_uniform(4, 7)
         nu = push_forward(mu, 2, "sampled", samples=50, seed=1)
         allowed = set(z_elems(4, 7))
-        assert all(set(h.values) <= allowed for h in nu.support)
+        assert all(set(h.values) <= allowed for h in step_maps(nu))
 
 
 def exact_steps(mu, n, gp, fam):
@@ -376,6 +380,70 @@ class TestSchedule:
         report = run_schedule(sched, g, fam, eps=0.4, samples=500, seed=3)
         assert report.flags["half_radius_implication"]
 
+    def test_zero_lipschitz_family(self):
+        # a constant member: no deviation at any radius, and no division by L = 0
+        entries = tuple((i, folner_measure(Z, 4 * i * i)) for i in (1, 2))
+        fam = BLFamily(L0Carrier(Z), (phi_member(lambda x: 0.5),), bound=1.0, lipschitz=0.0)
+        g = PiecewiseMap(Z, (0.35,), z_elems(1, 0))
+        report = run_schedule(Schedule(entries, target_eps=0.5), g, fam, eps=0.2, samples=200, seed=3)
+        assert report.flags["conc_mass_within_talagrand"]
+        assert all(r.conc_mass == 0.0 and r.defect == 0.0 for r in report.rows)
+
+
+class TestOnePath:
+    # run_schedule's stages are l0_defect calls
+
+    def test_rows_equal_l0_defect_bit_for_bit(self):
+        entries = tuple((i, folner_measure(Z, 4 * i * i)) for i in (1, 2, 3))
+        g = PiecewiseMap(Z, (0.3, 0.65), z_elems(5, -7, 3))
+        for fam in (disagreement_family(Z, 5, seed=3), cell_window_family(Z, 4, seed=8)):
+            report = run_schedule(Schedule(entries, 0.5), g, fam, eps=0.2, samples=400, seed=11,
+                                  exact_cap=2000)
+            assert report.entry_modes == ("exact", "exact", "sampled")
+            for row, (n, mu) in zip(report.rows, entries):
+                if row.i < 3:
+                    nu = push_forward(mu, n)
+                else:
+                    nu = push_forward(mu, n, "sampled", samples=400, seed=rng.derive_seed(11, "entry", row.i))
+                res = l0_defect(nu, g, fam)
+                assert (row.defect, row.bound) == (res.defect, res.bound)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_values_are_the_identity_member_values(self, mode):
+        fam = cell_window_family(Z, 4, seed=2)
+        nu = push_forward(z_uniform(0, 1, 3), 3, mode, samples=50, seed=5)
+        res = l0_defect(nu, PiecewiseMap(Z, (0.4,), z_elems(1, -1)), fam)
+        assert np.array_equal(res.values, _member_values(nu, fam.members))
+
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    def test_user_cap_above_the_enumeration_limit(self, mode):
+        # 17^5 = 1,419,857 tuples: under exact_cap, over the limit push_forward enforces
+        entries = ((5, folner_measure(Z, 8)),)
+        assert EXACT_PRODUCT_LIMIT < 17**5 < 10**9
+        sched = Schedule(entries, target_eps=0.5)
+        fam = disagreement_family(Z, 2, seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeForExact, match="1419857 tuples exceeds exact cap 1000000"):
+                run_schedule(sched, h_embed(Z, z_elems(1)), fam, eps=0.2, mode=mode, exact_cap=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_oversized_stage_is_refused_before_building_columns(self, monkeypatch):
+        # (2 pieces x 3 shift values + 2 cells) x 5 atoms = 40 entries
+        member = IntegralMember((0.5,), (lambda x: 0.0, lambda x: 1.0))
+        fam = BLFamily(L0Carrier(Z), (member,), bound=1.0, lipschitz=1.0)
+        nu = push_forward(z_uniform(*range(5)), 2)
+        g = PiecewiseMap(Z, (0.5,), z_elems(1, 2))
+        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 40)
+        l0_defect(nu, g, fam)
+        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 39)
+        monkeypatch.setattr(amplify, "_member_values", None)
+        with pytest.raises(SpaceTooLarge, match="40 table entries"):
+            l0_defect(nu, g, fam)
+
 
 def _distinct_elements(group, gen, size):
     elems = []
@@ -425,7 +493,7 @@ class TestMemberValues:
             members += [cell_window_member(group, *w) for w in windows]
             for shift in shifts:
                 rows = _member_values(nu, members, shift)
-                maps = [h if shift is None else pointwise_translate(shift, h) for h in nu.support]
+                maps = [h if shift is None else pointwise_translate(shift, h) for h in step_maps(nu)]
                 for f, row in zip(members, rows):
                     assert row == pytest.approx([f(h) for h in maps], abs=1e-12)
                 for ref, row in zip(refs, rows):
@@ -471,19 +539,25 @@ class TestSharedColumns:
         assert calls == Counter({(p, (v + a,)): 1 for p in values for v in values[p] for a in (0, 1, 2)})
 
     def test_cli_amplify_calls(self, tmp_path, monkeypatch):
-        # 8 stages: the identity and the target once each, plus one prefix per
-        # telescope step whose new coordinate is not e (17 of 36)
+        # 8 stages, each one l0_defect call: the identity and the target once each,
+        # plus one prefix per telescope step whose new coordinate is not e (17 of 36)
         calls = []
+        memos = {}
 
         def counting(*args, **kwargs):
             calls.append(args)
+            memo = kwargs.get("memo", args[3] if len(args) > 3 else None)
+            memos[id(memo)] = memo
             return _member_values(*args, **kwargs)
 
         monkeypatch.setattr(amplify, "_member_values", counting)
         out, summary = tmp_path / "a.csv", tmp_path / "a.json"
-        argv = ["amplify", "--samples", "500", "--seed", "1"]
+        # the default family (seed 42); the counts do not depend on the sample count
+        argv = ["amplify", "--samples", "500"]
         assert cli.main([*argv, "--out", str(out), "--json-summary", str(summary)]) == 0
         assert len(calls) <= 33
+        assert len(memos) == 8 and None not in memos.values()
+        assert sum(len(columns) for _, columns in memos.values()) <= 582
 
     def test_identity_coordinates_give_zero_steps(self):
         gp = z_elems(0, 1, 0, 0, -2, 0)

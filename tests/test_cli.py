@@ -45,6 +45,14 @@ class TestAlphaCommand:
         assert code == 0
         assert json.loads(summary.read_text())["flags"]["talagrand_conformance"]
 
+    def test_eps_grid_limit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "EPS_GRID_LIMIT", 11)
+        assert cli._parse_eps_grid("0:1:0.1") == [k * 0.1 for k in range(11)]
+        code, out, _ = run(tmp_path, "alpha", "alpha", "--eps-grid", "0:1.1:0.1")
+        assert code == 2 and not out.exists()
+        code, _, _ = run(tmp_path, "alpha", "alpha", "--eps-grid", "0:inf:0.1")
+        assert code == 2
+
     def test_unknown_space_is_usage_error(self, tmp_path):
         code, _, _ = run(tmp_path, "alpha", "alpha", "--space", "torus")
         assert code == 1
@@ -170,6 +178,17 @@ class TestAmplifyCommand:
         code, _, _ = run(tmp_path, "amplify", "amplify", "--mode", "exact", "--exact-cap", "10")
         assert code == 2
 
+    def test_zd_step_literal(self, tmp_path):
+        # commas inside parentheses belong to one Z^2 value
+        code, out, _ = run(
+            tmp_path, "amplify", "amplify", "--group", "Z^2", "--schedule", "k=i^2,n=i,i=1..2",
+            "--g", "n=2:(1,0),(0,1)", "--family", "disagreement:count=2", "--samples", "100",
+        )
+        assert code == 0
+        assert len(read_csv(out)) == 3
+        assert cli._parse_map(cli.make_group("Z^2"), "n=3:(1,0), (0,-1),(2,2)").values == ((1, 0), (0, -1), (2, 2))
+        assert cli._parse_map(cli.make_group("Z"), "n=3:1,0,2").values == ((1,), (0,), (2,))
+
     def test_bad_target_is_reported_before_boxes_are_built(self, tmp_path, monkeypatch, capsys):
         # the default --g "0.35: 1|0" is not a Z^2 element
         def no_boxes(*args, **kwargs):
@@ -283,6 +302,12 @@ class TestMalformedValues:
             ["profile", "--eps", "nan"],
             ["amplify", "--eps", "nan", "--schedule", "k=1,n=1,i=1..2"],
             ["amplify", "--target-eps", "nan", "--schedule", "k=1,n=1,i=1..2"],
+            # runs that would check nothing
+            ["phi-check", "--trials", "-3"],
+            ["phi-check", "--trials", "0"],
+            ["alpha", "--eps-grid", "0.1:0.05:0.01"],
+            ["alpha", "--eps-grid", "0:nan:0.1"],
+            ["profile", "--eps-grid", ","],
         ],
     )
     def test_usage_error_without_traceback(self, tmp_path, capsys, args):
@@ -333,6 +358,24 @@ class TestDefaultsSmoke:
     def test_huge_sample_counts_are_refused_before_drawing(self, tmp_path, args):
         proc = run_child(tmp_path, args, 768)
         assert proc.returncode == 2
+        assert proc.stderr.startswith("computation error: ") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["defect", "--k-range", "100000000..100000000"],
+            ["defect", "--group", "Z^2", "--k-range", "5000..5000"],
+            ["defect", "--group", "F2", "--k-range", "16..16"],
+            ["amplify", "--schedule", "k=100000000,n=1,i=1..1"],
+            ["alpha", "--eps-grid", "0:1:1e-9"],
+            ["profile", "--eps-grid", "0.01:1:1e-9"],
+            ["amplify", "--schedule", "k=499999,n=1,i=1..1", "--samples", "1000"],
+            ["amplify", "--exact-cap", "1000000000", "--schedule", "k=4i^2,n=i,i=1..4"],
+        ],
+    )
+    def test_oversized_inputs_are_refused_before_building(self, tmp_path, args):
+        proc = run_child(tmp_path, args, 768)
+        assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("computation error: ") and "Traceback" not in proc.stderr
 
     def test_large_cube_is_refused_before_building(self, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import element_strategy, group_strategy, group_with_elements, left_sum, loop_invariance_defect
+from levylab import wordgroups
 from levylab import (
     ClampedLength,
     CyclicGroup,
@@ -14,6 +15,7 @@ from levylab import (
     FreeGroup2,
     InvalidElement,
     InvalidMeasure,
+    SpaceTooLarge,
     WrongKind,
     ZdGroup,
     ball_uniform,
@@ -236,6 +238,14 @@ class TestFolner:
         assert len(mu.support) == 401**2
         assert math.fsum(mu.weights) == 1.0
 
+    def test_support_limit(self, monkeypatch):
+        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", 25)
+        assert len(folner_measure(ZdGroup(2), 2).support) == 25
+        with pytest.raises(SpaceTooLarge, match=r"\[-3, 3\]\^2"):
+            folner_measure(ZdGroup(2), 3)
+        with pytest.raises(SpaceTooLarge):
+            folner_measure(Z, 13)
+
 
 class TestF2Contrast:
     def test_defect_stays_large(self):
@@ -257,6 +267,17 @@ class TestF2Contrast:
         mu = ball_uniform(F2, 10)
         assert len(mu.support) == 2 * 3**10 - 1
         assert math.fsum(mu.weights) == 1.0
+
+    def test_ball_limit(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(wordgroups, "SUPPORT_LIMIT", 53)
+            assert len(ball_uniform(F2, 3).support) == 53
+            m.setattr(wordgroups, "SUPPORT_LIMIT", 52)
+            with pytest.raises(SpaceTooLarge):
+                ball_uniform(F2, 3)
+        # 2*3^10 - 1 = 118,097 words pass the default limit; radius 10**9 is refused at once
+        with pytest.raises(SpaceTooLarge, match="radius 1000000000"):
+            ball_uniform(F2, 10**9)
 
     def test_tv_distance_large(self):
         mu = ball_uniform(F2, 3)
