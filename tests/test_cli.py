@@ -215,6 +215,52 @@ class TestPhiCheckCommand:
         assert all(json.loads(summary.read_text())["flags"].values())
 
 
+GOLDEN = Path(__file__).parent / "data" / "cli"
+
+
+def _cell_matches(got: str, want: str) -> bool:
+    """Integers and words exactly; floats within 1e-12, as BLAS and libm may round the last bit differently."""
+    try:
+        return int(got) == int(want)
+    except ValueError:
+        pass
+    try:
+        return abs(float(got) - float(want)) <= 1e-12
+    except ValueError:
+        return got == want
+
+
+class TestGoldenOutputs:
+    # the CSVs of the documented runs, recorded once and compared cell by cell
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("alpha", ["alpha"]),
+            ("profile", ["profile"]),
+            ("defect", ["defect"]),
+            ("defect_F2", ["defect", "--group", "F2"]),
+            ("amplify", ["amplify"]),
+            ("phi-check", ["phi-check"]),
+            ("profile_exact_n12", ["profile", "--mode", "exact", "--n", "12", "--base", "0.2,0.3,0.5"]),
+        ],
+    )
+    def test_csv_matches_the_recorded_run(self, tmp_path, name, args):
+        code, out, _ = run(tmp_path, name, *args)
+        assert code == 0
+        got, want = read_csv(out), read_csv(GOLDEN / f"{name}.csv")
+        assert got[0] == want[0]
+        assert [len(row) for row in got] == [len(row) for row in want]
+        for row_got, row_want in zip(got[1:], want[1:]):
+            for cell_got, cell_want in zip(row_got, row_want):
+                assert _cell_matches(cell_got, cell_want), (row_got, row_want)
+
+    def test_cells_compare_by_kind(self):
+        assert _cell_matches("3", "3") and not _cell_matches("3", "4")
+        assert not _cell_matches("3.0", "3.1") and _cell_matches("0.1", "0.1000000000000005")
+        assert _cell_matches("unitality", "unitality") and not _cell_matches("unitality", "linearity")
+
+
 class TestDeterminismAndConfig:
     @pytest.mark.parametrize(
         "args",
