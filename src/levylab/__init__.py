@@ -42,7 +42,6 @@ from .errors import (
 from .families import (
     BLFamily,
     GroupCarrier,
-    IntegralMember,
     L0Carrier,
     cell_window_family,
     compose_with_translation,
@@ -57,12 +56,10 @@ from .families import (
     wordlen_clamp_family,
 )
 from .hamming import (
-    CoordinateMean,
     DiscreteBase,
     HammingProduct,
     ProfileResult,
     fraction_differing,
-    hamming_distance,
     lipschitz_profile,
     product_space,
     sample_indices,
@@ -81,11 +78,13 @@ from .mmspace import (
     weighted_median,
 )
 from .stepmaps import (
+    IntegralMember,
     PiecewiseMap,
     StepMap,
     disagreement,
     grid_approximate,
     h_embed,
+    hamming_distance,
     identity_map,
     in_neighborhood,
     pointwise_translate,

@@ -34,17 +34,18 @@ from .errors import (
     SpaceTooLarge,
     TooLargeForExact,
 )
-from .families import BLFamily, IntegralMember, L0Carrier
+from .families import BLFamily, L0Carrier
 from .hamming import (
-    EXACT_PRODUCT_LIMIT,
     DiscreteBase,
     HammingProduct,
+    _check_enumeration,
+    _check_sample_array,
     product_weights,
     sample_indices,
     talagrand_bound,
 )
 from .mmspace import weighted_deviation_mass, weighted_median
-from .stepmaps import AnyMap, StepMap, grid_approximate, identity_map, merge_breakpoints
+from .stepmaps import AnyMap, IntegralMember, StepMap, grid_approximate, identity_map, merge_breakpoints
 from .wordgroups import FinSuppMeasure
 
 _TOL = 1e-9
@@ -99,8 +100,7 @@ def push_forward(
         raise ValueError("n must be >= 1")
     k = len(mu.support)
     if mode == "exact":
-        if k**n > EXACT_PRODUCT_LIMIT:
-            raise TooLargeForExact(f"{k**n} tuples exceeds exact cap {EXACT_PRODUCT_LIMIT}")
+        _check_enumeration(k**n)
         # the index tuples in itertools.product order, matching product_weights:
         # column i holds the base-k digit of the tuple's rank at place n-1-i
         rank = np.arange(k**n)
@@ -158,6 +158,19 @@ def _member_values(nu: L0Measure, members, shift: AnyMap | None = None, memo=Non
     return out
 
 
+def _check_table_entries(n: int, atoms: int, g: AnyMap, family: BLFamily) -> None:
+    """Refuse an l0_defect call on n cells and atoms support atoms above TABLE_ENTRY_LIMIT."""
+    # the identity, g and its prefixes take these shift values
+    shifts = len({g.group.identity, *map(g.group.validate, g.values)})
+    pieces = sum(len(f.kernel) for f in family.members if isinstance(f, IntegralMember))
+    entries = (pieces * shifts + n) * atoms
+    if entries > TABLE_ENTRY_LIMIT:
+        raise SpaceTooLarge(
+            f"{entries} table entries exceed the cap of {TABLE_ENTRY_LIMIT}: ({pieces} member pieces"
+            f" x {shifts} shift values + {n} cells) x {atoms} atoms"
+        )
+
+
 @dataclass(frozen=True)
 class DefectResult:
     defect: float
@@ -193,15 +206,7 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     if g.group != group:
         raise CarrierMismatch("target map lives over a different group")
     gp, dis = grid_approximate(g, nu.n)
-    # the identity, g and its prefixes take these shift values
-    shifts = len({group.identity, *map(group.validate, g.values)})
-    pieces = sum(len(f.kernel) for f in family.members if isinstance(f, IntegralMember))
-    entries = (pieces * shifts + nu.n) * len(nu.base.support)
-    if entries > TABLE_ENTRY_LIMIT:
-        raise SpaceTooLarge(
-            f"{entries} table entries exceed the cap of {TABLE_ENTRY_LIMIT}: ({pieces} member pieces"
-            f" x {shifts} shift values + {nu.n} cells) x {len(nu.base.support)} atoms"
-        )
+    _check_table_entries(nu.n, len(nu.base.support), g, family)
     memo = ({}, {})
 
     def expectations(shift):
@@ -299,42 +304,42 @@ def run_schedule(
 ) -> ScheduleReport:
     """Run the amplification pipeline along a schedule.
 
-    Per entry: push the i-th base measure forward on grid n_i (exactly
-    when the enumeration stays below exact_cap, otherwise with a seeded
-    per-entry sample; mode="exact" over the cap raises TooLargeForExact),
-    then run l0_defect and report the defect against g with its bound, the
-    worst concentration mass nu{|f - E f| > eps}, and the worst
-    expectation-median gap over the family.  Entries are independent and
-    deterministic given (seed, i), so they may run in any order or in
-    parallel without changing the report.
+    Every entry's size caps are checked first.  Then per entry: push the
+    i-th base measure forward on grid n_i (exactly when the enumeration
+    stays below exact_cap, otherwise with a seeded per-entry sample;
+    mode="exact" over the cap raises TooLargeForExact), run l0_defect, and
+    report the defect against g with its bound, the worst concentration
+    mass nu{|f - E f| > eps} and the worst expectation-median gap over the
+    family.  Entries are independent and deterministic given (seed, i), so
+    they may run in any order or in parallel without changing the report.
     """
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    rows = []
     modes = []
-    bounded = True
-    implication_all = True
-    conc_under_talagrand = True
-    for i, (n_i, mu_i) in enumerate(schedule.entries, start=1):
+    for n_i, mu_i in schedule.entries:
         size = len(mu_i.support) ** n_i
         if mode == "exact" and size > exact_cap:
             raise TooLargeForExact(f"{size} tuples exceeds exact cap {exact_cap}")
-        if mode == "exact" or (mode == "auto" and size <= exact_cap):
-            nu = push_forward(mu_i, n_i, "exact")
+        modes.append("exact" if mode == "exact" or (mode == "auto" and size <= exact_cap) else "sampled")
+        if modes[-1] == "exact":
+            _check_enumeration(size)
         else:
-            nu = push_forward(
-                mu_i, n_i, "sampled", samples=samples, seed=rng.derive_seed(seed, "entry", i)
-            )
-        modes.append(nu.mode)
-
+            _check_sample_array(samples, n_i)
+        _check_table_entries(n_i, len(mu_i.support), g, family)
+    rows = []
+    bounded = True
+    implication_all = True
+    conc_under_talagrand = True
+    for i, ((n_i, mu_i), mode_i) in enumerate(zip(schedule.entries, modes), start=1):
+        # an exact push-forward takes no samples and no seed
+        nu = push_forward(mu_i, n_i, mode_i, samples=samples, seed=rng.derive_seed(seed, "entry", i))
         res = l0_defect(nu, g, family)
         e_vals = res.values @ nu.weights
 
         conc_mass = 0.0
         median_gap = 0.0
-        implication_ok = True
         for fi in range(len(family.members)):
             med = weighted_median(res.values[fi], nu.weights)
             gap = float(abs(e_vals[fi] - med))
@@ -343,10 +348,9 @@ def run_schedule(
             conc_mass = max(conc_mass, mass_e)
             median_gap = max(median_gap, gap)
             if gap <= eps / 2 and mass_e > mass_m_half + 1e-12:
-                implication_ok = False
+                implication_all = False
 
         bounded &= res.defect <= res.bound + _TOL
-        implication_all &= implication_ok
         sigma = 0.0
         if nu.mode == "sampled":
             sigma = sqrt(max(conc_mass * (1 - conc_mass), 0.0) / len(nu.weights))

@@ -321,6 +321,8 @@ def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
 
 
 def _cmd_amplify(ns) -> tuple[list[str], list[tuple], dict]:
+    if not ns.eps > 0:
+        raise UsageError("--eps must be > 0")
     group = make_group(ns.group)
     target_eps = ns.target_eps if ns.target_eps is not None else ns.eps
     # the schedule builds every box measure, so the cheap literals are checked first

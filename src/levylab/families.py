@@ -3,7 +3,8 @@
 A BLFamily is a finite list of evaluable members with a shared sup-norm
 bound B and Lipschitz constant L for the carrier's metric (word metric on
 a group carrier, disagreement pseudometric on a step-map carrier).  The
-built-in step-map members are IntegralMembers h -> phi(int k(t, h(t)) dt).
+built-in members are stepmaps.IntegralMember h -> phi(int k(t, h(t)) dt)
+on step maps, and wordgroups.ClampedLength, with its bulk path, on groups.
 All suprema over a family are maxima over the list.  Lipschitz
 verification is probabilistic: sampled pairs, not exhaustive checks.
 """
@@ -11,15 +12,15 @@ verification is probabilistic: sampled pairs, not exhaustive checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
-from operator import add, ne
+from functools import partial
+from operator import ne
 from typing import Callable
 
 import numpy as np
 
 from . import rng
 from .errors import CarrierMismatch, DimensionMismatch, LipschitzViolation, OutOfRange
-from .stepmaps import AnyMap, PiecewiseMap, StepMap, disagreement, h_embed, merge_breakpoints
+from .stepmaps import AnyMap, IntegralMember, PiecewiseMap, StepMap, disagreement, h_embed
 from .wordgroups import ClampedLength, FinSuppMeasure, WordGroup
 
 _BOUND_TOL = 1e-9
@@ -76,30 +77,6 @@ class BLFamily:
 
 def _zero(x) -> float:
     return 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class IntegralMember:
-    """The member h -> phi(integral over [0, 1) of kernel[p](h(t)) dt).
-
-    The breakpoints (sorted, inside (0, 1)) cut [0, 1) into pieces, and p
-    is the piece holding t, so the kernel is constant in t on each piece.
-    Each kernel must be a pure function of the element: amplify builds the
-    column of a kernel over a translated support once and reuses it for
-    every cell and shift that carries the same shift value.  phi maps the
-    integral, a float or an array of them, to the value.
-    """
-
-    breakpoints: tuple
-    kernel: tuple
-    phi: Callable = np.asarray  # the identity on floats and arrays
-
-    def __call__(self, h: AnyMap) -> float:
-        v = h.values
-        pieces = merge_breakpoints(self.breakpoints, h.breakpoints)
-        # left to right from 0.0: from Python 3.12 on, sum() compensates
-        total = reduce(add, ((stop - start) * self.kernel[p](v[i]) for start, stop, p, i in pieces), 0.0)
-        return float(self.phi(total))
 
 
 def eval_member(family: BLFamily, index: int, x) -> float:
@@ -192,16 +169,12 @@ def invariance_defect(mu: FinSuppMeasure, g, family: BLFamily) -> float:
 # Named builders (also reachable from CLI descriptors)
 
 
-def wordlen_clamp_member(group: WordGroup, cap: int, *, normalize: bool = True) -> ClampedLength:
-    return ClampedLength(group, cap, cap if normalize else 1)
-
-
 def wordlen_clamp_family(group: WordGroup, caps, *, normalize: bool = True) -> BLFamily:
     """Clamped word-length members min(wl(x), c), optionally rescaled to [0, 1]."""
     caps = [int(c) for c in caps]
     if any(c < 1 for c in caps):
         raise ValueError("caps must be >= 1")
-    members = tuple(wordlen_clamp_member(group, c, normalize=normalize) for c in caps)
+    members = tuple(ClampedLength(group, c, c if normalize else 1) for c in caps)
     if normalize:
         bound, lipschitz = 1.0, 1.0 / min(caps)
     else:

@@ -7,22 +7,21 @@ Lipschitz constant, deviation masses of Lipschitz functions about their
 medians.  Large products are probed by sampled deviation profiles; exact
 enumeration runs up to EXACT_PRODUCT_LIMIT tuples.
 
-Profiles take coordinate means x -> (1/n) * sum_i kernel(x_i)
-(CoordinateMean).  They are evaluated on atom indices, not on tuples: one
-table of kernel values over the base atoms, summed along each row of
-indices left to right, which is the order of the tuple evaluation.  The
-same table gives a coordinate mean's exact Lipschitz constant under d_n,
-its max minus its min, against which the declared constant is checked.
+Profiles take coordinate means x -> (1/n) * sum_i kernel(x_i), the
+one-piece IntegralMembers with the default phi.  They are evaluated on
+atom indices: one table of kernel values over the base atoms, summed along
+each row of indices left to right, then divided by n.  The table's max
+minus its min is the exact Lipschitz constant under d_n (for the identity
+phi only), against which the declared constant is checked.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Callable
+from operator import ne
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .errors import (
     TooManySamples,
 )
 from .mmspace import DEFAULT_ENUMERATION_LIMIT, FiniteMMSpace, weighted_deviation_mass, weighted_median
+from .stepmaps import IntegralMember, hamming_distance
 
 EXACT_PRODUCT_LIMIT = 10**6
 # most entries one sampled array may hold (samples x n codes, or samples values): a
@@ -93,15 +93,6 @@ class HammingProduct:
         return len(self.base.atoms) ** self.n
 
 
-def hamming_distance(x, y) -> float:
-    """Fraction of coordinates where two equal-length tuples differ."""
-    if len(x) != len(y):
-        raise LengthMismatch(f"tuple lengths {len(x)} and {len(y)} differ")
-    if len(x) == 0:
-        raise LengthMismatch("tuples must be non-empty")
-    return sum(1 for a, b in zip(x, y) if a != b) / len(x)
-
-
 def talagrand_bound(eps: float, n: int) -> float:
     """The exponential concentration bound 2*exp(-eps^2 * n)."""
     if not eps >= 0:
@@ -129,6 +120,12 @@ def sample_indices(product: HammingProduct, count: int, seed: int, start: int = 
     return rng.counter_choice(seed, start * n, count * n, cum).reshape(count, n)
 
 
+def _check_enumeration(tuples: int) -> None:
+    """Refuse an enumeration of more than EXACT_PRODUCT_LIMIT tuples before it is built."""
+    if tuples > EXACT_PRODUCT_LIMIT:
+        raise TooLargeForExact(f"{tuples} tuples exceeds exact cap {EXACT_PRODUCT_LIMIT}")
+
+
 def _check_sample_array(samples: int, n: int = 1) -> None:
     """Refuse an array of samples x n entries above SAMPLE_ARRAY_LIMIT before it is allocated."""
     if samples * n > SAMPLE_ARRAY_LIMIT:
@@ -153,24 +150,9 @@ def product_space(product: HammingProduct) -> FiniteMMSpace:
     return FiniteMMSpace(tuple(points), dist, product_weights(product.base.weights, product.n))
 
 
-@dataclass(frozen=True)
-class CoordinateMean:
-    """The function x -> (1/n) * sum_i kernel(x_i) on n-tuples of atoms.
-
-    Under d_n it is Lipschitz with constant max(kernel) - min(kernel).
-    Calling it on a tuple adds the kernel values left to right;
-    lipschitz_profile gets the same values from a table over the atoms.
-    """
-
-    kernel: Callable[[object], float]
-
-    def __call__(self, x) -> float:
-        return reduce(operator.add, map(self.kernel, x), 0.0) / len(x)
-
-
-def fraction_differing(atom) -> CoordinateMean:
-    """The 1-Lipschitz function x -> d_n(x, (atom, ..., atom))."""
-    return CoordinateMean(partial(operator.ne, atom))
+def fraction_differing(atom) -> IntegralMember:
+    """The 1-Lipschitz function h -> d_n(h, (atom, ..., atom)) on step maps of the n-grid."""
+    return IntegralMember((), (partial(ne, atom),))
 
 
 def _wilson_upper(estimate: float, count: int) -> float:
@@ -202,7 +184,7 @@ class ProfileResult:
 
 def lipschitz_profile(
     product: HammingProduct,
-    f: CoordinateMean,
+    f: IntegralMember,
     *,
     bound: float,
     lipschitz: float,
@@ -213,31 +195,32 @@ def lipschitz_profile(
 ) -> ProfileResult:
     """Mass of {|f - median(f)| > eps} under the product measure.
 
-    f must be a CoordinateMean; any other callable raises CarrierMismatch.
-    Its values come from one table of kernel values over the base atoms,
-    added along rows of atom indices.  Exact mode enumerates all index
-    tuples (up to EXACT_PRODUCT_LIMIT) in itertools.product order, aligned
-    with product_weights; sampled mode draws `samples` seeded rows through
-    sample_indices in blocks of about PROFILE_BLOCK_DRAWS coordinates and
-    reports a binomial standard error and a Wilson upper bound; more
-    samples than SAMPLE_ARRAY_LIMIT raise TooManySamples before any
-    allocation.  The declared Lipschitz constant is checked exactly in
-    both modes: under d_n, f's constant is max(table) - min(table).
+    f must be a one-piece IntegralMember with the default phi; anything else
+    raises CarrierMismatch.  Its values come from one table of f.kernel[0]
+    over the atoms, added along rows of atom indices.  Exact mode
+    enumerates all index tuples (up to EXACT_PRODUCT_LIMIT) in
+    itertools.product order, aligned with product_weights; sampled mode
+    draws `samples` seeded rows through sample_indices in blocks of about
+    PROFILE_BLOCK_DRAWS coordinates and reports a binomial standard error
+    and a Wilson upper bound; more samples than SAMPLE_ARRAY_LIMIT raise
+    TooManySamples before any allocation.  The declared Lipschitz constant
+    is checked exactly in both modes: under d_n, f's constant is
+    max(table) - min(table).
     """
     if not eps > 0:
         raise NegativeEps("eps must be > 0")
-    if not isinstance(f, CoordinateMean):
-        raise CarrierMismatch("lipschitz_profile evaluates CoordinateMean functions only")
+    # max(table) - min(table) is the Lipschitz constant only for the identity phi
+    if not isinstance(f, IntegralMember) or f.breakpoints or len(f.kernel) != 1 or f.phi is not np.asarray:
+        raise CarrierMismatch("lipschitz_profile evaluates one-piece IntegralMembers with the default phi only")
     del bound  # recorded by callers; the profile itself only needs L
-    table = np.array([f.kernel(a) for a in product.base.atoms], dtype=np.float64)
+    table = np.array([f.kernel[0](a) for a in product.base.atoms], dtype=np.float64)
     spread = float(table.max() - table.min())
     if not spread <= lipschitz + 1e-9:
         raise LipschitzViolation(f"f has Lipschitz constant {spread!r}, above the declared L={lipschitz}")
     n = product.n
 
     if mode == "exact":
-        if product.point_count > EXACT_PRODUCT_LIMIT:
-            raise TooLargeForExact(f"{product.point_count} tuples exceeds exact cap {EXACT_PRODUCT_LIMIT}")
+        _check_enumeration(product.point_count)
         # flat after each coordinate, in product_weights' order
         values = reduce(lambda s, t: (s[:, None] + t[None, :]).ravel(), [table] * n) / n
         weights = product_weights(product.base.weights, n)
@@ -254,7 +237,7 @@ def lipschitz_profile(
     rows = max(1, PROFILE_BLOCK_DRAWS // n)
     for start in range(0, samples, rows):
         idx = sample_indices(product, min(rows, samples - start), seed, start=start)
-        # cumsum adds the coordinates left to right, as CoordinateMean does
+        # cumsum adds the coordinates left to right
         values[start : start + len(idx)] = table[idx].cumsum(axis=1)[:, -1]
     values /= n
     weights = np.full(samples, 1.0 / samples)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .families import IntegralMember, compose_with_translation
-from .stepmaps import AnyMap, h_embed, pointwise_translate
+from .families import compose_with_translation
+from .stepmaps import AnyMap, IntegralMember, h_embed, pointwise_translate
 from .wordgroups import WordGroup
 
 from .amplify import L0Measure, _member_values

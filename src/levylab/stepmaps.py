@@ -4,7 +4,10 @@ A StepMap is constant on the n uniform cells [(i-1)/n, i/n); a
 PiecewiseMap allows arbitrary breakpoints.  Cells are half open on the
 right, and a breakpoint sitting exactly on a grid point belongs to the
 cell on its right.  For discrete base groups, convergence in measure is
-exactly the disagreement pseudometric computed here.
+exactly the disagreement pseudometric computed here.  Step maps on the
+n-grid under the product measure are the Hamming product: disagreement is
+then hamming_distance of the value tuples, and a one-piece IntegralMember
+(the member type of step maps and profiles) is a coordinate mean.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from typing import Callable
 
-from .errors import CarrierMismatch, EmptyTuple
-from .hamming import hamming_distance
+import numpy as np
+
+from .errors import CarrierMismatch, EmptyTuple, LengthMismatch
 from .wordgroups import WordGroup
 
 
@@ -110,6 +115,39 @@ def merge_breakpoints(ab, bb):
         if stop == next_b and ib < len(bb):
             ib += 1
         start = stop
+
+
+@dataclass(frozen=True, eq=False)
+class IntegralMember:
+    """The member h -> phi(integral over [0, 1) of kernel[p](h(t)) dt).
+
+    The breakpoints (sorted, inside (0, 1)) cut [0, 1) into pieces, and p
+    is the piece holding t, so the kernel is constant in t on each piece.
+    Each kernel must be a pure function of the element: amplify builds the
+    column of a kernel over a translated support once and reuses it for
+    every cell and shift that carries the same shift value.  phi maps the
+    integral, a float or an array of them, to the value.
+    """
+
+    breakpoints: tuple
+    kernel: tuple
+    phi: Callable = np.asarray  # the identity on floats and arrays
+
+    def __call__(self, h: AnyMap) -> float:
+        v = h.values
+        pieces = merge_breakpoints(self.breakpoints, h.breakpoints)
+        # left to right from 0.0: from Python 3.12 on, sum() compensates
+        total = reduce(add, ((stop - start) * self.kernel[p](v[i]) for start, stop, p, i in pieces), 0.0)
+        return float(self.phi(total))
+
+
+def hamming_distance(x, y) -> float:
+    """Fraction of coordinates where two equal-length tuples differ."""
+    if len(x) != len(y):
+        raise LengthMismatch(f"tuple lengths {len(x)} and {len(y)} differ")
+    if len(x) == 0:
+        raise LengthMismatch("tuples must be non-empty")
+    return sum(1 for a, b in zip(x, y) if a != b) / len(x)
 
 
 def iter_joint_cells(a: AnyMap, b: AnyMap):

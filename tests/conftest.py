@@ -156,18 +156,23 @@ def brute_median(values, weights) -> float:
 
 
 def tuple_profile(product, f, eps: float, mode: str = "exact", samples: int = 0, seed: int = 0):
-    """(median, deviation mass) of f from one call per tuple of atoms.
+    """(median, deviation mass) of the one-piece member f, one coordinate mean per tuple of atoms.
 
-    Exact mode walks itertools.product; sampled mode looks up the atoms of
-    the rows of sample_indices, so the draws are those of lipschitz_profile.
+    Each tuple x gives left_sum(map(f.kernel[0], x)) / len(x).  Exact mode
+    walks itertools.product; sampled mode looks up the atoms of the rows of
+    sample_indices, so the draws are those of lipschitz_profile.
     """
+
+    def mean(x):
+        return left_sum(map(f.kernel[0], x)) / len(x)
+
     if mode == "exact":
         tuples = itertools.product(product.base.atoms, repeat=product.n)
-        values = np.asarray([f(x) for x in tuples])
+        values = np.asarray([mean(x) for x in tuples])
         weights = product_weights(product.base.weights, product.n)
     else:
         rows = sample_indices(product, samples, seed).tolist()
-        values = np.asarray([f(tuple(product.base.atoms[c] for c in row)) for row in rows])
+        values = np.asarray([mean(tuple(product.base.atoms[c] for c in row)) for row in rows])
         weights = np.full(samples, 1.0 / samples)
     m = weighted_median(values, weights)
     return m, weighted_deviation_mass(values, weights, m, eps)

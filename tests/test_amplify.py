@@ -33,6 +33,7 @@ from levylab import (
     SpaceTooLarge,
     StepMap,
     TooLargeForExact,
+    TooManySamples,
     ZdGroup,
     cell_window_family,
     disagreement,
@@ -50,7 +51,7 @@ from levylab import (
     invariance_defect,
     sample_indices,
 )
-from levylab import amplify, cli, rng
+from levylab import amplify, cli, hamming, rng
 from levylab.hamming import EXACT_PRODUCT_LIMIT
 from levylab.amplify import _member_values
 from levylab.families import cell_window_member
@@ -430,6 +431,46 @@ class TestOnePath:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "mode,exact_cap,limits,error,match",
+        [
+            # stage 4 of k=4i^2, n=i has 129^4 = 276,922,881 tuples, stage 3 has 73^3 = 389,017
+            ("auto", 10**9, {}, TooLargeForExact, "^276922881 tuples exceeds exact cap 1000000$"),
+            ("exact", 500_000, {}, TooLargeForExact, "^276922881 tuples exceeds exact cap 500000$"),
+            # 100 samples x 4 cells at stage 4
+            ("sampled", 10**5, {(hamming, "SAMPLE_ARRAY_LIMIT"): 300}, TooManySamples, "^400 sampled entries"),
+            # (1 piece x 2 shift values + 4 cells) x 129 atoms at stage 4, 365 at stage 3
+            ("auto", 10**5, {(amplify, "TABLE_ENTRY_LIMIT"): 365}, SpaceTooLarge, "^774 table entries"),
+        ],
+        ids=["enumeration-limit", "exact-cap", "sample-array", "table-entries"],
+    )
+    def test_last_stage_over_a_cap_is_refused_before_the_first_runs(
+        self, monkeypatch, mode, exact_cap, limits, error, match
+    ):
+        for (module, name), value in limits.items():
+            monkeypatch.setattr(module, name, value)
+        calls = []
+
+        class Reached(Exception):
+            pass
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            raise Reached
+
+        monkeypatch.setattr(amplify, "push_forward", counting)
+        sched = Schedule(tuple((i, folner_measure(Z, 4 * i * i)) for i in range(1, 5)), target_eps=0.5)
+        fam = BLFamily(L0Carrier(Z), (phi_member(lambda x: 0.5),), bound=1.0, lipschitz=0.0)
+        g = h_embed(Z, z_elems(1))
+        with pytest.raises(error, match=match):
+            run_schedule(sched, g, fam, eps=0.2, mode=mode, samples=100, exact_cap=exact_cap)
+        assert calls == []
+        # stages 1-3 alone pass every cap and reach their first push-forward
+        with pytest.raises(Reached):
+            run_schedule(Schedule(sched.entries[:3], 0.5), g, fam, eps=0.2, mode=mode, samples=100,
+                         exact_cap=exact_cap)
+        assert len(calls) == 1
 
     def test_oversized_stage_is_refused_before_building_columns(self, monkeypatch):
         # (2 pieces x 3 shift values + 2 cells) x 5 atoms = 40 entries

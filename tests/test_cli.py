@@ -200,6 +200,15 @@ class TestAmplifyCommand:
         assert "Traceback" not in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("eps", ["-1", "nan", "0"])
+    def test_bad_eps_is_named(self, tmp_path, monkeypatch, capsys, eps):
+        # --target-eps defaults to --eps; the message names the flag the user gave
+        monkeypatch.setattr(cli, "folner_measure", None)
+        code, _, _ = run(tmp_path, "amplify", "amplify", "--eps", eps)
+        assert code == 1
+        assert capsys.readouterr().err == "error: --eps must be > 0\n"
+
+
 class TestPhiCheckCommand:
     @pytest.mark.parametrize("group", ["Z", "Zm:12"])
     def test_residuals(self, tmp_path, group):

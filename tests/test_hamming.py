@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from conftest import tuple_profile
 from levylab import (
     CarrierMismatch,
-    CoordinateMean,
+    CyclicGroup,
     DiscreteBase,
     HammingProduct,
+    IntegralMember,
     InvalidMeasure,
     LengthMismatch,
     LipschitzViolation,
     NegativeEps,
+    StepMap,
     TooLargeForExact,
     TooManySamples,
     alpha_profile,
@@ -165,14 +167,14 @@ class TestLipschitzProfile:
     def test_constant_function(self):
         product = HammingProduct(UNIFORM2, 3)
         result = lipschitz_profile(
-            product, CoordinateMean(lambda a: 1.5), bound=2.0, lipschitz=0.0, eps=0.1
+            product, IntegralMember((), (lambda a: 1.5,)), bound=2.0, lipschitz=0.0, eps=0.1
         )
         assert result.estimate == 0.0
 
     def test_range_bounded(self):
         product = HammingProduct(UNIFORM2, 1)
         result = lipschitz_profile(
-            product, CoordinateMean(float), bound=1.0, lipschitz=1.0, eps=1.5
+            product, IntegralMember((), (float,)), bound=1.0, lipschitz=1.0, eps=1.5
         )
         assert result.estimate == 0.0
 
@@ -191,14 +193,14 @@ class TestLipschitzProfile:
 
     def test_misdeclared_lipschitz(self):
         product = HammingProduct(UNIFORM2, 4)
-        steep = CoordinateMean(lambda a: 5.0 * a)
+        steep = IntegralMember((), (lambda a: 5.0 * a,))
         with pytest.raises(LipschitzViolation):
             lipschitz_profile(product, steep, bound=5.0, lipschitz=1.0, eps=0.3, seed=11)
 
     def test_lipschitz_checked_exactly(self):
         # the constant is max - min of the kernel over the atoms, also where an atom is rarely drawn
         product = HammingProduct(DiscreteBase((0, 1, 2), (0.5, 0.5 - 1e-9, 1e-9)), 50)
-        f = CoordinateMean(lambda a: 0.5 * a)
+        f = IntegralMember((), (lambda a: 0.5 * a,))
         lipschitz_profile(product, f, bound=1.0, lipschitz=1.0, eps=0.3, mode="sampled", samples=100)
         with pytest.raises(LipschitzViolation):
             lipschitz_profile(product, f, bound=1.0, lipschitz=0.99, eps=0.3, mode="sampled", samples=100)
@@ -232,7 +234,7 @@ class TestLipschitzProfile:
         # the bound rescales by the Lipschitz constant: mass <= 2exp(-(eps/L)^2 n)
         n, L = 5, 0.5
         product = HammingProduct(UNIFORM2, n)
-        f = CoordinateMean(lambda a: L * a)
+        f = IntegralMember((), (lambda a: L * a,))
         for eps in (0.1, 0.2, 0.3, 0.5):
             res = lipschitz_profile(product, f, bound=1.0, lipschitz=L, eps=eps)
             assert res.estimate <= talagrand_bound(eps / L, n) + 1e-12
@@ -257,9 +259,29 @@ class TestLipschitzProfile:
                     mode=mode, samples=10,
                 )
 
+    @pytest.mark.parametrize(
+        "member",
+        [
+            IntegralMember((0.5,), (float, float)),
+            IntegralMember((), (float,), np.negative),
+            IntegralMember((), (float, float)),
+        ],
+        ids=["breakpoints", "phi", "two-kernels"],
+    )
+    def test_members_past_a_coordinate_mean_are_rejected(self, member):
+        # max(table) - min(table) is the Lipschitz constant only of a one-piece identity-phi member
+        product = HammingProduct(UNIFORM2, 3)
+        for mode in ("exact", "sampled"):
+            with pytest.raises(CarrierMismatch):
+                lipschitz_profile(
+                    product, member, bound=1.0, lipschitz=1.0, eps=0.3, mode=mode, samples=10
+                )
+
     def test_coordinate_mean_on_tuples(self):
-        assert fraction_differing(0)((0, 1, 2, 0)) == 0.5
-        assert CoordinateMean(lambda a: 0.25 * a)((1, 2, 3)) == 0.5
+        # the profile's members are coordinate means of the embedded tuple
+        z4 = CyclicGroup(4)
+        assert fraction_differing(0)(StepMap(z4, (0, 1, 2, 0))) == 0.5
+        assert IntegralMember((), (lambda a: 0.25 * a,))(StepMap(z4, (1, 2, 3, 2))) == 0.5
 
 
 class TestProfileOracle:
@@ -275,7 +297,7 @@ class TestProfileOracle:
     def members(base):
         # an exact 0/1 kernel and one whose sums round, so the order of addition shows
         levels = dict(zip(base.atoms, (0.1, 0.7, 0.33, 0.05, 0.9)))
-        return [(fraction_differing(base.atoms[-1]), 1.0), (CoordinateMean(levels.__getitem__), 0.85)]
+        return [(fraction_differing(base.atoms[-1]), 1.0), (IntegralMember((), (levels.__getitem__,)), 0.85)]
 
     @pytest.mark.parametrize("base", BASES, ids=["uniform2", "three", "five"])
     @pytest.mark.parametrize("n", [1, 2, 5, 7])
@@ -307,7 +329,7 @@ class TestWilsonUpper:
     def test_zero_estimate(self):
         product = HammingProduct(UNIFORM2, 4)
         res = lipschitz_profile(
-            product, CoordinateMean(lambda a: 1.0), bound=1.0, lipschitz=0.0, eps=0.1,
+            product, IntegralMember((), (lambda a: 1.0,)), bound=1.0, lipschitz=0.0, eps=0.1,
             mode="sampled", samples=100_000, seed=1,
         )
         assert res.estimate == 0.0 and res.stderr == 0.0
