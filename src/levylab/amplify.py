@@ -10,11 +10,14 @@ Lipschitz constant times the grid-approximation disagreement.  Integral
 members are evaluated on the whole batch by table lookup.  The tables of
 one push-forward and one family add kernel columns, each built once per
 (member, shift value, piece) and shared by every shift evaluated in one
-l0_defect call, which also returns the member values at the identity;
-nothing is cached beyond that call.  A telescope step whose new
-coordinate is e is exactly 0 and is not evaluated.  A schedule runs
-l0_defect on each of a sequence of (n_i, mu_i) pairs and reports
-defects, bounds, concentration masses, and expectation-median gaps.
+l0_defect call, which also returns the member values and expectations at
+the identity; nothing is cached beyond that call.  Every expectation is
+a numpy row sum of values * weights in expectations(), never a BLAS
+product, so it has the same bits on every BLAS kernel.  A telescope step
+whose new coordinate is e is exactly 0 and is not evaluated.  A schedule
+checks every entry's size caps, then runs l0_defect on each of a
+sequence of (n_i, mu_i) pairs and reports defects, bounds, concentration
+masses, and expectation-median gaps.
 """
 
 from __future__ import annotations
@@ -115,13 +118,17 @@ def push_forward(
     return L0Measure(mu, n, codes, np.full(samples, 1.0 / samples), "sampled", seed)
 
 
-def _member_values(nu: L0Measure, members, shift: AnyMap | None = None, memo=None) -> np.ndarray:
-    """The members x maps matrix of f(shift * h) over the maps h of nu.
+def expectations(nu: L0Measure, members, shift: AnyMap | None = None, memo=None):
+    """E_nu(f o lambda_shift) per member, and the members x maps values f(shift * h) it averages.
 
-    Each member, an IntegralMember, is integrated once per grid cell and
-    support atom on the joint refinement of the grid, the shift and its
-    own breakpoints; each map's value is then a gather of its n cells from
-    that table.  Any other member raises CarrierMismatch.
+    The one place an expectation under an L0Measure is formed: each
+    member's row of values * weights is added by numpy's pairwise .sum(),
+    one row at a time and never by a BLAS product, so it has the same bits
+    alone or among other members and on every BLAS kernel.  Each member, an
+    IntegralMember, is integrated once per grid cell and support atom on
+    the joint refinement of the grid, the shift and its own breakpoints;
+    each map's value is then a gather of its n cells from that table.  Any
+    other member raises CarrierMismatch.
 
     A table row adds kernel columns: the kernel of one piece over the
     support translated by one shift value.  They depend on nothing else,
@@ -143,7 +150,7 @@ def _member_values(nu: L0Measure, members, shift: AnyMap | None = None, memo=Non
     cuts = [stop for _, stop, _, _ in refined[:-1]]
     # cell i of map j in a raveled (n, |support|) table, cell-major so that summing adds rows
     at = np.ascontiguousarray((nu.codes + np.arange(n) * len(atoms)).T)
-    out = np.empty((len(members), len(nu.weights)))
+    out, means = np.empty((len(members), len(nu.weights))), np.empty(len(members))
     for fi, f in enumerate(members):
         if not isinstance(f, IntegralMember):
             raise CarrierMismatch(f"member {fi} is not an IntegralMember")
@@ -155,7 +162,8 @@ def _member_values(nu: L0Measure, members, shift: AnyMap | None = None, memo=Non
                 columns[key] = np.fromiter(map(f.kernel[p], moved[values[si]]), np.float64, len(atoms))
             table[gi] += (stop - start) * columns[key]
         out[fi] = f.phi(table.ravel()[at].sum(axis=0))
-    return out
+        means[fi] = (out[fi] * nu.weights).sum()
+    return means, out
 
 
 def _check_table_entries(n: int, atoms: int, g: AnyMap, family: BLFamily) -> None:
@@ -178,8 +186,9 @@ class DefectResult:
     per_step: tuple
     gprime: tuple
     grid_disagreement: float
-    # f(h) at the identity: one row per member, one column per map of nu
+    # at the identity, per member f: f(h) for each map h of nu (one row), and E_nu(f)
     values: np.ndarray = field(compare=False, repr=False)
+    expectations: np.ndarray = field(compare=False, repr=False)
 
 
 def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
@@ -195,8 +204,8 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     identity holds exactly and the bound dominates the defect up to float
     roundoff.  Where g'_j is e, a_j is a_{j-1} and step j is exactly 0.0
     without an evaluation.  The identity comes first and its member values
-    are returned (values); it, the target and the prefixes share one set of
-    kernel columns (see _member_values), which lives for this call only.
+    and expectations are returned; it, the target and the prefixes share
+    one set of kernel columns (see expectations) for this call only.
     More than TABLE_ENTRY_LIMIT column and table entries raise
     SpaceTooLarge before any is built.
     """
@@ -208,13 +217,8 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     gp, dis = grid_approximate(g, nu.n)
     _check_table_entries(nu.n, len(nu.base.support), g, family)
     memo = ({}, {})
-
-    def expectations(shift):
-        return _member_values(nu, family.members, shift, memo) @ nu.weights
-
-    values = _member_values(nu, family.members, memo=memo)
-    e_id = values @ nu.weights
-    defect = float(np.max(np.abs(e_id - expectations(g))))
+    e_id, values = expectations(nu, family.members, memo=memo)
+    defect = float(np.max(np.abs(e_id - expectations(nu, family.members, g, memo)[0])))
 
     e = group.identity
     prev = e_id
@@ -223,12 +227,12 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
         if group.validate(gp[j - 1]) == e:
             steps.append(0.0)
             continue
-        cur = expectations(StepMap(group, gp[:j] + (e,) * (nu.n - j)))
+        cur = expectations(nu, family.members, StepMap(group, gp[:j] + (e,) * (nu.n - j)), memo)[0]
         steps.append(float(np.max(np.abs(prev - cur))))
         prev = cur
     # left to right from 0.0: from Python 3.12 on, sum() compensates
     bound = reduce(add, steps, 0.0) + family.lipschitz * dis
-    return DefectResult(defect, bound, tuple(steps), gp, dis, values)
+    return DefectResult(defect, bound, tuple(steps), gp, dis, values, e_id)
 
 
 @dataclass(frozen=True)
@@ -291,34 +295,17 @@ class ScheduleReport:
     witnesses: tuple
 
 
-def run_schedule(
-    schedule: Schedule,
-    g: AnyMap,
-    family: BLFamily,
-    eps: float,
-    *,
-    mode: str = "auto",
-    samples: int = 20000,
-    seed: int = 42,
-    exact_cap: int = 10**5,
-) -> ScheduleReport:
-    """Run the amplification pipeline along a schedule.
+def stage_modes(entries, g: AnyMap, family: BLFamily, *, mode: str, samples: int, exact_cap: int) -> tuple:
+    """The push-forward mode of each (n, mu) entry, once every entry's size caps hold.
 
-    Every entry's size caps are checked first.  Then per entry: push the
-    i-th base measure forward on grid n_i (exactly when the enumeration
-    stays below exact_cap, otherwise with a seeded per-entry sample;
-    mode="exact" over the cap raises TooLargeForExact), run l0_defect, and
-    report the defect against g with its bound, the worst concentration
-    mass nu{|f - E f| > eps} and the worst expectation-median gap over the
-    family.  Entries are independent and deterministic given (seed, i), so
-    they may run in any order or in parallel without changing the report.
+    An entry is exact under mode="exact" (over exact_cap: TooLargeForExact)
+    and under "auto" within exact_cap.  Only the supports' sizes are read,
+    so a run over a cap is refused before anything is built.
     """
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
     modes = []
-    for n_i, mu_i in schedule.entries:
+    for n_i, mu_i in entries:
         size = len(mu_i.support) ** n_i
         if mode == "exact" and size > exact_cap:
             raise TooLargeForExact(f"{size} tuples exceeds exact cap {exact_cap}")
@@ -328,6 +315,26 @@ def run_schedule(
         else:
             _check_sample_array(samples, n_i)
         _check_table_entries(n_i, len(mu_i.support), g, family)
+    return tuple(modes)
+
+
+def run_schedule(
+    schedule: Schedule, g: AnyMap, family: BLFamily, eps: float,
+    *, mode: str = "auto", samples: int = 20000, seed: int = 42, exact_cap: int = 10**5,
+) -> ScheduleReport:
+    """Run the amplification pipeline along a schedule.
+
+    Every entry's size caps are checked first (stage_modes).  Then per
+    entry: push the i-th base measure forward on grid n_i (exactly or with
+    a seeded per-entry sample, as stage_modes decides), run l0_defect, and
+    report the defect against g with its bound, the worst concentration
+    mass nu{|f - E f| > eps} and the worst expectation-median gap over the
+    family.  Entries are independent and deterministic given (seed, i), so
+    they may run in any order or in parallel without changing the report.
+    """
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    modes = stage_modes(schedule.entries, g, family, mode=mode, samples=samples, exact_cap=exact_cap)
     rows = []
     bounded = True
     implication_all = True
@@ -336,15 +343,14 @@ def run_schedule(
         # an exact push-forward takes no samples and no seed
         nu = push_forward(mu_i, n_i, mode_i, samples=samples, seed=rng.derive_seed(seed, "entry", i))
         res = l0_defect(nu, g, family)
-        e_vals = res.values @ nu.weights
 
         conc_mass = 0.0
         median_gap = 0.0
-        for fi in range(len(family.members)):
-            med = weighted_median(res.values[fi], nu.weights)
-            gap = float(abs(e_vals[fi] - med))
-            mass_e = weighted_deviation_mass(res.values[fi], nu.weights, float(e_vals[fi]), eps)
-            mass_m_half = weighted_deviation_mass(res.values[fi], nu.weights, med, eps / 2)
+        for values, mean in zip(res.values, res.expectations):
+            med = weighted_median(values, nu.weights)
+            gap = float(abs(mean - med))
+            mass_e = weighted_deviation_mass(values, nu.weights, float(mean), eps)
+            mass_m_half = weighted_deviation_mass(values, nu.weights, med, eps / 2)
             conc_mass = max(conc_mass, mass_e)
             median_gap = max(median_gap, gap)
             if gap <= eps / 2 and mass_e > mass_m_half + 1e-12:
@@ -368,6 +374,4 @@ def run_schedule(
         "defect_last_le_first": bool(rows[-1].defect <= rows[0].defect + _TOL),
         "median_gap_last_le_first": bool(rows[-1].median_gap <= rows[0].median_gap + _TOL),
     }
-    return ScheduleReport(
-        tuple(rows), flags, eps, schedule.target_eps, tuple(modes), schedule.witnesses
-    )
+    return ScheduleReport(tuple(rows), flags, eps, schedule.target_eps, modes, schedule.witnesses)

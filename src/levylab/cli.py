@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, rng
-from .amplify import Schedule, run_schedule
+from .amplify import Schedule, run_schedule, stage_modes
 from .errors import LevyLabError, SpaceTooLarge, WrongKind
 from .families import (
     cell_window_family,
@@ -197,7 +197,7 @@ def _parse_schedule_expr(expr: str, i: int) -> int:
     return total
 
 
-def _parse_schedule(group: WordGroup, text: str, target_eps: float) -> Schedule:
+def _parse_schedule(group: WordGroup, text: str) -> tuple:
     m = re.fullmatch(r"k=([^,]+),n=([^,]+),i=(\d+)\.\.(\d+)", text.replace(" ", ""))
     if not m:
         raise UsageError(f"bad schedule {text!r}, expected k=<expr>,n=<expr>,i=a..b")
@@ -213,7 +213,7 @@ def _parse_schedule(group: WordGroup, text: str, target_eps: float) -> Schedule:
         if k < 1 or n < 1:
             raise UsageError(f"schedule produced non-positive k={k} or n={n} at i={i}")
         entries.append((n, folner_measure(group, k)))
-    return Schedule(tuple(entries), target_eps)
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +323,19 @@ def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
 def _cmd_amplify(ns) -> tuple[list[str], list[tuple], dict]:
     if not ns.eps > 0:
         raise UsageError("--eps must be > 0")
+    if ns.target_eps is not None and not ns.target_eps > 0:
+        raise UsageError("--target-eps must be > 0")
     group = make_group(ns.group)
-    target_eps = ns.target_eps if ns.target_eps is not None else ns.eps
     # the schedule builds every box measure, so the cheap literals are checked first
     g = _parse_map(group, ns.g)
     family = _parse_family(group, ns.family, ns.seed)
-    schedule = _parse_schedule(group, ns.schedule, target_eps)
-    report = run_schedule(
-        schedule,
-        g,
-        family,
-        ns.eps,
-        mode=ns.mode,
-        samples=ns.samples,
-        seed=ns.seed,
-        exact_cap=ns.exact_cap,
-    )
-    rows = [
-        (r.i, r.n, r.defect, r.bound, r.conc_mass, r.median_gap) for r in report.rows
-    ]
+    entries = _parse_schedule(group, ns.schedule)
+    # every stage's caps, before Schedule computes each box's witness
+    caps = {"mode": ns.mode, "samples": ns.samples, "exact_cap": ns.exact_cap}
+    stage_modes(entries, g, family, **caps)
+    schedule = Schedule(entries, ns.eps if ns.target_eps is None else ns.target_eps)
+    report = run_schedule(schedule, g, family, ns.eps, seed=ns.seed, **caps)
+    rows = [(r.i, r.n, r.defect, r.bound, r.conc_mass, r.median_gap) for r in report.rows]
     flags = dict(report.flags)
     flags["entry_modes"] = ",".join(report.entry_modes)
     return ["i", "n", "defect", "bound", "conc_mass", "median_gap"], rows, flags

@@ -8,6 +8,8 @@ sum, which makes the algebra exact: unitality, linearity, monotonicity,
 and transfer(f o lambda_g) = transfer(f) o lambda_{const g} all hold to
 float roundoff.  Composing with the expectation of a measure on step maps
 turns almost-invariance at the step-map level into almost-invariance on G.
+Expectations come from amplify.expectations, the one place they are
+formed, so a member's expectation here has the same bits as in l0_defect.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .families import compose_with_translation
 from .stepmaps import AnyMap, IntegralMember, h_embed, pointwise_translate
 from .wordgroups import WordGroup
 
-from .amplify import L0Measure, _member_values
+from .amplify import L0Measure, expectations
 
 
 def phi_member(f: Callable) -> IntegralMember:
@@ -50,7 +52,7 @@ class MeanApprox:
     measure: L0Measure
 
     def expect(self, member: IntegralMember) -> float:
-        return float(_member_values(self.measure, (member,))[0] @ self.measure.weights)
+        return float(expectations(self.measure, (member,))[0][0])
 
 
 def transfer_defect(mean: MeanApprox, f: Callable, g) -> float:

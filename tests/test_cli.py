@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from levylab import cli
+from levylab import FinSuppMeasure, amplify, cli
 from levylab.cli import main
 
 
@@ -199,7 +199,6 @@ class TestAmplifyCommand:
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("eps", ["-1", "nan", "0"])
     def test_bad_eps_is_named(self, tmp_path, monkeypatch, capsys, eps):
         # --target-eps defaults to --eps; the message names the flag the user gave
@@ -207,6 +206,28 @@ class TestAmplifyCommand:
         code, _, _ = run(tmp_path, "amplify", "amplify", "--eps", eps)
         assert code == 1
         assert capsys.readouterr().err == "error: --eps must be > 0\n"
+
+    @pytest.mark.parametrize("eps", ["-1", "nan", "0"])
+    def test_bad_target_eps_is_named(self, tmp_path, monkeypatch, capsys, eps):
+        monkeypatch.setattr(cli, "folner_measure", None)
+        code, _, _ = run(tmp_path, "amplify", "amplify", "--target-eps", eps,
+                         "--schedule", "k=400000,n=1,i=1..1")
+        assert code == 1
+        assert capsys.readouterr().err == "error: --target-eps must be > 0\n"
+
+    def test_caps_are_checked_before_witnesses(self, tmp_path, monkeypatch, capsys):
+        # the table cap refuses this stage as it refuses k=499999 with --samples 1000;
+        # Schedule's witnesses translate each box and take tv_distance, which must not run
+        def no_witness(*args, **kwargs):
+            raise AssertionError("a witness was computed before the caps were checked")
+
+        monkeypatch.setattr(FinSuppMeasure, "tv_distance", no_witness)
+        monkeypatch.setattr(FinSuppMeasure, "translate", no_witness)
+        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 1000)
+        code, _, _ = run(tmp_path, "amplify", "amplify", "--schedule", "k=50,n=1,i=1..1", "--samples", "1000")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ") and "table entries exceed the cap of 1000:" in err
 
 
 class TestPhiCheckCommand:
@@ -290,6 +311,18 @@ class TestDeterminismAndConfig:
         _, out1, _ = run(tmp_path, "first", *args)
         _, out2, _ = run(tmp_path, "second", *args)
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_csv_does_not_depend_on_the_blas_kernel(self, tmp_path):
+        # the CI hash-seed line; OPENBLAS_CORETYPE does nothing when numpy does not use OpenBLAS
+        args = ["amplify", "--schedule", "k=4i^2,n=i,i=1..2", "--g", "0.35: 1|0",
+                "--family", "disagreement:count=4", "--samples", "400", "--seed", "42"]
+        csvs = []
+        for name, env in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+            out = tmp_path / f"{name}.csv"
+            proc = run_child(tmp_path, [*args, "--out", str(out)], 768, **env)
+            assert proc.returncode == 0, proc.stderr
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -376,14 +409,14 @@ class TestMalformedValues:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_child(tmp_path, args, limit_mib):
-    """Run the CLI in a child process whose address space is capped at limit_mib."""
+def run_child(tmp_path, args, limit_mib, **env):
+    """Run the CLI in a child process whose address space is capped at limit_mib, with env added."""
     limit = limit_mib << 20
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **env)
     return subprocess.run(
         [sys.executable, "-m", "levylab.cli", *args],
         cwd=tmp_path,
