@@ -261,7 +261,12 @@ class Schedule:
                 raise InvalidSchedule("grid sizes must be >= 1")
             if mu.group != group:
                 raise InvalidSchedule("all entries must share one group")
-            tv = max(mu.tv_distance(mu.translate(gen)) for gen in group.generators())
+            gens = group.generators()
+            if len(set(mu.weights)) == 1:  # uniform on A: TV(mu, g mu) = |gA \ A| / |A|
+                atoms = set(mu.support)
+                tv = max(len(atoms.difference(group.translate_all(g, mu.support))) for g in gens) / len(atoms)
+            else:
+                tv = max(mu.tv_distance(mu.translate(g)) for g in gens)
             witnesses.append(n * tv)
         ns = [n for n, _ in entries]
         if any(a > b for a, b in zip(ns, ns[1:])):

@@ -10,9 +10,10 @@ enumeration runs up to EXACT_PRODUCT_LIMIT tuples.
 Profiles take coordinate means x -> (1/n) * sum_i kernel(x_i), the
 one-piece IntegralMembers with the default phi.  They are evaluated on
 atom indices: one table of kernel values over the base atoms, summed along
-each row of indices left to right, then divided by n.  The table's max
-minus its min is the exact Lipschitz constant under d_n (for the identity
-phi only), against which the declared constant is checked.
+each row of indices left to right (sampled rows as the columns of a
+C-ordered array: numpy adds those row after row), then divided by n.  The
+table's max minus its min is the exact Lipschitz constant under d_n (for
+the identity phi only), against which the declared constant is checked.
 """
 
 from __future__ import annotations
@@ -237,8 +238,8 @@ def lipschitz_profile(
     rows = max(1, PROFILE_BLOCK_DRAWS // n)
     for start in range(0, samples, rows):
         idx = sample_indices(product, min(rows, samples - start), seed, start=start)
-        # cumsum adds the coordinates left to right
-        values[start : start + len(idx)] = table[idx].cumsum(axis=1)[:, -1]
+        # numpy adds pairwise along a contiguous axis, but row after row down the outer one
+        values[start : start + len(idx)] = np.ascontiguousarray(table[idx].T).sum(axis=0)
     values /= n
     weights = np.full(samples, 1.0 / samples)
     m = weighted_median(values, weights)

@@ -23,6 +23,7 @@ from levylab import (
     weighted_deviation_mass,
     weighted_median,
 )
+from levylab import rng
 from levylab.hamming import product_weights
 
 # ---------------------------------------------------------------------------
@@ -121,6 +122,27 @@ def alternate_cell_lengths(breaks) -> list[float]:
     """The lengths of cells 0, 2, 4, ... of [0, 1) cut at the sorted breaks."""
     edges = (0.0, *breaks, 1.0)
     return [stop - start for start, stop in zip(edges[::2], edges[1::2])]
+
+
+def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniform float64 values x * 2^-53 for counters start..start+count-1.
+
+    x is the top 53 bits of the splitmix64 hash of seed + (counter + 1) * golden,
+    computed here with fresh arrays rather than rng's in-place mixer.
+    """
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed & rng._MASK) + (idx + np.uint64(1)) * rng._GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * rng._MIX1
+        z = (z ^ (z >> np.uint64(27))) * rng._MIX2
+        z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def searchsorted_choice(seed: int, start: int, count: int, cum_weights) -> np.ndarray:
+    """The categorical indices of counter_choice, by binary search of the float uniforms."""
+    idx = np.searchsorted(cum_weights, counter_uniforms(seed, start, count), side="right")
+    return np.minimum(idx, len(cum_weights) - 1)
 
 
 def brute_alpha(space: FiniteMMSpace, eps: float) -> float:

@@ -35,6 +35,7 @@ from levylab import (
     TooLargeForExact,
     TooManySamples,
     ZdGroup,
+    ball_uniform,
     cell_window_family,
     disagreement,
     disagreement_family,
@@ -336,6 +337,33 @@ class TestSchedule:
         sched = Schedule(entries, target_eps=0.1)
         expected = [i / (8 * i * i + 1) for i in (1, 2, 3)]
         assert list(sched.witnesses) == pytest.approx(expected, abs=1e-12)
+
+    def test_uniform_witnesses_are_counted(self, monkeypatch):
+        # TV(mu, g mu) = |gA \ A| / |A| for a uniform mu on A, without tv_distance
+        f2, z2 = FreeGroup2(), ZdGroup(2)
+        schedules = [
+            tuple((i, folner_measure(Z, 4 * i * i)) for i in (1, 2, 3)),
+            tuple((1, folner_measure(z2, k)) for k in range(1, 25)),
+            tuple((1, ball_uniform(f2, k)) for k in (2, 3, 4)),
+            ((3, FinSuppMeasure.haar(CyclicGroup(7))),),
+        ]
+        want = [[n * max(mu.tv_distance(mu.translate(g)) for g in mu.group.generators()) for n, mu in entries]
+                for entries in schedules]
+
+        def no_tv(*args):
+            raise AssertionError("tv_distance was called for a uniform measure")
+
+        monkeypatch.setattr(FinSuppMeasure, "tv_distance", no_tv)
+        for entries, witnesses in zip(schedules, want):
+            assert list(Schedule(entries, target_eps=0.5).witnesses) == pytest.approx(witnesses, abs=1e-12, rel=0)
+
+    def test_weighted_witnesses_use_tv_distance(self, monkeypatch):
+        mu = FinSuppMeasure(Z, ((0,), (1,), (2,)), (0.2, 0.3, 0.5))
+        calls = []
+        tv = FinSuppMeasure.tv_distance
+        monkeypatch.setattr(FinSuppMeasure, "tv_distance", lambda a, b: calls.append(b) or tv(a, b))
+        assert Schedule(((2, mu),), target_eps=0.5).witnesses == pytest.approx((1.0,), abs=1e-12)
+        assert len(calls) == 2
 
     def test_nan_eps_rejected(self):
         entries = ((1, z_uniform(0, 1)),)

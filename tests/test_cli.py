@@ -273,6 +273,7 @@ class TestGoldenOutputs:
             ("amplify", ["amplify"]),
             ("phi-check", ["phi-check"]),
             ("profile_exact_n12", ["profile", "--mode", "exact", "--n", "12", "--base", "0.2,0.3,0.5"]),
+            ("profile_n12_skewed", ["profile", "--base", "0.2,0.3,0.5", "--n", "12", "--samples", "20000"]),
         ],
     )
     def test_csv_matches_the_recorded_run(self, tmp_path, name, args):
