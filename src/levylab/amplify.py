@@ -7,23 +7,21 @@ by a target map is controlled by a telescoping chain of single-coordinate
 steps (step j: the change in expectation when the translation grows by
 its j-th coordinate) plus the off-grid remainder, charged to the family's
 Lipschitz constant times the grid-approximation disagreement.  Integral
-members are evaluated on the whole batch by table lookup.  The tables of
-one push-forward and one family add kernel columns, each built once per
-(member, shift value, piece) and shared by every shift evaluated in one
-l0_defect call, which also returns the member values and expectations at
-the identity; nothing is cached beyond that call.  Every expectation is
-a numpy row sum of values * weights in expectations(), never a BLAS
-product, so it has the same bits on every BLAS kernel.  A telescope step
-whose new coordinate is e is exactly 0 and is not evaluated.  A schedule
-checks every entry's size caps, then runs l0_defect on each of a
-sequence of (n_i, mu_i) pairs and reports defects, bounds, concentration
-masses, and expectation-median gaps.
+members are evaluated on the whole batch by table lookup, and every
+expectation is formed in expectations(), never by a BLAS product.  One
+call there takes every shift of one question (in l0_defect: the
+identity, the target and the telescope prefixes whose new coordinate is
+not e; the other steps are exactly 0) and builds each kernel column once
+for all of them.  A schedule checks every entry's size caps, then runs
+l0_defect on each of a sequence of (n_i, mu_i) pairs and reports
+defects, bounds, concentration masses, and expectation-median gaps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from math import inf, sqrt
 from operator import add
 
@@ -39,8 +37,6 @@ from .errors import (
 )
 from .families import BLFamily, L0Carrier
 from .hamming import (
-    DiscreteBase,
-    HammingProduct,
     _check_enumeration,
     _check_sample_array,
     product_weights,
@@ -113,57 +109,56 @@ def push_forward(
         raise ValueError(f"unknown mode {mode!r}")
     if samples is None or samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
-    product = HammingProduct(DiscreteBase(mu.support, mu.weights), n)
-    codes = sample_indices(product, samples, seed)
+    codes = sample_indices(mu.weights, n, samples, seed)
     return L0Measure(mu, n, codes, np.full(samples, 1.0 / samples), "sampled", seed)
 
 
-def expectations(nu: L0Measure, members, shift: AnyMap | None = None, memo=None):
-    """E_nu(f o lambda_shift) per member, and the members x maps values f(shift * h) it averages.
+def expectations(nu: L0Measure, members, shifts=(None,)):
+    """The shifts x members expectations E_nu(f o lambda_s), and the members x maps values f(shifts[0] * h).
 
-    The one place an expectation under an L0Measure is formed: each
-    member's row of values * weights is added by numpy's pairwise .sum(),
-    one row at a time and never by a BLAS product, so it has the same bits
-    alone or among other members and on every BLAS kernel.  Each member, an
-    IntegralMember, is integrated once per grid cell and support atom on
-    the joint refinement of the grid, the shift and its own breakpoints;
-    each map's value is then a gather of its n cells from that table.  Any
-    other member raises CarrierMismatch.
-
-    A table row adds kernel columns: the kernel of one piece over the
-    support translated by one shift value.  They depend on nothing else,
-    so calls on one nu and one members tuple may share them through memo,
-    a pair of dicts (translated supports by shift value, columns by
-    (member index, shift value, piece)).  Each column is then built once
-    however many shifts, or cells of one shift, carry its value; shared or
-    not, every table entry adds the same floats in the same order.
+    shifts is walked once; None is the identity.  This is the one place an
+    expectation under an L0Measure is formed: each member's row of values *
+    weights is added by numpy's pairwise .sum(), one row at a time and
+    never by a BLAS product, so it has the same bits in any company and on
+    every BLAS kernel.  A member must be an IntegralMember (else
+    CarrierMismatch); it is integrated per grid cell and support atom on
+    the joint refinement of the grid, the shift and its own breakpoints,
+    and a map's value gathers its n cells from that table.  The table adds
+    kernel columns, the kernel of one piece over the support translated by
+    one shift value; each is built once per call, for every shift and cell
+    that carries its value.
     """
     atoms, group, n = nu.base.support, nu.base.group, nu.n
-    by = identity_map(group) if shift is None else shift
-    moved, columns = ({}, {}) if memo is None else memo
-    values = [group.validate(v) for v in by.values]
-    for v in values:
-        if v not in moved:
-            moved[v] = group.translate_all(v, atoms)
-    # the grid refined by the shift: the grid and shift cell of each piece, and the inner cuts
-    refined = list(merge_breakpoints([i / n for i in range(1, n)], by.breakpoints))
-    cuts = [stop for _, stop, _, _ in refined[:-1]]
+    moved, columns, means = {}, {}, []
     # cell i of map j in a raveled (n, |support|) table, cell-major so that summing adds rows
     at = np.ascontiguousarray((nu.codes + np.arange(n) * len(atoms)).T)
-    out, means = np.empty((len(members), len(nu.weights))), np.empty(len(members))
-    for fi, f in enumerate(members):
-        if not isinstance(f, IntegralMember):
-            raise CarrierMismatch(f"member {fi} is not an IntegralMember")
-        table = np.zeros((n, len(atoms)))
-        for start, stop, ri, p in merge_breakpoints(cuts, f.breakpoints):
-            _, _, gi, si = refined[ri]
-            key = (fi, values[si], p)
-            if key not in columns:
-                columns[key] = np.fromiter(map(f.kernel[p], moved[values[si]]), np.float64, len(atoms))
-            table[gi] += (stop - start) * columns[key]
-        out[fi] = f.phi(table.ravel()[at].sum(axis=0))
-        means[fi] = (out[fi] * nu.weights).sum()
-    return means, out
+    out = np.empty((len(members), len(nu.weights)))
+    for shift in shifts:
+        by = identity_map(group) if shift is None else shift
+        values = [group.validate(v) for v in by.values]
+        for v in values:
+            if v not in moved:
+                moved[v] = group.translate_all(v, atoms)
+        # the grid refined by the shift: the grid and shift cell of each piece, and the inner cuts
+        refined = list(merge_breakpoints([i / n for i in range(1, n)], by.breakpoints))
+        cuts = [stop for _, stop, _, _ in refined[:-1]]
+        rows = out if not means else np.empty_like(out)  # the values at shifts[0] are returned
+        means.append(np.empty(len(members)))
+        for fi, f in enumerate(members):
+            if not isinstance(f, IntegralMember):
+                raise CarrierMismatch(f"member {fi} is not an IntegralMember")
+            table = np.zeros((n, len(atoms)))
+            for start, stop, ri, p in merge_breakpoints(cuts, f.breakpoints):
+                _, _, gi, si = refined[ri]
+                key = (fi, values[si], p)
+                if key not in columns:
+                    columns[key] = np.fromiter(map(f.kernel[p], moved[values[si]]), np.float64, len(atoms))
+                table[gi] += (stop - start) * columns[key]
+            rows[fi] = f.phi(table.ravel()[at].sum(axis=0))
+            means[-1][fi] = (rows[fi] * nu.weights).sum()
+    if not means:
+        raise ValueError("expectations needs at least one shift")
+    return np.reshape(means, (len(means), len(members))), out
 
 
 def _check_table_entries(n: int, atoms: int, g: AnyMap, family: BLFamily) -> None:
@@ -203,11 +198,11 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     steps are evaluated on nu itself, exact or sampled, so the telescope
     identity holds exactly and the bound dominates the defect up to float
     roundoff.  Where g'_j is e, a_j is a_{j-1} and step j is exactly 0.0
-    without an evaluation.  The identity comes first and its member values
-    and expectations are returned; it, the target and the prefixes share
-    one set of kernel columns (see expectations) for this call only.
-    More than TABLE_ENTRY_LIMIT column and table entries raise
-    SpaceTooLarge before any is built.
+    without an evaluation.  One expectations call takes the identity, g and
+    the other prefixes, in that order, so they share its kernel columns;
+    the member values and expectations at the identity are returned.  More
+    than TABLE_ENTRY_LIMIT column and table entries raise SpaceTooLarge
+    before any is built.
     """
     group = nu.base.group
     if not isinstance(family.carrier, L0Carrier) or family.carrier.group != group:
@@ -216,23 +211,19 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
         raise CarrierMismatch("target map lives over a different group")
     gp, dis = grid_approximate(g, nu.n)
     _check_table_entries(nu.n, len(nu.base.support), g, family)
-    memo = ({}, {})
-    e_id, values = expectations(nu, family.members, memo=memo)
-    defect = float(np.max(np.abs(e_id - expectations(nu, family.members, g, memo)[0])))
-
     e = group.identity
-    prev = e_id
-    steps = []
-    for j in range(1, nu.n + 1):
-        if group.validate(gp[j - 1]) == e:
-            steps.append(0.0)
-            continue
-        cur = expectations(nu, family.members, StepMap(group, gp[:j] + (e,) * (nu.n - j)), memo)[0]
-        steps.append(float(np.max(np.abs(prev - cur))))
+    moved = [j for j in range(1, nu.n + 1) if group.validate(gp[j - 1]) != e]
+    prefixes = (StepMap(group, gp[:j] + (e,) * (nu.n - j)) for j in moved)
+    means, values = expectations(nu, family.members, chain((None, g), prefixes))
+    defect = float(np.max(np.abs(means[0] - means[1])))
+    steps = [0.0] * nu.n
+    prev = means[0]
+    for j, cur in zip(moved, means[2:]):
+        steps[j - 1] = float(np.max(np.abs(prev - cur)))
         prev = cur
     # left to right from 0.0: from Python 3.12 on, sum() compensates
     bound = reduce(add, steps, 0.0) + family.lipschitz * dis
-    return DefectResult(defect, bound, tuple(steps), gp, dis, values, e_id)
+    return DefectResult(defect, bound, tuple(steps), gp, dis, values, means[0])
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,10 @@ from .stepmaps import PiecewiseMap, StepMap, h_embed
 from .wordgroups import (
     CyclicGroup,
     FreeGroup2,
+    SUPPORT_LIMIT,
     WordGroup,
     ZdGroup,
+    _check_support_size,
     ball_uniform,
     folner_measure,
     make_group,
@@ -108,6 +110,8 @@ def _parse_base(text: str) -> DiscreteBase:
         k = int(m.group(1))
         if k < 2:
             raise UsageError("uniformK needs K >= 2")
+        if k > SUPPORT_LIMIT:
+            raise SpaceTooLarge(f"the base {text} has more than {SUPPORT_LIMIT} atoms")
         return DiscreteBase.uniform(tuple(range(k)))
     try:
         weights = tuple(float(p) for p in text.split(","))
@@ -265,11 +269,11 @@ def _cmd_profile(ns) -> tuple[list[str], list[tuple], dict]:
     return ["eps", "n", "estimate", "stderr", "bound"], rows, flags
 
 
-def _parse_k_range(text: str) -> list[int]:
+def _parse_k_range(text: str) -> range:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text.strip())
     if not m or int(m.group(1)) > int(m.group(2)):
         raise UsageError(f"bad k range {text!r}, expected a..b")
-    return list(range(int(m.group(1)), int(m.group(2)) + 1))
+    return range(int(m.group(1)), int(m.group(2)) + 1)
 
 
 def _parse_group_family(group: WordGroup, text: str):
@@ -296,6 +300,7 @@ def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
             raise UsageError("the folner probe needs a Z^d group")
         family = _parse_group_family(group, ns.family)
         g = group.parse(ns.g) if ns.g else group.generators()[0]
+        _check_support_size(group, ks[-1])  # the largest box, before the first is built
         ok = True
         for k in ks:
             mu = folner_measure(group, k)
@@ -308,6 +313,7 @@ def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
         if not isinstance(group, FreeGroup2):
             raise UsageError("the contrast probe needs the F2 group")
         g = group.parse(ns.g) if ns.g else "a"
+        _check_support_size(group, ks[-1])  # the largest ball, before the first is built
         floor = 0.2
         ok = True
         for k in ks:

@@ -103,22 +103,19 @@ def talagrand_bound(eps: float, n: int) -> float:
     return 2.0 * math.exp(-(eps * eps) * n)
 
 
-def sample_indices(product: HammingProduct, count: int, seed: int, start: int = 0) -> np.ndarray:
-    """Draw samples start..start+count-1 of the product measure, as atom indices of shape (count, n).
+def sample_indices(weights, n: int, count: int, seed: int, start: int = 0) -> np.ndarray:
+    """Draw samples start..start+count-1 of weights^(x)n, as atom indices of shape (count, n).
 
-    Coordinate (i, j) is a pure function of (seed, i, j), so sample i does
-    not depend on count or batching; blocks of rows drawn with ``start``
+    weights are the base's atom probabilities, taken as given.  Coordinate
+    (i, j) is a pure function of (seed, i, j), so sample i does not depend
+    on count or batching; blocks of rows drawn with ``start``
     concatenate to the draw made in one call.  More than SAMPLE_ARRAY_LIMIT
     coordinates raise TooManySamples before anything is drawn.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if start < 0:
-        raise ValueError("start must be >= 0")
-    _check_sample_array(count, product.n)
-    cum = np.cumsum(product.base.weights)
-    n = product.n
-    return rng.counter_choice(seed, start * n, count * n, cum).reshape(count, n)
+    if count < 1 or n < 1 or start < 0:
+        raise ValueError("count and n must be >= 1 and start >= 0")
+    _check_sample_array(count, n)
+    return rng.counter_choice(seed, start * n, count * n, np.cumsum(weights)).reshape(count, n)
 
 
 def _check_enumeration(tuples: int) -> None:
@@ -237,7 +234,7 @@ def lipschitz_profile(
     values = np.empty(samples)
     rows = max(1, PROFILE_BLOCK_DRAWS // n)
     for start in range(0, samples, rows):
-        idx = sample_indices(product, min(rows, samples - start), seed, start=start)
+        idx = sample_indices(product.base.weights, n, min(rows, samples - start), seed, start=start)
         # numpy adds pairwise along a contiguous axis, but row after row down the outer one
         values[start : start + len(idx)] = np.ascontiguousarray(table[idx].T).sum(axis=0)
     values /= n

@@ -52,14 +52,16 @@ class MeanApprox:
     measure: L0Measure
 
     def expect(self, member: IntegralMember) -> float:
-        return float(expectations(self.measure, (member,))[0][0])
+        return float(expectations(self.measure, (member,))[0][0, 0])
 
 
 def transfer_defect(mean: MeanApprox, f: Callable, g) -> float:
     """|E(transfer f) - E(transfer(f o lambda_g))| under the mean.
 
     Equals the step-map-level defect of the measure against the constant
-    map at g, evaluated on the single member transfer(f).
+    map at g on the single member transfer(f), so it is one expectations
+    call with the shifts (identity, const g).
     """
-    moved = compose_with_translation(f, g, mean.measure.base.group)
-    return abs(mean.expect(phi_member(f)) - mean.expect(phi_member(moved)))
+    group = mean.measure.base.group
+    means = expectations(mean.measure, (phi_member(f),), (None, h_embed(group, (g,))))[0]
+    return float(abs(means[0, 0] - means[1, 0]))

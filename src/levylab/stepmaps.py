@@ -123,10 +123,11 @@ class IntegralMember:
 
     The breakpoints (sorted, inside (0, 1)) cut [0, 1) into pieces, and p
     is the piece holding t, so the kernel is constant in t on each piece.
-    Each kernel must be a pure function of the element: amplify builds the
-    column of a kernel over a translated support once and reuses it for
-    every cell and shift that carries the same shift value.  phi maps the
-    integral, a float or an array of them, to the value.
+    Each kernel must be a pure function of the element: one
+    amplify.expectations call builds the column of a kernel over a
+    translated support once and reuses it for every cell and shift of that
+    call that carries the same shift value.  phi maps the integral, a float
+    or an array of them, to the value.
     """
 
     breakpoints: tuple

@@ -345,12 +345,11 @@ class ClampedLength:
 class FinSuppMeasure:
     """A finitely supported probability measure on a word group.
 
-    The constructor, ``uniform`` and ``point_mass`` check outside input:
-    each element is put in canonical form by ``group.validate``, the
-    elements must be distinct, and the weights positive with sum 1.  The
-    library's builders (``folner_measure``, ``ball_uniform``, ``haar``,
-    ``translate``) go through ``_unchecked``, which stores the fields as
-    given.
+    The constructor and ``uniform`` check outside input: each element is
+    put in canonical form by ``group.validate``, the elements must be
+    distinct, and the weights positive with sum 1.  The library's builders
+    (``folner_measure``, ``ball_uniform``, ``haar``, ``translate``) go
+    through ``_unchecked``, which stores the fields as given.
     """
 
     group: WordGroup
@@ -394,10 +393,6 @@ class FinSuppMeasure:
         return cls(group, elements, (1.0 / max(len(elements), 1),) * len(elements))
 
     @classmethod
-    def point_mass(cls, group: WordGroup, x) -> "FinSuppMeasure":
-        return cls(group, (x,), (1.0,))
-
-    @classmethod
     def haar(cls, group: CyclicGroup) -> "FinSuppMeasure":
         if not isinstance(group, CyclicGroup):
             raise WrongKind("haar measure is only materialized for cyclic groups")
@@ -431,6 +426,15 @@ class FinSuppMeasure:
         return 0.5 * reduce(operator.add, (abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys), 0.0)
 
 
+def _check_support_size(group: WordGroup, k: int) -> None:
+    """Refuse a box [-k, k]^d of Z^d or an F2 ball of radius k above SUPPORT_LIMIT points, before building."""
+    if isinstance(group, ZdGroup) and (2 * k + 1) ** group.d > SUPPORT_LIMIT:
+        raise SpaceTooLarge(f"the box [-{k}, {k}]^{group.d} has more than {SUPPORT_LIMIT} points")
+    # an F2 ball holds 2*3^k - 1 words; 3^k exceeds the limit once k reaches its bit length
+    if isinstance(group, FreeGroup2) and 2 * 3 ** min(k, SUPPORT_LIMIT.bit_length()) - 1 > SUPPORT_LIMIT:
+        raise SpaceTooLarge(f"the F2 ball of radius {k} has more than {SUPPORT_LIMIT} words")
+
+
 def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:
     """Uniform measure on the box [-k, k]^d inside Z^d.
 
@@ -441,14 +445,12 @@ def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:
         raise WrongKind("folner boxes are defined for Z^d groups")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if (2 * k + 1) ** group.d > SUPPORT_LIMIT:
-        raise SpaceTooLarge(f"the box [-{k}, {k}]^{group.d} has more than {SUPPORT_LIMIT} points")
+    _check_support_size(group, k)
     return FinSuppMeasure._unchecked(group, tuple(itertools.product(range(-k, k + 1), repeat=group.d)))
 
 
 def ball_uniform(group: WordGroup, k: int) -> FinSuppMeasure:
     """Uniform measure on the word-metric ball of radius k."""
-    # an F2 ball holds 2*3^k - 1 words; 3^k exceeds the limit once k reaches its bit length
-    if isinstance(group, FreeGroup2) and 2 * 3 ** min(k, SUPPORT_LIMIT.bit_length()) - 1 > SUPPORT_LIMIT:
-        raise SpaceTooLarge(f"the F2 ball of radius {k} has more than {SUPPORT_LIMIT} words")
+    if isinstance(group, FreeGroup2):
+        _check_support_size(group, k)
     return FinSuppMeasure._unchecked(group, tuple(group.ball(k)))

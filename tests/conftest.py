@@ -193,7 +193,7 @@ def tuple_profile(product, f, eps: float, mode: str = "exact", samples: int = 0,
         values = np.asarray([mean(x) for x in tuples])
         weights = product_weights(product.base.weights, product.n)
     else:
-        rows = sample_indices(product, samples, seed).tolist()
+        rows = sample_indices(product.base.weights, product.n, samples, seed).tolist()
         values = np.asarray([mean(tuple(product.base.atoms[c] for c in row)) for row in rows])
         weights = np.full(samples, 1.0 / samples)
     m = weighted_median(values, weights)

@@ -12,6 +12,7 @@ from conftest import (
     cell_window_closed_form,
     fubini_telescope_steps,
     left_sum,
+    searchsorted_choice,
     step_maps,
 )
 from levylab import (
@@ -22,7 +23,6 @@ from levylab import (
     FinSuppMeasure,
     FreeGroup2,
     DiscreteBase,
-    HammingProduct,
     IntegralMember,
     InvalidSchedule,
     L0Carrier,
@@ -69,7 +69,7 @@ def z_uniform(*ints):
 
 class TestPushForward:
     def test_dirac(self):
-        nu = push_forward(FinSuppMeasure.point_mass(Z, (2,)), 3)
+        nu = push_forward(FinSuppMeasure(Z, ((2,),), (1.0,)), 3)
         assert step_maps(nu) == (h_embed(Z, z_elems(2, 2, 2)),)
         assert nu.weights[0] == 1.0
 
@@ -99,9 +99,20 @@ class TestPushForward:
     def test_sampled_draws_product_samples(self):
         mu = FinSuppMeasure(Z, z_elems(0, 1, 5), (0.2, 0.5, 0.3))
         nu = push_forward(mu, 3, "sampled", samples=200, seed=4)
-        product = HammingProduct(DiscreteBase(mu.support, mu.weights), 3)
-        rows = sample_indices(product, 200, 4).tolist()
+        rows = sample_indices(mu.weights, 3, 200, 4).tolist()
         assert [h.values for h in step_maps(nu)] == [tuple(mu.support[c] for c in row) for row in rows]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_sampled_codes_do_not_rebuild_the_base(self, monkeypatch, n):
+        # a sampled stage draws from mu.weights and builds no DiscreteBase, which re-validates a support
+        def refuse(self):
+            raise AssertionError("a DiscreteBase was built")
+
+        monkeypatch.setattr(DiscreteBase, "__post_init__", refuse)
+        mu = FinSuppMeasure(Z, z_elems(0, 1, 5, -3), (0.1, 0.4, 0.3, 0.2))
+        nu = push_forward(mu, n, "sampled", samples=300, seed=6)
+        want = searchsorted_choice(6, 0, 300 * n, np.cumsum(mu.weights)).reshape(300, n)
+        assert np.array_equal(nu.codes, want)
 
     def test_exact_codes_in_product_order(self):
         mu = FinSuppMeasure(Z, z_elems(0, 1, 5), (0.2, 0.5, 0.3))
@@ -132,7 +143,7 @@ class TestPushForward:
     @pytest.mark.parametrize("n", [64, 65, 100])
     def test_exact_past_64_coordinates(self, n):
         # numpy arrays have at most 64 dimensions; the codes are built by digits
-        point = FinSuppMeasure.point_mass(Z, (0,))
+        point = FinSuppMeasure(Z, ((0,),), (1.0,))
         nu = push_forward(point, n, "exact")
         assert nu.codes.shape == (1, n) and not nu.codes.any()
         assert nu.weights.tolist() == [1.0]
@@ -308,7 +319,7 @@ class TestL0Defect:
 
 class TestSchedule:
     def test_degenerate_point_mass_schedule(self):
-        entries = tuple((2, FinSuppMeasure.point_mass(Z, (0,))) for _ in range(3))
+        entries = tuple((2, FinSuppMeasure(Z, ((0,),), (1.0,))) for _ in range(3))
         sched = Schedule(entries, target_eps=0.5)
         fam = disagreement_family(Z, 3, seed=4)
         g = PiecewiseMap(Z, (0.4,), z_elems(1, 0))
@@ -381,8 +392,8 @@ class TestSchedule:
 
     def test_rejects_increasing_witness(self):
         entries = (
-            (1, FinSuppMeasure.point_mass(Z, (0,))),
-            (5, FinSuppMeasure.point_mass(Z, (0,))),
+            (1, FinSuppMeasure(Z, ((0,),), (1.0,))),
+            (5, FinSuppMeasure(Z, ((0,),), (1.0,))),
         )
         with pytest.raises(InvalidSchedule):
             Schedule(entries, target_eps=0.1)
@@ -442,7 +453,10 @@ class TestOnePath:
         nu = push_forward(z_uniform(0, 1, 3), 3, mode, samples=50, seed=5)
         res = l0_defect(nu, PiecewiseMap(Z, (0.4,), z_elems(1, -1)), fam)
         means, values = amplify.expectations(nu, fam.members)
-        assert np.array_equal(res.values, values) and np.array_equal(res.expectations, means)
+        assert means.shape == (1, len(fam.members))
+        with pytest.raises(ValueError, match="at least one shift"):
+            amplify.expectations(nu, fam.members, ())
+        assert np.array_equal(res.values, values) and np.array_equal(res.expectations, means[0])
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_an_expectation_has_the_same_bits_alone_and_in_l0_defect(self, mode):
@@ -452,7 +466,7 @@ class TestOnePath:
         res = l0_defect(nu, PiecewiseMap(Z, (0.35,), z_elems(1, 0)), fam)
         alone = [MeanApprox(nu).expect(f) for f in fam.members]
         means, values = amplify.expectations(nu, fam.members)
-        assert res.expectations.tolist() == means.tolist() == alone
+        assert [res.expectations.tolist()] == means.tolist() == [alone]
         assert np.array_equal(values, res.values)
 
     @pytest.mark.parametrize("mode", ["auto", "exact"])
@@ -571,8 +585,12 @@ class TestMemberValues:
             members = [disagreement_member(ref) for ref in refs]
             members += [phi_member(lambda x: math.sin(group.word_length(x) + 0.5))]
             members += [cell_window_member(group, *w) for w in windows]
-            for shift in shifts:
-                rows = amplify.expectations(nu, members, shift)[1]
+            together = amplify.expectations(nu, members, shifts)[0]
+            assert together.shape == (len(shifts), len(members))
+            for shift, means in zip(shifts, together):
+                rows = amplify.expectations(nu, members, (shift,))[1]
+                # every shift of one call has the bits of its own call
+                assert means.tolist() == [(row * nu.weights).sum() for row in rows]
                 maps = [h if shift is None else pointwise_translate(shift, h) for h in step_maps(nu)]
                 for f, row in zip(members, rows):
                     assert row == pytest.approx([f(h) for h in maps], abs=1e-12)
@@ -587,7 +605,7 @@ class TestMemberValues:
         shift = PiecewiseMap(Z, (0.3,), z_elems(1, -1))
         opaque = lambda h: 0.0  # noqa: E731
         with pytest.raises(CarrierMismatch, match="member 1"):
-            amplify.expectations(nu, (wl_mean_member(3.0), opaque), shift)
+            amplify.expectations(nu, (wl_mean_member(3.0), opaque), (shift,))
         with pytest.raises(CarrierMismatch, match="member 0"):
             MeanApprox(nu).expect(opaque)
         fam = BLFamily(L0Carrier(Z), (opaque,), bound=1.0, lipschitz=1.0)
@@ -619,26 +637,35 @@ class TestSharedColumns:
         assert calls == Counter({(p, (v + a,)): 1 for p in values for v in values[p] for a in (0, 1, 2)})
 
     def test_cli_amplify_calls(self, tmp_path, monkeypatch):
-        # 8 stages, each one l0_defect call: the identity and the target once each,
-        # plus one prefix per telescope step whose new coordinate is not e (17 of 36)
-        calls = []
-        memos = {}
+        # 8 stages, each one l0_defect call and so one expectations call: the identity and
+        # the target, plus one prefix per telescope step whose new coordinate is not e (17 of 36)
+        calls, columns = [], []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            memo = kwargs.get("memo", args[3] if len(args) > 3 else None)
-            memos[id(memo)] = memo
-            return expectations(*args, **kwargs)
+        def counting(nu, members, shifts=(None,)):
+            shifts = tuple(shifts)
+            calls.append(shifts)
+            return expectations(nu, members, shifts)
+
+        class CountingNumpy:
+            # expectations builds each kernel column with one np.fromiter
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def fromiter(self, *args, **kwargs):
+                columns.append(args[0])
+                return np.fromiter(*args, **kwargs)
 
         expectations = amplify.expectations
         monkeypatch.setattr(amplify, "expectations", counting)
+        monkeypatch.setattr(amplify, "np", CountingNumpy())
         out, summary = tmp_path / "a.csv", tmp_path / "a.json"
         # the default family (seed 42); the counts do not depend on the sample count
         argv = ["amplify", "--samples", "500"]
         assert cli.main([*argv, "--out", str(out), "--json-summary", str(summary)]) == 0
-        assert len(calls) <= 33
-        assert len(memos) == 8 and None not in memos.values()
-        assert sum(len(columns) for _, columns in memos.values()) <= 582
+        assert len(calls) == 8
+        assert all(shifts[0] is None and shifts[1] is not None for shifts in calls)
+        assert sum(len(shifts) for shifts in calls) == 33
+        assert 0 < len(columns) <= 582
 
     def test_identity_coordinates_give_zero_steps(self):
         gp = z_elems(0, 1, 0, 0, -2, 0)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -146,6 +147,24 @@ class TestDefectCommand:
         for row in read_csv(out)[1:]:
             assert float(row[1]) >= 0.2
 
+    @pytest.mark.parametrize(
+        "group,k_range,builder,match",
+        [
+            ("Z^2", "1..600", "folner_measure", r"box \[-600, 600\]\^2"),
+            ("F2", "1..12", "ball_uniform", "F2 ball of radius 12"),
+        ],
+        ids=["Z2", "F2"],
+    )
+    def test_last_k_is_checked_before_the_first_measure(self, tmp_path, monkeypatch, capsys, group,
+                                                       k_range, builder, match):
+        def no_measures(*args, **kwargs):
+            raise AssertionError("a measure was built before the last k was checked")
+
+        monkeypatch.setattr(cli, builder, no_measures)
+        code, out, _ = run(tmp_path, "defect", "defect", "--group", group, "--k-range", k_range)
+        assert code == 2 and not out.exists()
+        assert re.search(match, capsys.readouterr().err)
+
 
 class TestAmplifyCommand:
     def test_small_schedule(self, tmp_path):
@@ -260,6 +279,15 @@ def _cell_matches(got: str, want: str) -> bool:
         return got == want
 
 
+def _flag_matches(got, want) -> bool:
+    """One summary flag: strings and booleans exactly, floats as _cell_matches, lists entry by entry."""
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(_flag_matches, got, want))
+    if isinstance(want, float) and type(got) is float:
+        return _cell_matches(repr(got), repr(want))
+    return type(got) is type(want) and got == want
+
+
 class TestGoldenOutputs:
     # the CSVs of the documented runs, recorded once and compared cell by cell
 
@@ -277,7 +305,7 @@ class TestGoldenOutputs:
         ],
     )
     def test_csv_matches_the_recorded_run(self, tmp_path, name, args):
-        code, out, _ = run(tmp_path, name, *args)
+        code, out, summary = run(tmp_path, name, *args)
         assert code == 0
         got, want = read_csv(out), read_csv(GOLDEN / f"{name}.csv")
         assert got[0] == want[0]
@@ -285,11 +313,23 @@ class TestGoldenOutputs:
         for row_got, row_want in zip(got[1:], want[1:]):
             for cell_got, cell_want in zip(row_got, row_want):
                 assert _cell_matches(cell_got, cell_want), (row_got, row_want)
+        # the summary's flags: strings and booleans exactly, floats as CSV cells
+        flags = json.loads(summary.read_text())["flags"]
+        recorded = json.loads((GOLDEN / f"{name}.flags.json").read_text())
+        assert sorted(flags) == sorted(recorded)
+        for key, value in recorded.items():
+            assert _flag_matches(flags[key], value), (key, flags[key], value)
 
     def test_cells_compare_by_kind(self):
         assert _cell_matches("3", "3") and not _cell_matches("3", "4")
         assert not _cell_matches("3.0", "3.1") and _cell_matches("0.1", "0.1000000000000005")
         assert _cell_matches("unitality", "unitality") and not _cell_matches("unitality", "linearity")
+
+    def test_flags_compare_by_kind(self):
+        assert _flag_matches(True, True) and not _flag_matches(True, False) and not _flag_matches(1, True)
+        assert _flag_matches("exact,sampled", "exact,sampled") and not _flag_matches("exact", "sampled")
+        assert _flag_matches([0.1], [0.1000000000000005]) and not _flag_matches([0.1], [0.1, 0.2])
+        assert not _flag_matches([0.1], [0.2]) and not _flag_matches("0.1", 0.1)
 
 
 class TestDeterminismAndConfig:
@@ -460,6 +500,9 @@ class TestDefaultsSmoke:
             ["profile", "--eps-grid", "0.01:1:1e-9"],
             ["amplify", "--schedule", "k=499999,n=1,i=1..1", "--samples", "1000"],
             ["amplify", "--exact-cap", "1000000000", "--schedule", "k=4i^2,n=i,i=1..4"],
+            ["profile", "--base", "uniform100000000", "--n", "2"],
+            ["defect", "--k-range", "1..100000000"],
+            ["defect", "--group", "F2", "--k-range", "1..100000000"],
         ],
     )
     def test_oversized_inputs_are_refused_before_building(self, tmp_path, args):

@@ -85,28 +85,27 @@ class TestSampleProduct:
 
     def test_degenerate_base(self):
         base = DiscreteBase(("a",), (1.0,))
-        assert sample_indices(HammingProduct(base, 3), 3, 0).tolist() == [[0] * 3] * 3
+        assert sample_indices(base.weights, 3, 3, 0).tolist() == [[0] * 3] * 3
 
     def test_deterministic(self):
-        product = HammingProduct(UNIFORM2, 4)
-        assert np.array_equal(sample_indices(product, 50, 9), sample_indices(product, 50, 9))
+        w = UNIFORM2.weights
+        assert np.array_equal(sample_indices(w, 4, 50, 9), sample_indices(w, 4, 50, 9))
 
     def test_per_sample_derivation(self):
         # sample i does not depend on how many samples are requested
-        product = HammingProduct(UNIFORM2, 3)
-        assert np.array_equal(sample_indices(product, 20, 5)[:7], sample_indices(product, 7, 5))
+        w = UNIFORM2.weights
+        assert np.array_equal(sample_indices(w, 3, 20, 5)[:7], sample_indices(w, 3, 7, 5))
         # blocks of rows drawn with start concatenate to the one-call draw
-        blocks = [sample_indices(product, stop - start, 5, start=start) for start, stop in ((0, 7), (7, 8), (8, 20))]
-        assert np.array_equal(np.concatenate(blocks), sample_indices(product, 20, 5))
+        blocks = [sample_indices(w, 3, stop - start, 5, start=start) for start, stop in ((0, 7), (7, 8), (8, 20))]
+        assert np.array_equal(np.concatenate(blocks), sample_indices(w, 3, 20, 5))
 
     def test_sample_array_cap(self, monkeypatch):
         # arrays up to the cap are built; one sample more is refused before allocating.
         # sample_indices holds samples x n codes; a profile draws in blocks and holds samples values
         monkeypatch.setattr(hamming, "SAMPLE_ARRAY_LIMIT", 1000)
-        product = HammingProduct(UNIFORM2, 10)
-        assert sample_indices(product, 100, 5).shape == (100, 10)
+        assert sample_indices(UNIFORM2.weights, 10, 100, 5).shape == (100, 10)
         with pytest.raises(TooManySamples):
-            sample_indices(product, 101, 5)
+            sample_indices(UNIFORM2.weights, 10, 101, 5)
         line = HammingProduct(UNIFORM2, 1)
         f = fraction_differing(0)
         lipschitz_profile(line, f, bound=1.0, lipschitz=1.0, eps=0.3, mode="sampled", samples=1000)
@@ -115,13 +114,13 @@ class TestSampleProduct:
 
     def test_empirical_frequency(self):
         # binomial tail: P(|freq - 0.5| > 0.01) < 4e-10 at 1e5 draws
-        idx = sample_indices(HammingProduct(UNIFORM2, 1), 100000, 42)
+        idx = sample_indices(UNIFORM2.weights, 1, 100000, 42)
         freq = float(np.mean(idx[:, 0] == 1))
         assert abs(freq - 0.5) < 0.01
 
     def test_weighted_base(self):
         base = DiscreteBase((0, 1), (0.9, 0.1))
-        idx = sample_indices(HammingProduct(base, 1), 100000, 3)
+        idx = sample_indices(base.weights, 1, 100000, 3)
         freq = float(np.mean(idx[:, 0] == 1))
         assert abs(freq - 0.1) < 0.01
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from levylab import (
     CyclicGroup,
     FinSuppMeasure,
+    FreeGroup2,
     MeanApprox,
     PiecewiseMap,
     ZdGroup,
@@ -18,7 +20,8 @@ from levylab import (
     push_forward,
     transfer_defect,
 )
-from levylab.families import BLFamily, L0Carrier
+from levylab import mean_transfer
+from levylab.families import BLFamily, L0Carrier, compose_with_translation
 
 Z = ZdGroup(1)
 
@@ -133,3 +136,39 @@ class TestTransferDefect:
         mean = MeanApprox(nu)
         assert mean.expect(phi_member(lambda x: 1.0)) == pytest.approx(1.0, abs=1e-12)
         assert mean.expect(phi_member(lambda x: abs(math.sin(x[0])))) >= 0.0
+
+    @pytest.mark.parametrize("group", [Z, CyclicGroup(7), FreeGroup2()], ids=["Z", "Z7", "F2"])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_one_call_equals_the_composed_member(self, monkeypatch, group, mode):
+        # transfer(f o lambda_g) = transfer(f) o lambda_{const g}: the shifted expectation of
+        # phi_member(f) has the bits of the expectation of phi_member(f o lambda_g)
+        gen = np.random.default_rng(7)
+        calls, defects = [], []
+        expectations = mean_transfer.expectations
+
+        def counting(*args):
+            calls.append(args)
+            return expectations(*args)
+
+        for n in (1, 2, 3):
+            support = []
+            while len(support) < 4:
+                x = group.random_element(gen, 3)
+                support += [x] if x not in support else []
+            raw = gen.uniform(0.2, 1.0, size=4)
+            mean = MeanApprox(push_forward(FinSuppMeasure(group, tuple(support), tuple(raw / raw.sum())),
+                                           n, mode, samples=70, seed=n))
+            a, b = (float(v) for v in gen.uniform(0.3, 2.0, size=2))
+            wave = lambda x: math.sin(a * group.word_length(x) + b)  # noqa: E731
+            for f in (wave, lambda x: float(group.word_length(x) <= 1)):
+                for g in (group.random_element(gen, 2) for _ in range(3)):
+                    moved = phi_member(compose_with_translation(f, g, group))
+                    want = abs(mean.expect(phi_member(f)) - mean.expect(moved))
+                    monkeypatch.setattr(mean_transfer, "expectations", counting)
+                    got = transfer_defect(mean, f, g)
+                    monkeypatch.setattr(mean_transfer, "expectations", expectations)
+                    assert got == want and type(got) is float
+                    assert len(calls) == 1
+                    calls.clear()
+                    defects.append(got)
+        assert max(defects) > 0.1

@@ -126,7 +126,7 @@ class TestRowSums:
         monkeypatch.setattr(hamming, "weighted_median", lambda v, w: seen.append(v.copy()) or weighted_median(v, w))
         lipschitz_profile(product, f, bound=1.0, lipschitz=spread, eps=spread / 20, mode="sampled",
                           samples=samples, seed=n)
-        rows = table[sample_indices(product, samples, n)]
+        rows = table[sample_indices(product.base.weights, n, samples, n)]
         assert seen[0].tolist() == [reduce(add, row) / n for row in rows.tolist()]
         if n >= 8:
             # numpy's pairwise sum along a row does differ from the left-to-right one

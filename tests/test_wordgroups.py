@@ -116,7 +116,7 @@ class TestBalls:
 
 class TestMeasures:
     def test_point_mass_translation(self):
-        mu = FinSuppMeasure.point_mass(Z, (3,))
+        mu = FinSuppMeasure(Z, ((3,),), (1.0,))
         assert mu.translate((2,)).support == ((5,),)
 
     def test_uniform_shift(self):
@@ -173,7 +173,7 @@ class TestMeasures:
 
 class TestExpectation:
     def test_dirac(self):
-        mu = FinSuppMeasure.point_mass(CyclicGroup(3), 1)
+        mu = FinSuppMeasure(CyclicGroup(3), (1,), (1.0,))
         assert mu.expectation(lambda x: [5.0, 7.0, 9.0][x]) == 7.0
 
     def test_uniform_clamped_wordlength(self):
@@ -198,7 +198,7 @@ class TestTranslationDefect:
             assert invariance_defect(mu, g, fam) == pytest.approx(0.0, abs=1e-12)
 
     def test_dirac_against_generator(self):
-        mu = FinSuppMeasure.point_mass(Z, (0,))
+        mu = FinSuppMeasure(Z, ((0,),), (1.0,))
         assert invariance_defect(mu, (1,), wordlen_clamp_family(Z, [1])) == 1.0
 
 
