@@ -12,16 +12,21 @@ expectation is formed in expectations(), never by a BLAS product.  One
 call there takes every shift of one question (in l0_defect: the
 identity, the target and the telescope prefixes whose new coordinate is
 not e; the other steps are exactly 0) and builds each kernel column once
-for all of them.  A schedule checks every entry's size caps, then runs
+for all of them.  The shifts agree on most grid cells, so each distinct
+cell (its runs of start, stop and value) gets one members x atoms table
+and one members x maps block per call, and a shift's member values add
+its n blocks.  A schedule checks every entry's size caps, then runs
 l0_defect on each of a sequence of (n_i, mu_i) pairs and reports
-defects, bounds, concentration masses, and expectation-median gaps.
+defects, bounds, concentration masses, and expectation-median gaps, with
+one median and two deviation-mass calls per stage on the members x maps
+table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
+from itertools import chain, groupby
 from math import inf, sqrt
 from operator import add
 
@@ -48,9 +53,12 @@ from .stepmaps import AnyMap, IntegralMember, StepMap, grid_approximate, identit
 from .wordgroups import FinSuppMeasure
 
 _TOL = 1e-9
-# the most floats one l0_defect call may hold in kernel columns and member tables,
-# (member pieces x shift values + n) x atoms, checked before any is built
+# the most table entries one l0_defect call may count, (member pieces x shift values + n)
+# x atoms, checked before any kernel column is built
 TABLE_ENTRY_LIMIT = 1 << 22
+# the most floats one expectations call holds in members x maps blocks, one per distinct
+# grid cell; members are taken in groups that fit, at least one at a time
+BLOCK_ENTRY_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +121,23 @@ def push_forward(
     return L0Measure(mu, n, codes, np.full(samples, 1.0 / samples), "sampled", seed)
 
 
+def _pieces(runs, breaks):
+    """Yield (length, piece, value) for the runs (start, stop, value) cut at the sorted breaks.
+
+    A piece is the number of breaks at or before its start, so lengths and
+    pieces are those merge_breakpoints gives on all of [0, 1).
+    """
+    p = 0
+    for start, stop, v in runs:
+        while p < len(breaks) and breaks[p] <= start:
+            p += 1
+        while p < len(breaks) and breaks[p] < stop:
+            yield breaks[p] - start, p, v
+            start = breaks[p]
+            p += 1
+        yield stop - start, p, v
+
+
 def expectations(nu: L0Measure, members, shifts=(None,)):
     """The shifts x members expectations E_nu(f o lambda_s), and the members x maps values f(shifts[0] * h).
 
@@ -123,42 +148,84 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
     every BLAS kernel.  A member must be an IntegralMember (else
     CarrierMismatch); it is integrated per grid cell and support atom on
     the joint refinement of the grid, the shift and its own breakpoints,
-    and a map's value gathers its n cells from that table.  The table adds
-    kernel columns, the kernel of one piece over the support translated by
-    one shift value; each is built once per call, for every shift and cell
-    that carries its value.
+    and a map's value adds its n cells left to right (pairwise, as numpy
+    sums a vector, when nu has one map).
+
+    A grid cell is keyed by the runs (start, stop, value) the shift makes
+    in it, and shifts share most cells.  For each distinct cell, a members
+    x atoms table adds each member's pieces left to right from 0.0, built
+    once from kernel columns (the kernel of one piece over the support
+    translated by one value, each built once), and is gathered once into a
+    members x maps block.  A shift's values add its n blocks into one
+    buffer, and phi is applied to each member's row, or to the rows of
+    adjacent members with the same phi at once.  Members are taken in
+    groups whose blocks fit in BLOCK_ENTRY_LIMIT floats, at least one
+    member at a time.
     """
     atoms, group, n = nu.base.support, nu.base.group, nu.n
-    moved, columns, means = {}, {}, []
-    # cell i of map j in a raveled (n, |support|) table, cell-major so that summing adds rows
-    at = np.ascontiguousarray((nu.codes + np.arange(n) * len(atoms)).T)
-    out = np.empty((len(members), len(nu.weights)))
+    grid = [i / n for i in range(1, n)]
+    cells, plan = {}, []  # (grid cell, runs) -> block slot; each shift's n slots
     for shift in shifts:
         by = identity_map(group) if shift is None else shift
         values = [group.validate(v) for v in by.values]
-        for v in values:
-            if v not in moved:
-                moved[v] = group.translate_all(v, atoms)
-        # the grid refined by the shift: the grid and shift cell of each piece, and the inner cuts
-        refined = list(merge_breakpoints([i / n for i in range(1, n)], by.breakpoints))
-        cuts = [stop for _, stop, _, _ in refined[:-1]]
-        rows = out if not means else np.empty_like(out)  # the values at shifts[0] are returned
-        means.append(np.empty(len(members)))
-        for fi, f in enumerate(members):
-            if not isinstance(f, IntegralMember):
-                raise CarrierMismatch(f"member {fi} is not an IntegralMember")
-            table = np.zeros((n, len(atoms)))
-            for start, stop, ri, p in merge_breakpoints(cuts, f.breakpoints):
-                _, _, gi, si = refined[ri]
-                key = (fi, values[si], p)
-                if key not in columns:
-                    columns[key] = np.fromiter(map(f.kernel[p], moved[values[si]]), np.float64, len(atoms))
-                table[gi] += (stop - start) * columns[key]
-            rows[fi] = f.phi(table.ravel()[at].sum(axis=0))
-            means[-1][fi] = (rows[fi] * nu.weights).sum()
-    if not means:
+        runs = [[] for _ in range(n)]
+        for start, stop, gi, si in merge_breakpoints(grid, by.breakpoints):
+            runs[gi].append((start, stop, values[si]))
+        plan.append([cells.setdefault((gi, tuple(r)), len(cells)) for gi, r in enumerate(runs)])
+    if not plan:
         raise ValueError("expectations needs at least one shift")
-    return np.reshape(means, (len(means), len(members))), out
+    for fi, f in enumerate(members):
+        if not isinstance(f, IntegralMember):
+            raise CarrierMismatch(f"member {fi} is not an IntegralMember")
+    # per cell and member, its pieces as (length, kernel column) in order of position
+    keys = {}
+    cut = [
+        [[(length, keys.setdefault((fi, v, p), len(keys))) for length, p, v in _pieces(runs, f.breakpoints)]
+         for fi, f in enumerate(members)]
+        for _, runs in cells
+    ]
+    moved = {v: group.translate_all(v, atoms) for v in {v for _, v, _ in keys}}
+    columns = np.empty((len(keys), len(atoms)))
+    for (fi, v, p), k in keys.items():
+        columns[k] = np.fromiter(map(members[fi].kernel[p], moved[v]), np.float64, len(atoms))
+
+    codes = np.ascontiguousarray(nu.codes.T)  # row i: the atom of cell i in each map
+    weights, maps = nu.weights, codes.shape[1]
+    size = max(1, min(len(members), BLOCK_ENTRY_LIMIT // (len(cells) * maps)))
+    # allocated once: fresh arrays of this size per cell would fault in new pages each time
+    table, blocks = np.empty((size, len(atoms))), np.empty((len(cells), size, maps))
+    total, product = np.empty((size, maps)), np.empty((size, maps))
+    means, out = np.empty((len(plan), len(members))), np.empty((len(members), maps))
+    for lo in range(0, len(members), size):
+        part = range(lo, min(lo + size, len(members)))
+        rows = len(part)
+        for c, ((gi, _), pieces) in enumerate(zip(cells, cut)):
+            table.fill(0.0)
+            for s in range(max(len(pieces[fi]) for fi in part)):
+                hit = [(r, *pieces[fi][s]) for r, fi in enumerate(part) if s < len(pieces[fi])]
+                at, lengths, ks = (list(x) for x in zip(*hit))
+                # every member has a first piece in every cell, so the first add takes a slice
+                table[at if s else slice(rows)] += np.array(lengths)[:, None] * columns[ks]
+            np.take(table[:rows], codes[gi], axis=1, out=blocks[c, :rows], mode="clip")
+        acc, prod = total[:rows], product[:rows]
+        for k, slots in enumerate(plan):
+            if maps == 1:  # one map's n cells are added pairwise, as numpy sums a vector
+                acc[:, 0] = [blocks[slots, r, 0].sum() for r in range(rows)]
+            else:
+                np.copyto(acc, blocks[slots[0], :rows])
+                for c in slots[1:]:
+                    np.add(acc, blocks[c, :rows], out=acc)
+            # phi acts on each value alone, so members with one phi take it together
+            r = 0
+            for phi, same in groupby(members[fi].phi for fi in part):
+                stop = r + len(list(same))
+                values = phi(acc[r:stop])
+                if k == 0:
+                    out[lo + r : lo + stop] = values
+                np.multiply(values, weights, out=prod[r:stop])
+                r = stop
+            means[k, lo : lo + rows] = [row.sum() for row in prod]
+    return means, out
 
 
 def _check_table_entries(n: int, atoms: int, g: AnyMap, family: BLFamily) -> None:
@@ -340,17 +407,14 @@ def run_schedule(
         nu = push_forward(mu_i, n_i, mode_i, samples=samples, seed=rng.derive_seed(seed, "entry", i))
         res = l0_defect(nu, g, family)
 
-        conc_mass = 0.0
-        median_gap = 0.0
-        for values, mean in zip(res.values, res.expectations):
-            med = weighted_median(values, nu.weights)
-            gap = float(abs(mean - med))
-            mass_e = weighted_deviation_mass(values, nu.weights, float(mean), eps)
-            mass_m_half = weighted_deviation_mass(values, nu.weights, med, eps / 2)
-            conc_mass = max(conc_mass, mass_e)
-            median_gap = max(median_gap, gap)
-            if gap <= eps / 2 and mass_e > mass_m_half + 1e-12:
-                implication_all = False
+        # one value per member, each from its own row of the members x maps table
+        meds = weighted_median(res.values, nu.weights)
+        gaps = np.abs(res.expectations - meds)
+        mass_e = weighted_deviation_mass(res.values, nu.weights, res.expectations, eps)
+        mass_m_half = weighted_deviation_mass(res.values, nu.weights, meds, eps / 2)
+        conc_mass = float(mass_e.max(initial=0.0))
+        median_gap = float(gaps.max(initial=0.0))
+        implication_all &= not np.any((gaps <= eps / 2) & (mass_e > mass_m_half + 1e-12))
 
         bounded &= res.defect <= res.bound + _TOL
         sigma = 0.0

@@ -210,14 +210,17 @@ def _parse_schedule(group: WordGroup, text: str) -> tuple:
     lo, hi = int(m.group(3)), int(m.group(4))
     if lo < 1 or hi < lo:
         raise UsageError("schedule index range must satisfy 1 <= a <= b")
-    entries = []
+    sizes = []
     for i in range(lo, hi + 1):
         k = _parse_schedule_expr(m.group(1), i)
         n = _parse_schedule_expr(m.group(2), i)
         if k < 1 or n < 1:
             raise UsageError(f"schedule produced non-positive k={k} or n={n} at i={i}")
-        entries.append((n, folner_measure(group, k)))
-    return tuple(entries)
+        sizes.append((n, k))
+    # every box's size, before the first is built
+    for _, k in sizes:
+        _check_support_size(group, k)
+    return tuple((n, folner_measure(group, k)) for n, k in sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -187,28 +187,45 @@ def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
 
 
 def _function_table(values, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce a function table and its weights to arrays; one finite value per weight."""
+    """Coerce a function table and its weights to arrays; one finite value per weight, in a row per function."""
     values = np.asarray(values, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if values.shape != weights.shape:
+    if values.ndim not in (1, 2) or values.shape[-1:] != weights.shape:
         raise LengthMismatch(f"table shape {values.shape} != weights shape {weights.shape}")
     if not np.all(np.isfinite(values)):
         raise InvalidFunctionTable("function table contains non-finite values")
     return values, weights
 
 
-def weighted_median(values, weights) -> float:
-    """Smallest m with mass(f >= m) >= 1/2 and mass(f <= m) >= 1/2."""
+def weighted_median(values, weights):
+    """Smallest m with mass(f >= m) >= 1/2 and mass(f <= m) >= 1/2.
+
+    values holds one value per weight (a float is returned) or a table
+    with one such row per function (an array of one median per row).
+    Each row is sorted stably and its weights cumulated on their own, so a
+    row's median has the bits it has alone.
+    """
     values, weights = _function_table(values, weights)
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    pos = int(np.searchsorted(cum, 0.5 - _MASS_TOL, side="left"))
-    return float(values[order[min(pos, len(order) - 1)]])
+    rows = np.atleast_2d(values)
+    medians = []
+    for row, order in zip(rows, np.argsort(rows, axis=1, kind="stable")):
+        cum = np.cumsum(weights[order])
+        pos = int(np.searchsorted(cum, 0.5 - _MASS_TOL, side="left"))
+        medians.append(row[order[min(pos, len(order) - 1)]])
+    return float(medians[0]) if values.ndim == 1 else np.array(medians)
 
 
-def weighted_deviation_mass(values, weights, center: float, eps: float) -> float:
-    """Mass of {|f - center| > eps} (strict inequality)."""
+def weighted_deviation_mass(values, weights, center, eps: float):
+    """Mass of {|f - center| > eps} (strict inequality).
+
+    For a table with one row per function (see weighted_median), center
+    is one float or one per row, and one mass per row is returned, each
+    summed over its own row.
+    """
     if not eps > 0:
         raise NonPositiveEps("eps must be > 0")
     values, weights = _function_table(values, weights)
-    return float(weights[np.abs(values - center) > eps].sum())
+    center = np.asarray(center, dtype=np.float64)
+    far = np.abs(values - (center[..., None] if values.ndim == 2 else center)) > eps
+    masses = [weights[row].sum() for row in np.atleast_2d(far)]
+    return float(masses[0]) if values.ndim == 1 else np.array(masses)

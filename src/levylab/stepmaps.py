@@ -127,7 +127,8 @@ class IntegralMember:
     amplify.expectations call builds the column of a kernel over a
     translated support once and reuses it for every cell and shift of that
     call that carries the same shift value.  phi maps the integral, a float
-    or an array of them, to the value.
+    or an array of them, to the value, each entry on its own, so that
+    members sharing a phi may take it on one table of their integrals.
     """
 
     breakpoints: tuple

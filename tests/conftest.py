@@ -24,7 +24,9 @@ from levylab import (
     weighted_median,
 )
 from levylab import rng
+from levylab.errors import CarrierMismatch
 from levylab.hamming import product_weights
+from levylab.stepmaps import IntegralMember, identity_map, merge_breakpoints
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -216,6 +218,48 @@ def step_maps(nu) -> tuple:
     """The step maps of a push-forward, one StepMap per row of its codes."""
     atoms, group = nu.base.support, nu.base.group
     return tuple(StepMap(group, tuple(atoms[c] for c in row)) for row in nu.codes.tolist())
+
+
+def reference_expectations(nu, members, shifts=(None,)):
+    """amplify.expectations one (shift, member) table at a time, each table built cell by cell.
+
+    Each member's n x atoms table adds the kernel columns of its pieces on
+    the joint refinement of the grid, the shift and its breakpoints, left
+    to right from 0.0; a map's value gathers its n cells from the table and
+    numpy sums them down the cells; each mean is (row * weights).sum().
+    Kernel columns are built once per (member, shift value, piece).
+    """
+    atoms, group, n = nu.base.support, nu.base.group, nu.n
+    moved, columns, means = {}, {}, []
+    # cell i of map j in a raveled (n, |support|) table, cell-major so that summing adds rows
+    at = np.ascontiguousarray((nu.codes + np.arange(n) * len(atoms)).T)
+    out = np.empty((len(members), len(nu.weights)))
+    for shift in shifts:
+        by = identity_map(group) if shift is None else shift
+        values = [group.validate(v) for v in by.values]
+        for v in values:
+            if v not in moved:
+                moved[v] = group.translate_all(v, atoms)
+        # the grid refined by the shift: the grid and shift cell of each piece, and the inner cuts
+        refined = list(merge_breakpoints([i / n for i in range(1, n)], by.breakpoints))
+        cuts = [stop for _, stop, _, _ in refined[:-1]]
+        rows = out if not means else np.empty_like(out)  # the values at shifts[0] are returned
+        means.append(np.empty(len(members)))
+        for fi, f in enumerate(members):
+            if not isinstance(f, IntegralMember):
+                raise CarrierMismatch(f"member {fi} is not an IntegralMember")
+            table = np.zeros((n, len(atoms)))
+            for start, stop, ri, p in merge_breakpoints(cuts, f.breakpoints):
+                _, _, gi, si = refined[ri]
+                key = (fi, values[si], p)
+                if key not in columns:
+                    columns[key] = np.fromiter(map(f.kernel[p], moved[values[si]]), np.float64, len(atoms))
+                table[gi] += (stop - start) * columns[key]
+            rows[fi] = f.phi(table.ravel()[at].sum(axis=0))
+            means[-1][fi] = (rows[fi] * nu.weights).sum()
+    if not means:
+        raise ValueError("expectations needs at least one shift")
+    return np.reshape(means, (len(means), len(members))), out
 
 
 def manual_product_map(g, h) -> PiecewiseMap:

@@ -5,13 +5,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_l0_defect,
     brute_translated_expectation,
     cell_window_closed_form,
+    element_strategy,
     fubini_telescope_steps,
     left_sum,
+    reference_expectations,
     searchsorted_choice,
     step_maps,
 )
@@ -704,3 +708,145 @@ class TestSharedColumns:
         assert first == second
         nu = push_forward(entries[1][1], 2)
         assert l0_defect(nu, g, fam) == l0_defect(nu, g, fam)
+
+
+def _cuts(data, n, most):
+    """Sorted distinct breakpoints in (0, 1), drawn from grid points i / n and points inside cells."""
+    grid = st.sampled_from([i / n for i in range(1, n)] or [0.5])
+    points = data.draw(st.lists(st.one_of(grid, st.floats(0.01, 0.99)), max_size=most, unique=True))
+    return tuple(sorted(points))
+
+
+class TestDistinctCells:
+    # expectations builds one table per distinct (grid cell, runs of the shift in it) and sums
+    # blocks; reference_expectations is the one-table-per-(shift, member) loop it replaced
+
+    @pytest.mark.parametrize("group", [Z, CyclicGroup(7), FreeGroup2()], ids=["Z", "Z7", "F2"])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_reference_loop(self, group, mode, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        elements = element_strategy(group)
+        atoms = data.draw(st.lists(elements, min_size=1, max_size=3, unique=True), label="atoms")
+        raw = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(atoms), max_size=len(atoms))))
+        nu = push_forward(FinSuppMeasure(group, tuple(atoms), tuple(raw / raw.sum())), n, mode,
+                          samples=data.draw(st.integers(2, 40)), seed=data.draw(st.integers(0, 99)))
+
+        def piecewise(breaks):
+            return PiecewiseMap(group, breaks, tuple(data.draw(elements) for _ in range(len(breaks) + 1)))
+
+        # a step map and its telescope prefixes agree on all cells but one; a piecewise
+        # shift and a copy with one piece changed agree on the cells away from that piece
+        step = tuple(data.draw(elements) for _ in range(n))
+        prefixes = [StepMap(group, step[:j] + (group.identity,) * (n - j)) for j in range(1, n + 1)]
+        shift = piecewise(_cuts(data, n, 3))
+        k = data.draw(st.integers(0, len(shift.values) - 1))
+        changed = PiecewiseMap(group, shift.breakpoints, shift.values[:k] + (data.draw(elements),)
+                               + shift.values[k + 1:])
+        # equal values on both sides of a breakpoint still cut the cell that holds it in two
+        breaks = _cuts(data, n, 2) or (0.5,)
+        repeated = PiecewiseMap(group, breaks, (data.draw(elements),) * (len(breaks) + 1))
+        other = StepMap(group, (data.draw(elements), data.draw(elements)))
+        shifts = data.draw(st.permutations([None, shift, *prefixes, changed, repeated, other]))
+
+        lo, hi = sorted(data.draw(st.sampled_from([0.0, 1.0, 1 / n, 0.5]) | st.floats(0.0, 1.0)) for _ in "lh")
+        members = [
+            disagreement_member(piecewise(_cuts(data, n, 3))),
+            disagreement_member(StepMap(group, tuple(data.draw(elements) for _ in range(n)))),
+            # clipped phi: max(0, 1 - mismatch / width)
+            cell_window_member(group, lo, hi, data.draw(elements), data.draw(st.floats(0.05, 1.0))),
+            phi_member(lambda x: math.sin(group.word_length(x) + 0.5)),
+        ]
+        members = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=4))
+        means, values = amplify.expectations(nu, members, shifts)
+        ref_means, ref_values = reference_expectations(nu, members, shifts)
+        assert np.array_equal(means, ref_means) and np.array_equal(values, ref_values)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 12])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_one_map_adds_its_cells_like_numpy(self, n, mode):
+        # numpy sums an (n, 1) column pairwise once n >= 8, not down the cells
+        mu = z_uniform(3) if mode == "exact" else z_uniform(0, 1, 2)
+        nu = push_forward(mu, n, mode, samples=1, seed=n)
+        members = [phi_member(lambda x, a=a: math.sin(a * x[0] + 0.5)) for a in (0.3, 1.1, 2.9)]
+        g = PiecewiseMap(Z, (0.3, 0.7), z_elems(1, -2, 1))
+        shifts = (None, g, *(StepMap(Z, z_elems(*([1] * j + [0] * (n - j)))) for j in range(1, n)))
+        means, values = amplify.expectations(nu, members, shifts)
+        ref_means, ref_values = reference_expectations(nu, members, shifts)
+        assert np.array_equal(means, ref_means) and np.array_equal(values, ref_values)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_member_groups_give_the_bits_of_one_group(self, monkeypatch, size):
+        nu = push_forward(folner_measure(Z, 6), 3, "sampled", samples=50, seed=4)
+        g = PiecewiseMap(Z, (0.3, 0.65), z_elems(5, -7, 3))
+        shifts = (None, g, h_embed(Z, z_elems(5, 0, 0)), h_embed(Z, z_elems(5, -7, 0)))
+        members = disagreement_family(Z, 3, seed=6).members + cell_window_family(Z, 2, seed=6).members
+        # 3 identity cells, 3 cells of g and 2 whole cells of the prefixes: 8 blocks per member
+        monkeypatch.setattr(amplify, "BLOCK_ENTRY_LIMIT", 8 * 50 * size)
+        means, values = amplify.expectations(nu, members, shifts)
+        ref_means, ref_values = reference_expectations(nu, members, shifts)
+        assert np.array_equal(means, ref_means) and np.array_equal(values, ref_values)
+
+    def test_each_distinct_cell_is_gathered_once_per_member_group(self, monkeypatch):
+        # stage 8 of the CLI default: the 8 identity cells, the 3 cells where the target
+        # 1 | 0 (cut at 0.35) differs from the identity, and cell 2 whole at 1 in the last prefix
+        taken = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def take(self, *args, **kwargs):
+                taken.append(args[0].shape)
+                return np.take(*args, **kwargs)
+
+        monkeypatch.setattr(amplify, "np", CountingNumpy())
+        g = PiecewiseMap(Z, (0.35,), z_elems(1, 0))
+        fam = disagreement_family(Z, 20, seed=3)
+        mu = folner_measure(Z, 256)
+        for samples, groups in ((500, 1), (20_000, 20)):
+            taken.clear()
+            nu = push_forward(mu, 8, "sampled", samples=samples, seed=1)
+            l0_defect(nu, g, fam)
+            assert len(taken) == 12 * groups
+            assert set(taken) == {(20 // groups, 513)}
+            # at 20,000 samples the blocks of two members would not fit the budget
+            assert groups == 1 or 12 * 2 * samples > amplify.BLOCK_ENTRY_LIMIT
+
+    def test_one_median_and_two_mass_calls_per_stage(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(values, *args):
+                calls[name, np.shape(values)] += 1
+                return fn(values, *args)
+
+            return wrapper
+
+        for name in ("weighted_median", "weighted_deviation_mass"):
+            monkeypatch.setattr(amplify, name, counted(name, getattr(amplify, name)))
+        entries = tuple((i, folner_measure(Z, 4 * i * i)) for i in (1, 2, 3))
+        fam = disagreement_family(Z, 5, seed=3)
+        run_schedule(Schedule(entries, 0.5), h_embed(Z, z_elems(1)), fam, eps=0.2, samples=70, exact_cap=100)
+        # members x maps per stage; stage 2 has 17^2 tuples, over the cap of 100, so it is sampled
+        shapes = [(5, 9), (5, 70), (5, 70)]
+        medians = [("weighted_median", s) for s in shapes]
+        masses = [("weighted_deviation_mass", s) for s in shapes for _ in ("mean", "median")]
+        assert calls == Counter(medians + masses)
+
+    def test_stage_eight_at_the_cli_sample_count_stays_under_the_old_peak(self):
+        # stage 8 of the CLI default at its 20,000 samples; the per-(shift, member) loop this
+        # path replaced peaked at 11,231,656 traced bytes in this call (Python 3.11, numpy 2.4),
+        # from its n x maps gathers and a second members x maps table
+        g = cli._parse_map(Z, "0.35: 1|0")
+        fam = cli._parse_family(Z, "disagreement", 42)
+        nu = push_forward(folner_measure(Z, 256), 8, "sampled", samples=20_000,
+                          seed=rng.derive_seed(42, "entry", 8))
+        tracemalloc.start()
+        try:
+            l0_defect(nu, g, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11_231_656

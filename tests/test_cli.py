@@ -503,6 +503,7 @@ class TestDefaultsSmoke:
             ["profile", "--base", "uniform100000000", "--n", "2"],
             ["defect", "--k-range", "1..100000000"],
             ["defect", "--group", "F2", "--k-range", "1..100000000"],
+            ["amplify", "--group", "Z^2", "--g", ":(1,0)", "--schedule", "k=i,n=1,i=1..600", "--samples", "100"],
         ],
     )
     def test_oversized_inputs_are_refused_before_building(self, tmp_path, args):

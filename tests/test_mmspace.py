@@ -238,6 +238,37 @@ class TestDeviationMass:
             weighted_deviation_mass([0.0, float("inf")], TWO_POINT.mu, 0.0, 0.1)
 
 
+class TestRowTables:
+    # a members x maps table gives one median and one mass per row, each with the bits of its row alone
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_each_row_has_the_bits_of_its_own_call(self, data):
+        maps, rows = data.draw(st.integers(1, 200)), data.draw(st.integers(0, 6))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        weights = gen.dirichlet(np.full(maps, data.draw(st.sampled_from([0.2, 1.0]))))
+        # few distinct values, so that ties and the stable order matter
+        levels = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5)))
+        table = levels[gen.integers(0, len(levels), size=(rows, maps))]
+        centers = np.array([data.draw(st.floats(-1e3, 1e3)) for _ in range(rows)])
+        eps = data.draw(st.floats(1e-3, 1e3))
+        medians = weighted_median(table, weights)
+        assert medians.shape == (rows,)
+        assert medians.tolist() == [weighted_median(row, weights) for row in table]
+        masses = weighted_deviation_mass(table, weights, centers, eps)
+        assert masses.tolist() == [weighted_deviation_mass(row, weights, c, eps) for row, c in zip(table, centers)]
+        shared = weighted_deviation_mass(table, weights, 0.5, eps)
+        assert shared.tolist() == [weighted_deviation_mass(row, weights, 0.5, eps) for row in table]
+
+    def test_tables_are_checked(self):
+        with pytest.raises(LengthMismatch):
+            weighted_median(np.zeros((2, 3)), [0.5, 0.5])
+        with pytest.raises(LengthMismatch):
+            weighted_deviation_mass(np.zeros((2, 2, 2)), [0.5, 0.5], 0.0, 0.1)
+        with pytest.raises(InvalidFunctionTable):
+            weighted_median([[0.0, 1.0], [0.0, float("nan")]], TWO_POINT.mu)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     mm_space_strategy(max_points=6),
