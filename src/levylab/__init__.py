@@ -33,7 +33,6 @@ from .errors import (
     LipschitzViolation,
     NegativeEps,
     NonPositiveEps,
-    OutOfRange,
     SpaceTooLarge,
     TooLargeForExact,
     TooManySamples,
@@ -44,15 +43,9 @@ from .families import (
     GroupCarrier,
     L0Carrier,
     cell_window_family,
-    compose_with_translation,
     disagreement_family,
     disagreement_member,
-    eval_member,
     invariance_defect,
-    pullback_family,
-    pullback_member,
-    splice,
-    spot_check_lipschitz,
     wordlen_clamp_family,
 )
 from .hamming import (
@@ -86,7 +79,6 @@ from .stepmaps import (
     h_embed,
     hamming_distance,
     identity_map,
-    in_neighborhood,
     pointwise_translate,
 )
 from .wordgroups import (

@@ -50,7 +50,7 @@ from .hamming import (
 )
 from .mmspace import weighted_deviation_mass, weighted_median
 from .stepmaps import AnyMap, IntegralMember, StepMap, grid_approximate, identity_map, merge_breakpoints
-from .wordgroups import FinSuppMeasure
+from .wordgroups import FinSuppMeasure, _power_over
 
 _TOL = 1e-9
 # the most table entries one l0_defect call may count, (member pieces x shift values + n)
@@ -107,7 +107,7 @@ def push_forward(
         raise ValueError("n must be >= 1")
     k = len(mu.support)
     if mode == "exact":
-        _check_enumeration(k**n)
+        _check_enumeration(k, n)
         # the index tuples in itertools.product order, matching product_weights:
         # column i holds the base-k digit of the tuple's rank at place n-1-i
         rank = np.arange(k**n)
@@ -334,9 +334,6 @@ class Schedule:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "witnesses", tuple(witnesses))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class ScheduleRow:
@@ -363,18 +360,19 @@ def stage_modes(entries, g: AnyMap, family: BLFamily, *, mode: str, samples: int
 
     An entry is exact under mode="exact" (over exact_cap: TooLargeForExact)
     and under "auto" within exact_cap.  Only the supports' sizes are read,
-    so a run over a cap is refused before anything is built.
+    and |support|^n is not formed where it would exceed a cap, so a run
+    over a cap is refused before anything is built.
     """
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     modes = []
     for n_i, mu_i in entries:
-        size = len(mu_i.support) ** n_i
-        if mode == "exact" and size > exact_cap:
-            raise TooLargeForExact(f"{size} tuples exceeds exact cap {exact_cap}")
-        modes.append("exact" if mode == "exact" or (mode == "auto" and size <= exact_cap) else "sampled")
+        over = _power_over(len(mu_i.support), n_i, exact_cap)
+        if mode == "exact" and over:
+            raise TooLargeForExact(f"{over} tuples exceeds exact cap {exact_cap}")
+        modes.append("exact" if mode == "exact" or (mode == "auto" and not over) else "sampled")
         if modes[-1] == "exact":
-            _check_enumeration(size)
+            _check_enumeration(len(mu_i.support), n_i)
         else:
             _check_sample_array(samples, n_i)
         _check_table_entries(n_i, len(mu_i.support), g, family)

@@ -301,9 +301,9 @@ def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
     if probe == "folner":
         if not isinstance(group, ZdGroup):
             raise UsageError("the folner probe needs a Z^d group")
+        _check_support_size(group, ks[-1])  # the largest box, before it or a generator is built
         family = _parse_group_family(group, ns.family)
         g = group.parse(ns.g) if ns.g else group.generators()[0]
-        _check_support_size(group, ks[-1])  # the largest box, before the first is built
         ok = True
         for k in ks:
             mu = folner_measure(group, k)

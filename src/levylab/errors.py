@@ -65,9 +65,5 @@ class DimensionMismatch(LevyLabError, ValueError):
     """Tuple lengths/indices are inconsistent with the requested embedding."""
 
 
-class OutOfRange(LevyLabError):
-    """A member evaluation escaped its declared bound (misdeclared family)."""
-
-
 class LipschitzViolation(LevyLabError):
-    """A sampled pair violates the declared Lipschitz constant."""
+    """A profiled member's exact Lipschitz constant exceeds the declared one."""

@@ -1,12 +1,11 @@
-"""Bounded-Lipschitz test families and coordinate pull-backs.
+"""Bounded-Lipschitz test families.
 
 A BLFamily is a finite list of evaluable members with a shared sup-norm
 bound B and Lipschitz constant L for the carrier's metric (word metric on
 a group carrier, disagreement pseudometric on a step-map carrier).  The
 built-in members are stepmaps.IntegralMember h -> phi(int k(t, h(t)) dt)
 on step maps, and wordgroups.ClampedLength, with its bulk path, on groups.
-All suprema over a family are maxima over the list.  Lipschitz
-verification is probabilistic: sampled pairs, not exhaustive checks.
+All suprema over a family are maxima over the list.
 """
 
 from __future__ import annotations
@@ -14,16 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import ne
-from typing import Callable
 
 import numpy as np
 
 from . import rng
-from .errors import CarrierMismatch, DimensionMismatch, LipschitzViolation, OutOfRange
-from .stepmaps import AnyMap, IntegralMember, PiecewiseMap, StepMap, disagreement, h_embed
+from .errors import CarrierMismatch
+from .stepmaps import AnyMap, IntegralMember, PiecewiseMap, StepMap
 from .wordgroups import ClampedLength, FinSuppMeasure, WordGroup
-
-_BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,26 +28,12 @@ class GroupCarrier:
 
     group: WordGroup
 
-    def distance(self, x, y) -> float:
-        return float(self.group.distance(x, y))
-
-    def random_point(self, gen: np.random.Generator, radius: int = 4):
-        return self.group.random_element(gen, radius)
-
 
 @dataclass(frozen=True)
 class L0Carrier:
     """Members take step/piecewise maps; Lipschitz is w.r.t. disagreement."""
 
     group: WordGroup
-
-    def distance(self, x: AnyMap, y: AnyMap) -> float:
-        return disagreement(x, y)
-
-    def random_point(self, gen: np.random.Generator, radius: int = 4) -> StepMap:
-        n = int(gen.integers(1, 9))
-        values = tuple(self.group.random_element(gen, radius) for _ in range(n))
-        return StepMap(self.group, values)
 
 
 Carrier = GroupCarrier | L0Carrier
@@ -71,87 +53,9 @@ class BLFamily:
             raise ValueError("bound must be positive and lipschitz non-negative")
         object.__setattr__(self, "members", tuple(self.members))
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def _zero(x) -> float:
     return 0.0
-
-
-def eval_member(family: BLFamily, index: int, x) -> float:
-    """Evaluate one member, enforcing the declared sup-norm bound."""
-    value = float(family.members[index](x))
-    if abs(value) > family.bound + _BOUND_TOL:
-        raise OutOfRange(
-            f"member {index} returned {value}, outside declared bound {family.bound}"
-        )
-    return value
-
-
-def spot_check_lipschitz(family: BLFamily, *, seed: int = 0, pairs: int = 64, radius: int = 4) -> None:
-    """Sample point pairs and verify |f(x)-f(y)| <= L*d(x,y) + 1e-9."""
-    gen = np.random.default_rng(rng.derive_seed(seed, "family-lipschitz"))
-    carrier, lipschitz = family.carrier, family.lipschitz
-    for _ in range(pairs):
-        x, y = carrier.random_point(gen, radius), carrier.random_point(gen, radius)
-        d = carrier.distance(x, y)
-        for i, f in enumerate(family.members):
-            gap = abs(float(f(x)) - float(f(y))) - lipschitz * d
-            if gap > 1e-9:
-                raise LipschitzViolation(
-                    f"member {i} exceeds declared L={lipschitz} by {gap:.3e} on a sampled pair"
-                )
-
-
-def splice(i: int, a: tuple, x) -> tuple:
-    """Insert x at position i (1-based) of the (n-1)-tuple a, giving an n-tuple."""
-    if not 1 <= i <= len(a) + 1:
-        raise DimensionMismatch(f"position {i} invalid for a tuple of length {len(a)}")
-    return a[: i - 1] + (x,) + a[i - 1 :]
-
-
-def pullback_member(F, group: WordGroup, n: int, i: int, a: tuple) -> Callable:
-    """Pull an L0 member back to the group: x -> F(h_n(a_1..a_{i-1}, x, a_i..)).
-
-    For a member with data (B, L) over the disagreement metric, the
-    pull-back is B-bounded and (L/n)-Lipschitz for the word metric, since
-    changing the single coordinate moves the embedded map on one cell of
-    width 1/n.
-    """
-    if n < 1 or not 1 <= i <= n or len(a) != n - 1:
-        raise DimensionMismatch(f"inconsistent pull-back data n={n}, i={i}, |a|={len(a)}")
-    a = tuple(group.validate(v) for v in a)
-
-    def member(x):
-        return F(h_embed(group, splice(i, a, x)))
-
-    return member
-
-
-def pullback_family(family: BLFamily, n: int, i: int, a: tuple) -> BLFamily:
-    """Pull a whole L0 family back through one coordinate slot."""
-    if not isinstance(family.carrier, L0Carrier):
-        raise CarrierMismatch("pull-backs need a family over a step-map carrier")
-    group = family.carrier.group
-    members = tuple(pullback_member(F, group, n, i, a) for F in family.members)
-    return BLFamily(GroupCarrier(group), members, family.bound, family.lipschitz / n)
-
-
-def compose_with_translation(f, g, group: WordGroup) -> Callable:
-    """The member x -> f(g*x).
-
-    The sup-norm bound is preserved.  The Lipschitz constant for the
-    right-invariant metric is preserved on abelian carriers; in general it
-    is only controlled in the spliced combinations the pull-back
-    identities produce, which is where this is used.
-    """
-    g = group.validate(g)
-
-    def member(x):
-        return f(group.op(g, x))
-
-    return member
 
 
 def invariance_defect(mu: FinSuppMeasure, g, family: BLFamily) -> float:

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .mmspace import DEFAULT_ENUMERATION_LIMIT, FiniteMMSpace, weighted_deviation_mass, weighted_median
 from .stepmaps import IntegralMember, hamming_distance
+from .wordgroups import _power_over
 
 EXACT_PRODUCT_LIMIT = 10**6
 # most entries one sampled array may hold (samples x n codes, or samples values): a
@@ -89,10 +90,6 @@ class HammingProduct:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    @property
-    def point_count(self) -> int:
-        return len(self.base.atoms) ** self.n
-
 
 def talagrand_bound(eps: float, n: int) -> float:
     """The exponential concentration bound 2*exp(-eps^2 * n)."""
@@ -118,9 +115,9 @@ def sample_indices(weights, n: int, count: int, seed: int, start: int = 0) -> np
     return rng.counter_choice(seed, start * n, count * n, np.cumsum(weights)).reshape(count, n)
 
 
-def _check_enumeration(tuples: int) -> None:
-    """Refuse an enumeration of more than EXACT_PRODUCT_LIMIT tuples before it is built."""
-    if tuples > EXACT_PRODUCT_LIMIT:
+def _check_enumeration(k: int, n: int) -> None:
+    """Refuse an enumeration of the k^n n-tuples of k atoms above EXACT_PRODUCT_LIMIT, before it is built."""
+    if tuples := _power_over(k, n, EXACT_PRODUCT_LIMIT):
         raise TooLargeForExact(f"{tuples} tuples exceeds exact cap {EXACT_PRODUCT_LIMIT}")
 
 
@@ -141,8 +138,8 @@ def product_weights(weights, n: int) -> np.ndarray:
 
 def product_space(product: HammingProduct) -> FiniteMMSpace:
     """Materialize the product as a FiniteMMSpace of at most DEFAULT_ENUMERATION_LIMIT points."""
-    if product.point_count > DEFAULT_ENUMERATION_LIMIT:
-        raise TooLargeForExact(f"{product.point_count} points exceeds limit {DEFAULT_ENUMERATION_LIMIT}")
+    if points := _power_over(len(product.base.atoms), product.n, DEFAULT_ENUMERATION_LIMIT):
+        raise TooLargeForExact(f"{points} points exceeds limit {DEFAULT_ENUMERATION_LIMIT}")
     points = list(itertools.product(product.base.atoms, repeat=product.n))
     dist = np.array([[hamming_distance(x, y) for y in points] for x in points])
     return FiniteMMSpace(tuple(points), dist, product_weights(product.base.weights, product.n))
@@ -218,7 +215,7 @@ def lipschitz_profile(
     n = product.n
 
     if mode == "exact":
-        _check_enumeration(product.point_count)
+        _check_enumeration(len(product.base.atoms), n)
         # flat after each coordinate, in product_weights' order
         values = reduce(lambda s, t: (s[:, None] + t[None, :]).ravel(), [table] * n) / n
         weights = product_weights(product.base.weights, n)

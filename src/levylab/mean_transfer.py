@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .families import compose_with_translation
 from .stepmaps import AnyMap, IntegralMember, h_embed, pointwise_translate
 from .wordgroups import WordGroup
 
@@ -35,7 +34,8 @@ def phi_equivariance_check(group: WordGroup, f: Callable, g, h: AnyMap) -> float
     Both sides reduce to the same finite cell sum, so the residual is zero
     up to float roundoff (contract: <= 1e-12).
     """
-    left = phi_member(compose_with_translation(f, g, group))(h)
+    g = group.validate(g)
+    left = phi_member(lambda x: f(group.op(g, x)))(h)
     right = phi_member(f)(pointwise_translate(h_embed(group, (g,)), h))
     return abs(left - right)
 

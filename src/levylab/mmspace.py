@@ -88,10 +88,6 @@ class FiniteMMSpace:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def diameter(self) -> float:
-        return float(self.dist.max())
-
     @classmethod
     def uniform(cls, points, dist) -> "FiniteMMSpace":
         n = len(points)

@@ -45,9 +45,6 @@ class StepMap:
         n = self.n
         return tuple(i / n for i in range(1, n))
 
-    def value_at(self, t: float):
-        return self.values[bisect_right(self.breakpoints, t)]
-
 
 @dataclass(frozen=True)
 class PiecewiseMap:
@@ -73,9 +70,6 @@ class PiecewiseMap:
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", breaks)
         object.__setattr__(self, "values", values)
-
-    def value_at(self, t: float):
-        return self.values[bisect_right(self.breakpoints, t)]
 
 
 AnyMap = StepMap | PiecewiseMap
@@ -192,19 +186,6 @@ def disagreement(f: AnyMap, g: AnyMap) -> float:
         return hamming_distance(f.values, g.values)
     # left to right from 0.0: from Python 3.12 on, sum() compensates
     return reduce(add, (stop - start for start, stop, va, vb in iter_joint_cells(f, g) if va != vb), 0.0)
-
-
-def in_neighborhood(f: AnyMap, radius: int, eps: float) -> bool:
-    """Membership in the basic neighborhood N(ball(radius), eps) of the identity.
-
-    True iff the mass of {t : wl(f(t)) >= radius} is strictly below eps,
-    i.e. f stays inside the open word ball of the given radius outside a
-    set of measure < eps.
-    """
-    wl, values = f.group.word_length, f.values
-    cells = merge_breakpoints(f.breakpoints, ())
-    offending = reduce(add, (stop - start for start, stop, i, _ in cells if wl(values[i]) >= radius), 0.0)
-    return offending < eps
 
 
 def grid_approximate(f: AnyMap, n: int) -> tuple[tuple, float]:

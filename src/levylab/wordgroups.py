@@ -111,9 +111,6 @@ class WordGroup:
     def parse(self, text: str):
         raise NotImplementedError
 
-    def format(self, x) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ZdGroup(WordGroup):
@@ -174,11 +171,6 @@ class ZdGroup(WordGroup):
             raise InvalidElement(f"cannot parse {text!r} as a Z^{self.d} element") from exc
         return self.validate(vec)
 
-    def format(self, x) -> str:
-        if self.d == 1:
-            return str(x[0])
-        return "(" + ",".join(str(c) for c in x) + ")"
-
 
 @dataclass(frozen=True)
 class CyclicGroup(WordGroup):
@@ -223,9 +215,6 @@ class CyclicGroup(WordGroup):
             return self.validate(int(text.strip()))
         except ValueError as exc:
             raise InvalidElement(f"cannot parse {text!r} as a residue mod {self.m}") from exc
-
-    def format(self, x) -> str:
-        return str(x)
 
 
 def _reduce_word(word: str) -> str:
@@ -299,9 +288,6 @@ class FreeGroup2(WordGroup):
         if body in ("e", "1"):
             return ""
         return self.validate(body)
-
-    def format(self, x) -> str:
-        return x if x else "e"
 
 
 def make_group(spec: str) -> WordGroup:
@@ -426,12 +412,24 @@ class FinSuppMeasure:
         return 0.5 * reduce(operator.add, (abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys), 0.0)
 
 
+def _power_over(k: int, n: int, cap: int) -> str:
+    """k^n as text ("k^n" when it is not formed) if it exceeds cap, else ""; k >= 1 and n >= 0.
+
+    Only k^m, m = min(n, bit length of cap), is formed: for k >= 2 it exceeds cap exactly when k^n does.
+    """
+    m = min(n, cap.bit_length())
+    count = k**m
+    if count <= cap:
+        return ""
+    return str(count) if m == n else f"{k}^{n}"
+
+
 def _check_support_size(group: WordGroup, k: int) -> None:
     """Refuse a box [-k, k]^d of Z^d or an F2 ball of radius k above SUPPORT_LIMIT points, before building."""
-    if isinstance(group, ZdGroup) and (2 * k + 1) ** group.d > SUPPORT_LIMIT:
+    if isinstance(group, ZdGroup) and _power_over(2 * k + 1, group.d, SUPPORT_LIMIT):
         raise SpaceTooLarge(f"the box [-{k}, {k}]^{group.d} has more than {SUPPORT_LIMIT} points")
-    # an F2 ball holds 2*3^k - 1 words; 3^k exceeds the limit once k reaches its bit length
-    if isinstance(group, FreeGroup2) and 2 * 3 ** min(k, SUPPORT_LIMIT.bit_length()) - 1 > SUPPORT_LIMIT:
+    # an F2 ball holds 2*3^k - 1 words, more than the limit exactly when 3^k > (limit + 1) // 2
+    if isinstance(group, FreeGroup2) and _power_over(3, k, (SUPPORT_LIMIT + 1) // 2):
         raise SpaceTooLarge(f"the F2 ball of radius {k} has more than {SUPPORT_LIMIT} words")
 
 

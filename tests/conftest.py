@@ -8,23 +8,29 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 from hypothesis import strategies as st
 
 from levylab import (
+    BLFamily,
     CyclicGroup,
     FiniteMMSpace,
     FreeGroup2,
+    GroupCarrier,
+    L0Carrier,
     PiecewiseMap,
     StepMap,
     ZdGroup,
+    disagreement,
+    h_embed,
     sample_indices,
     weighted_deviation_mass,
     weighted_median,
 )
 from levylab import rng
-from levylab.errors import CarrierMismatch
+from levylab.errors import CarrierMismatch, DimensionMismatch, LipschitzViolation
 from levylab.hamming import product_weights
 from levylab.stepmaps import IntegralMember, identity_map, merge_breakpoints
 
@@ -262,13 +268,93 @@ def reference_expectations(nu, members, shifts=(None,)):
     return np.reshape(means, (len(means), len(members))), out
 
 
+def value_at(f, t: float):
+    """The value of a step or piecewise map at t: cells are half open on the right."""
+    return f.values[bisect_right(f.breakpoints, t)]
+
+
 def manual_product_map(g, h) -> PiecewiseMap:
     """Pointwise product built from value lookups only (oracle path)."""
     group = h.group
     breaks = sorted(set(g.breakpoints) | set(h.breakpoints))
     samples = [0.0] + list(breaks)
-    values = tuple(group.op(g.value_at(t), h.value_at(t)) for t in samples)
+    values = tuple(group.op(value_at(g, t), value_at(h, t)) for t in samples)
     return PiecewiseMap(group, tuple(breaks), values)
+
+
+def splice(i: int, a: tuple, x) -> tuple:
+    """Insert x at position i (1-based) of the (n-1)-tuple a, giving an n-tuple."""
+    if not 1 <= i <= len(a) + 1:
+        raise DimensionMismatch(f"position {i} invalid for a tuple of length {len(a)}")
+    return a[: i - 1] + (x,) + a[i - 1 :]
+
+
+def pullback_member(F, group, n: int, i: int, a: tuple):
+    """Pull a step-map member back to the group: x -> F(h_n(a_1..a_{i-1}, x, a_i..)).
+
+    For a member with data (B, L) over the disagreement metric, the
+    pull-back is B-bounded and (L/n)-Lipschitz for the word metric, since
+    changing the single coordinate moves the embedded map on one cell of
+    width 1/n.
+    """
+    if n < 1 or not 1 <= i <= n or len(a) != n - 1:
+        raise DimensionMismatch(f"inconsistent pull-back data n={n}, i={i}, |a|={len(a)}")
+    a = tuple(group.validate(v) for v in a)
+    return lambda x: F(h_embed(group, splice(i, a, x)))
+
+
+def pullback_family(family, n: int, i: int, a: tuple):
+    """Pull a whole step-map family back through one coordinate slot: the single-step lemma.
+
+    Step i of the telescope of mu^(x)n against g' is the family maximum of
+    |E_z (E_mu F_z - E_mu (F_z o lambda_{g'_i}))|, z ~ mu^(x)(n-1), where F_z
+    is the member pulled back through slot i at b_i z.
+    """
+    if not isinstance(family.carrier, L0Carrier):
+        raise CarrierMismatch("pull-backs need a family over a step-map carrier")
+    group = family.carrier.group
+    members = tuple(pullback_member(F, group, n, i, a) for F in family.members)
+    return BLFamily(GroupCarrier(group), members, family.bound, family.lipschitz / n)
+
+
+def compose_with_translation(f, g, group):
+    """The member x -> f(g*x).
+
+    The sup-norm bound is preserved.  The Lipschitz constant for the
+    right-invariant metric is preserved on abelian carriers; in general it
+    is only controlled in the spliced combinations the pull-back
+    identities produce.
+    """
+    g = group.validate(g)
+    return lambda x: f(group.op(g, x))
+
+
+def spot_check_lipschitz(family, *, seed: int = 0, pairs: int = 64, radius: int = 4) -> None:
+    """Sample point pairs and check |f(x) - f(y)| <= L * d(x, y) + 1e-9 for every member.
+
+    On a group carrier the points are random elements under the word
+    metric group.distance; on a step-map carrier they are random step maps
+    of 1 to 8 cells under disagreement.
+    """
+    gen = np.random.default_rng(rng.derive_seed(seed, "family-lipschitz"))
+    group, lipschitz = family.carrier.group, family.lipschitz
+    on_group = isinstance(family.carrier, GroupCarrier)
+
+    def point():
+        if on_group:
+            return group.random_element(gen, radius)
+        n = int(gen.integers(1, 9))
+        return StepMap(group, tuple(group.random_element(gen, radius) for _ in range(n)))
+
+    for _ in range(pairs):
+        x, y = point(), point()
+        d = float(group.distance(x, y)) if on_group else disagreement(x, y)
+        for i, f in enumerate(family.members):
+            gap = abs(float(f(x)) - float(f(y))) - lipschitz * d
+            if gap > 1e-9:
+                raise LipschitzViolation(
+                    f"member {i} exceeds declared L={lipschitz} by {gap:.3e} on a sampled pair"
+                )
 
 
 def brute_l0_defect(mu, n: int, g, members) -> float:

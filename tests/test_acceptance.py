@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_alpha, brute_l0_defect
+from conftest import brute_alpha, brute_l0_defect, splice
 from levylab import (
     DiscreteBase,
     FinSuppMeasure,
@@ -36,7 +36,6 @@ from levylab import (
     product_space,
     push_forward,
     run_schedule,
-    splice,
     talagrand_bound,
     wordlen_clamp_family,
 )

@@ -15,6 +15,7 @@ from conftest import (
     element_strategy,
     fubini_telescope_steps,
     left_sum,
+    pullback_family,
     reference_expectations,
     searchsorted_choice,
     step_maps,
@@ -50,7 +51,6 @@ from levylab import (
     l0_defect,
     phi_member,
     pointwise_translate,
-    pullback_family,
     push_forward,
     run_schedule,
     invariance_defect,
@@ -187,6 +187,27 @@ class TestTelescoping:
         base = invariance_defect(mu, g, pulled)
         assert fubini_telescope_steps(mu, 1, (g,), fam.members) == [pytest.approx(base, abs=1e-12)]
         assert exact_steps(mu, 1, (g,), fam) == (pytest.approx(base, abs=1e-12),)
+        # for n > 1, step j is the family maximum of |sum over z of mu^(n-1)(z) times the
+        # signed base defect of F pulled back through slot j at b_j z against g'_j|, with
+        # b_j = (g'_1, ..., g'_{j-1}, e, ..., e).  Each member here weighs the cells
+        # differently, so a pull-back through the wrong slot changes the maximum
+        fam = BLFamily(L0Carrier(Z), (
+            disagreement_member(PiecewiseMap(Z, (0.3, 0.7), z_elems(2, 0, 3))),
+            cell_window_member(Z, 0.1, 0.45, (1,), 0.25),
+        ), 1.0, 4.0)
+        for gp in (z_elems(2, -1), z_elems(1, 3, -2)):
+            n = len(gp)
+            steps = exact_steps(mu, n, gp, fam)
+            for j in range(1, n + 1):
+                b = gp[: j - 1] + (Z.identity,) * (n - j)
+                moved = mu.translate(gp[j - 1])
+                signed = np.zeros(len(fam.members))
+                for z in itertools.product(range(len(mu.support)), repeat=n - 1):
+                    bz = tuple(Z.op(bi, mu.support[i]) for bi, i in zip(b, z))
+                    pulled = pullback_family(fam, n, j, bz)
+                    defects = [mu.expectation(F) - moved.expectation(F) for F in pulled.members]
+                    signed += math.prod(mu.weights[i] for i in z) * np.array(defects)
+                assert steps[j - 1] == pytest.approx(np.abs(signed).max(), abs=1e-12)
 
     def test_haar_invariance(self):
         group = CyclicGroup(5)

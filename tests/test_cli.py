@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -504,6 +505,14 @@ class TestDefaultsSmoke:
             ["defect", "--k-range", "1..100000000"],
             ["defect", "--group", "F2", "--k-range", "1..100000000"],
             ["amplify", "--group", "Z^2", "--g", ":(1,0)", "--schedule", "k=i,n=1,i=1..600", "--samples", "100"],
+            # counts past int's 4,300-digit text limit, or too large to form at all
+            ["alpha", "--space", "cube:1000"],
+            ["alpha", "--space", "cube:20000"],
+            ["alpha", "--space", "cube:10000000000"],
+            ["profile", "--mode", "exact", "--n", "100000"],
+            ["profile", "--mode", "exact", "--n", "10000000000"],
+            ["defect", "--group", "Z^100000", "--k-range", "1..1"],
+            ["amplify", "--schedule", "k=1,n=10000000,i=1..1", "--samples", "10"],
         ],
     )
     def test_oversized_inputs_are_refused_before_building(self, tmp_path, args):
@@ -515,3 +524,19 @@ class TestDefaultsSmoke:
         proc = run_child(tmp_path, ["alpha", "--space", "cube:10"], 1024)
         assert proc.returncode == 2
         assert proc.stderr.startswith("computation error: ") and "Traceback" not in proc.stderr
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a name that only the tests call belongs in tests/conftest.py, not in the package's surface
+    root = SRC.parent
+    tree = ast.parse((SRC / "levylab" / "__init__.py").read_text(encoding="utf-8"))
+    exported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    paths = [p for p in (SRC / "levylab").glob("*.py") if p.name != "__init__.py"]
+    paths += [*(root / "scripts").glob("*.py"), *(root / "bench").glob("*.py"), root / "README.md"]
+    lines = [line for p in paths for line in p.read_text(encoding="utf-8").splitlines()]
+
+    def called(name):
+        uses = (line for line in lines if re.search(rf"\b{name}\b", line))
+        return any(not re.match(rf"\s*(def|class) {name}\b", line) for line in uses)
+
+    assert [name for name in exported if not called(name)] == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import compose_with_translation
 from levylab import (
     CyclicGroup,
     FinSuppMeasure,
@@ -21,7 +22,7 @@ from levylab import (
     transfer_defect,
 )
 from levylab import mean_transfer
-from levylab.families import BLFamily, L0Carrier, compose_with_translation
+from levylab.families import BLFamily, L0Carrier
 
 Z = ZdGroup(1)
 

@@ -170,7 +170,7 @@ class TestAlpha:
     @settings(max_examples=30, deadline=None)
     @given(mm_space_strategy(max_points=5))
     def test_profile_nonincreasing_and_capped(self, space):
-        grid = np.linspace(0.0, space.diameter + 0.5, 8)
+        grid = np.linspace(0.0, space.dist.max() + 0.5, 8)
         alphas = alpha_profile(space, grid)
         assert np.all(alphas <= 0.5 + 1e-12)
         assert np.all(np.diff(alphas) <= 1e-12)

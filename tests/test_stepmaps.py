@@ -13,6 +13,7 @@ from conftest import (
     manual_product_map,
     piecewise_strategy,
     step_map_strategy,
+    value_at,
 )
 from levylab import (
     CarrierMismatch,
@@ -25,7 +26,6 @@ from levylab import (
     h_embed,
     hamming_distance,
     identity_map,
-    in_neighborhood,
     pointwise_translate,
 )
 from levylab.stepmaps import merge_breakpoints
@@ -45,10 +45,10 @@ class TestEmbed:
 
     def test_two_cells(self):
         m = h_embed(Z, (A, B))
-        assert m.value_at(0.0) == A
-        assert m.value_at(0.49) == A
-        assert m.value_at(0.5) == B
-        assert m.value_at(0.99) == B
+        assert value_at(m, 0.0) == A
+        assert value_at(m, 0.49) == A
+        assert value_at(m, 0.5) == B
+        assert value_at(m, 0.99) == B
 
     def test_empty(self):
         with pytest.raises(EmptyTuple):
@@ -181,29 +181,7 @@ class TestMergeBreakpoints:
         assert all(c[1] == d[0] for c, d in zip(cells, cells[1:]))
         for start, stop, ia, ib in cells:
             assert start < stop
-            assert a.value_at(start) == a.values[ia] and b.value_at(start) == b.values[ib]
-
-
-class TestNeighborhood:
-    def test_identity_always_inside(self):
-        assert in_neighborhood(identity_map(Z, 3), 1, 0.01)
-
-    def test_strictness(self):
-        m = h_embed(Z, ((0,), (5,)))
-        assert in_neighborhood(m, 1, 0.6)
-        assert not in_neighborhood(m, 1, 0.5)
-
-    def test_radius_controls_membership(self):
-        m = h_embed(Z, ((0,), (5,)))
-        assert in_neighborhood(m, 6, 0.01)
-
-    def test_lengths_added_left_to_right(self):
-        lengths = alternate_cell_lengths(UNEVEN_BREAKS)
-        offending = left_sum(lengths)
-        assert math.fsum(lengths) < offending
-        f = PiecewiseMap(Z, UNEVEN_BREAKS, ((5,), (0,)) * 3 + ((5,),))
-        assert not in_neighborhood(f, 1, offending)
-        assert in_neighborhood(f, 1, math.nextafter(offending, 1.0))
+            assert value_at(a, start) == a.values[ia] and value_at(b, start) == b.values[ib]
 
 
 class TestGridApproximate:
