@@ -78,7 +78,6 @@ from .stepmaps import (
     grid_approximate,
     h_embed,
     hamming_distance,
-    identity_map,
     pointwise_translate,
 )
 from .wordgroups import (

@@ -13,13 +13,14 @@ call there takes every shift of one question (in l0_defect: the
 identity, the target and the telescope prefixes whose new coordinate is
 not e; the other steps are exactly 0) and builds each kernel column once
 for all of them.  The shifts agree on most grid cells, so each distinct
-cell (its runs of start, stop and value) gets one members x atoms table
-and one members x maps block per call, and a shift's member values add
-its n blocks.  A schedule checks every entry's size caps, then runs
-l0_defect on each of a sequence of (n_i, mu_i) pairs and reports
-defects, bounds, concentration masses, and expectation-median gaps, with
-one median and two deviation-mass calls per stage on the members x maps
-table.
+cell (its runs of start, stop and value, cut from the shift by
+stepmaps.cut_runs, the walk every step-map quantity uses) gets one
+members x atoms table and one members x maps block per call, and a
+shift's member values add its n blocks left to right.  A schedule checks
+every entry's size caps, then runs l0_defect on each of a sequence of
+(n_i, mu_i) pairs and reports defects, bounds, concentration masses, and
+expectation-median gaps, with one median and two deviation-mass calls
+per stage on the members x maps table.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .hamming import (
     talagrand_bound,
 )
 from .mmspace import weighted_deviation_mass, weighted_median
-from .stepmaps import AnyMap, IntegralMember, StepMap, grid_approximate, identity_map, merge_breakpoints
+from .stepmaps import AnyMap, IntegralMember, StepMap, cut_runs, grid_approximate, runs_of
 from .wordgroups import FinSuppMeasure, _power_over
 
 _TOL = 1e-9
@@ -121,23 +122,6 @@ def push_forward(
     return L0Measure(mu, n, codes, np.full(samples, 1.0 / samples), "sampled", seed)
 
 
-def _pieces(runs, breaks):
-    """Yield (length, piece, value) for the runs (start, stop, value) cut at the sorted breaks.
-
-    A piece is the number of breaks at or before its start, so lengths and
-    pieces are those merge_breakpoints gives on all of [0, 1).
-    """
-    p = 0
-    for start, stop, v in runs:
-        while p < len(breaks) and breaks[p] <= start:
-            p += 1
-        while p < len(breaks) and breaks[p] < stop:
-            yield breaks[p] - start, p, v
-            start = breaks[p]
-            p += 1
-        yield stop - start, p, v
-
-
 def expectations(nu: L0Measure, members, shifts=(None,)):
     """The shifts x members expectations E_nu(f o lambda_s), and the members x maps values f(shifts[0] * h).
 
@@ -148,11 +132,13 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
     every BLAS kernel.  A member must be an IntegralMember (else
     CarrierMismatch); it is integrated per grid cell and support atom on
     the joint refinement of the grid, the shift and its own breakpoints,
-    and a map's value adds its n cells left to right (pairwise, as numpy
-    sums a vector, when nu has one map).
+    and a map's value adds its n cells left to right, whatever the number
+    of maps in nu.
 
-    A grid cell is keyed by the runs (start, stop, value) the shift makes
-    in it, and shifts share most cells.  For each distinct cell, a members
+    Both refinements are stepmaps.cut_runs walks: the shift's runs cut at
+    the grid, then each cell's runs cut at a member's breakpoints.  A grid
+    cell is keyed by the runs (start, stop, value) the shift makes in it,
+    and shifts share most cells.  For each distinct cell, a members
     x atoms table adds each member's pieces left to right from 0.0, built
     once from kernel columns (the kernel of one piece over the support
     translated by one value, each built once), and is gathered once into a
@@ -166,11 +152,10 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
     grid = [i / n for i in range(1, n)]
     cells, plan = {}, []  # (grid cell, runs) -> block slot; each shift's n slots
     for shift in shifts:
-        by = identity_map(group) if shift is None else shift
-        values = [group.validate(v) for v in by.values]
+        by = [(0.0, 1.0, group.identity)] if shift is None else runs_of(shift)
         runs = [[] for _ in range(n)]
-        for start, stop, gi, si in merge_breakpoints(grid, by.breakpoints):
-            runs[gi].append((start, stop, values[si]))
+        for start, stop, v, gi in cut_runs([(a, b, group.validate(v)) for a, b, v in by], grid):
+            runs[gi].append((start, stop, v))
         plan.append([cells.setdefault((gi, tuple(r)), len(cells)) for gi, r in enumerate(runs)])
     if not plan:
         raise ValueError("expectations needs at least one shift")
@@ -180,7 +165,7 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
     # per cell and member, its pieces as (length, kernel column) in order of position
     keys = {}
     cut = [
-        [[(length, keys.setdefault((fi, v, p), len(keys))) for length, p, v in _pieces(runs, f.breakpoints)]
+        [[(b - a, keys.setdefault((fi, v, p), len(keys))) for a, b, v, p in cut_runs(runs, f.breakpoints)]
          for fi, f in enumerate(members)]
         for _, runs in cells
     ]
@@ -209,12 +194,9 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
             np.take(table[:rows], codes[gi], axis=1, out=blocks[c, :rows], mode="clip")
         acc, prod = total[:rows], product[:rows]
         for k, slots in enumerate(plan):
-            if maps == 1:  # one map's n cells are added pairwise, as numpy sums a vector
-                acc[:, 0] = [blocks[slots, r, 0].sum() for r in range(rows)]
-            else:
-                np.copyto(acc, blocks[slots[0], :rows])
-                for c in slots[1:]:
-                    np.add(acc, blocks[c, :rows], out=acc)
+            np.copyto(acc, blocks[slots[0], :rows])
+            for c in slots[1:]:
+                np.add(acc, blocks[c, :rows], out=acc)
             # phi acts on each value alone, so members with one phi take it together
             r = 0
             for phi, same in groupby(members[fi].phi for fi in part):

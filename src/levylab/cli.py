@@ -29,6 +29,7 @@ from .families import (
 from .hamming import (
     DiscreteBase,
     HammingProduct,
+    _check_sample_array,
     fraction_differing,
     lipschitz_profile,
     product_space,
@@ -217,9 +218,11 @@ def _parse_schedule(group: WordGroup, text: str) -> tuple:
         if k < 1 or n < 1:
             raise UsageError(f"schedule produced non-positive k={k} or n={n} at i={i}")
         sizes.append((n, k))
-    # every box's size, before the first is built
+    # every box's size, and their sum, before the first is built
     for _, k in sizes:
         _check_support_size(group, k)
+    if (points := sum((2 * k + 1) ** group.d for _, k in sizes)) > SUPPORT_LIMIT:
+        raise SpaceTooLarge(f"the schedule's boxes hold {points} points together, more than {SUPPORT_LIMIT}")
     return tuple((n, folner_measure(group, k)) for n, k in sizes)
 
 
@@ -373,6 +376,8 @@ def _cmd_phi_check(ns) -> tuple[list[str], list[tuple], dict]:
     group = make_group(ns.group)
     if ns.trials < 1:
         raise UsageError("--trials must be >= 1")
+    # a trial draws at most 9 elements (two coefficient vectors, g and up to 6 cells), d entries each on Z^d
+    _check_sample_array(ns.trials, 9 * (group.d if isinstance(group, ZdGroup) else 1))
     gen = np.random.default_rng(rng.derive_seed(ns.seed, "phi-check"))
     worst = {"unitality": 0.0, "linearity": 0.0, "monotonicity": 0.0, "equivariance": 0.0}
     one = lambda x: 1.0  # noqa: E731

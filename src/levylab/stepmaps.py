@@ -8,11 +8,15 @@ exactly the disagreement pseudometric computed here.  Step maps on the
 n-grid under the product measure are the Hamming product: disagreement is
 then hamming_distance of the value tuples, and a one-piece IntegralMember
 (the member type of step maps and profiles) is a coordinate mean.
+
+Every quantity here and in amplify walks the common refinement of two
+partitions of [0, 1), and one routine walks it: cut_runs cuts a map's
+runs (start, stop, value) at a sorted breakpoint list and numbers each
+piece by the breaks before it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -87,28 +91,29 @@ def h_embed(group: WordGroup, values) -> StepMap:
     return StepMap(group, tuple(group.validate(v) for v in values))
 
 
-def identity_map(group: WordGroup, n: int = 1) -> StepMap:
-    return StepMap(group, (group.identity,) * n)
+def runs_of(f: AnyMap):
+    """The runs (start, stop, value) of f, left to right over [0, 1)."""
+    edges = (0.0, *f.breakpoints, 1.0)
+    return zip(edges, edges[1:], f.values)
 
 
-def merge_breakpoints(ab, bb):
-    """Yield (start, stop, ia, ib) over the common refinement of two breakpoint lists.
+def cut_runs(runs, breaks):
+    """Yield (start, stop, value, piece) for the runs (start, stop, value) cut at the sorted breaks.
 
-    Both lists are sorted inside (0, 1); [start, stop) lies in cell ia of
-    the first list and in cell ib of the second.
+    The runs go left to right; piece is the number of breaks at or before
+    start.  On runs_of(f) and breaks inside (0, 1), this is the common
+    refinement of f's breakpoints and the breaks: every stop is the next
+    start, and a break equal to a breakpoint cuts once.
     """
-    ia = ib = 0
-    start = 0.0
-    while start < 1.0:
-        next_a = ab[ia] if ia < len(ab) else 1.0
-        next_b = bb[ib] if ib < len(bb) else 1.0
-        stop = next_a if next_a <= next_b else next_b
-        yield start, stop, ia, ib
-        if stop == next_a and ia < len(ab):
-            ia += 1
-        if stop == next_b and ib < len(bb):
-            ib += 1
-        start = stop
+    p = 0
+    for start, stop, v in runs:
+        while p < len(breaks) and breaks[p] <= start:
+            p += 1
+        while p < len(breaks) and breaks[p] < stop:
+            yield start, breaks[p], v, p
+            start = breaks[p]
+            p += 1
+        yield start, stop, v, p
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +122,8 @@ class IntegralMember:
 
     The breakpoints (sorted, inside (0, 1)) cut [0, 1) into pieces, and p
     is the piece holding t, so the kernel is constant in t on each piece.
+    A call cuts h's runs at the breakpoints and adds the pieces' integrals
+    left to right from 0.0.
     Each kernel must be a pure function of the element: one
     amplify.expectations call builds the column of a kernel over a
     translated support once and reuses it for every cell and shift of that
@@ -130,10 +137,9 @@ class IntegralMember:
     phi: Callable = np.asarray  # the identity on floats and arrays
 
     def __call__(self, h: AnyMap) -> float:
-        v = h.values
-        pieces = merge_breakpoints(self.breakpoints, h.breakpoints)
+        pieces = cut_runs(runs_of(h), self.breakpoints)
         # left to right from 0.0: from Python 3.12 on, sum() compensates
-        total = reduce(add, ((stop - start) * self.kernel[p](v[i]) for start, stop, p, i in pieces), 0.0)
+        total = reduce(add, ((stop - start) * self.kernel[p](v) for start, stop, v, p in pieces), 0.0)
         return float(self.phi(total))
 
 
@@ -144,13 +150,6 @@ def hamming_distance(x, y) -> float:
     if len(x) == 0:
         raise LengthMismatch("tuples must be non-empty")
     return sum(1 for a, b in zip(x, y) if a != b) / len(x)
-
-
-def iter_joint_cells(a: AnyMap, b: AnyMap):
-    """Yield (start, stop, va, vb) over the merged cell structure of a, b."""
-    va, vb = a.values, b.values
-    for start, stop, ia, ib in merge_breakpoints(a.breakpoints, b.breakpoints):
-        yield start, stop, va[ia], vb[ib]
 
 
 def _check_same_group(a: AnyMap, b: AnyMap) -> WordGroup:
@@ -167,8 +166,8 @@ def pointwise_translate(g: AnyMap, h: AnyMap) -> AnyMap:
     rounded, so grid points shared by two grids merge into one.
     """
     group = _check_same_group(g, h)
-    cells = list(iter_joint_cells(g, h))
-    values = tuple(group.op(va, vb) for _, _, va, vb in cells)
+    cells = list(cut_runs(runs_of(h), g.breakpoints))
+    values = tuple(group.op(g.values[p], v) for _, _, v, p in cells)
     if isinstance(g, StepMap) and isinstance(h, StepMap) and len(values) == max(g.n, h.n):
         return StepMap(group, values)
     return PiecewiseMap(group, tuple(start for start, _, _, _ in cells[1:]), values)
@@ -184,8 +183,9 @@ def disagreement(f: AnyMap, g: AnyMap) -> float:
     if isinstance(f, StepMap) and isinstance(g, StepMap) and f.n == g.n:
         # count / n is exact; summing the merged cell lengths would round
         return hamming_distance(f.values, g.values)
+    pieces = cut_runs(runs_of(g), f.breakpoints)
     # left to right from 0.0: from Python 3.12 on, sum() compensates
-    return reduce(add, (stop - start for start, stop, va, vb in iter_joint_cells(f, g) if va != vb), 0.0)
+    return reduce(add, (stop - start for start, stop, v, p in pieces if f.values[p] != v), 0.0)
 
 
 def grid_approximate(f: AnyMap, n: int) -> tuple[tuple, float]:
@@ -194,9 +194,15 @@ def grid_approximate(f: AnyMap, n: int) -> tuple[tuple, float]:
     Returns the tuple g with g_i = f((i-1)/n) together with
     disagreement(f, h_embed(g)); the latter is at most
     (#breakpoints)/n, and the tuple only uses values f already takes.
+    Both come from one walk over f's runs cut at the grid, where each
+    cell's first piece starts at its left endpoint.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    breaks = f.breakpoints
-    g = tuple(f.values[bisect_right(breaks, i / n)] for i in range(n))
-    return g, disagreement(f, StepMap(f.group, g))
+    g, dis = [], 0.0
+    for start, stop, v, p in cut_runs(runs_of(f), [i / n for i in range(1, n)]):
+        if p == len(g):
+            g.append(v)
+        elif v != g[p]:
+            dis += stop - start
+    return tuple(g), dis

@@ -54,8 +54,6 @@ def _length_array(lengths: list) -> np.ndarray:
 class WordGroup:
     """Group with identity, composition, inverse, and a word-length metric."""
 
-    kind: str
-
     @property
     def identity(self):
         raise NotImplementedError
@@ -122,8 +120,6 @@ class ZdGroup(WordGroup):
         if self.d < 1:
             raise ValueError("d must be >= 1")
 
-    kind = "Z^d"
-
     @property
     def identity(self):
         return (0,) * self.d
@@ -182,8 +178,6 @@ class CyclicGroup(WordGroup):
         if self.m < 2:
             raise ValueError("m must be >= 2")
 
-    kind = "Z_m"
-
     @property
     def identity(self):
         return 0
@@ -230,8 +224,6 @@ def _reduce_word(word: str) -> str:
 @dataclass(frozen=True)
 class FreeGroup2(WordGroup):
     """The free group on {a, b}; elements are reduced words, A = a^-1."""
-
-    kind = "F2"
 
     @property
     def identity(self):

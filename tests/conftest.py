@@ -32,7 +32,7 @@ from levylab import (
 from levylab import rng
 from levylab.errors import CarrierMismatch, DimensionMismatch, LipschitzViolation
 from levylab.hamming import product_weights
-from levylab.stepmaps import IntegralMember, identity_map, merge_breakpoints
+from levylab.stepmaps import IntegralMember
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -220,6 +220,27 @@ def loop_invariance_defect(mu, g, family) -> float:
     return best
 
 
+def merge_breakpoints(ab, bb):
+    """Yield (start, stop, ia, ib) over the common refinement of two breakpoint lists.
+
+    Both lists are sorted inside (0, 1); [start, stop) lies in cell ia of
+    the first list and in cell ib of the second.  Two lists advanced side
+    by side: an independent walk against stepmaps.cut_runs.
+    """
+    ia = ib = 0
+    start = 0.0
+    while start < 1.0:
+        next_a = ab[ia] if ia < len(ab) else 1.0
+        next_b = bb[ib] if ib < len(bb) else 1.0
+        stop = next_a if next_a <= next_b else next_b
+        yield start, stop, ia, ib
+        if stop == next_a and ia < len(ab):
+            ia += 1
+        if stop == next_b and ib < len(bb):
+            ib += 1
+        start = stop
+
+
 def step_maps(nu) -> tuple:
     """The step maps of a push-forward, one StepMap per row of its codes."""
     atoms, group = nu.base.support, nu.base.group
@@ -232,7 +253,8 @@ def reference_expectations(nu, members, shifts=(None,)):
     Each member's n x atoms table adds the kernel columns of its pieces on
     the joint refinement of the grid, the shift and its breakpoints, left
     to right from 0.0; a map's value gathers its n cells from the table and
-    numpy sums them down the cells; each mean is (row * weights).sum().
+    adds them down the cells left to right, by a cumulative sum, for any
+    number of maps; each mean is (row * weights).sum().
     Kernel columns are built once per (member, shift value, piece).
     """
     atoms, group, n = nu.base.support, nu.base.group, nu.n
@@ -241,7 +263,7 @@ def reference_expectations(nu, members, shifts=(None,)):
     at = np.ascontiguousarray((nu.codes + np.arange(n) * len(atoms)).T)
     out = np.empty((len(members), len(nu.weights)))
     for shift in shifts:
-        by = identity_map(group) if shift is None else shift
+        by = StepMap(group, (group.identity,)) if shift is None else shift
         values = [group.validate(v) for v in by.values]
         for v in values:
             if v not in moved:
@@ -261,7 +283,7 @@ def reference_expectations(nu, members, shifts=(None,)):
                 if key not in columns:
                     columns[key] = np.fromiter(map(f.kernel[p], moved[values[si]]), np.float64, len(atoms))
                 table[gi] += (stop - start) * columns[key]
-            rows[fi] = f.phi(table.ravel()[at].sum(axis=0))
+            rows[fi] = f.phi(np.cumsum(table.ravel()[at], axis=0)[-1])
             means[-1][fi] = (rows[fi] * nu.weights).sum()
     if not means:
         raise ValueError("expectations needs at least one shift")

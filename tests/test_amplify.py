@@ -47,7 +47,6 @@ from levylab import (
     disagreement_member,
     folner_measure,
     h_embed,
-    identity_map,
     l0_defect,
     phi_member,
     pointwise_translate,
@@ -262,7 +261,7 @@ class TestL0Defect:
     def test_identity_target(self):
         nu = push_forward(z_uniform(0, 1, 2), 2)
         fam = disagreement_family(Z, 4, seed=3)
-        res = l0_defect(nu, identity_map(Z, 2), fam)
+        res = l0_defect(nu, StepMap(Z, (Z.identity,) * 2), fam)
         assert res.defect == pytest.approx(0.0, abs=1e-12)
         assert res.grid_disagreement == 0.0
 
@@ -787,15 +786,24 @@ class TestDistinctCells:
     @pytest.mark.parametrize("n", [7, 8, 9, 12])
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_one_map_adds_its_cells_like_numpy(self, n, mode):
-        # numpy sums an (n, 1) column pairwise once n >= 8, not down the cells
+        # a map adds its n cells left to right, as numpy's cumsum does, whatever the number
+        # of maps in the measure: numpy's .sum() of an (n, 1) column is pairwise once n >= 8
         mu = z_uniform(3) if mode == "exact" else z_uniform(0, 1, 2)
         nu = push_forward(mu, n, mode, samples=1, seed=n)
+        # counter-based draws: sample 0 among 40 is the one map of nu
+        many = push_forward(mu, n, "sampled", samples=40, seed=n)
+        assert np.array_equal(many.codes[0], nu.codes[0])
         members = [phi_member(lambda x, a=a: math.sin(a * x[0] + 0.5)) for a in (0.3, 1.1, 2.9)]
         g = PiecewiseMap(Z, (0.3, 0.7), z_elems(1, -2, 1))
         shifts = (None, g, *(StepMap(Z, z_elems(*([1] * j + [0] * (n - j)))) for j in range(1, n)))
         means, values = amplify.expectations(nu, members, shifts)
         ref_means, ref_values = reference_expectations(nu, members, shifts)
         assert np.array_equal(means, ref_means) and np.array_equal(values, ref_values)
+        for k, shift in enumerate(shifts):
+            one = amplify.expectations(nu, members, (shift,))[1]
+            assert np.array_equal(one[:, 0], amplify.expectations(many, members, (shift,))[1][:, 0])
+            # the mean of one map with weight 1.0 is its value
+            assert np.array_equal(means[k], one[:, 0])
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5])
     def test_member_groups_give_the_bits_of_one_group(self, monkeypatch, size):

@@ -513,6 +513,10 @@ class TestDefaultsSmoke:
             ["profile", "--mode", "exact", "--n", "10000000000"],
             ["defect", "--group", "Z^100000", "--k-range", "1..1"],
             ["amplify", "--schedule", "k=1,n=10000000,i=1..1", "--samples", "10"],
+            # every trial's draws together, and every box of a schedule together
+            ["phi-check", "--group", "Z^10000000", "--trials", "1"],
+            ["phi-check", "--trials", "100000000"],
+            ["amplify", "--group", "Z^2", "--g", ":(1,0)", "--schedule", "k=i,n=1,i=1..499", "--samples", "100"],
         ],
     )
     def test_oversized_inputs_are_refused_before_building(self, tmp_path, args):

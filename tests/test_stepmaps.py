@@ -11,6 +11,7 @@ from conftest import (
     group_strategy,
     left_sum,
     manual_product_map,
+    merge_breakpoints,
     piecewise_strategy,
     step_map_strategy,
     value_at,
@@ -25,10 +26,9 @@ from levylab import (
     grid_approximate,
     h_embed,
     hamming_distance,
-    identity_map,
     pointwise_translate,
 )
-from levylab.stepmaps import merge_breakpoints
+from levylab.stepmaps import cut_runs, runs_of
 
 Z = ZdGroup(1)
 
@@ -41,7 +41,7 @@ class TestEmbed:
         assert m.n == 1 and m.values == (A,)
 
     def test_identity_tuple(self):
-        assert h_embed(Z, ((0,), (0,))) == identity_map(Z, 2)
+        assert h_embed(Z, ((0,), (0,))) == StepMap(Z, (Z.identity,) * 2)
 
     def test_two_cells(self):
         m = h_embed(Z, (A, B))
@@ -70,7 +70,7 @@ class TestPointwiseTranslate:
     def test_inverse_gives_identity(self):
         f = h_embed(Z, (A, B, C))
         inverse = h_embed(Z, tuple(Z.inv(v) for v in f.values))
-        assert pointwise_translate(f, inverse) == identity_map(Z, 3)
+        assert pointwise_translate(f, inverse) == StepMap(Z, (Z.identity,) * 3)
 
     def test_merged_breakpoints(self):
         f = h_embed(Z, (A, B))
@@ -82,7 +82,7 @@ class TestPointwiseTranslate:
 
     def test_identity_neutral(self):
         f = h_embed(Z, (A, B))
-        assert pointwise_translate(identity_map(Z), f) == f
+        assert pointwise_translate(StepMap(Z, (Z.identity,)), f) == f
 
     def test_coprime_grids(self):
         f = StepMap(Z, (A,) * 1021)
@@ -160,15 +160,26 @@ class TestDisagreement:
 
 
 class TestMergeBreakpoints:
+    # cut_runs, the one walk over the common refinement of two partitions of [0, 1)
+
     def test_shared_and_distinct_breakpoints(self):
-        assert list(merge_breakpoints((0.5,), (0.25, 0.5))) == [
-            (0.0, 0.25, 0, 0),
-            (0.25, 0.5, 0, 1),
-            (0.5, 1.0, 1, 2),
+        h = PiecewiseMap(Z, (0.25, 0.5), (A, B, C))
+        assert list(cut_runs(runs_of(h), (0.5,))) == [
+            (0.0, 0.25, A, 0),
+            (0.25, 0.5, B, 0),
+            (0.5, 1.0, C, 1),
         ]
 
     def test_no_breakpoints(self):
-        assert list(merge_breakpoints((), ())) == [(0.0, 1.0, 0, 0)]
+        assert list(cut_runs(runs_of(h_embed(Z, (A,))), ())) == [(0.0, 1.0, A, 0)]
+
+    def test_runs_inside_the_unit_interval(self):
+        # expectations cuts one grid cell's runs at a member's breakpoints
+        assert list(cut_runs([(0.25, 0.4, A), (0.4, 0.5, B)], (0.1, 0.3, 0.4, 0.7))) == [
+            (0.25, 0.3, A, 1),
+            (0.3, 0.4, A, 2),
+            (0.4, 0.5, B, 3),
+        ]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -176,12 +187,35 @@ class TestMergeBreakpoints:
         group = data.draw(group_strategy())
         a = data.draw(st.one_of(step_map_strategy(group=group), piecewise_strategy(group=group)))
         b = data.draw(st.one_of(step_map_strategy(group=group), piecewise_strategy(group=group)))
-        cells = list(merge_breakpoints(a.breakpoints, b.breakpoints))
+        cells = list(cut_runs(runs_of(b), a.breakpoints))
         assert cells[0][0] == 0.0 and cells[-1][1] == 1.0
         assert all(c[1] == d[0] for c, d in zip(cells, cells[1:]))
-        for start, stop, ia, ib in cells:
+        for start, stop, vb, ia in cells:
             assert start < stop
-            assert value_at(a, start) == a.values[ia] and value_at(b, start) == b.values[ib]
+            assert value_at(a, start) == a.values[ia] and value_at(b, start) == vb
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pieces_are_the_two_list_merge(self, data):
+        # maps that share breakpoints: step maps on grids that divide one another, and
+        # piecewise maps whose breakpoints are drawn from one pool that holds grid points
+        group = data.draw(group_strategy())
+        n = data.draw(st.integers(1, 6))
+        extra = data.draw(st.lists(st.floats(0.05, 0.95), max_size=4))
+        pool = sorted({*(i / (2 * n) for i in range(1, 2 * n)), *extra})
+        elements = element_strategy(group)
+
+        def draw_map():
+            kind = data.draw(st.sampled_from(["step", "double", "piecewise"]))
+            if kind != "piecewise":
+                cells = n if kind == "step" else 2 * n
+                return StepMap(group, tuple(data.draw(elements) for _ in range(cells)))
+            breaks = sorted(data.draw(st.sets(st.sampled_from(pool), max_size=len(pool))))
+            return PiecewiseMap(group, breaks, tuple(data.draw(elements) for _ in range(len(breaks) + 1)))
+
+        a, b = draw_map(), draw_map()
+        merged = merge_breakpoints(a.breakpoints, b.breakpoints)
+        assert list(cut_runs(runs_of(b), a.breakpoints)) == [(x, y, b.values[ib], ia) for x, y, ia, ib in merged]
 
 
 class TestGridApproximate:
