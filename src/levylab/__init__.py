@@ -74,7 +74,6 @@ from .stepmaps import (
     IntegralMember,
     PiecewiseMap,
     StepMap,
-    disagreement,
     grid_approximate,
     h_embed,
     hamming_distance,

@@ -77,7 +77,6 @@ class L0Measure:
     codes: np.ndarray
     weights: np.ndarray
     mode: str
-    seed: int | None = None
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
@@ -119,7 +118,7 @@ def push_forward(
     if samples is None or samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
     codes = sample_indices(mu.weights, n, samples, seed)
-    return L0Measure(mu, n, codes, np.full(samples, 1.0 / samples), "sampled", seed)
+    return L0Measure(mu, n, codes, np.full(samples, 1.0 / samples), "sampled")
 
 
 def expectations(nu: L0Measure, members, shifts=(None,)):
@@ -154,7 +153,7 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
     for shift in shifts:
         by = [(0.0, 1.0, group.identity)] if shift is None else runs_of(shift)
         runs = [[] for _ in range(n)]
-        for start, stop, v, gi in cut_runs([(a, b, group.validate(v)) for a, b, v in by], grid):
+        for start, stop, v, gi in cut_runs(by, grid):
             runs[gi].append((start, stop, v))
         plan.append([cells.setdefault((gi, tuple(r)), len(cells)) for gi, r in enumerate(runs)])
     if not plan:
@@ -213,7 +212,7 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
 def _check_table_entries(n: int, atoms: int, g: AnyMap, family: BLFamily) -> None:
     """Refuse an l0_defect call on n cells and atoms support atoms above TABLE_ENTRY_LIMIT."""
     # the identity, g and its prefixes take these shift values
-    shifts = len({g.group.identity, *map(g.group.validate, g.values)})
+    shifts = len({g.group.identity, *g.values})
     pieces = sum(len(f.kernel) for f in family.members if isinstance(f, IntegralMember))
     entries = (pieces * shifts + n) * atoms
     if entries > TABLE_ENTRY_LIMIT:
@@ -261,7 +260,7 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     gp, dis = grid_approximate(g, nu.n)
     _check_table_entries(nu.n, len(nu.base.support), g, family)
     e = group.identity
-    moved = [j for j in range(1, nu.n + 1) if group.validate(gp[j - 1]) != e]
+    moved = [j for j in range(1, nu.n + 1) if gp[j - 1] != e]
     prefixes = (StepMap(group, gp[:j] + (e,) * (nu.n - j)) for j in moved)
     means, values = expectations(nu, family.members, chain((None, g), prefixes))
     defect = float(np.max(np.abs(means[0] - means[1])))
@@ -331,33 +330,30 @@ class ScheduleRow:
 class ScheduleReport:
     rows: tuple
     flags: dict
-    eps: float
-    target_eps: float
     entry_modes: tuple
-    witnesses: tuple
 
 
-def stage_modes(entries, g: AnyMap, family: BLFamily, *, mode: str, samples: int, exact_cap: int) -> tuple:
-    """The push-forward mode of each (n, mu) entry, once every entry's size caps hold.
+def stage_modes(sizes, g: AnyMap, family: BLFamily, *, mode: str, samples: int, exact_cap: int) -> tuple:
+    """The push-forward mode of each stage, given as (n, atoms), once every stage's size caps hold.
 
-    An entry is exact under mode="exact" (over exact_cap: TooLargeForExact)
-    and under "auto" within exact_cap.  Only the supports' sizes are read,
-    and |support|^n is not formed where it would exceed a cap, so a run
-    over a cap is refused before anything is built.
+    atoms is the size of the stage's base support.  A stage is exact under
+    mode="exact" (over exact_cap: TooLargeForExact) and under "auto" within
+    exact_cap.  atoms^n is not formed where it would exceed a cap, so a run
+    over a cap is refused before any measure is built.
     """
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     modes = []
-    for n_i, mu_i in entries:
-        over = _power_over(len(mu_i.support), n_i, exact_cap)
+    for n_i, atoms in sizes:
+        over = _power_over(atoms, n_i, exact_cap)
         if mode == "exact" and over:
             raise TooLargeForExact(f"{over} tuples exceeds exact cap {exact_cap}")
         modes.append("exact" if mode == "exact" or (mode == "auto" and not over) else "sampled")
         if modes[-1] == "exact":
-            _check_enumeration(len(mu_i.support), n_i)
+            _check_enumeration(atoms, n_i)
         else:
             _check_sample_array(samples, n_i)
-        _check_table_entries(n_i, len(mu_i.support), g, family)
+        _check_table_entries(n_i, atoms, g, family)
     return tuple(modes)
 
 
@@ -377,7 +373,8 @@ def run_schedule(
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    modes = stage_modes(schedule.entries, g, family, mode=mode, samples=samples, exact_cap=exact_cap)
+    sizes = [(n_i, len(mu_i.support)) for n_i, mu_i in schedule.entries]
+    modes = stage_modes(sizes, g, family, mode=mode, samples=samples, exact_cap=exact_cap)
     rows = []
     bounded = True
     implication_all = True
@@ -414,4 +411,4 @@ def run_schedule(
         "defect_last_le_first": bool(rows[-1].defect <= rows[0].defect + _TOL),
         "median_gap_last_le_first": bool(rows[-1].median_gap <= rows[0].median_gap + _TOL),
     }
-    return ScheduleReport(tuple(rows), flags, eps, schedule.target_eps, modes, schedule.witnesses)
+    return ScheduleReport(tuple(rows), flags, modes)

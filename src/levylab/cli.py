@@ -203,6 +203,7 @@ def _parse_schedule_expr(expr: str, i: int) -> int:
 
 
 def _parse_schedule(group: WordGroup, text: str) -> tuple:
+    """The schedule's (n, k) pairs: grid n and box [-k, k]^d per stage, once every box's size is checked."""
     m = re.fullmatch(r"k=([^,]+),n=([^,]+),i=(\d+)\.\.(\d+)", text.replace(" ", ""))
     if not m:
         raise UsageError(f"bad schedule {text!r}, expected k=<expr>,n=<expr>,i=a..b")
@@ -223,7 +224,7 @@ def _parse_schedule(group: WordGroup, text: str) -> tuple:
         _check_support_size(group, k)
     if (points := sum((2 * k + 1) ** group.d for _, k in sizes)) > SUPPORT_LIMIT:
         raise SpaceTooLarge(f"the schedule's boxes hold {points} points together, more than {SUPPORT_LIMIT}")
-    return tuple((n, folner_measure(group, k)) for n, k in sizes)
+    return tuple(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +297,9 @@ def _parse_group_family(group: WordGroup, text: str):
 
 def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
     group = make_group(ns.group)
-    probe = ns.probe
-    if probe == "auto":
-        probe = "f2-contrast" if isinstance(group, FreeGroup2) else "folner"
     ks = _parse_k_range(ns.k_range)
     rows = []
-    if probe == "folner":
-        if not isinstance(group, ZdGroup):
-            raise UsageError("the folner probe needs a Z^d group")
+    if isinstance(group, ZdGroup):
         _check_support_size(group, ks[-1])  # the largest box, before it or a generator is built
         family = _parse_group_family(group, ns.family)
         g = group.parse(ns.g) if ns.g else group.generators()[0]
@@ -315,21 +311,19 @@ def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
             rows.append((k, d, bound))
             ok &= d <= bound + 1e-12
         return ["k", "defect", "bound"], rows, {"probe": "folner", "defect_within_bound": ok}
-    if probe == "f2-contrast":
-        if not isinstance(group, FreeGroup2):
-            raise UsageError("the contrast probe needs the F2 group")
-        g = group.parse(ns.g) if ns.g else "a"
-        _check_support_size(group, ks[-1])  # the largest ball, before the first is built
-        floor = 0.2
-        ok = True
-        for k in ks:
-            mu = ball_uniform(group, k)
-            family = wordlen_clamp_family(group, [k + 1], normalize=False)
-            d = invariance_defect(mu, g, family)
-            rows.append((k, d, floor))
-            ok &= d >= floor - 1e-12
-        return ["k", "defect", "bound"], rows, {"probe": "f2-contrast", "defect_above_floor": ok}
-    raise UsageError(f"unknown probe {probe!r}")
+    if not isinstance(group, FreeGroup2):
+        raise UsageError(f"defect sweeps boxes of Z^d or balls of F2, not the group {ns.group!r}")
+    g = group.parse(ns.g) if ns.g else "a"
+    _check_support_size(group, ks[-1])  # the largest ball, before the first is built
+    floor = 0.2
+    ok = True
+    for k in ks:
+        mu = ball_uniform(group, k)
+        family = wordlen_clamp_family(group, [k + 1], normalize=False)
+        d = invariance_defect(mu, g, family)
+        rows.append((k, d, floor))
+        ok &= d >= floor - 1e-12
+    return ["k", "defect", "bound"], rows, {"probe": "f2-contrast", "defect_above_floor": ok}
 
 
 def _cmd_amplify(ns) -> tuple[list[str], list[tuple], dict]:
@@ -338,13 +332,13 @@ def _cmd_amplify(ns) -> tuple[list[str], list[tuple], dict]:
     if ns.target_eps is not None and not ns.target_eps > 0:
         raise UsageError("--target-eps must be > 0")
     group = make_group(ns.group)
-    # the schedule builds every box measure, so the cheap literals are checked first
+    # the target and family come first: stage_modes counts their table entries before any box is built
     g = _parse_map(group, ns.g)
     family = _parse_family(group, ns.family, ns.seed)
-    entries = _parse_schedule(group, ns.schedule)
-    # every stage's caps, before Schedule computes each box's witness
+    sizes = _parse_schedule(group, ns.schedule)
     caps = {"mode": ns.mode, "samples": ns.samples, "exact_cap": ns.exact_cap}
-    stage_modes(entries, g, family, **caps)
+    stage_modes([(n, (2 * k + 1) ** group.d) for n, k in sizes], g, family, **caps)
+    entries = tuple((n, folner_measure(group, k)) for n, k in sizes)
     schedule = Schedule(entries, ns.eps if ns.target_eps is None else ns.target_eps)
     report = run_schedule(schedule, g, family, ns.eps, seed=ns.seed, **caps)
     rows = [(r.i, r.n, r.defect, r.bound, r.conc_mass, r.median_gap) for r in report.rows]
@@ -442,9 +436,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["exact", "sampled"], default="sampled")
     common(p)
 
-    p = sub.add_parser("defect", help="invariance-defect sweeps (folner boxes, F2 contrast)")
+    p = sub.add_parser("defect", help="invariance-defect sweeps (folner boxes on Z^d, ball contrast on F2)")
     p.add_argument("--group", default="Z")
-    p.add_argument("--probe", choices=["auto", "folner", "f2-contrast"], default="auto")
     p.add_argument("--k-range", default="1..10")
     p.add_argument("--g", default=None, help="translating element (default: a generator)")
     p.add_argument("--family", default="wordlen-clamp:cap=5", help="folner-probe test family")

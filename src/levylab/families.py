@@ -126,7 +126,8 @@ def disagreement_family(
 def cell_window_member(group: WordGroup, lo: float, hi: float, value, width: float) -> IntegralMember:
     """h -> max(0, 1 - |{t in [lo, hi) : h(t) != value}| / width)."""
     mismatch = partial(ne, group.validate(value))
-    breaks = tuple(b for b in (lo, hi) if 0.0 < b < 1.0)
+    # lo == hi cuts once: IntegralMember takes strictly increasing breakpoints
+    breaks = tuple(b for b in sorted({lo, hi}) if 0.0 < b < 1.0)
     kernel = tuple(mismatch if lo <= start < hi else _zero for start in (0.0,) + breaks)
     return IntegralMember(breaks, kernel, partial(_clipped_slope, width))
 

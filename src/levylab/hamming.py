@@ -205,7 +205,7 @@ def lipschitz_profile(
     if not eps > 0:
         raise NegativeEps("eps must be > 0")
     # max(table) - min(table) is the Lipschitz constant only for the identity phi
-    if not isinstance(f, IntegralMember) or f.breakpoints or len(f.kernel) != 1 or f.phi is not np.asarray:
+    if not isinstance(f, IntegralMember) or f.breakpoints or f.phi is not np.asarray:
         raise CarrierMismatch("lipschitz_profile evaluates one-piece IntegralMembers with the default phi only")
     del bound  # recorded by callers; the profile itself only needs L
     table = np.array([f.kernel[0](a) for a in product.base.atoms], dtype=np.float64)

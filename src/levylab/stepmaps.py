@@ -3,11 +3,15 @@
 A StepMap is constant on the n uniform cells [(i-1)/n, i/n); a
 PiecewiseMap allows arbitrary breakpoints.  Cells are half open on the
 right, and a breakpoint sitting exactly on a grid point belongs to the
-cell on its right.  For discrete base groups, convergence in measure is
-exactly the disagreement pseudometric computed here.  Step maps on the
-n-grid under the product measure are the Hamming product: disagreement is
-then hamming_distance of the value tuples, and a one-piece IntegralMember
-(the member type of step maps and profiles) is a coordinate mean.
+cell on its right.  Both constructors put every value through
+group.validate, so a map holds canonical values from construction on:
+maps that take equal group elements compare equal, and nothing
+downstream validates again.  For discrete base groups, convergence in
+measure is the disagreement pseudometric, the measure of {f != g}.  Step
+maps on the n-grid under the product measure are the Hamming product:
+disagreement is then hamming_distance of the value tuples, and a
+one-piece IntegralMember (the member type of step maps and profiles) is a
+coordinate mean.
 
 Every quantity here and in amplify walks the common refinement of two
 partitions of [0, 1), and one routine walks it: cut_runs cuts a map's
@@ -28,6 +32,18 @@ from .errors import CarrierMismatch, EmptyTuple, LengthMismatch
 from .wordgroups import WordGroup
 
 
+def _check_breakpoints(breakpoints, pieces: int, what: str) -> tuple:
+    """The breakpoints as floats, once they are strictly increasing, inside (0, 1) and one fewer than the pieces."""
+    breaks = tuple(float(b) for b in breakpoints)
+    if pieces != len(breaks) + 1:
+        raise ValueError(f"need exactly one more {what} than breakpoints")
+    if any(not 0.0 < b < 1.0 for b in breaks):
+        raise ValueError("breakpoints must lie strictly inside (0, 1)")
+    if any(b1 >= b2 for b1, b2 in zip(breaks, breaks[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    return breaks
+
+
 @dataclass(frozen=True)
 class StepMap:
     """A map constant on the n uniform cells of [0, 1)."""
@@ -36,9 +52,10 @@ class StepMap:
     values: tuple
 
     def __post_init__(self):
-        if len(self.values) == 0:
+        values = tuple(map(self.group.validate, self.values))
+        if not values:
             raise EmptyTuple("a step map needs at least one cell")
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -54,7 +71,7 @@ class StepMap:
 class PiecewiseMap:
     """A map constant between strictly increasing breakpoints in (0, 1).
 
-    Adjacent cells may carry equal values; no canonicalization happens.
+    Adjacent cells may carry equal values; they are not merged.
     """
 
     group: WordGroup
@@ -62,17 +79,10 @@ class PiecewiseMap:
     values: tuple
 
     def __post_init__(self):
-        breaks = tuple(float(b) for b in self.breakpoints)
-        values = tuple(self.values)
-        if len(values) == 0:
+        values = tuple(map(self.group.validate, self.values))
+        if not values:
             raise EmptyTuple("a piecewise map needs at least one cell")
-        if len(values) != len(breaks) + 1:
-            raise ValueError("need exactly one more value than breakpoints")
-        if any(not 0.0 < b < 1.0 for b in breaks):
-            raise ValueError("breakpoints must lie strictly inside (0, 1)")
-        if any(b1 >= b2 for b1, b2 in zip(breaks, breaks[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", breaks)
+        object.__setattr__(self, "breakpoints", _check_breakpoints(self.breakpoints, len(values), "value"))
         object.__setattr__(self, "values", values)
 
 
@@ -85,10 +95,7 @@ def h_embed(group: WordGroup, values) -> StepMap:
     This is a group homomorphism for the pointwise operation: the embedded
     product of two tuples is the pointwise product of their embeddings.
     """
-    values = tuple(values)
-    if not values:
-        raise EmptyTuple("cannot embed an empty tuple")
-    return StepMap(group, tuple(group.validate(v) for v in values))
+    return StepMap(group, values)
 
 
 def runs_of(f: AnyMap):
@@ -120,8 +127,10 @@ def cut_runs(runs, breaks):
 class IntegralMember:
     """The member h -> phi(integral over [0, 1) of kernel[p](h(t)) dt).
 
-    The breakpoints (sorted, inside (0, 1)) cut [0, 1) into pieces, and p
-    is the piece holding t, so the kernel is constant in t on each piece.
+    The breakpoints cut [0, 1) into one piece per kernel, and p is the
+    piece holding t, so the kernel is constant in t on each piece.  The
+    constructor checks them as PiecewiseMap checks its own: strictly
+    increasing, inside (0, 1), one fewer than the kernels.
     A call cuts h's runs at the breakpoints and adds the pieces' integrals
     left to right from 0.0.
     Each kernel must be a pure function of the element: one
@@ -135,6 +144,11 @@ class IntegralMember:
     breakpoints: tuple
     kernel: tuple
     phi: Callable = np.asarray  # the identity on floats and arrays
+
+    def __post_init__(self):
+        kernel = tuple(self.kernel)
+        object.__setattr__(self, "breakpoints", _check_breakpoints(self.breakpoints, len(kernel), "kernel"))
+        object.__setattr__(self, "kernel", kernel)
 
     def __call__(self, h: AnyMap) -> float:
         pieces = cut_runs(runs_of(h), self.breakpoints)
@@ -152,12 +166,6 @@ def hamming_distance(x, y) -> float:
     return sum(1 for a, b in zip(x, y) if a != b) / len(x)
 
 
-def _check_same_group(a: AnyMap, b: AnyMap) -> WordGroup:
-    if a.group != b.group:
-        raise CarrierMismatch("maps live over different groups")
-    return a.group
-
-
 def pointwise_translate(g: AnyMap, h: AnyMap) -> AnyMap:
     """The left translate t -> g(t)*h(t) on the merged breakpoints of g and h.
 
@@ -165,7 +173,9 @@ def pointwise_translate(g: AnyMap, h: AnyMap) -> AnyMap:
     otherwise a PiecewiseMap.  Uniform breakpoints i/n are correctly
     rounded, so grid points shared by two grids merge into one.
     """
-    group = _check_same_group(g, h)
+    if g.group != h.group:
+        raise CarrierMismatch("maps live over different groups")
+    group = h.group
     cells = list(cut_runs(runs_of(h), g.breakpoints))
     values = tuple(group.op(g.values[p], v) for _, _, v, p in cells)
     if isinstance(g, StepMap) and isinstance(h, StepMap) and len(values) == max(g.n, h.n):
@@ -173,27 +183,13 @@ def pointwise_translate(g: AnyMap, h: AnyMap) -> AnyMap:
     return PiecewiseMap(group, tuple(start for start, _, _, _ in cells[1:]), values)
 
 
-def disagreement(f: AnyMap, g: AnyMap) -> float:
-    """Lebesgue measure of {t : f(t) != g(t)}.
-
-    A pseudometric on maps; on equal-grid step maps it equals the
-    normalized Hamming distance of the value tuples.
-    """
-    _check_same_group(f, g)
-    if isinstance(f, StepMap) and isinstance(g, StepMap) and f.n == g.n:
-        # count / n is exact; summing the merged cell lengths would round
-        return hamming_distance(f.values, g.values)
-    pieces = cut_runs(runs_of(g), f.breakpoints)
-    # left to right from 0.0: from Python 3.12 on, sum() compensates
-    return reduce(add, (stop - start for start, stop, v, p in pieces if f.values[p] != v), 0.0)
-
-
 def grid_approximate(f: AnyMap, n: int) -> tuple[tuple, float]:
     """Left-endpoint sampling of f on the uniform n-grid.
 
-    Returns the tuple g with g_i = f((i-1)/n) together with
-    disagreement(f, h_embed(g)); the latter is at most
-    (#breakpoints)/n, and the tuple only uses values f already takes.
+    Returns the tuple g with g_i = f((i-1)/n) together with the
+    disagreement of f and h_embed(g), the measure of {f != h_embed(g)}; the
+    latter is at most (#breakpoints)/n, and the tuple only uses values f
+    already takes.
     Both come from one walk over f's runs cut at the grid, where each
     cell's first piece starts at its left endpoint.
     """

@@ -6,11 +6,14 @@ group on two letters as reduced words over {a, A, b, B}.  The word length
 induces the right-invariant metric d(x, y) = wl(x * y^-1), which realizes
 the right uniformity all defect computations refer to.
 
-``validate`` is the one definition of an element's canonical form, and
-the public ``FinSuppMeasure`` constructors apply it to every element of
-outside input.  The library's own builders (boxes, balls, Haar measure,
-translates) produce canonical, distinct supports and valid weights by
-construction and skip those checks.  Whole canonical supports go through
+``validate`` is the one definition of an element's canonical form.  The
+public ``FinSuppMeasure`` constructors apply it to every element of
+outside input, and the ``stepmaps.StepMap`` and ``stepmaps.PiecewiseMap``
+constructors to every map value, so measures and maps hold canonical
+elements and nothing downstream validates them again.  The library's own
+measure builders (boxes, balls, Haar measure, translates) produce
+canonical, distinct supports and valid weights by construction and skip
+those checks.  Whole canonical supports go through
 two bulk kernels: ``translate_all`` (left translation; on F2 only the
 junction of g and x cancels) and ``word_lengths`` (an integer array, of
 Python ints where a length would not fit int64).  The base class applies
@@ -81,10 +84,6 @@ class WordGroup:
 
     def generators(self) -> tuple:
         raise NotImplementedError
-
-    def distance(self, x, y) -> int:
-        """Right-invariant word metric d(x, y) = wl(x * y^-1)."""
-        return self.word_length(self.op(x, self.inv(y)))
 
     def ball(self, radius: int) -> list:
         """All elements of word length <= radius, in breadth-first order."""

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_alpha, brute_l0_defect, splice
+from conftest import brute_alpha, brute_l0_defect, disagreement, splice
 from levylab import (
     DiscreteBase,
     FinSuppMeasure,
@@ -21,7 +21,6 @@ from levylab import (
     ZdGroup,
     alpha_profile,
     ball_uniform,
-    disagreement,
     disagreement_family,
     folner_measure,
     fraction_differing,

@@ -12,6 +12,7 @@ from conftest import (
     brute_l0_defect,
     brute_translated_expectation,
     cell_window_closed_form,
+    disagreement,
     element_strategy,
     fubini_telescope_steps,
     left_sum,
@@ -42,10 +43,10 @@ from levylab import (
     ZdGroup,
     ball_uniform,
     cell_window_family,
-    disagreement,
     disagreement_family,
     disagreement_member,
     folner_measure,
+    grid_approximate,
     h_embed,
     l0_defect,
     phi_member,
@@ -879,3 +880,69 @@ class TestDistinctCells:
         finally:
             tracemalloc.stop()
         assert peak <= 11_231_656
+
+
+def _twin(data, group, x):
+    """A non-canonical form of the canonical element x, which group.validate takes back to x."""
+    if isinstance(group, ZdGroup):
+        return data.draw(st.sampled_from([list(x), tuple(map(np.int64, x)), [np.int64(c) for c in x]]))
+    if isinstance(group, CyclicGroup):
+        raw = x + data.draw(st.integers(-3, 3)) * group.m
+        return data.draw(st.sampled_from([raw, np.int64(raw)]))
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(x)))
+        x = x[:at] + data.draw(st.sampled_from(["aA", "Aa", "bB", "Bb"])) + x[at:]
+    return x
+
+
+class TestCanonicalValues:
+    # a map and its twin, built from non-canonical forms of the same elements, are one map:
+    # every quantity on step maps gives == results on either
+
+    @pytest.mark.parametrize(
+        "group", [Z, ZdGroup(2), CyclicGroup(7), FreeGroup2()], ids=["Z", "Z2", "Z7", "F2"]
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_twins_built_from_equal_elements_are_one_map(self, group, data):
+        elements = element_strategy(group)
+        n = data.draw(st.integers(1, 3), label="n")
+        step = StepMap(group, tuple(data.draw(elements) for _ in range(data.draw(st.integers(1, 4)))))
+        breaks = _cuts(data, n, 3)
+        piecewise = PiecewiseMap(group, breaks, tuple(data.draw(elements) for _ in range(len(breaks) + 1)))
+        other = data.draw(st.sampled_from([step, piecewise]))
+        atoms = data.draw(st.lists(elements, min_size=1, max_size=3, unique=True), label="atoms")
+        nu = push_forward(FinSuppMeasure.uniform(group, atoms), n, "exact")
+        window = cell_window_member(group, 0.2, 0.7, data.draw(elements), 0.5)
+
+        for f in (step, piecewise):
+            raw = [_twin(data, group, v) for v in f.values]
+            twin = StepMap(group, raw) if isinstance(f, StepMap) else PiecewiseMap(group, f.breakpoints, raw)
+            assert twin == f and hash(twin) == hash(f) and twin.values == f.values
+            assert disagreement(twin, f) == 0.0 and disagreement(f, twin) == 0.0
+            assert disagreement(twin, other) == disagreement(f, other)
+            assert disagreement_member(twin)(other) == disagreement_member(f)(other)
+            assert pointwise_translate(twin, other) == pointwise_translate(f, other)
+            assert pointwise_translate(other, twin) == pointwise_translate(other, f)
+            assert grid_approximate(twin, n) == grid_approximate(f, n)
+            for a, b in zip(amplify.expectations(nu, [disagreement_member(twin), window], (None, other)),
+                            amplify.expectations(nu, [disagreement_member(f), window], (None, other))):
+                assert np.array_equal(a, b)
+            members = [disagreement_member(other), window]
+            for a, b in zip(amplify.expectations(nu, members, (None, twin)),
+                            amplify.expectations(nu, members, (None, f))):
+                assert np.array_equal(a, b)
+            family = BLFamily(L0Carrier(group), members, 1.0, 2.0)
+            got, want = l0_defect(nu, twin, family), l0_defect(nu, f, family)
+            assert got == want
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.expectations, want.expectations)
+
+    def test_a_cancelling_pair_is_the_identity(self):
+        # "aA" is the identity of F2: h is e on [0, 0.5), so it differs from e on half of [0, 1)
+        f2 = FreeGroup2()
+        h = PiecewiseMap(f2, (0.5,), ("aA", "b"))
+        assert disagreement(h, PiecewiseMap(f2, (0.5,), ("", "b"))) == 0.0
+        nu = push_forward(FinSuppMeasure(f2, ("",), (1.0,)), 1, "exact")
+        means, _ = amplify.expectations(nu, [disagreement_member(h)])
+        assert means.tolist() == [[0.5]]

@@ -219,6 +219,18 @@ class TestAmplifyCommand:
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_box_sizes_are_capped_before_any_box_is_built(self, tmp_path, monkeypatch, capsys):
+        # stage_modes reads each stage's (n, (2k+1)^d), so the table cap refuses the
+        # 999,999-point box of k=499999 before folner_measure builds it
+        def no_boxes(*args, **kwargs):
+            raise AssertionError("a box was built before the caps were checked")
+
+        monkeypatch.setattr(cli, "folner_measure", no_boxes)
+        code, out, _ = run(tmp_path, "amplify", "amplify", "--schedule", "k=499999,n=1,i=1..1", "--samples", "1000")
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ") and "table entries exceed the cap of" in err
+
     @pytest.mark.parametrize("eps", ["-1", "nan", "0"])
     def test_bad_eps_is_named(self, tmp_path, monkeypatch, capsys, eps):
         # --target-eps defaults to --eps; the message names the flag the user gave
@@ -415,6 +427,9 @@ class TestMalformedValues:
             ["alpha", "--space", "cube:x"],
             ["amplify", "--group", "Z^x"],
             ["defect", "--group", "Zm:1"],
+            # defect sweeps boxes on Z^d and balls on F2 only; the group picks the probe
+            ["defect", "--group", "Zm:5"],
+            ["defect", "--probe", "folner"],
             ["amplify", "--g", "n=x:1"],
             ["amplify", "--g", "0.x:1|0"],
             ["amplify", "--family", "disagreement:count=abc"],
@@ -532,15 +547,18 @@ class TestDefaultsSmoke:
 
 def test_every_export_has_a_caller_outside_the_tests():
     # a name that only the tests call belongs in tests/conftest.py, not in the package's surface
+    # only code counts: a name, an attribute or an import, not a word in a docstring or in prose
     root = SRC.parent
     tree = ast.parse((SRC / "levylab" / "__init__.py").read_text(encoding="utf-8"))
     exported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
     paths = [p for p in (SRC / "levylab").glob("*.py") if p.name != "__init__.py"]
-    paths += [*(root / "scripts").glob("*.py"), *(root / "bench").glob("*.py"), root / "README.md"]
-    lines = [line for p in paths for line in p.read_text(encoding="utf-8").splitlines()]
-
-    def called(name):
-        uses = (line for line in lines if re.search(rf"\b{name}\b", line))
-        return any(not re.match(rf"\s*(def|class) {name}\b", line) for line in uses)
-
-    assert [name for name in exported if not called(name)] == []
+    paths += [*(root / "scripts").glob("*.py"), *(root / "bench").glob("*.py")]
+    used = set()
+    for node in (n for p in paths for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(a.name for a in node.names)
+    assert [name for name in exported if name not in used] == []

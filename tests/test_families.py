@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import UNEVEN_BREAKS, alternate_cell_lengths, element_strategy, group_strategy, left_sum
-from conftest import compose_with_translation, pullback_family, pullback_member, splice, spot_check_lipschitz
+from conftest import compose_with_translation, disagreement, pullback_family, pullback_member, splice, spot_check_lipschitz
 from levylab import (
     BLFamily,
     CarrierMismatch,
@@ -20,7 +20,6 @@ from levylab import (
     StepMap,
     ZdGroup,
     cell_window_family,
-    disagreement,
     disagreement_family,
     disagreement_member,
     h_embed,

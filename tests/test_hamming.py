@@ -263,9 +263,8 @@ class TestLipschitzProfile:
         [
             IntegralMember((0.5,), (float, float)),
             IntegralMember((), (float,), np.negative),
-            IntegralMember((), (float, float)),
         ],
-        ids=["breakpoints", "phi", "two-kernels"],
+        ids=["breakpoints", "phi"],
     )
     def test_members_past_a_coordinate_mean_are_rejected(self, member):
         # max(table) - min(table) is the Lipschitz constant only of a one-piece identity-phi member
@@ -275,6 +274,11 @@ class TestLipschitzProfile:
                 lipschitz_profile(
                     product, member, bound=1.0, lipschitz=1.0, eps=0.3, mode=mode, samples=10
                 )
+
+    def test_two_kernels_on_one_piece_are_refused(self):
+        # a member without breakpoints has one piece, so it takes exactly one kernel
+        with pytest.raises(ValueError, match="one more kernel than breakpoints"):
+            IntegralMember((), (float, float))
 
     def test_coordinate_mean_on_tuples(self):
         # the profile's members are coordinate means of the embedded tuple

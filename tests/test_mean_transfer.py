@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compose_with_translation
+from conftest import compose_with_translation, disagreement
 from levylab import (
     CyclicGroup,
     FinSuppMeasure,
@@ -13,7 +13,6 @@ from levylab import (
     MeanApprox,
     PiecewiseMap,
     ZdGroup,
-    disagreement,
     h_embed,
     l0_defect,
     phi_equivariance_check,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     UNEVEN_BREAKS,
     alternate_cell_lengths,
+    disagreement,
     element_strategy,
     group_strategy,
     left_sum,
@@ -22,13 +24,12 @@ from levylab import (
     PiecewiseMap,
     StepMap,
     ZdGroup,
-    disagreement,
     grid_approximate,
     h_embed,
     hamming_distance,
     pointwise_translate,
 )
-from levylab.stepmaps import cut_runs, runs_of
+from levylab.stepmaps import IntegralMember, cut_runs, runs_of
 
 Z = ZdGroup(1)
 
@@ -260,3 +261,26 @@ class TestPiecewiseValidation:
         f = h_embed(Z, (A, B))
         pm = PiecewiseMap(Z, f.breakpoints, f.values)
         assert pm.breakpoints == (0.5,) and pm.values == (A, B)
+
+
+class TestIntegralMemberValidation:
+    # IntegralMember checks its breakpoints as PiecewiseMap does, and takes one kernel per piece
+
+    @pytest.mark.parametrize(
+        "breaks,kernels",
+        [((0.7, 0.3), 3), ((0.5, 0.5), 3), ((1.2,), 2), ((0.0,), 2), ((float("nan"),), 2), ((0.5,), 1),
+         ((0.5,), 3), ((), 0)],
+        ids=["decreasing", "repeated", "above-one", "zero", "nan", "too-few-kernels", "too-many-kernels", "none"],
+    )
+    def test_bad_pieces_are_refused(self, breaks, kernels):
+        with pytest.raises(ValueError):
+            IntegralMember(breaks, (float,) * kernels)
+
+    def test_kernels_stay_in_their_range(self):
+        # with breakpoints (0.7, 0.3), kernels 0, 1, 0 would integrate a constant map to -0.4
+        member = IntegralMember((0.3, 0.7), (lambda x: 0.0, lambda x: 1.0, lambda x: 0.0))
+        assert member(StepMap(Z, (A,))) == pytest.approx(0.4, abs=1e-15)
+
+    def test_breakpoints_are_stored_as_floats(self):
+        member = IntegralMember([Fraction(1, 2)], [float, float])
+        assert member.breakpoints == (0.5,) and member.kernel == (float, float)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import element_strategy, group_strategy, group_with_elements, left_sum, loop_invariance_defect
-from conftest import pullback_family
+from conftest import pullback_family, word_distance
 from levylab import wordgroups
 from levylab import (
     ClampedLength,
@@ -74,7 +74,7 @@ def test_group_axioms(data):
 @given(group_with_elements())
 def test_right_invariance(data):
     group, x, y, z = data
-    assert group.distance(group.op(x, z), group.op(y, z)) == group.distance(x, y)
+    assert word_distance(group, group.op(x, z), group.op(y, z)) == word_distance(group, x, y)
 
 
 class TestBalls:
