@@ -209,11 +209,15 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
     return means, out
 
 
-def _check_table_entries(n: int, atoms: int, g: AnyMap, family: BLFamily) -> None:
-    """Refuse an l0_defect call on n cells and atoms support atoms above TABLE_ENTRY_LIMIT."""
+def member_pieces(family: BLFamily) -> int:
+    """The kernel pieces of the family's members, one or more per member."""
+    return sum(len(f.kernel) for f in family.members if isinstance(f, IntegralMember))
+
+
+def _check_table_entries(n: int, atoms: int, g: AnyMap, pieces: int) -> None:
+    """Refuse an l0_defect call on n cells, atoms atoms and pieces member pieces above TABLE_ENTRY_LIMIT."""
     # the identity, g and its prefixes take these shift values
     shifts = len({g.group.identity, *g.values})
-    pieces = sum(len(f.kernel) for f in family.members if isinstance(f, IntegralMember))
     entries = (pieces * shifts + n) * atoms
     if entries > TABLE_ENTRY_LIMIT:
         raise SpaceTooLarge(
@@ -258,7 +262,7 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     if g.group != group:
         raise CarrierMismatch("target map lives over a different group")
     gp, dis = grid_approximate(g, nu.n)
-    _check_table_entries(nu.n, len(nu.base.support), g, family)
+    _check_table_entries(nu.n, len(nu.base.support), g, member_pieces(family))
     e = group.identity
     moved = [j for j in range(1, nu.n + 1) if gp[j - 1] != e]
     prefixes = (StepMap(group, gp[:j] + (e,) * (nu.n - j)) for j in moved)
@@ -333,13 +337,15 @@ class ScheduleReport:
     entry_modes: tuple
 
 
-def stage_modes(sizes, g: AnyMap, family: BLFamily, *, mode: str, samples: int, exact_cap: int) -> tuple:
+def stage_modes(sizes, g: AnyMap, pieces: int, *, mode: str, samples: int, exact_cap: int) -> tuple:
     """The push-forward mode of each stage, given as (n, atoms), once every stage's size caps hold.
 
-    atoms is the size of the stage's base support.  A stage is exact under
-    mode="exact" (over exact_cap: TooLargeForExact) and under "auto" within
-    exact_cap.  atoms^n is not formed where it would exceed a cap, so a run
-    over a cap is refused before any measure is built.
+    atoms is the size of the stage's base support and pieces the family's
+    member_pieces, or a lower bound on it such as its member count.  A
+    stage is exact under mode="exact" (over exact_cap: TooLargeForExact)
+    and under "auto" within exact_cap.  atoms^n is not formed where it
+    would exceed a cap, so a run over a cap is refused before any measure
+    is built.
     """
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -353,7 +359,7 @@ def stage_modes(sizes, g: AnyMap, family: BLFamily, *, mode: str, samples: int, 
             _check_enumeration(atoms, n_i)
         else:
             _check_sample_array(samples, n_i)
-        _check_table_entries(n_i, atoms, g, family)
+        _check_table_entries(n_i, atoms, g, pieces)
     return tuple(modes)
 
 
@@ -374,7 +380,7 @@ def run_schedule(
     if not eps > 0:
         raise ValueError("eps must be > 0")
     sizes = [(n_i, len(mu_i.support)) for n_i, mu_i in schedule.entries]
-    modes = stage_modes(sizes, g, family, mode=mode, samples=samples, exact_cap=exact_cap)
+    modes = stage_modes(sizes, g, member_pieces(family), mode=mode, samples=samples, exact_cap=exact_cap)
     rows = []
     bounded = True
     implication_all = True

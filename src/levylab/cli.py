@@ -14,11 +14,12 @@ import json
 import math
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import __version__, rng
-from .amplify import Schedule, run_schedule, stage_modes
+from .amplify import Schedule, member_pieces, run_schedule, stage_modes
 from .errors import LevyLabError, SpaceTooLarge, WrongKind
 from .families import (
     cell_window_family,
@@ -157,31 +158,21 @@ def _parse_kv(text: str) -> dict:
 
 
 def _parse_family(group: WordGroup, text: str, seed: int):
+    """The member count that text asks for, and a call that builds the family."""
     name, _, params = text.partition(":")
     kv = _parse_kv(params)
     name = name.strip()
     fam_seed = int(kv.pop("seed", rng.derive_seed(seed, "family")))
+    count = int(kv.pop("count", 20))
     if name == "disagreement":
-        fam = disagreement_family(
-            group,
-            int(kv.pop("count", 20)),
-            fam_seed,
-            max_pieces=int(kv.pop("pieces", 3)),
-            radius=int(kv.pop("radius", 4)),
-        )
+        build = partial(disagreement_family, max_pieces=int(kv.pop("pieces", 3)), radius=int(kv.pop("radius", 4)))
     elif name == "cell-indicator-smoothed":
-        fam = cell_window_family(
-            group,
-            int(kv.pop("count", 20)),
-            fam_seed,
-            width=float(kv.pop("width", 0.25)),
-            radius=int(kv.pop("radius", 4)),
-        )
+        build = partial(cell_window_family, width=float(kv.pop("width", 0.25)), radius=int(kv.pop("radius", 4)))
     else:
         raise UsageError(f"unknown step-map family {name!r}")
     if kv:
         raise UsageError(f"unknown family parameters {sorted(kv)}")
-    return fam
+    return count, partial(build, group, count, fam_seed)
 
 
 def _parse_schedule_expr(expr: str, i: int) -> int:
@@ -332,12 +323,16 @@ def _cmd_amplify(ns) -> tuple[list[str], list[tuple], dict]:
     if ns.target_eps is not None and not ns.target_eps > 0:
         raise UsageError("--target-eps must be > 0")
     group = make_group(ns.group)
-    # the target and family come first: stage_modes counts their table entries before any box is built
+    # stage_modes counts table entries before anything is built: from the member count (a member
+    # has one kernel piece or more) before any member, from the family's pieces before any box
     g = _parse_map(group, ns.g)
-    family = _parse_family(group, ns.family, ns.seed)
+    count, build_family = _parse_family(group, ns.family, ns.seed)
     sizes = _parse_schedule(group, ns.schedule)
     caps = {"mode": ns.mode, "samples": ns.samples, "exact_cap": ns.exact_cap}
-    stage_modes([(n, (2 * k + 1) ** group.d) for n, k in sizes], g, family, **caps)
+    stage_sizes = [(n, (2 * k + 1) ** group.d) for n, k in sizes]
+    stage_modes(stage_sizes, g, count, **caps)
+    family = build_family()
+    stage_modes(stage_sizes, g, member_pieces(family), **caps)
     entries = tuple((n, folner_measure(group, k)) for n, k in sizes)
     schedule = Schedule(entries, ns.eps if ns.target_eps is None else ns.target_eps)
     report = run_schedule(schedule, g, family, ns.eps, seed=ns.seed, **caps)

@@ -7,11 +7,10 @@ smallest-valid-median convention, and deviation masses use the strict
 inequality |f - c| > eps.
 
 The subset enumeration splits the points into a low and a high half and
-tabulates, for every subset of each half, its distance to every point and
-its lightest weight.  A subset's distances are then the pointwise minimum
-of two table rows, so all 2^N subsets cost N * 2^N work, and only
-inclusion-minimal heavy subsets are scored: the neighbourhood mass only
-grows with the set, so the infimum is attained at a minimal one.
+tabulates each half-subset's distances, lightest weight and mass.  Only
+inclusion-minimal heavy subsets are scored (the neighbourhood mass grows
+with the set), found in one window of sorted low-half masses per high
+subset; a subset's distances are the pointwise minimum of two table rows.
 """
 
 from __future__ import annotations
@@ -34,10 +33,12 @@ DEFAULT_ENUMERATION_LIMIT = 20
 
 _MASS_TOL = 1e-12
 _DIST_TOL = 1e-12
-# subset masks per block of alpha_profile's enumeration
-_MASK_BLOCK = 1 << 14
-# (subset, radius, point) comparisons per block of neighbourhood masses
-_RADIUS_BLOCK = 1 << 22
+# widens alpha_profile's windows past the gap (<= 1e-15) between two-half and index-order masses
+_WINDOW_SLACK = 1e-13
+# candidate subsets per block of alpha_profile's enumeration
+_MASK_BLOCK = 1 << 12
+# comparisons per block: (subset, radius, point) for neighbourhood masses, (x, y, z) for the triangle check
+_RADIUS_BLOCK = _TRIANGLE_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +69,8 @@ class FiniteMMSpace:
             raise InvalidSpace("distance matrix must have zero diagonal")
         if np.any(np.abs(dist - dist.T) > _DIST_TOL):
             raise InvalidSpace("distance matrix must be symmetric")
-        # d(x, y) <= d(x, z) + d(y, z) for blocks of rows x, about 2^22 triples per block
-        step = max(1, (1 << 22) // max(n * n, 1))
+        # d(x, y) <= d(x, z) + d(y, z) for blocks of rows x
+        step = max(1, _TRIANGLE_BLOCK // max(n * n, 1))
         for x in range(0, n, step):
             block = dist[x : x + step]
             if np.any(block[:, :, None] > block[:, None, :] + dist[None, :, :] + 1e-9):
@@ -95,21 +96,23 @@ class FiniteMMSpace:
         return cls(tuple(points), dist, np.full(n, 1.0 / max(n, 1)))
 
 
-def _half_tables(space: FiniteMMSpace, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and lightest weights of every subset of the points first..first+count-1.
+def _half_tables(space: FiniteMMSpace, first: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distances, lightest weights and masses of every subset of the points first..first+count-1.
 
     Bit j of row S stands for point first + j.  dist[S, x] is the distance
-    from x to the subset S and weight[S] its smallest point weight (both inf
-    for the empty set), built by doubling: row S | 2^j is the minimum of row
-    S and point first + j.
+    from x to S, weight[S] its smallest point weight (both inf for the
+    empty set) and mass[S] its weights added in index order, built by
+    doubling: row S | 2^j is row S combined with point first + j.
     """
     dist = np.full((1 << count, len(space)), np.inf)
     weight = np.full(1 << count, np.inf)
+    mass = np.zeros(1 << count)
     for j in range(count):
         half = 1 << j
         np.minimum(dist[:half], space.dist[first + j], out=dist[half : 2 * half])
         np.minimum(weight[:half], space.mu[first + j], out=weight[half : 2 * half])
-    return dist, weight
+        np.add(mass[:half], space.mu[first + j], out=mass[half : 2 * half])
+    return dist, weight, mass
 
 
 def _masses(members, mu: np.ndarray) -> np.ndarray:
@@ -133,13 +136,13 @@ def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
     Bit i of a subset mask stands for point i, and A is heavy when its
     mass is >= 1/2 - 1e-12.  Every mass adds the point weights in index
     order (``_masses``), so the result does not depend on the blocking.
-    The distance from a point to A is the minimum of two rows of the
-    half-subset tables of ``_half_tables`` (low ``N // 2`` bits and high
-    bits).  The neighbourhood of A only grows with A, so only
-    inclusion-minimal heavy sets are scored: A is skipped when it still
-    has mass >= 1/2 after losing its lightest point, which leaves a heavy
-    proper subset with no larger neighbourhood.  All radii are compared in
-    one pass over the scored subsets.
+    Only inclusion-minimal heavy sets are scored, as the neighbourhood of
+    A grows with A: A is skipped when it keeps mass >= 1/2 after losing
+    its lightest point.  Such an A = high | low (low ``N // 2`` bits) has
+    1/2 <= mass_lo + mass_hi < 1/2 + lightest_hi: per high subset, one
+    window of the sorted low masses of ``_half_tables``, widened by
+    ``_WINDOW_SLACK``, whose candidates alone get index-order masses.
+    A's distances are the minimum of two table rows; radii go in one pass.
     """
     eps_values = np.asarray(eps_values, dtype=np.float64)
     if not np.all(eps_values >= 0):
@@ -154,16 +157,22 @@ def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
         return out
 
     nlo = npts // 2
-    dist_lo, weight_lo = _half_tables(space, 0, nlo)
-    dist_hi, weight_hi = _half_tables(space, nlo, npts - nlo)
+    dist_lo, weight_lo, mass_lo = _half_tables(space, 0, nlo)
+    dist_hi, weight_hi, mass_hi = _half_tables(space, nlo, npts - nlo)
+    # high subset h takes the low subsets order[start[h]:stop[h]]; ends[h] counts those of 0..h
+    order = np.argsort(mass_lo, kind="stable")
+    start = np.searchsorted(mass_lo[order], 0.5 - _MASS_TOL - _WINDOW_SLACK - mass_hi)
+    stop = np.searchsorted(mass_lo[order], 0.5 + _WINDOW_SLACK + weight_hi - mass_hi)
+    ends = np.cumsum(stop - start)
     thresholds = positive + _DIST_TOL
     best = np.full(positive.size, np.inf)
-    total = 1 << npts
-    points = np.arange(npts, dtype=np.uint32)[:, None]
+    total = int(ends[-1])
+    points = np.arange(npts)[:, None]
     for lo in range(0, total, _MASK_BLOCK):
-        masks = np.arange(lo, min(lo + _MASK_BLOCK, total), dtype=np.uint32)
-        mass = _masses((masks >> points) & 1, space.mu)
-        low, high = masks & np.uint32((1 << nlo) - 1), masks >> np.uint32(nlo)
+        k = np.arange(lo, min(lo + _MASK_BLOCK, total))
+        high = np.searchsorted(ends, k, side="right")
+        low = order[stop[high] - (ends[high] - k)]
+        mass = _masses(((low | high << nlo) >> points) & 1, space.mu)
         # skip A when A minus its lightest point keeps mass >= 1/2: that is 1e-12
         # above the heavy threshold, so the smaller set is heavy despite rounding
         lightest = np.minimum(weight_lo[low], weight_hi[high])

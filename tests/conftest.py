@@ -29,7 +29,7 @@ from levylab import (
     weighted_deviation_mass,
     weighted_median,
 )
-from levylab import rng
+from levylab import mmspace, rng
 from levylab.errors import CarrierMismatch, DimensionMismatch, LipschitzViolation
 from levylab.hamming import product_weights
 from levylab.stepmaps import IntegralMember, cut_runs, runs_of
@@ -170,6 +170,39 @@ def brute_alpha(space: FiniteMMSpace, eps: float) -> float:
         )
         worst = min(worst, mass)
     return 1.0 - worst
+
+
+def reference_alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
+    """alpha_profile by a scan of all 2^N subset masks, each mass added in index order.
+
+    Every mask's mass is computed, and the inclusion-minimal heavy ones are
+    scored with the same tests, half tables and radius stage as the
+    library, so the values are equal bit for bit.
+    """
+    eps_values = np.asarray(eps_values, dtype=np.float64)
+    positive = eps_values[eps_values > 0]
+    out = np.full(eps_values.shape, 0.5)
+    if positive.size == 0:
+        return out
+    npts = len(space)
+    nlo = npts // 2
+    dist_lo, weight_lo, _ = mmspace._half_tables(space, 0, nlo)
+    dist_hi, weight_hi, _ = mmspace._half_tables(space, nlo, npts - nlo)
+    thresholds = positive + 1e-12
+    best = np.full(positive.size, np.inf)
+    points = np.arange(npts, dtype=np.uint32)[:, None]
+    for lo in range(0, 1 << npts, 1 << 14):
+        masks = np.arange(lo, min(lo + (1 << 14), 1 << npts), dtype=np.uint32)
+        mass = mmspace._masses((masks >> points) & 1, space.mu)
+        low, high = masks & np.uint32((1 << nlo) - 1), masks >> np.uint32(nlo)
+        lightest = np.minimum(weight_lo[low], weight_hi[high])
+        minimal = (mass >= 0.5 - 1e-12) & (mass - lightest < 0.5)
+        if minimal.any():
+            dist_to = np.minimum(dist_lo[low[minimal]], dist_hi[high[minimal]]).T.copy()
+            masses = mmspace._masses((d[:, None] <= thresholds for d in dist_to), space.mu)
+            best = np.minimum(best, masses.min(axis=0))
+    out[eps_values > 0] = np.clip(1.0 - best, 0.0, 0.5)
+    return out
 
 
 def brute_median(values, weights) -> float:

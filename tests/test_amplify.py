@@ -870,7 +870,7 @@ class TestDistinctCells:
         # path replaced peaked at 11,231,656 traced bytes in this call (Python 3.11, numpy 2.4),
         # from its n x maps gathers and a second members x maps table
         g = cli._parse_map(Z, "0.35: 1|0")
-        fam = cli._parse_family(Z, "disagreement", 42)
+        fam = cli._parse_family(Z, "disagreement", 42)[1]()
         nu = push_forward(folner_measure(Z, 256), 8, "sampled", samples=20_000,
                           seed=rng.derive_seed(42, "entry", 8))
         tracemalloc.start()

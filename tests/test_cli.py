@@ -231,6 +231,18 @@ class TestAmplifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("computation error: ") and "table entries exceed the cap of" in err
 
+    def test_member_count_is_capped_before_any_member_is_built(self, tmp_path, monkeypatch, capsys):
+        # 10^6 members of one piece or more and the default target's 2 shift values
+        # make at least 18,000,009 table entries on the first stage's 9 atoms
+        def no_members(*args, **kwargs):
+            raise AssertionError("a member was built before the caps were checked")
+
+        monkeypatch.setattr(cli, "disagreement_family", no_members)
+        code, out, _ = run(tmp_path, "amplify", "amplify", "--family", "disagreement:count=1000000")
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "18000009 table entries exceed the cap of 4194304: (1000000 member pieces" in err
+
     @pytest.mark.parametrize("eps", ["-1", "nan", "0"])
     def test_bad_eps_is_named(self, tmp_path, monkeypatch, capsys, eps):
         # --target-eps defaults to --eps; the message names the flag the user gave
@@ -315,6 +327,8 @@ class TestGoldenOutputs:
             ("phi-check", ["phi-check"]),
             ("profile_exact_n12", ["profile", "--mode", "exact", "--n", "12", "--base", "0.2,0.3,0.5"]),
             ("profile_n12_skewed", ["profile", "--base", "0.2,0.3,0.5", "--n", "12", "--samples", "20000"]),
+            # 16 uniform points: 12,870 minimal sets, every one of mass exactly 1/2
+            ("alpha_cube4", ["alpha", "--space", "cube:4", "--eps-grid", "0:1:0.125"]),
         ],
     )
     def test_csv_matches_the_recorded_run(self, tmp_path, name, args):
@@ -532,6 +546,8 @@ class TestDefaultsSmoke:
             ["phi-check", "--group", "Z^10000000", "--trials", "1"],
             ["phi-check", "--trials", "100000000"],
             ["amplify", "--group", "Z^2", "--g", ":(1,0)", "--schedule", "k=i,n=1,i=1..499", "--samples", "100"],
+            # a member has one kernel piece or more, so the count alone exceeds the table cap
+            ["amplify", "--family", "disagreement:count=100000000", "--samples", "10"],
         ],
     )
     def test_oversized_inputs_are_refused_before_building(self, tmp_path, args):

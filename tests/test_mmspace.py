@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_alpha, brute_median, mm_space_strategy
+from conftest import brute_alpha, brute_median, mm_space_strategy, reference_alpha_profile
 from levylab import (
     FiniteMMSpace,
     InvalidFunctionTable,
@@ -38,6 +39,18 @@ def cube2():
 FRACTION_OF_ONES = [0.0, 0.5, 0.5, 1.0]
 
 
+@st.composite
+def dyadic_space_strategy(draw, max_points=6):
+    """A planar space whose weights are j/8 or j/16, zeros allowed."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    coord = st.integers(min_value=0, max_value=4)
+    pts = np.array([draw(st.tuples(coord, coord)) for _ in range(n)], dtype=float)
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    denominator = draw(st.sampled_from([8, 16]))
+    owners = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=denominator, max_size=denominator))
+    return FiniteMMSpace(tuple(range(n)), dist, np.bincount(owners, minlength=n) / denominator)
+
+
 class TestConstruction:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidSpace):
@@ -61,27 +74,19 @@ class TestConstruction:
             FiniteMMSpace.uniform((), np.zeros((0, 0)))
 
 
-# builds the n-point line space, with d(a, b) = d(b, a) = v for each "a,b,v" argument
+# builds the n-point line space
 LINE_SPACE = """
 import sys
 import numpy as np
-from levylab import FiniteMMSpace, InvalidSpace
+from levylab import FiniteMMSpace
 n = int(sys.argv[1])
 x = np.arange(n, dtype=float)
-dist = np.abs(x[:, None] - x[None, :])
-for arg in sys.argv[2:]:
-    a, b, v = arg.split(",")
-    dist[int(a), int(b)] = dist[int(b), int(a)] = float(v)
-try:
-    FiniteMMSpace.uniform(tuple(range(n)), dist)
-except InvalidSpace:
-    print("invalid")
-else:
-    print("built")
+FiniteMMSpace.uniform(tuple(range(n)), np.abs(x[:, None] - x[None, :]))
+print("built")
 """
 
 
-def build_line_space(n, *edits, limit_mib=768):
+def build_line_space(n, limit_mib=768):
     """Build a line space in a child whose address space is capped at limit_mib."""
     limit = limit_mib << 20
 
@@ -91,7 +96,7 @@ def build_line_space(n, *edits, limit_mib=768):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", LINE_SPACE, str(n), *edits],
+        [sys.executable, "-c", LINE_SPACE, str(n)],
         env=env,
         preexec_fn=cap,
         capture_output=True,
@@ -108,10 +113,17 @@ class TestLargeSpace:
     def test_600_points_build_under_768_mib(self):
         assert build_line_space(600) == "built"
 
-    def test_violation_in_last_block_is_found(self):
-        # only the triples (598, 599, 597) and (599, 598, 597) violate, both in the last rows
-        assert build_line_space(600, "598,599,3.5") == "invalid"
-        assert build_line_space(600, "598,599,3.0") == "built"
+    def test_violation_in_last_block_is_found(self, monkeypatch):
+        # 8 rows per block make 5 blocks of the 40-point line; only the triples
+        # (38, 39, 37) and (39, 38, 37) violate, both in rows of the last block
+        monkeypatch.setattr(mmspace, "_TRIANGLE_BLOCK", 8 * 40 * 40)
+        x = np.arange(40.0)
+        dist = np.abs(x[:, None] - x[None, :])
+        dist[38, 39] = dist[39, 38] = 3.5
+        with pytest.raises(InvalidSpace, match="triangle"):
+            FiniteMMSpace.uniform(tuple(range(40)), dist)
+        dist[38, 39] = dist[39, 38] = 3.0
+        FiniteMMSpace.uniform(tuple(range(40)), dist)
 
 
 class TestAlpha:
@@ -166,6 +178,86 @@ class TestAlpha:
         assert alpha_profile(space, radii).tolist() == expected
         monkeypatch.setattr(mmspace, "_MASK_BLOCK", 37)
         assert alpha_profile(space, radii).tolist() == expected
+
+    @pytest.mark.parametrize("weights", ["dirichlet", "uniform"])
+    def test_windows_match_the_scan_of_every_mask_at_20_points(self, weights):
+        # the largest space the limit allows, against the scan of all 2^20 masks;
+        # uniform weights make 184,756 minimal sets, all of mass exactly 1/2
+        gen = np.random.default_rng(20)
+        pts = gen.random((20, 2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        mu = gen.dirichlet(np.ones(20)) if weights == "dirichlet" else np.full(20, 0.05)
+        space = FiniteMMSpace(tuple(range(20)), dist, mu)
+        radii = [0.0, *np.quantile(dist, np.linspace(0.05, 0.6, 8))]
+        assert alpha_profile(space, radii).tolist() == reference_alpha_profile(space, radii).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dyadic_space_strategy())
+    def test_dyadic_weights_match_brute_force(self, space):
+        # masses of j/8 or j/16 add exactly, so many subsets weigh exactly 1/2, and
+        # zero weights make sets whose lightest point takes nothing away; blocks of
+        # 1 and 37 candidates split the windows' runs at every place and at odd ones
+        radii = [0.0, 0.25, *np.unique(space.dist)[1::2]]
+        expected = [brute_alpha(space, float(eps)) for eps in radii]
+        with pytest.MonkeyPatch.context() as mp:
+            for block in (1, 37):
+                mp.setattr(mmspace, "_MASK_BLOCK", block)
+                assert alpha_profile(space, radii).tolist() == expected
+
+    def test_sums_at_the_window_edges_keep_their_sets(self, monkeypatch):
+        # points 0..2 form the low half and 3..5 the high one; a set of one low and two high
+        # points weighs 1/2 - 1e-12 (odd trials) or 1/2 up to rounding. Its index-order mass
+        # ((lo + h1) + h2) and its two-half mass (lo + (h1 + h2)) may round apart: without
+        # the window slack, 17 of these 400 spaces lose a minimal set at the heavy threshold
+        gen = np.random.default_rng(6)
+        spaces = []
+        for trial in range(400):
+            pts = gen.random((6, 2))
+            dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+            chosen = [int(gen.integers(0, 3)), 3, 4]
+            rest = [i for i in range(6) if i not in chosen]
+            target = 0.5 - 1e-12 * (trial % 2)
+            a, b = gen.random(3), gen.random(3)
+            mu = np.zeros(6)
+            mu[chosen] = a / a.sum() * target
+            mu[rest] = b / b.sum() * (1.0 - target)
+            spaces.append(FiniteMMSpace(tuple(range(6)), dist, mu))
+        expected = [reference_alpha_profile(space, np.unique(space.dist)).tolist() for space in spaces]
+        assert [alpha_profile(space, np.unique(space.dist)).tolist() for space in spaces] == expected
+        monkeypatch.setattr(mmspace, "_WINDOW_SLACK", 0.0)
+        assert [alpha_profile(space, np.unique(space.dist)).tolist() for space in spaces] != expected
+
+    def test_only_window_candidates_reach_the_mass_check(self, monkeypatch):
+        # the subset stage hands _masses one 0/1 row per point and a column per subset;
+        # a scan of every mask hands it all 2^20 of them
+        checked = []
+        masses = mmspace._masses
+
+        def counting(members, mu):
+            if isinstance(members, np.ndarray):
+                checked.append(members.shape[1])
+            return masses(members, mu)
+
+        gen = np.random.default_rng(2)
+        pts = gen.random((20, 2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        space = FiniteMMSpace(tuple(range(20)), dist, gen.dirichlet(np.ones(20)))
+        monkeypatch.setattr(mmspace, "_masses", counting)
+        alpha_profile(space, [0.1, 0.5])
+        assert 0 < sum(checked) < (1 << 20) // 16
+
+    def test_uniform_line_stays_under_the_scan_peak(self):
+        # the scan of every mask peaked at 5,970,800 traced bytes on this call (Python 3.11,
+        # numpy 2.4): blocks of 2^14 masks, each with its N x block member flags
+        x = np.arange(20.0)
+        line = FiniteMMSpace.uniform(tuple(range(20)), np.abs(x[:, None] - x[None, :]))
+        tracemalloc.start()
+        try:
+            alpha_profile(line, [k / 20 for k in range(21)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_970_800
 
     @settings(max_examples=30, deadline=None)
     @given(mm_space_strategy(max_points=5))
