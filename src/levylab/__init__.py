@@ -73,7 +73,6 @@ from .mmspace import (
 from .stepmaps import (
     IntegralMember,
     PiecewiseMap,
-    StepMap,
     grid_approximate,
     h_embed,
     hamming_distance,

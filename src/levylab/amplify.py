@@ -12,7 +12,9 @@ expectation is formed in expectations(), never by a BLAS product.  One
 call there takes every shift of one question (in l0_defect: the
 identity, the target and the telescope prefixes whose new coordinate is
 not e; the other steps are exactly 0) and builds each kernel column once
-for all of them.  The shifts agree on most grid cells, so each distinct
+for all of them.  Shifts and targets are stepmaps.PiecewiseMap, whose
+partition is canonical, so a cell's runs depend only on the function the
+shift is.  The shifts agree on most grid cells, so each distinct
 cell (its runs of start, stop and value, cut from the shift by
 stepmaps.cut_runs, the walk every step-map quantity uses) gets one
 members x atoms table and one members x maps block per call, and a
@@ -50,12 +52,12 @@ from .hamming import (
     talagrand_bound,
 )
 from .mmspace import weighted_deviation_mass, weighted_median
-from .stepmaps import AnyMap, IntegralMember, StepMap, cut_runs, grid_approximate, runs_of
+from .stepmaps import IntegralMember, PiecewiseMap, cut_runs, grid_approximate, h_embed, runs_of
 from .wordgroups import FinSuppMeasure, _power_over
 
 _TOL = 1e-9
 # the most table entries one l0_defect call may count, (member pieces x shift values + n)
-# x atoms, checked before any kernel column is built
+# x atoms plus n planned cells per shift, checked before any kernel column is built
 TABLE_ENTRY_LIMIT = 1 << 22
 # the most floats one expectations call holds in members x maps blocks, one per distinct
 # grid cell; members are taken in groups that fit, at least one at a time
@@ -214,15 +216,24 @@ def member_pieces(family: BLFamily) -> int:
     return sum(len(f.kernel) for f in family.members if isinstance(f, IntegralMember))
 
 
-def _check_table_entries(n: int, atoms: int, g: AnyMap, pieces: int) -> None:
-    """Refuse an l0_defect call on n cells, atoms atoms and pieces member pieces above TABLE_ENTRY_LIMIT."""
+def _check_table_entries(n: int, atoms: int, g: PiecewiseMap, pieces: int) -> None:
+    """Refuse an l0_defect call on n cells, atoms atoms and pieces member pieces above TABLE_ENTRY_LIMIT.
+
+    Kernel columns and tables take (pieces x shift values + n) x atoms
+    entries, and expectations plans n cells for each of the identity, g and
+    the prefixes whose new coordinate is not e: (2 + moved) x n more.  g is
+    sampled on the grid only once the rest fits, so n bounds that walk.
+    """
+    e = g.group.identity
     # the identity, g and its prefixes take these shift values
-    shifts = len({g.group.identity, *g.values})
-    entries = (pieces * shifts + n) * atoms
+    shifts = len({e, *g.values})
+    entries = (pieces * shifts + n) * atoms + 2 * n
+    if entries <= TABLE_ENTRY_LIMIT:
+        entries += n * sum(v != e for v in grid_approximate(g, n)[0])
     if entries > TABLE_ENTRY_LIMIT:
         raise SpaceTooLarge(
             f"{entries} table entries exceed the cap of {TABLE_ENTRY_LIMIT}: ({pieces} member pieces"
-            f" x {shifts} shift values + {n} cells) x {atoms} atoms"
+            f" x {shifts} shift values + {n} cells) x {atoms} atoms + {n} planned cells per shift"
         )
 
 
@@ -238,7 +249,7 @@ class DefectResult:
     expectations: np.ndarray = field(compare=False, repr=False)
 
 
-def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
+def l0_defect(nu: L0Measure, g: PiecewiseMap, family: BLFamily) -> DefectResult:
     """Defect of nu against translation by g, with its telescoping bound.
 
     defect = max over the family of |E_nu(f) - E_nu(f o lambda_g)|;
@@ -249,7 +260,8 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     E_nu(f o lambda_{a_j})| for the prefixes a_j = (g'_1..g'_j, e..e).  The
     steps are evaluated on nu itself, exact or sampled, so the telescope
     identity holds exactly and the bound dominates the defect up to float
-    roundoff.  Where g'_j is e, a_j is a_{j-1} and step j is exactly 0.0
+    roundoff.  Each prefix is h_embed of its tuple, so its e tail is one
+    cell.  Where g'_j is e, a_j is a_{j-1} and step j is exactly 0.0
     without an evaluation.  One expectations call takes the identity, g and
     the other prefixes, in that order, so they share its kernel columns;
     the member values and expectations at the identity are returned.  More
@@ -265,7 +277,7 @@ def l0_defect(nu: L0Measure, g: AnyMap, family: BLFamily) -> DefectResult:
     _check_table_entries(nu.n, len(nu.base.support), g, member_pieces(family))
     e = group.identity
     moved = [j for j in range(1, nu.n + 1) if gp[j - 1] != e]
-    prefixes = (StepMap(group, gp[:j] + (e,) * (nu.n - j)) for j in moved)
+    prefixes = (h_embed(group, gp[:j] + (e,) * (nu.n - j)) for j in moved)
     means, values = expectations(nu, family.members, chain((None, g), prefixes))
     defect = float(np.max(np.abs(means[0] - means[1])))
     steps = [0.0] * nu.n
@@ -337,7 +349,7 @@ class ScheduleReport:
     entry_modes: tuple
 
 
-def stage_modes(sizes, g: AnyMap, pieces: int, *, mode: str, samples: int, exact_cap: int) -> tuple:
+def stage_modes(sizes, g: PiecewiseMap, pieces: int, *, mode: str, samples: int, exact_cap: int) -> tuple:
     """The push-forward mode of each stage, given as (n, atoms), once every stage's size caps hold.
 
     atoms is the size of the stage's base support and pieces the family's
@@ -364,7 +376,7 @@ def stage_modes(sizes, g: AnyMap, pieces: int, *, mode: str, samples: int, exact
 
 
 def run_schedule(
-    schedule: Schedule, g: AnyMap, family: BLFamily, eps: float,
+    schedule: Schedule, g: PiecewiseMap, family: BLFamily, eps: float,
     *, mode: str = "auto", samples: int = 20000, seed: int = 42, exact_cap: int = 10**5,
 ) -> ScheduleReport:
     """Run the amplification pipeline along a schedule.

@@ -38,7 +38,7 @@ from .hamming import (
 )
 from .mean_transfer import phi_equivariance_check, phi_member
 from .mmspace import FiniteMMSpace, alpha_profile
-from .stepmaps import PiecewiseMap, StepMap, h_embed
+from .stepmaps import PiecewiseMap, h_embed
 from .wordgroups import (
     CyclicGroup,
     FreeGroup2,
@@ -139,8 +139,6 @@ def _parse_map(group: WordGroup, text: str):
     breaks = tuple(float(b) for b in head.split(",")) if head else ()
     if len(values) != len(breaks) + 1:
         raise UsageError("piecewise literal needs one more value than breakpoints")
-    if not breaks:
-        return h_embed(group, values)
     return PiecewiseMap(group, breaks, values)
 
 
@@ -375,7 +373,7 @@ def _cmd_phi_check(ns) -> tuple[list[str], list[tuple], dict]:
         f2 = _random_bounded_function(group, gen)
         g = group.random_element(gen, 4)
         n = int(gen.integers(1, 7))
-        h = StepMap(group, tuple(group.random_element(gen, 4) for _ in range(n)))
+        h = h_embed(group, tuple(group.random_element(gen, 4) for _ in range(n)))
         alpha, beta = (float(v) for v in gen.uniform(-2.0, 2.0, size=2))
 
         worst["unitality"] = max(worst["unitality"], abs(phi_member(one)(h) - 1.0))

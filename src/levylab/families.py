@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng
 from .errors import CarrierMismatch
-from .stepmaps import AnyMap, IntegralMember, PiecewiseMap, StepMap
+from .stepmaps import IntegralMember, PiecewiseMap
 from .wordgroups import ClampedLength, FinSuppMeasure, WordGroup
 
 
@@ -31,7 +31,7 @@ class GroupCarrier:
 
 @dataclass(frozen=True)
 class L0Carrier:
-    """Members take step/piecewise maps; Lipschitz is w.r.t. disagreement."""
+    """Members take step maps (stepmaps.PiecewiseMap); Lipschitz is w.r.t. disagreement."""
 
     group: WordGroup
 
@@ -86,7 +86,7 @@ def wordlen_clamp_family(group: WordGroup, caps, *, normalize: bool = True) -> B
     return BLFamily(GroupCarrier(group), members, bound, lipschitz)
 
 
-def disagreement_member(reference: AnyMap) -> IntegralMember:
+def disagreement_member(reference: PiecewiseMap) -> IntegralMember:
     """The member h -> disagreement(reference, h); 1-bounded, 1-Lipschitz."""
     kernel = tuple(partial(ne, v) for v in reference.values)
     return IntegralMember(tuple(reference.breakpoints), kernel)
@@ -100,7 +100,12 @@ def disagreement_family(
     max_pieces: int = 3,
     radius: int = 4,
 ) -> BLFamily:
-    """Distance-to-reference members over seeded random piecewise targets."""
+    """Distance-to-reference members over seeded random piecewise targets.
+
+    Member j draws a piece count in 1..max_pieces, its breakpoints and a
+    value per piece; equal neighbouring values merge in the reference map,
+    so max_pieces is an upper bound on a member's kernel pieces.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     members = []
@@ -114,12 +119,7 @@ def disagreement_family(
                 breaks = tuple(draw)
                 break
         values = tuple(group.random_element(gen, radius) for _ in range(pieces))
-        ref: AnyMap
-        if breaks:
-            ref = PiecewiseMap(group, breaks, values)
-        else:
-            ref = StepMap(group, values)
-        members.append(disagreement_member(ref))
+        members.append(disagreement_member(PiecewiseMap(group, breaks, values)))
     return BLFamily(L0Carrier(group), tuple(members), 1.0, 1.0)
 
 

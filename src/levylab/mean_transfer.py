@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .stepmaps import AnyMap, IntegralMember, h_embed, pointwise_translate
+from .stepmaps import IntegralMember, PiecewiseMap, h_embed, pointwise_translate
 from .wordgroups import WordGroup
 
 from .amplify import L0Measure, expectations
@@ -28,7 +28,7 @@ def phi_member(f: Callable) -> IntegralMember:
     return IntegralMember((), (f,))
 
 
-def phi_equivariance_check(group: WordGroup, f: Callable, g, h: AnyMap) -> float:
+def phi_equivariance_check(group: WordGroup, f: Callable, g, h: PiecewiseMap) -> float:
     """Residual of transfer(f o lambda_g)(h) = transfer(f)(const_g * h).
 
     Both sides reduce to the same finite cell sum, so the residual is zero

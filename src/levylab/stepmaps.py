@@ -1,17 +1,18 @@
-"""Step and piecewise-constant maps from [0, 1) into a word group.
+"""Piecewise-constant maps from [0, 1) into a word group, in canonical form.
 
-A StepMap is constant on the n uniform cells [(i-1)/n, i/n); a
-PiecewiseMap allows arbitrary breakpoints.  Cells are half open on the
-right, and a breakpoint sitting exactly on a grid point belongs to the
-cell on its right.  Both constructors put every value through
-group.validate, so a map holds canonical values from construction on:
-maps that take equal group elements compare equal, and nothing
-downstream validates again.  For discrete base groups, convergence in
-measure is the disagreement pseudometric, the measure of {f != g}.  Step
-maps on the n-grid under the product measure are the Hamming product:
-disagreement is then hamming_distance of the value tuples, and a
-one-piece IntegralMember (the member type of step maps and profiles) is a
-coordinate mean.
+One type, PiecewiseMap, holds every step map: values between strictly
+increasing breakpoints in (0, 1), and h_embed builds the one on the
+uniform n-grid, with breakpoints i/n.  Cells are half open on the right,
+and a breakpoint sitting exactly on a grid point belongs to the cell on
+its right.  The constructor puts every value through group.validate and
+drops every breakpoint between two equal values, so the partition is the
+coarsest one: two maps are == (and hash equal) exactly when they are
+equal as functions, and nothing downstream validates again.  For
+discrete base groups, convergence in measure is the disagreement
+pseudometric, the measure of {f != g}.  Step maps on the n-grid under the
+product measure are the Hamming product: disagreement is then
+hamming_distance of the value tuples, and a one-piece IntegralMember (the
+member type of step maps and profiles) is a coordinate mean.
 
 Every quantity here and in amplify walks the common refinement of two
 partitions of [0, 1), and one routine walks it: cut_runs cuts a map's
@@ -45,33 +46,11 @@ def _check_breakpoints(breakpoints, pieces: int, what: str) -> tuple:
 
 
 @dataclass(frozen=True)
-class StepMap:
-    """A map constant on the n uniform cells of [0, 1)."""
-
-    group: WordGroup
-    values: tuple
-
-    def __post_init__(self):
-        values = tuple(map(self.group.validate, self.values))
-        if not values:
-            raise EmptyTuple("a step map needs at least one cell")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def breakpoints(self) -> tuple:
-        n = self.n
-        return tuple(i / n for i in range(1, n))
-
-
-@dataclass(frozen=True)
 class PiecewiseMap:
     """A map constant between strictly increasing breakpoints in (0, 1).
 
-    Adjacent cells may carry equal values; they are not merged.
+    The breakpoints between two equal values are dropped, so equal
+    neighbours merge into one cell and == is equality of functions.
     """
 
     group: WordGroup
@@ -81,24 +60,24 @@ class PiecewiseMap:
     def __post_init__(self):
         values = tuple(map(self.group.validate, self.values))
         if not values:
-            raise EmptyTuple("a piecewise map needs at least one cell")
-        object.__setattr__(self, "breakpoints", _check_breakpoints(self.breakpoints, len(values), "value"))
-        object.__setattr__(self, "values", values)
+            raise EmptyTuple("a map needs at least one cell")
+        breaks = _check_breakpoints(self.breakpoints, len(values), "value")
+        cut = [i for i in range(1, len(values)) if values[i] != values[i - 1]]
+        object.__setattr__(self, "breakpoints", tuple(breaks[i - 1] for i in cut))
+        object.__setattr__(self, "values", tuple(values[i] for i in (0, *cut)))
 
 
-AnyMap = StepMap | PiecewiseMap
-
-
-def h_embed(group: WordGroup, values) -> StepMap:
-    """Embed a tuple g in G^n as the step map with cell values g_i.
+def h_embed(group: WordGroup, values) -> PiecewiseMap:
+    """Embed a tuple g in G^n as the map with value g_i on the uniform cell [(i-1)/n, i/n).
 
     This is a group homomorphism for the pointwise operation: the embedded
     product of two tuples is the pointwise product of their embeddings.
     """
-    return StepMap(group, values)
+    n = len(values)
+    return PiecewiseMap(group, tuple(i / n for i in range(1, n)), values)
 
 
-def runs_of(f: AnyMap):
+def runs_of(f: PiecewiseMap):
     """The runs (start, stop, value) of f, left to right over [0, 1)."""
     edges = (0.0, *f.breakpoints, 1.0)
     return zip(edges, edges[1:], f.values)
@@ -150,7 +129,7 @@ class IntegralMember:
         object.__setattr__(self, "breakpoints", _check_breakpoints(self.breakpoints, len(kernel), "kernel"))
         object.__setattr__(self, "kernel", kernel)
 
-    def __call__(self, h: AnyMap) -> float:
+    def __call__(self, h: PiecewiseMap) -> float:
         pieces = cut_runs(runs_of(h), self.breakpoints)
         # left to right from 0.0: from Python 3.12 on, sum() compensates
         total = reduce(add, ((stop - start) * self.kernel[p](v) for start, stop, v, p in pieces), 0.0)
@@ -166,24 +145,21 @@ def hamming_distance(x, y) -> float:
     return sum(1 for a, b in zip(x, y) if a != b) / len(x)
 
 
-def pointwise_translate(g: AnyMap, h: AnyMap) -> AnyMap:
-    """The left translate t -> g(t)*h(t) on the merged breakpoints of g and h.
+def pointwise_translate(g: PiecewiseMap, h: PiecewiseMap) -> PiecewiseMap:
+    """The left translate t -> g(t)*h(t), cut at the breakpoints of g and h, in canonical form.
 
-    A StepMap when both are step maps and one grid refines the other,
-    otherwise a PiecewiseMap.  Uniform breakpoints i/n are correctly
-    rounded, so grid points shared by two grids merge into one.
+    Uniform breakpoints i/n are correctly rounded, so grid points shared by
+    two grids cut once; the constructor then merges equal neighbours.
     """
     if g.group != h.group:
         raise CarrierMismatch("maps live over different groups")
     group = h.group
     cells = list(cut_runs(runs_of(h), g.breakpoints))
     values = tuple(group.op(g.values[p], v) for _, _, v, p in cells)
-    if isinstance(g, StepMap) and isinstance(h, StepMap) and len(values) == max(g.n, h.n):
-        return StepMap(group, values)
     return PiecewiseMap(group, tuple(start for start, _, _, _ in cells[1:]), values)
 
 
-def grid_approximate(f: AnyMap, n: int) -> tuple[tuple, float]:
+def grid_approximate(f: PiecewiseMap, n: int) -> tuple[tuple, float]:
     """Left-endpoint sampling of f on the uniform n-grid.
 
     Returns the tuple g with g_i = f((i-1)/n) together with the

@@ -8,9 +8,9 @@ the right uniformity all defect computations refer to.
 
 ``validate`` is the one definition of an element's canonical form.  The
 public ``FinSuppMeasure`` constructors apply it to every element of
-outside input, and the ``stepmaps.StepMap`` and ``stepmaps.PiecewiseMap``
-constructors to every map value, so measures and maps hold canonical
-elements and nothing downstream validates them again.  The library's own
+outside input, and the ``stepmaps.PiecewiseMap`` constructor to every
+map value, so measures and maps hold canonical elements and nothing
+downstream validates them again.  The library's own
 measure builders (boxes, balls, Haar measure, translates) produce
 canonical, distinct supports and valid weights by construction and skip
 those checks.  Whole canonical supports go through

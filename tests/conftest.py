@@ -21,10 +21,8 @@ from levylab import (
     GroupCarrier,
     L0Carrier,
     PiecewiseMap,
-    StepMap,
     ZdGroup,
     h_embed,
-    hamming_distance,
     sample_indices,
     weighted_deviation_mass,
     weighted_median,
@@ -32,7 +30,7 @@ from levylab import (
 from levylab import mmspace, rng
 from levylab.errors import CarrierMismatch, DimensionMismatch, LipschitzViolation
 from levylab.hamming import product_weights
-from levylab.stepmaps import IntegralMember, cut_runs, runs_of
+from levylab.stepmaps import IntegralMember
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -71,7 +69,7 @@ def step_map_strategy(draw, group=None, max_n=6):
         group = draw(group_strategy())
     n = draw(st.integers(min_value=1, max_value=max_n))
     values = tuple(draw(element_strategy(group)) for _ in range(n))
-    return StepMap(group, values)
+    return h_embed(group, values)
 
 
 @st.composite
@@ -261,17 +259,14 @@ def word_distance(group, x, y) -> int:
 def disagreement(f, g) -> float:
     """Lebesgue measure of {t : f(t) != g(t)}, a pseudometric on maps.
 
-    On equal-grid step maps it is the normalized Hamming distance of the
-    value tuples, count / n, which is exact; otherwise the lengths of the
-    pieces of g's runs cut at f's breakpoints where the values differ,
-    added left to right from 0.0.
+    The lengths of the pieces of the common refinement where the values
+    differ, added left to right from 0.0; the refinement is this module's
+    own two-list walk, merge_breakpoints, not the library's cut_runs.
     """
     if f.group != g.group:
         raise CarrierMismatch("maps live over different groups")
-    if isinstance(f, StepMap) and isinstance(g, StepMap) and f.n == g.n:
-        return hamming_distance(f.values, g.values)
-    pieces = cut_runs(runs_of(g), f.breakpoints)
-    return left_sum(stop - start for start, stop, v, p in pieces if f.values[p] != v)
+    pieces = merge_breakpoints(f.breakpoints, g.breakpoints)
+    return left_sum(stop - start for start, stop, ia, ib in pieces if f.values[ia] != g.values[ib])
 
 
 def merge_breakpoints(ab, bb):
@@ -296,9 +291,9 @@ def merge_breakpoints(ab, bb):
 
 
 def step_maps(nu) -> tuple:
-    """The step maps of a push-forward, one StepMap per row of its codes."""
+    """The step maps of a push-forward, one h_embed per row of its codes."""
     atoms, group = nu.base.support, nu.base.group
-    return tuple(StepMap(group, tuple(atoms[c] for c in row)) for row in nu.codes.tolist())
+    return tuple(h_embed(group, tuple(atoms[c] for c in row)) for row in nu.codes.tolist())
 
 
 def reference_expectations(nu, members, shifts=(None,)):
@@ -317,7 +312,7 @@ def reference_expectations(nu, members, shifts=(None,)):
     at = np.ascontiguousarray((nu.codes + np.arange(n) * len(atoms)).T)
     out = np.empty((len(members), len(nu.weights)))
     for shift in shifts:
-        by = StepMap(group, (group.identity,)) if shift is None else shift
+        by = h_embed(group, (group.identity,)) if shift is None else shift
         values = [group.validate(v) for v in by.values]
         for v in values:
             if v not in moved:
@@ -420,7 +415,7 @@ def spot_check_lipschitz(family, *, seed: int = 0, pairs: int = 64, radius: int 
         if on_group:
             return group.random_element(gen, radius)
         n = int(gen.integers(1, 9))
-        return StepMap(group, tuple(group.random_element(gen, radius) for _ in range(n)))
+        return h_embed(group, tuple(group.random_element(gen, radius) for _ in range(n)))
 
     for _ in range(pairs):
         x, y = point(), point()
@@ -461,7 +456,7 @@ def brute_translated_expectation(mu, n: int, shift_tuple, members) -> list[float
             vals = tuple(
                 group.op(s, mu.support[i]) for s, i in zip(shift_tuple, combo)
             )
-            total += w * f(StepMap(group, vals))
+            total += w * f(h_embed(group, vals))
         out.append(total)
     return out
 
@@ -489,8 +484,8 @@ def fubini_telescope_steps(mu, n: int, gprime, members) -> list[float]:
                 direct = 0.0
                 shifted = 0.0
                 for x, wx in zip(mu.support, mu.weights):
-                    direct += wx * f(StepMap(group, head + (x,) + tail))
-                    shifted += wx * f(StepMap(group, head + (group.op(gj, x),) + tail))
+                    direct += wx * f(h_embed(group, head + (x,) + tail))
+                    shifted += wx * f(h_embed(group, head + (group.op(gj, x),) + tail))
                 accs[fi] += wz * (direct - shifted)
         steps.append(max(abs(a) for a in accs))
     return steps

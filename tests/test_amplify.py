@@ -37,7 +37,6 @@ from levylab import (
     PiecewiseMap,
     Schedule,
     SpaceTooLarge,
-    StepMap,
     TooLargeForExact,
     TooManySamples,
     ZdGroup,
@@ -98,13 +97,14 @@ class TestPushForward:
         nu1 = push_forward(mu, 3, "sampled", samples=64, seed=9)
         nu2 = push_forward(mu, 3, "sampled", samples=64, seed=9)
         assert step_maps(nu1) == step_maps(nu2)
-        assert all(h.n == 3 for h in step_maps(nu1))
+        assert nu1.codes.shape == (64, 3) and all(set(h.breakpoints) <= {1 / 3, 2 / 3} for h in step_maps(nu1))
 
     def test_sampled_draws_product_samples(self):
         mu = FinSuppMeasure(Z, z_elems(0, 1, 5), (0.2, 0.5, 0.3))
         nu = push_forward(mu, 3, "sampled", samples=200, seed=4)
         rows = sample_indices(mu.weights, 3, 200, 4).tolist()
-        assert [h.values for h in step_maps(nu)] == [tuple(mu.support[c] for c in row) for row in rows]
+        assert nu.codes.tolist() == rows
+        assert step_maps(nu) == tuple(h_embed(Z, tuple(mu.support[c] for c in row)) for row in rows)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_sampled_codes_do_not_rebuild_the_base(self, monkeypatch, n):
@@ -123,7 +123,7 @@ class TestPushForward:
         nu = push_forward(mu, 3)
         combos = list(itertools.product(range(3), repeat=3))
         assert nu.codes.tolist() == [list(c) for c in combos]
-        assert step_maps(nu) == tuple(StepMap(Z, tuple(mu.support[i] for i in c)) for c in combos)
+        assert step_maps(nu) == tuple(h_embed(Z, tuple(mu.support[i] for i in c)) for c in combos)
         for c, w in zip(combos, nu.weights):
             assert w == pytest.approx(math.prod(mu.weights[i] for i in c), abs=1e-15)
 
@@ -262,7 +262,7 @@ class TestL0Defect:
     def test_identity_target(self):
         nu = push_forward(z_uniform(0, 1, 2), 2)
         fam = disagreement_family(Z, 4, seed=3)
-        res = l0_defect(nu, StepMap(Z, (Z.identity,) * 2), fam)
+        res = l0_defect(nu, h_embed(Z, (Z.identity,) * 2), fam)
         assert res.defect == pytest.approx(0.0, abs=1e-12)
         assert res.grid_disagreement == 0.0
 
@@ -518,8 +518,10 @@ class TestOnePath:
             ("exact", 500_000, {}, TooLargeForExact, "^276922881 tuples exceeds exact cap 500000$"),
             # 100 samples x 4 cells at stage 4
             ("sampled", 10**5, {(hamming, "SAMPLE_ARRAY_LIMIT"): 300}, TooManySamples, "^400 sampled entries"),
-            # (1 piece x 2 shift values + 4 cells) x 129 atoms at stage 4, 365 at stage 3
-            ("auto", 10**5, {(amplify, "TABLE_ENTRY_LIMIT"): 365}, SpaceTooLarge, "^774 table entries"),
+            # (1 piece x 2 shift values + 4 cells) x 129 atoms + 2 x 4 planned cells at stage 4,
+            # past the cap before its moved prefixes are counted; at stage 3,
+            # (2 + 3) x 73 + (2 + 3 moved prefixes) x 3 = 380
+            ("auto", 10**5, {(amplify, "TABLE_ENTRY_LIMIT"): 380}, SpaceTooLarge, "^782 table entries"),
         ],
         ids=["enumeration-limit", "exact-cap", "sample-array", "table-entries"],
     )
@@ -551,16 +553,16 @@ class TestOnePath:
         assert len(calls) == 1
 
     def test_oversized_stage_is_refused_before_building_columns(self, monkeypatch):
-        # (2 pieces x 3 shift values + 2 cells) x 5 atoms = 40 entries
+        # (2 pieces x 3 shift values + 2 cells) x 5 atoms + (2 + 2 moved prefixes) x 2 cells = 48 entries
         member = IntegralMember((0.5,), (lambda x: 0.0, lambda x: 1.0))
         fam = BLFamily(L0Carrier(Z), (member,), bound=1.0, lipschitz=1.0)
         nu = push_forward(z_uniform(*range(5)), 2)
         g = PiecewiseMap(Z, (0.5,), z_elems(1, 2))
-        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 40)
+        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 48)
         l0_defect(nu, g, fam)
-        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 39)
+        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 47)
         monkeypatch.setattr(amplify, "expectations", None)
-        with pytest.raises(SpaceTooLarge, match="40 table entries"):
+        with pytest.raises(SpaceTooLarge, match="48 table entries"):
             l0_defect(nu, g, fam)
 
 
@@ -592,14 +594,14 @@ class TestMemberValues:
             on_grid = tuple(sorted({i / n for i in range(1, n)} | {0.5}))
             shifts = [
                 None,
-                StepMap(group, tuple(element() for _ in range(n + 1))),
-                StepMap(group, tuple(element() for _ in range(5))),
+                h_embed(group, tuple(element() for _ in range(n + 1))),
+                h_embed(group, tuple(element() for _ in range(5))),
                 PiecewiseMap(group, off_grid, tuple(element() for _ in off_grid + (0,))),
                 PiecewiseMap(group, on_grid, tuple(element() for _ in on_grid + (0,))),
             ]
             refs = [
                 PiecewiseMap(group, off_grid, tuple(element() for _ in off_grid + (0,))),
-                StepMap(group, tuple(element() for _ in range(3))),
+                h_embed(group, tuple(element() for _ in range(3))),
             ]
             windows = [
                 (*sorted(float(t) for t in gen.uniform(0, 1, size=2)), element(), 0.25),
@@ -760,7 +762,7 @@ class TestDistinctCells:
         # a step map and its telescope prefixes agree on all cells but one; a piecewise
         # shift and a copy with one piece changed agree on the cells away from that piece
         step = tuple(data.draw(elements) for _ in range(n))
-        prefixes = [StepMap(group, step[:j] + (group.identity,) * (n - j)) for j in range(1, n + 1)]
+        prefixes = [h_embed(group, step[:j] + (group.identity,) * (n - j)) for j in range(1, n + 1)]
         shift = piecewise(_cuts(data, n, 3))
         k = data.draw(st.integers(0, len(shift.values) - 1))
         changed = PiecewiseMap(group, shift.breakpoints, shift.values[:k] + (data.draw(elements),)
@@ -768,13 +770,13 @@ class TestDistinctCells:
         # equal values on both sides of a breakpoint still cut the cell that holds it in two
         breaks = _cuts(data, n, 2) or (0.5,)
         repeated = PiecewiseMap(group, breaks, (data.draw(elements),) * (len(breaks) + 1))
-        other = StepMap(group, (data.draw(elements), data.draw(elements)))
+        other = h_embed(group, (data.draw(elements), data.draw(elements)))
         shifts = data.draw(st.permutations([None, shift, *prefixes, changed, repeated, other]))
 
         lo, hi = sorted(data.draw(st.sampled_from([0.0, 1.0, 1 / n, 0.5]) | st.floats(0.0, 1.0)) for _ in "lh")
         members = [
             disagreement_member(piecewise(_cuts(data, n, 3))),
-            disagreement_member(StepMap(group, tuple(data.draw(elements) for _ in range(n)))),
+            disagreement_member(h_embed(group, tuple(data.draw(elements) for _ in range(n)))),
             # clipped phi: max(0, 1 - mismatch / width)
             cell_window_member(group, lo, hi, data.draw(elements), data.draw(st.floats(0.05, 1.0))),
             phi_member(lambda x: math.sin(group.word_length(x) + 0.5)),
@@ -796,7 +798,7 @@ class TestDistinctCells:
         assert np.array_equal(many.codes[0], nu.codes[0])
         members = [phi_member(lambda x, a=a: math.sin(a * x[0] + 0.5)) for a in (0.3, 1.1, 2.9)]
         g = PiecewiseMap(Z, (0.3, 0.7), z_elems(1, -2, 1))
-        shifts = (None, g, *(StepMap(Z, z_elems(*([1] * j + [0] * (n - j)))) for j in range(1, n)))
+        shifts = (None, g, *(h_embed(Z, z_elems(*([1] * j + [0] * (n - j)))) for j in range(1, n)))
         means, values = amplify.expectations(nu, members, shifts)
         ref_means, ref_values = reference_expectations(nu, members, shifts)
         assert np.array_equal(means, ref_means) and np.array_equal(values, ref_values)
@@ -907,17 +909,20 @@ class TestCanonicalValues:
     def test_twins_built_from_equal_elements_are_one_map(self, group, data):
         elements = element_strategy(group)
         n = data.draw(st.integers(1, 3), label="n")
-        step = StepMap(group, tuple(data.draw(elements) for _ in range(data.draw(st.integers(1, 4)))))
+        cells = tuple(data.draw(elements) for _ in range(data.draw(st.integers(1, 4))))
+        step = h_embed(group, cells)
         breaks = _cuts(data, n, 3)
-        piecewise = PiecewiseMap(group, breaks, tuple(data.draw(elements) for _ in range(len(breaks) + 1)))
+        pieces = tuple(data.draw(elements) for _ in range(len(breaks) + 1))
+        piecewise = PiecewiseMap(group, breaks, pieces)
         other = data.draw(st.sampled_from([step, piecewise]))
         atoms = data.draw(st.lists(elements, min_size=1, max_size=3, unique=True), label="atoms")
         nu = push_forward(FinSuppMeasure.uniform(group, atoms), n, "exact")
         window = cell_window_member(group, 0.2, 0.7, data.draw(elements), 0.5)
 
-        for f in (step, piecewise):
-            raw = [_twin(data, group, v) for v in f.values]
-            twin = StepMap(group, raw) if isinstance(f, StepMap) else PiecewiseMap(group, f.breakpoints, raw)
+        for f, twin in (
+            (step, h_embed(group, tuple(_twin(data, group, v) for v in cells))),
+            (piecewise, PiecewiseMap(group, breaks, tuple(_twin(data, group, v) for v in pieces))),
+        ):
             assert twin == f and hash(twin) == hash(f) and twin.values == f.values
             assert disagreement(twin, f) == 0.0 and disagreement(f, twin) == 0.0
             assert disagreement(twin, other) == disagreement(f, other)

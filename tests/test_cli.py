@@ -233,7 +233,8 @@ class TestAmplifyCommand:
 
     def test_member_count_is_capped_before_any_member_is_built(self, tmp_path, monkeypatch, capsys):
         # 10^6 members of one piece or more and the default target's 2 shift values
-        # make at least 18,000,009 table entries on the first stage's 9 atoms
+        # make at least 18,000,009 table entries on the first stage's 9 atoms, and its
+        # one cell is planned for the identity and the target: 18,000,011
         def no_members(*args, **kwargs):
             raise AssertionError("a member was built before the caps were checked")
 
@@ -241,7 +242,7 @@ class TestAmplifyCommand:
         code, out, _ = run(tmp_path, "amplify", "amplify", "--family", "disagreement:count=1000000")
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert "18000009 table entries exceed the cap of 4194304: (1000000 member pieces" in err
+        assert "18000011 table entries exceed the cap of 4194304: (1000000 member pieces" in err
 
     @pytest.mark.parametrize("eps", ["-1", "nan", "0"])
     def test_bad_eps_is_named(self, tmp_path, monkeypatch, capsys, eps):
@@ -329,6 +330,11 @@ class TestGoldenOutputs:
             ("profile_n12_skewed", ["profile", "--base", "0.2,0.3,0.5", "--n", "12", "--samples", "20000"]),
             # 16 uniform points: 12,870 minimal sets, every one of mass exactly 1/2
             ("alpha_cube4", ["alpha", "--space", "cube:4", "--eps-grid", "0:1:0.125"]),
+            # a target with equal neighbours, one cell once merged, and maps of Z_3 whose
+            # three values repeat in neighbouring cells
+            ("amplify_merged_target", ["amplify", "--schedule", "k=4i^2,n=i,i=1..4", "--g", "0.3,0.65:1|1|0",
+                                       "--samples", "400", "--seed", "42"]),
+            ("phi-check_Zm3", ["phi-check", "--group", "Zm:3", "--trials", "200", "--seed", "42"]),
         ],
     )
     def test_csv_matches_the_recorded_run(self, tmp_path, name, args):
@@ -548,6 +554,8 @@ class TestDefaultsSmoke:
             ["amplify", "--group", "Z^2", "--g", ":(1,0)", "--schedule", "k=i,n=1,i=1..499", "--samples", "100"],
             # a member has one kernel piece or more, so the count alone exceeds the table cap
             ["amplify", "--family", "disagreement:count=100000000", "--samples", "10"],
+            # the default target moves about 35,000 of 10^5 cells, each prefix planned on all of them
+            ["amplify", "--schedule", "k=1,n=100000,i=1..1", "--samples", "1"],
         ],
     )
     def test_oversized_inputs_are_refused_before_building(self, tmp_path, args):

@@ -17,7 +17,6 @@ from levylab import (
     L0Carrier,
     LipschitzViolation,
     PiecewiseMap,
-    StepMap,
     ZdGroup,
     cell_window_family,
     disagreement_family,
@@ -46,20 +45,23 @@ class TestEvalMember:
         assert fam.members[0]((3,)) == pytest.approx(0.6, abs=1e-12)
 
     def test_disagreement_of_identity_map(self):
-        member = disagreement_member(StepMap(Z, (Z.identity,) * 4))
+        member = disagreement_member(h_embed(Z, (Z.identity,) * 4))
         fam = BLFamily(L0Carrier(Z), (member,), bound=1.0, lipschitz=1.0)
-        assert fam.members[0](StepMap(Z, (Z.identity,) * 2)) == 0.0
+        assert fam.members[0](h_embed(Z, (Z.identity,) * 2)) == 0.0
+        # a reference of 4 cells against the same function on 2: one kernel piece per value
+        member = disagreement_member(h_embed(Z, (E, E, (2,), (2,))))
+        assert len(member.kernel) == 2 and member(h_embed(Z, (E, (2,)))) == 0.0
 
 
 class TestPullback:
     def test_identity_padding(self):
-        F = disagreement_member(StepMap(Z, (Z.identity,)))
+        F = disagreement_member(h_embed(Z, (Z.identity,)))
         member = pullback_member(F, Z, 4, 2, (E, E, E))
         assert member(E) == 0.0
         assert member((3,)) == 0.25
 
     def test_nonidentity_padding(self):
-        F = disagreement_member(StepMap(Z, (Z.identity,)))
+        F = disagreement_member(h_embed(Z, (Z.identity,)))
         member = pullback_member(F, Z, 4, 2, ((5,), E, E))
         assert member(E) == 0.25
         assert member((3,)) == 0.5
@@ -159,7 +161,7 @@ class TestBuilders:
         lengths = alternate_cell_lengths(UNEVEN_BREAKS)
         assert left_sum(lengths) != math.fsum(lengths)
         member = disagreement_member(PiecewiseMap(Z, UNEVEN_BREAKS, z_elems(1, 0, 1, 0, 1, 0, 1)))
-        assert member(StepMap(Z, (Z.identity,))) == left_sum(lengths)
+        assert member(h_embed(Z, (Z.identity,))) == left_sum(lengths)
 
     def test_cell_window_family(self):
         fam = cell_window_family(Z, 6, seed=3, width=0.25)

@@ -17,11 +17,11 @@ from levylab import (
     LengthMismatch,
     LipschitzViolation,
     NegativeEps,
-    StepMap,
     TooLargeForExact,
     TooManySamples,
     alpha_profile,
     fraction_differing,
+    h_embed,
     hamming_distance,
     lipschitz_profile,
     product_space,
@@ -283,8 +283,8 @@ class TestLipschitzProfile:
     def test_coordinate_mean_on_tuples(self):
         # the profile's members are coordinate means of the embedded tuple
         z4 = CyclicGroup(4)
-        assert fraction_differing(0)(StepMap(z4, (0, 1, 2, 0))) == 0.5
-        assert IntegralMember((), (lambda a: 0.25 * a,))(StepMap(z4, (1, 2, 3, 2))) == 0.5
+        assert fraction_differing(0)(h_embed(z4, (0, 1, 2, 0))) == 0.5
+        assert IntegralMember((), (lambda a: 0.25 * a,))(h_embed(z4, (1, 2, 3, 2))) == 0.5
 
 
 class TestProfileOracle:

@@ -21,8 +21,9 @@ from conftest import (
 from levylab import (
     CarrierMismatch,
     EmptyTuple,
+    CyclicGroup,
+    FreeGroup2,
     PiecewiseMap,
-    StepMap,
     ZdGroup,
     grid_approximate,
     h_embed,
@@ -39,10 +40,14 @@ A, B, C = (1,), (2,), (3,)
 class TestEmbed:
     def test_single_cell(self):
         m = h_embed(Z, (A,))
-        assert m.n == 1 and m.values == (A,)
+        assert m.breakpoints == () and m.values == (A,)
 
     def test_identity_tuple(self):
-        assert h_embed(Z, ((0,), (0,))) == StepMap(Z, (Z.identity,) * 2)
+        assert h_embed(Z, ((0,), (0,))) == h_embed(Z, (Z.identity,) * 2)
+
+    def test_distinct_neighbours_keep_the_grid(self):
+        m = h_embed(Z, (A, B, A, C))
+        assert m.breakpoints == (0.25, 0.5, 0.75) and m.values == (A, B, A, C)
 
     def test_two_cells(self):
         m = h_embed(Z, (A, B))
@@ -71,26 +76,27 @@ class TestPointwiseTranslate:
     def test_inverse_gives_identity(self):
         f = h_embed(Z, (A, B, C))
         inverse = h_embed(Z, tuple(Z.inv(v) for v in f.values))
-        assert pointwise_translate(f, inverse) == StepMap(Z, (Z.identity,) * 3)
+        assert pointwise_translate(f, inverse) == h_embed(Z, (Z.identity,) * 3)
 
     def test_merged_breakpoints(self):
         f = h_embed(Z, (A, B))
         g = h_embed(Z, (A, B, C))
         m = pointwise_translate(f, g)
-        assert isinstance(m, PiecewiseMap)
         assert m.breakpoints == (1 / 3, 1 / 2, 2 / 3)
         assert m.values == ((2,), (3,), (4,), (5,))
 
     def test_identity_neutral(self):
         f = h_embed(Z, (A, B))
-        assert pointwise_translate(StepMap(Z, (Z.identity,)), f) == f
+        assert pointwise_translate(h_embed(Z, (Z.identity,)), f) == f
 
     def test_coprime_grids(self):
-        f = StepMap(Z, (A,) * 1021)
-        g = StepMap(Z, (B,) * 1031)
+        # distinct neighbours: the product's value i + 2048 j grows on every piece, so none merge
+        f = h_embed(Z, tuple((i,) for i in range(1021)))
+        g = h_embed(Z, tuple((2048 * j,) for j in range(1031)))
         m = pointwise_translate(f, g)
-        assert len(m.values) == 1021 + 1031 - 1
-        assert set(m.values) == {C}
+        assert len(m.breakpoints) == 1020 + 1030 and len(m.values) == 1021 + 1031 - 1
+        assert all(a < b for a, b in zip(m.values, m.values[1:]))
+        assert m.values[0] == (0,) and m.values[-1] == (1020 + 2048 * 1030,)
 
     def test_carrier_mismatch(self):
         with pytest.raises(CarrierMismatch):
@@ -119,8 +125,9 @@ class TestDisagreement:
         assert disagreement(h_embed(Z, (A,)), h_embed(Z, (A, B))) == 0.5
 
     def test_coprime_grids(self):
-        f = StepMap(Z, (A,) * 1020 + (B,))
-        g = StepMap(Z, (A,) * 1031)
+        # one cut each, 1020/1021 and 1030/1031: f and g differ on the last cell of f
+        f = h_embed(Z, (A,) * 1020 + (B,))
+        g = h_embed(Z, (A,) * 1030 + (C,))
         assert disagreement(f, g) == pytest.approx(1 / 1021, abs=1e-12)
 
     def test_piecewise_vs_step(self):
@@ -145,7 +152,9 @@ class TestDisagreement:
         n = data.draw(st.integers(1, 6))
         xs = tuple(data.draw(element_strategy(group)) for _ in range(n))
         ys = tuple(data.draw(element_strategy(group)) for _ in range(n))
-        assert disagreement(h_embed(group, xs), h_embed(group, ys)) == hamming_distance(xs, ys)
+        # the oracle walks the merged cells, so each length carries the rounding of two grid points
+        d = disagreement(h_embed(group, xs), h_embed(group, ys))
+        assert d == pytest.approx(hamming_distance(xs, ys), rel=0, abs=n * 2**-52)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -210,7 +219,7 @@ class TestMergeBreakpoints:
             kind = data.draw(st.sampled_from(["step", "double", "piecewise"]))
             if kind != "piecewise":
                 cells = n if kind == "step" else 2 * n
-                return StepMap(group, tuple(data.draw(elements) for _ in range(cells)))
+                return h_embed(group, tuple(data.draw(elements) for _ in range(cells)))
             breaks = sorted(data.draw(st.sets(st.sampled_from(pool), max_size=len(pool))))
             return PiecewiseMap(group, breaks, tuple(data.draw(elements) for _ in range(len(breaks) + 1)))
 
@@ -232,9 +241,12 @@ class TestGridApproximate:
         assert dis == 0.0
 
     @settings(max_examples=64, deadline=None)
-    @given(step_map_strategy(max_n=64))
-    def test_already_on_grid(self, f):
-        assert grid_approximate(f, f.n) == (f.values, 0.0)
+    @given(st.data())
+    def test_already_on_grid(self, data):
+        group = data.draw(group_strategy())
+        n = data.draw(st.integers(1, 64))
+        values = tuple(data.draw(element_strategy(group)) for _ in range(n))
+        assert grid_approximate(h_embed(group, values), n) == (values, 0.0)
 
     @settings(max_examples=120, deadline=None)
     @given(piecewise_strategy(), st.integers(1, 64))
@@ -263,6 +275,66 @@ class TestPiecewiseValidation:
         assert pm.breakpoints == (0.5,) and pm.values == (A, B)
 
 
+class TestCanonicalForm:
+    # equal neighbours merge, so == and hash are equality of functions: two maps at
+    # disagreement 0 compare and hash equal, whatever partitions they were built on
+
+    def test_merged_grid_and_piecewise_maps_are_one_map(self):
+        two, one, halves = h_embed(Z, (A, A)), h_embed(Z, (A,)), PiecewiseMap(Z, (0.5,), (A, A))
+        assert two == one == halves
+        assert hash(two) == hash(one) == hash(halves)
+        assert two.breakpoints == () and two.values == (A,)
+
+    def test_only_breaks_between_equal_values_go(self):
+        m = PiecewiseMap(Z, (0.2, 0.4, 0.6, 0.8), (A, A, B, B, A))
+        assert m.breakpoints == (0.4, 0.8) and m.values == (A, B, A)
+
+    def test_values_merge_once_canonical(self):
+        f2 = FreeGroup2()
+        assert PiecewiseMap(f2, (0.5,), ("aA", "")) == h_embed(f2, ("",))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equal_exactly_at_disagreement_zero(self, data):
+        group = data.draw(st.sampled_from([Z, CyclicGroup(7), FreeGroup2()]))
+        # two values, so neighbours repeat often, and breakpoints from one small pool
+        pool = data.draw(st.lists(st.floats(0.01, 0.99), max_size=5, unique=True).map(sorted))
+        elements = st.sampled_from([data.draw(element_strategy(group)) for _ in range(2)])
+
+        def draw_map():
+            breaks = sorted(data.draw(st.sets(st.sampled_from(pool), max_size=len(pool)))) if pool else []
+            return PiecewiseMap(group, breaks, tuple(data.draw(elements) for _ in range(len(breaks) + 1)))
+
+        f = draw_map()
+        if data.draw(st.booleans()):
+            # the same function on a finer partition, with at most one piece changed
+            breaks = sorted({*f.breakpoints, *data.draw(st.sets(st.sampled_from(pool), max_size=len(pool)))}) \
+                if pool else []
+            values = [value_at(f, t) for t in (0.0, *breaks)]
+            if data.draw(st.booleans()):
+                values[data.draw(st.integers(0, len(values) - 1))] = data.draw(elements)
+            g = PiecewiseMap(group, breaks, tuple(values))
+        else:
+            g = draw_map()
+        zero = disagreement(f, g) == 0.0
+        assert (f == g) is zero and (g == f) is zero
+        if zero:
+            assert hash(f) == hash(g)
+            assert f.breakpoints == g.breakpoints and f.values == g.values
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_group_laws_hold_as_equality(self, data):
+        group = data.draw(st.sampled_from([Z, CyclicGroup(7), FreeGroup2()]))
+        maps = st.one_of(step_map_strategy(group=group), piecewise_strategy(group=group))
+        f, g, h = data.draw(maps), data.draw(maps), data.draw(maps)
+        inverse = PiecewiseMap(group, g.breakpoints, tuple(group.inv(v) for v in g.values))
+        identity = h_embed(group, (group.identity,))
+        assert pointwise_translate(inverse, g) == identity == pointwise_translate(g, inverse)
+        assert pointwise_translate(identity, g) == g
+        assert pointwise_translate(pointwise_translate(f, g), h) == pointwise_translate(f, pointwise_translate(g, h))
+
+
 class TestIntegralMemberValidation:
     # IntegralMember checks its breakpoints as PiecewiseMap does, and takes one kernel per piece
 
@@ -279,7 +351,7 @@ class TestIntegralMemberValidation:
     def test_kernels_stay_in_their_range(self):
         # with breakpoints (0.7, 0.3), kernels 0, 1, 0 would integrate a constant map to -0.4
         member = IntegralMember((0.3, 0.7), (lambda x: 0.0, lambda x: 1.0, lambda x: 0.0))
-        assert member(StepMap(Z, (A,))) == pytest.approx(0.4, abs=1e-15)
+        assert member(h_embed(Z, (A,))) == pytest.approx(0.4, abs=1e-15)
 
     def test_breakpoints_are_stored_as_floats(self):
         member = IntegralMember([Fraction(1, 2)], [float, float])
