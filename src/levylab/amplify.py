@@ -10,26 +10,28 @@ Lipschitz constant times the grid-approximation disagreement.  Integral
 members are evaluated on the whole batch by table lookup, and every
 expectation is formed in expectations(), never by a BLAS product.  One
 call there takes every shift of one question (in l0_defect: the
-identity, the target and the telescope prefixes whose new coordinate is
-not e; the other steps are exactly 0) and builds each kernel column once
-for all of them.  Shifts and targets are stepmaps.PiecewiseMap, whose
-partition is canonical, so a cell's runs depend only on the function the
-shift is.  The shifts agree on most grid cells, so each distinct
-cell (its runs of start, stop and value, cut from the shift by
-stepmaps.cut_runs, the walk every step-map quantity uses) gets one
-members x atoms table and one members x maps block per call, and a
-shift's member values add its n blocks left to right.  A schedule checks
-every entry's size caps, then runs l0_defect on each of a sequence of
-(n_i, mu_i) pairs and reports defects, bounds, concentration masses, and
-expectation-median gaps, with one median and two deviation-mass calls
-per stage on the members x maps table.
+identity, the target g and its grid approximation g') and builds each
+kernel column once for all of them.  Shifts and targets are
+stepmaps.PiecewiseMap, whose partition is canonical, so a cell's runs
+depend only on the function the shift is.  The shifts agree on most grid
+cells, so each distinct cell (its runs of start, stop and value, cut
+from the shift by stepmaps.cut_runs, the walk every step-map quantity
+uses) gets one members x atoms table and one members x maps block per
+call, and a shift's member values add its n blocks left to right.  The
+telescope's steps come from the same blocks: the prefix
+a_j = (g'_1..g'_j, e..e) is the identity with g''s blocks in place of
+e's on cells 1..j, so no prefix map is built or planned.  A schedule
+checks every entry's size caps, then runs l0_defect on each of a
+sequence of (n_i, mu_i) pairs and reports defects, bounds, concentration
+masses, and expectation-median gaps, with one median and two
+deviation-mass calls per stage on the members x maps table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, groupby
+from itertools import groupby
 from math import inf, sqrt
 from operator import add
 
@@ -57,7 +59,7 @@ from .wordgroups import FinSuppMeasure, _power_over
 
 _TOL = 1e-9
 # the most table entries one l0_defect call may count, (member pieces x shift values + n)
-# x atoms plus n planned cells per shift, checked before any kernel column is built
+# x atoms plus its planned cell pieces, checked before any kernel column is built
 TABLE_ENTRY_LIMIT = 1 << 22
 # the most floats one expectations call holds in members x maps blocks, one per distinct
 # grid cell; members are taken in groups that fit, at least one at a time
@@ -123,7 +125,7 @@ def push_forward(
     return L0Measure(mu, n, codes, np.full(samples, 1.0 / samples), "sampled")
 
 
-def expectations(nu: L0Measure, members, shifts=(None,)):
+def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
     """The shifts x members expectations E_nu(f o lambda_s), and the members x maps values f(shifts[0] * h).
 
     shifts is walked once; None is the identity.  This is the one place an
@@ -148,6 +150,12 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
     adjacent members with the same phi at once.  Members are taken in
     groups whose blocks fit in BLOCK_ENTRY_LIMIT floats, at least one
     member at a time.
+
+    moved, when not empty, lists the increasing cells (from 0) where the
+    last shift differs from shifts[0]: that shift then forms no mean, and
+    in its place come the means of the prefixes, shifts[0] with the last
+    shift's cells up to each moved cell j, each changed in place from the
+    one before it by the two shifts' blocks on cell j.
     """
     atoms, group, n = nu.base.support, nu.base.group, nu.n
     grid = [i / n for i in range(1, n)]
@@ -158,6 +166,7 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
         for start, stop, v, gi in cut_runs(by, grid):
             runs[gi].append((start, stop, v))
         plan.append([cells.setdefault((gi, tuple(r)), len(cells)) for gi, r in enumerate(runs)])
+    end = plan.pop() if moved else None  # the telescope's last shift: its blocks, not its mean
     if not plan:
         raise ValueError("expectations needs at least one shift")
     for fi, f in enumerate(members):
@@ -170,10 +179,10 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
          for fi, f in enumerate(members)]
         for _, runs in cells
     ]
-    moved = {v: group.translate_all(v, atoms) for v in {v for _, v, _ in keys}}
+    translated = {v: group.translate_all(v, atoms) for v in {v for _, v, _ in keys}}
     columns = np.empty((len(keys), len(atoms)))
     for (fi, v, p), k in keys.items():
-        columns[k] = np.fromiter(map(members[fi].kernel[p], moved[v]), np.float64, len(atoms))
+        columns[k] = np.fromiter(map(members[fi].kernel[p], translated[v]), np.float64, len(atoms))
 
     codes = np.ascontiguousarray(nu.codes.T)  # row i: the atom of cell i in each map
     weights, maps = nu.weights, codes.shape[1]
@@ -181,7 +190,7 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
     # allocated once: fresh arrays of this size per cell would fault in new pages each time
     table, blocks = np.empty((size, len(atoms))), np.empty((len(cells), size, maps))
     total, product = np.empty((size, maps)), np.empty((size, maps))
-    means, out = np.empty((len(plan), len(members))), np.empty((len(members), maps))
+    means, out = np.empty((len(plan) + len(moved), len(members))), np.empty((len(members), maps))
     for lo in range(0, len(members), size):
         part = range(lo, min(lo + size, len(members)))
         rows = len(part)
@@ -194,10 +203,7 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
                 table[at if s else slice(rows)] += np.array(lengths)[:, None] * columns[ks]
             np.take(table[:rows], codes[gi], axis=1, out=blocks[c, :rows], mode="clip")
         acc, prod = total[:rows], product[:rows]
-        for k, slots in enumerate(plan):
-            np.copyto(acc, blocks[slots[0], :rows])
-            for c in slots[1:]:
-                np.add(acc, blocks[c, :rows], out=acc)
+        def mean(k):
             # phi acts on each value alone, so members with one phi take it together
             r = 0
             for phi, same in groupby(members[fi].phi for fi in part):
@@ -208,6 +214,15 @@ def expectations(nu: L0Measure, members, shifts=(None,)):
                 np.multiply(values, weights, out=prod[r:stop])
                 r = stop
             means[k, lo : lo + rows] = [row.sum() for row in prod]
+        for k, slots in enumerate(plan):
+            np.copyto(acc, blocks[slots[0], :rows])
+            for c in slots[1:]:
+                np.add(acc, blocks[c, :rows], out=acc)
+            mean(k)
+            for t, j in enumerate(moved if k == 0 else (), start=len(plan)):
+                np.add(acc, blocks[end[j], :rows], out=acc)
+                np.subtract(acc, blocks[slots[j], :rows], out=acc)
+                mean(t)
     return means, out
 
 
@@ -220,20 +235,19 @@ def _check_table_entries(n: int, atoms: int, g: PiecewiseMap, pieces: int) -> No
     """Refuse an l0_defect call on n cells, atoms atoms and pieces member pieces above TABLE_ENTRY_LIMIT.
 
     Kernel columns and tables take (pieces x shift values + n) x atoms
-    entries, and expectations plans n cells for each of the identity, g and
-    the prefixes whose new coordinate is not e: (2 + moved) x n more.  g is
-    sampled on the grid only once the rest fits, so n bounds that walk.
+    entries.  expectations plans the cells of the identity, g and its grid
+    approximation g': at most 3n + (g's breakpoints) runs, each cut into at
+    most pieces cell pieces, so that many more.  The count takes sizes
+    only; no grid cell of g is sampled.
     """
-    e = g.group.identity
-    # the identity, g and its prefixes take these shift values
-    shifts = len({e, *g.values})
-    entries = (pieces * shifts + n) * atoms + 2 * n
-    if entries <= TABLE_ENTRY_LIMIT:
-        entries += n * sum(v != e for v in grid_approximate(g, n)[0])
+    # the identity, g and g' take these shift values
+    shifts = len({g.group.identity, *g.values})
+    cells = 3 * n + len(g.breakpoints)
+    entries = (pieces * shifts + n) * atoms + cells * pieces
     if entries > TABLE_ENTRY_LIMIT:
         raise SpaceTooLarge(
             f"{entries} table entries exceed the cap of {TABLE_ENTRY_LIMIT}: ({pieces} member pieces"
-            f" x {shifts} shift values + {n} cells) x {atoms} atoms + {n} planned cells per shift"
+            f" x {shifts} shift values + {n} cells) x {atoms} atoms + {cells} planned runs x {pieces} pieces"
         )
 
 
@@ -260,12 +274,13 @@ def l0_defect(nu: L0Measure, g: PiecewiseMap, family: BLFamily) -> DefectResult:
     E_nu(f o lambda_{a_j})| for the prefixes a_j = (g'_1..g'_j, e..e).  The
     steps are evaluated on nu itself, exact or sampled, so the telescope
     identity holds exactly and the bound dominates the defect up to float
-    roundoff.  Each prefix is h_embed of its tuple, so its e tail is one
-    cell.  Where g'_j is e, a_j is a_{j-1} and step j is exactly 0.0
+    roundoff.  Where g'_j is e, a_j is a_{j-1} and step j is exactly 0.0
     without an evaluation.  One expectations call takes the identity, g and
-    the other prefixes, in that order, so they share its kernel columns;
-    the member values and expectations at the identity are returned.  More
-    than TABLE_ENTRY_LIMIT column and table entries raise SpaceTooLarge
+    h_embed(g'), with the cells where g' is not e as its moved cells: the
+    prefix means come from the identity's and g''s cell blocks, so no
+    prefix is built, and every kernel column is shared.  The member values
+    and expectations at the identity are returned.  More than
+    TABLE_ENTRY_LIMIT column, table and planned entries raise SpaceTooLarge
     before any is built.
     """
     group = nu.base.group
@@ -273,18 +288,15 @@ def l0_defect(nu: L0Measure, g: PiecewiseMap, family: BLFamily) -> DefectResult:
         raise CarrierMismatch("family must live over step maps of the same base group")
     if g.group != group:
         raise CarrierMismatch("target map lives over a different group")
-    gp, dis = grid_approximate(g, nu.n)
     _check_table_entries(nu.n, len(nu.base.support), g, member_pieces(family))
-    e = group.identity
-    moved = [j for j in range(1, nu.n + 1) if gp[j - 1] != e]
-    prefixes = (h_embed(group, gp[:j] + (e,) * (nu.n - j)) for j in moved)
-    means, values = expectations(nu, family.members, chain((None, g), prefixes))
+    gp, dis = grid_approximate(g, nu.n)
+    moved = [i for i, v in enumerate(gp) if v != group.identity]
+    means, values = expectations(nu, family.members, (None, g, h_embed(group, gp)), moved)
     defect = float(np.max(np.abs(means[0] - means[1])))
     steps = [0.0] * nu.n
-    prev = means[0]
-    for j, cur in zip(moved, means[2:]):
-        steps[j - 1] = float(np.max(np.abs(prev - cur)))
-        prev = cur
+    # each prefix's mean against the one before it: the identity's, then the prefixes' past g's
+    for j, prev, cur in zip(moved, np.delete(means, 1, axis=0), means[2:]):
+        steps[j] = float(np.max(np.abs(prev - cur)))
     # left to right from 0.0: from Python 3.12 on, sum() compensates
     bound = reduce(add, steps, 0.0) + family.lipschitz * dis
     return DefectResult(defect, bound, tuple(steps), gp, dis, values, means[0])
@@ -302,6 +314,7 @@ class Schedule:
 
     entries: tuple
     target_eps: float
+    witnesses: tuple = field(init=False)
 
     def __post_init__(self):
         entries = tuple((int(n), mu) for n, mu in self.entries)
@@ -405,8 +418,9 @@ def run_schedule(
         # one value per member, each from its own row of the members x maps table
         meds = weighted_median(res.values, nu.weights)
         gaps = np.abs(res.expectations - meds)
-        mass_e = weighted_deviation_mass(res.values, nu.weights, res.expectations, eps)
-        mass_m_half = weighted_deviation_mass(res.values, nu.weights, meds, eps / 2)
+        # a member value adds n cell blocks
+        mass_e = weighted_deviation_mass(res.values, nu.weights, res.expectations, eps, n_i)
+        mass_m_half = weighted_deviation_mass(res.values, nu.weights, meds, eps / 2, n_i)
         conc_mass = float(mass_e.max(initial=0.0))
         median_gap = float(gaps.max(initial=0.0))
         implication_all &= not np.any((gaps <= eps / 2) & (mass_e > mass_m_half + 1e-12))

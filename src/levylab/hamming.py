@@ -188,7 +188,7 @@ def lipschitz_profile(
     samples: int | None = None,
     seed: int = 0,
 ) -> ProfileResult:
-    """Mass of {|f - median(f)| > eps} under the product measure.
+    """Mass of {|f - median(f)| > eps} under the product measure, past the rounding of n terms.
 
     f must be a one-piece IntegralMember with the default phi; anything else
     raises CarrierMismatch.  Its values come from one table of f.kernel[0]
@@ -220,7 +220,7 @@ def lipschitz_profile(
         values = reduce(lambda s, t: (s[:, None] + t[None, :]).ravel(), [table] * n) / n
         weights = product_weights(product.base.weights, n)
         m = weighted_median(values, weights)
-        mass = weighted_deviation_mass(values, weights, m, eps)
+        mass = weighted_deviation_mass(values, weights, m, eps, n)
         return ProfileResult(mass, 0.0, m, "exact", len(values), mass)
 
     if mode != "sampled":
@@ -237,6 +237,6 @@ def lipschitz_profile(
     values /= n
     weights = np.full(samples, 1.0 / samples)
     m = weighted_median(values, weights)
-    mass = weighted_deviation_mass(values, weights, m, eps)
+    mass = weighted_deviation_mass(values, weights, m, eps, n)
     stderr = math.sqrt(max(mass * (1.0 - mass), 0.0) / samples)
     return ProfileResult(mass, stderr, m, "sampled", samples, _wilson_upper(mass, samples))

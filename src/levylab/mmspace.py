@@ -4,7 +4,7 @@ A space is a finite point set with a metric given as a distance matrix and
 a probability vector.  Everything here is exact (up to float arithmetic):
 the concentration function enumerates all subsets, medians follow the
 smallest-valid-median convention, and deviation masses use the strict
-inequality |f - c| > eps.
+inequality |f - c| > eps, past the rounding the values can carry.
 
 The subset enumeration splits the points into a low and a high half and
 tabulates each half-subset's distances, lightest weight and mass.  Only
@@ -220,17 +220,32 @@ def weighted_median(values, weights):
     return float(medians[0]) if values.ndim == 1 else np.array(medians)
 
 
-def weighted_deviation_mass(values, weights, center, eps: float):
-    """Mass of {|f - center| > eps} (strict inequality).
+def _beyond(gaps, eps: float, terms: int, size):
+    """Where gaps exceed eps by more than the rounding of values formed as sums of terms floats.
+
+    A sum of terms floats, each at most size in magnitude, is off by at most
+    about terms ulps of size; the gap and eps each add one more.  So a gap
+    counts only where gap - eps > (terms + 2) * ulp(1) * size, and a value
+    whose real gap is exactly eps (a lattice value k/n at eps = j/m) is not
+    counted, whichever way its sum rounded.
+    """
+    return gaps - eps > (terms + 2) * np.finfo(np.float64).eps * size
+
+
+def weighted_deviation_mass(values, weights, center, eps: float, terms: int = 1):
+    """Mass of {|f - center| > eps} (strict inequality, up to the rounding of f).
 
     For a table with one row per function (see weighted_median), center
     is one float or one per row, and one mass per row is returned, each
-    summed over its own row.
+    summed over its own row.  terms is the number of floats added to form
+    each value; _beyond is the comparison, with |f| + |center| + eps as the
+    size of the values.
     """
     if not eps > 0:
         raise NonPositiveEps("eps must be > 0")
     values, weights = _function_table(values, weights)
     center = np.asarray(center, dtype=np.float64)
-    far = np.abs(values - (center[..., None] if values.ndim == 2 else center)) > eps
+    center = center[..., None] if values.ndim == 2 else center
+    far = _beyond(np.abs(values - center), eps, terms, np.abs(values) + np.abs(center) + eps)
     masses = [weights[row].sum() for row in np.atleast_2d(far)]
     return float(masses[0]) if values.ndim == 1 else np.array(masses)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -22,12 +24,13 @@ from levylab import (
     L0Carrier,
     PiecewiseMap,
     ZdGroup,
+    grid_approximate,
     h_embed,
     sample_indices,
     weighted_deviation_mass,
     weighted_median,
 )
-from levylab import mmspace, rng
+from levylab import amplify, mmspace, rng
 from levylab.errors import CarrierMismatch, DimensionMismatch, LipschitzViolation
 from levylab.hamming import product_weights
 from levylab.stepmaps import IntegralMember
@@ -236,7 +239,34 @@ def tuple_profile(product, f, eps: float, mode: str = "exact", samples: int = 0,
         values = np.asarray([mean(tuple(product.base.atoms[c] for c in row)) for row in rows])
         weights = np.full(samples, 1.0 / samples)
     m = weighted_median(values, weights)
-    return m, weighted_deviation_mass(values, weights, m, eps)
+    return m, weighted_deviation_mass(values, weights, m, eps, product.n)
+
+
+def rational_profile(weights, kernel, n: int, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """(median, mass of {|f - median| > eps}) of f = (1/n) sum_i kernel[X_i], X_i iid of law weights.
+
+    weights and kernel hold one Fraction per atom.  The law of f comes from
+    the multinomial counts of the atoms among the n coordinates, each count
+    vector c with mass n! / prod(c_a!) * prod(weights[a]^c_a), and every
+    comparison is exact: the median is the smallest attained m with both
+    P(f >= m) >= 1/2 and P(f <= m) >= 1/2, and the mass is strict.
+    """
+    law = Counter()
+    for draw in itertools.combinations_with_replacement(range(len(weights)), n):
+        counts = Counter(draw)
+        ways = math.factorial(n)
+        for c in counts.values():
+            ways //= math.factorial(c)
+        mass = Fraction(ways)
+        for a, c in counts.items():
+            mass *= weights[a] ** c
+        law[sum(kernel[a] * c for a, c in counts.items()) / n] += mass
+    half = Fraction(1, 2)
+    median = next(
+        m for m in sorted(law)
+        if sum(p for v, p in law.items() if v >= m) >= half and sum(p for v, p in law.items() if v <= m) >= half
+    )
+    return median, sum((p for v, p in law.items() if abs(v - median) > eps), Fraction(0))
 
 
 def loop_invariance_defect(mu, g, family) -> float:
@@ -337,6 +367,27 @@ def reference_expectations(nu, members, shifts=(None,)):
     if not means:
         raise ValueError("expectations needs at least one shift")
     return np.reshape(means, (len(means), len(members))), out
+
+
+def prefix_telescope(nu, g, family) -> tuple[tuple, float]:
+    """l0_defect's (steps, bound), one h_embed map per prefix a_j = (g'_1..g'_j, e..e).
+
+    Each prefix whose new coordinate is not e is a shift of one
+    amplify.expectations call, which plans its n cells as for any shift;
+    step j is the family maximum of |E(f o lambda_{a_{j-1}}) - E(f o
+    lambda_{a_j})|, and 0.0 where g'_j is e.  The bound adds the steps left
+    to right and L times the disagreement of g and its grid approximation.
+    """
+    group, n = nu.base.group, nu.n
+    gp, dis = grid_approximate(g, n)
+    e = group.identity
+    moved = [j for j in range(n) if gp[j] != e]
+    prefixes = [h_embed(group, gp[: j + 1] + (e,) * (n - j - 1)) for j in moved]
+    means = amplify.expectations(nu, family.members, (None, *prefixes))[0]
+    steps = [0.0] * n
+    for j, prev, cur in zip(moved, means, means[1:]):
+        steps[j] = float(np.max(np.abs(prev - cur)))
+    return tuple(steps), left_sum(steps) + family.lipschitz * dis
 
 
 def value_at(f, t: float):

@@ -16,6 +16,7 @@ from conftest import (
     element_strategy,
     fubini_telescope_steps,
     left_sum,
+    prefix_telescope,
     pullback_family,
     reference_expectations,
     searchsorted_choice,
@@ -373,6 +374,14 @@ class TestSchedule:
         sched = Schedule(entries, target_eps=0.1)
         expected = [i / (8 * i * i + 1) for i in (1, 2, 3)]
         assert list(sched.witnesses) == pytest.approx(expected, abs=1e-12)
+        # a declared field: shown by repr, compared by ==, and not a constructor argument
+        assert f"witnesses={sched.witnesses!r}" in repr(sched)
+        assert sched == Schedule(entries, target_eps=0.1)
+        other = Schedule(entries, target_eps=0.1)
+        object.__setattr__(other, "witnesses", sched.witnesses[:2])
+        assert sched != other
+        with pytest.raises(TypeError):
+            Schedule(entries, target_eps=0.1, witnesses=())
 
     def test_uniform_witnesses_are_counted(self, monkeypatch):
         # TV(mu, g mu) = |gA \ A| / |A| for a uniform mu on A, without tv_distance
@@ -518,10 +527,9 @@ class TestOnePath:
             ("exact", 500_000, {}, TooLargeForExact, "^276922881 tuples exceeds exact cap 500000$"),
             # 100 samples x 4 cells at stage 4
             ("sampled", 10**5, {(hamming, "SAMPLE_ARRAY_LIMIT"): 300}, TooManySamples, "^400 sampled entries"),
-            # (1 piece x 2 shift values + 4 cells) x 129 atoms + 2 x 4 planned cells at stage 4,
-            # past the cap before its moved prefixes are counted; at stage 3,
-            # (2 + 3) x 73 + (2 + 3 moved prefixes) x 3 = 380
-            ("auto", 10**5, {(amplify, "TABLE_ENTRY_LIMIT"): 380}, SpaceTooLarge, "^782 table entries"),
+            # (1 piece x 2 shift values + 4 cells) x 129 atoms + (3 x 4 planned runs) x 1 piece at
+            # stage 4; at stage 3, (2 + 3) x 73 + 3 x 3 = 374
+            ("auto", 10**5, {(amplify, "TABLE_ENTRY_LIMIT"): 374}, SpaceTooLarge, "^786 table entries"),
         ],
         ids=["enumeration-limit", "exact-cap", "sample-array", "table-entries"],
     )
@@ -553,16 +561,18 @@ class TestOnePath:
         assert len(calls) == 1
 
     def test_oversized_stage_is_refused_before_building_columns(self, monkeypatch):
-        # (2 pieces x 3 shift values + 2 cells) x 5 atoms + (2 + 2 moved prefixes) x 2 cells = 48 entries
+        # (2 pieces x 3 shift values + 2 cells) x 5 atoms + (3 x 2 cells + 1 breakpoint of g)
+        # planned runs x 2 pieces = 54 entries
         member = IntegralMember((0.5,), (lambda x: 0.0, lambda x: 1.0))
         fam = BLFamily(L0Carrier(Z), (member,), bound=1.0, lipschitz=1.0)
         nu = push_forward(z_uniform(*range(5)), 2)
         g = PiecewiseMap(Z, (0.5,), z_elems(1, 2))
-        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 48)
+        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 54)
         l0_defect(nu, g, fam)
-        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 47)
+        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 53)
         monkeypatch.setattr(amplify, "expectations", None)
-        with pytest.raises(SpaceTooLarge, match="48 table entries"):
+        monkeypatch.setattr(amplify, "grid_approximate", None)
+        with pytest.raises(SpaceTooLarge, match="54 table entries"):
             l0_defect(nu, g, fam)
 
 
@@ -664,14 +674,15 @@ class TestSharedColumns:
         assert calls == Counter({(p, (v + a,)): 1 for p in values for v in values[p] for a in (0, 1, 2)})
 
     def test_cli_amplify_calls(self, tmp_path, monkeypatch):
-        # 8 stages, each one l0_defect call and so one expectations call: the identity and
-        # the target, plus one prefix per telescope step whose new coordinate is not e (17 of 36)
-        calls, columns = [], []
+        # 8 stages, each one l0_defect call and so one expectations call: the identity, the
+        # target and its grid approximation, with the 17 of 36 cells where it is not e as moved
+        calls, columns, moved = [], [], []
 
-        def counting(nu, members, shifts=(None,)):
+        def counting(nu, members, shifts=(None,), cells=()):
             shifts = tuple(shifts)
             calls.append(shifts)
-            return expectations(nu, members, shifts)
+            moved.append(list(cells))
+            return expectations(nu, members, shifts, cells)
 
         class CountingNumpy:
             # expectations builds each kernel column with one np.fromiter
@@ -691,7 +702,8 @@ class TestSharedColumns:
         assert cli.main([*argv, "--out", str(out), "--json-summary", str(summary)]) == 0
         assert len(calls) == 8
         assert all(shifts[0] is None and shifts[1] is not None for shifts in calls)
-        assert sum(len(shifts) for shifts in calls) == 33
+        assert sum(len(shifts) for shifts in calls) == 24
+        assert sum(map(len, moved)) == 17
         assert 0 < len(columns) <= 582
 
     def test_identity_coordinates_give_zero_steps(self):
@@ -882,6 +894,50 @@ class TestDistinctCells:
         finally:
             tracemalloc.stop()
         assert peak <= 11_231_656
+
+
+class TestTelescopeFromBlocks:
+    # l0_defect forms each step from the cell blocks of the identity and g'; prefix_telescope
+    # in conftest builds every prefix (g'_1..g'_j, e..e) as a map and plans its n cells
+
+    @pytest.mark.parametrize("group", [Z, CyclicGroup(7), FreeGroup2()], ids=["Z", "Z7", "F2"])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_steps_match_the_prefix_oracle(self, group, mode, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        elements = element_strategy(group)
+        atoms = data.draw(st.lists(elements, min_size=1, max_size=3, unique=True), label="atoms")
+        raw = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(atoms), max_size=len(atoms))))
+        nu = push_forward(FinSuppMeasure(group, tuple(atoms), tuple(raw / raw.sum())), n, mode,
+                          samples=data.draw(st.integers(2, 40)), seed=data.draw(st.integers(0, 99)))
+        # about half the cells of g' are e, so moved cells sit between identities
+        cell = st.one_of(st.just(group.identity), elements)
+        gp = tuple(data.draw(cell) for _ in range(n))
+        breaks = _cuts(data, n, 3)
+        off_grid = PiecewiseMap(group, breaks, tuple(data.draw(cell) for _ in range(len(breaks) + 1)))
+        g = data.draw(st.sampled_from([h_embed(group, gp), off_grid]), label="g")
+
+        def piecewise(breaks):
+            return PiecewiseMap(group, breaks, tuple(data.draw(elements) for _ in range(len(breaks) + 1)))
+
+        lo, hi = sorted(data.draw(st.sampled_from([0.0, 1.0, 1 / n, 0.5]) | st.floats(0.0, 1.0)) for _ in "lh")
+        members = [
+            disagreement_member(piecewise(_cuts(data, n, 3))),
+            disagreement_member(h_embed(group, tuple(data.draw(elements) for _ in range(n)))),
+            # clipped slope: max(0, 1 - mismatch / width)
+            cell_window_member(group, lo, hi, data.draw(elements), data.draw(st.floats(0.05, 1.0))),
+            cell_window_member(group, 0.0, 1.0, data.draw(elements), 0.25),
+            phi_member(lambda x: math.sin(group.word_length(x) + 0.5)),
+        ]
+        members = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=4))
+        fam = BLFamily(L0Carrier(group), tuple(members), 1.0, data.draw(st.sampled_from([0.0, 1.0, 4.0])))
+        res = l0_defect(nu, g, fam)
+        steps, bound = prefix_telescope(nu, g, fam)
+        assert res.per_step == pytest.approx(steps, abs=1e-12)
+        assert res.bound == pytest.approx(bound, abs=1e-12)
+        unmoved = [j for j, v in enumerate(res.gprime) if v == group.identity]
+        assert [res.per_step[j] for j in unmoved] == [0.0] * len(unmoved)
 
 
 def _twin(data, group, x):

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -233,8 +234,9 @@ class TestAmplifyCommand:
 
     def test_member_count_is_capped_before_any_member_is_built(self, tmp_path, monkeypatch, capsys):
         # 10^6 members of one piece or more and the default target's 2 shift values
-        # make at least 18,000,009 table entries on the first stage's 9 atoms, and its
-        # one cell is planned for the identity and the target: 18,000,011
+        # make at least 18,000,009 table entries on the first stage's 9 atoms, and the
+        # 3 x 1 + 1 runs of the identity, the target and its grid approximation are cut
+        # into a piece per member each: 22,000,009
         def no_members(*args, **kwargs):
             raise AssertionError("a member was built before the caps were checked")
 
@@ -242,7 +244,7 @@ class TestAmplifyCommand:
         code, out, _ = run(tmp_path, "amplify", "amplify", "--family", "disagreement:count=1000000")
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert "18000011 table entries exceed the cap of 4194304: (1000000 member pieces" in err
+        assert "22000009 table entries exceed the cap of 4194304: (1000000 member pieces" in err
 
     @pytest.mark.parametrize("eps", ["-1", "nan", "0"])
     def test_bad_eps_is_named(self, tmp_path, monkeypatch, capsys, eps):
@@ -554,7 +556,7 @@ class TestDefaultsSmoke:
             ["amplify", "--group", "Z^2", "--g", ":(1,0)", "--schedule", "k=i,n=1,i=1..499", "--samples", "100"],
             # a member has one kernel piece or more, so the count alone exceeds the table cap
             ["amplify", "--family", "disagreement:count=100000000", "--samples", "10"],
-            # the default target moves about 35,000 of 10^5 cells, each prefix planned on all of them
+            # 3 x 10^5 + 1 planned runs, each cut into a piece per member: 20 x 300,001 entries
             ["amplify", "--schedule", "k=1,n=100000,i=1..1", "--samples", "1"],
         ],
     )
@@ -562,6 +564,16 @@ class TestDefaultsSmoke:
         proc = run_child(tmp_path, args, 768)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("computation error: ") and "Traceback" not in proc.stderr
+
+    def test_a_long_telescope_runs_in_seconds(self, tmp_path):
+        # the default target moves 1,050 of 3,000 cells; each step is formed from the cell
+        # blocks of the identity and the grid approximation, not from a 3,000-cell prefix map
+        args = ["amplify", "--schedule", "k=1,n=3000,i=1..1", "--samples", "1", "--seed", "42"]
+        start = time.perf_counter()
+        proc = run_child(tmp_path, args, 768)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert elapsed < 5.0
 
     def test_large_cube_is_refused_before_building(self, tmp_path):
         proc = run_child(tmp_path, ["alpha", "--space", "cube:10"], 1024)

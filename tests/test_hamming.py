@@ -1,12 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tuple_profile
+from conftest import rational_profile, tuple_profile
 from levylab import (
     CarrierMismatch,
     CyclicGroup,
@@ -326,6 +327,50 @@ class TestProfileOracle:
                 samples=samples, seed=n,
             )
             assert (res.median, res.estimate) == tuple_profile(product, f, 0.1, "sampled", samples, n)
+
+
+class TestRationalMasses:
+    # exact profiles against binomial and multinomial masses in Fractions: at eps = j/m a
+    # lattice value k/n can sit exactly eps from the median, where the float gap rounds
+    # either way (0.8 - 0.5 > 0.3 but 0.5 - 0.2 == 0.3), and the strict mass counts neither
+
+    SWEEP = [((1, 2), (1, 2), n) for n in range(2, 20)] + [((1, 5), (3, 10), (1, 2), n) for n in range(2, 13)]
+
+    @pytest.mark.parametrize("case", SWEEP, ids=lambda c: f"{len(c) - 1}atoms-n{c[-1]}")
+    def test_fraction_differing_at_eps_j_over_20(self, case):
+        *weights, n = case
+        weights = [Fraction(*w) for w in weights]
+        base = DiscreteBase(tuple(range(len(weights))), tuple(map(float, weights)))
+        kernel = [Fraction(a != 0) for a in range(len(weights))]
+        for j in range(1, 10):
+            res = lipschitz_profile(HammingProduct(base, n), fraction_differing(0), bound=1.0, lipschitz=1.0,
+                                    eps=j / 20)
+            median, mass = rational_profile(weights, kernel, n, Fraction(j, 20))
+            assert res.median == pytest.approx(float(median), abs=1e-12)
+            assert res.estimate == pytest.approx(float(mass), abs=1e-12), (j, res.estimate, mass)
+
+    def test_the_cli_example(self):
+        # profile --mode exact --n 10 --eps 0.3: 22 of 1,024 tuples lie strictly past 0.3 from 1/2
+        res = lipschitz_profile(HammingProduct(UNIFORM2, 10), fraction_differing(0), bound=1.0, lipschitz=1.0,
+                                eps=0.3)
+        assert res.estimate == 22 / 1024
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_quarter_kernels_at_lattice_eps(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        m = data.draw(st.integers(2, 12), label="m")
+        eps = Fraction(data.draw(st.integers(1, m - 1), label="j"), m)
+        tenths = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=3).filter(lambda w: sum(w) <= 10))
+        weights = [Fraction(w, 10) for w in tenths[:-1]] + [1 - Fraction(sum(tenths[:-1]), 10)]
+        # quarters are exact floats, so each sum is a lattice value k/(4n) up to the final division
+        kernel = [Fraction(data.draw(st.integers(0, 4)), 4) for _ in weights]
+        base = DiscreteBase(tuple(range(len(weights))), tuple(map(float, weights)))
+        f = IntegralMember((), (lambda a: float(kernel[a]),))
+        res = lipschitz_profile(HammingProduct(base, n), f, bound=1.0, lipschitz=1.0, eps=float(eps))
+        median, mass = rational_profile(weights, kernel, n, eps)
+        assert res.median == pytest.approx(float(median), abs=1e-12)
+        assert res.estimate == pytest.approx(float(mass), abs=1e-12)
 
 
 class TestWilsonUpper:
