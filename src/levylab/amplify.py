@@ -90,7 +90,7 @@ class L0Measure:
         # written so that a NaN weight, or a NaN sum, fails
         if not np.all(weights >= 0) or not abs(weights.sum() - 1.0) <= 1e-9:
             raise InvalidSchedule("push-forward weights must be non-negative and sum to 1")
-        if codes.size and not 0 <= codes.min() <= codes.max() < len(self.base.support):
+        if codes.size and not 0 <= codes.min() <= codes.max() < len(self.base.weights):
             raise DimensionMismatch("codes must index the base support")
         weights.flags.writeable = False
         codes.flags.writeable = False
@@ -109,7 +109,7 @@ def push_forward(
     """Transport mu^(x)n to step maps on the uniform n-grid (exactly: up to EXACT_PRODUCT_LIMIT tuples)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = len(mu.support)
+    k = len(mu.weights)
     if mode == "exact":
         _check_enumeration(k, n)
         # the index tuples in itertools.product order, matching product_weights:
@@ -144,7 +144,8 @@ def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
     and shifts share most cells.  For each distinct cell, a members
     x atoms table adds each member's pieces left to right from 0.0, built
     once from kernel columns (the kernel of one piece over the support
-    translated by one value, each built once), and is gathered once into a
+    translated by one value, each built once by FinSuppMeasure.column, in
+    one call for a kernel with a bulk path), and is gathered once into a
     members x maps block.  A shift's values add its n blocks into one
     buffer, and phi is applied to each member's row, or to the rows of
     adjacent members with the same phi at once.  Members are taken in
@@ -157,7 +158,7 @@ def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
     shift's cells up to each moved cell j, each changed in place from the
     one before it by the two shifts' blocks on cell j.
     """
-    atoms, group, n = nu.base.support, nu.base.group, nu.n
+    base, group, n = nu.base, nu.base.group, nu.n
     grid = [i / n for i in range(1, n)]
     cells, plan = {}, []  # (grid cell, runs) -> block slot; each shift's n slots
     for shift in shifts:
@@ -179,16 +180,19 @@ def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
          for fi, f in enumerate(members)]
         for _, runs in cells
     ]
-    translated = {v: group.translate_all(v, atoms) for v in {v for _, v, _ in keys}}
-    columns = np.empty((len(keys), len(atoms)))
+    # shift values are canonical, so the identity's translate is the base and no value is validated again
+    translated = {v: base if v == group.identity else
+                  FinSuppMeasure._unchecked(group, group.translate_all(v, base.elements), base.weights)
+                  for v in {v for _, v, _ in keys}}
+    columns = np.empty((len(keys), len(base.weights)))
     for (fi, v, p), k in keys.items():
-        columns[k] = np.fromiter(map(members[fi].kernel[p], translated[v]), np.float64, len(atoms))
+        columns[k] = translated[v].column(members[fi].kernel[p])
 
     codes = np.ascontiguousarray(nu.codes.T)  # row i: the atom of cell i in each map
     weights, maps = nu.weights, codes.shape[1]
     size = max(1, min(len(members), BLOCK_ENTRY_LIMIT // (len(cells) * maps)))
     # allocated once: fresh arrays of this size per cell would fault in new pages each time
-    table, blocks = np.empty((size, len(atoms))), np.empty((len(cells), size, maps))
+    table, blocks = np.empty((size, len(base.weights))), np.empty((len(cells), size, maps))
     total, product = np.empty((size, maps)), np.empty((size, maps))
     means, out = np.empty((len(plan) + len(moved), len(members))), np.empty((len(members), maps))
     for lo in range(0, len(members), size):
@@ -288,7 +292,7 @@ def l0_defect(nu: L0Measure, g: PiecewiseMap, family: BLFamily) -> DefectResult:
         raise CarrierMismatch("family must live over step maps of the same base group")
     if g.group != group:
         raise CarrierMismatch("target map lives over a different group")
-    _check_table_entries(nu.n, len(nu.base.support), g, member_pieces(family))
+    _check_table_entries(nu.n, len(nu.base.weights), g, member_pieces(family))
     gp, dis = grid_approximate(g, nu.n)
     moved = [i for i, v in enumerate(gp) if v != group.identity]
     means, values = expectations(nu, family.members, (None, g, h_embed(group, gp)), moved)
@@ -309,12 +313,13 @@ class Schedule:
     On construction the witness products n_i * (max generator total
     variation of mu_i) are recorded and required to be non-increasing;
     they quantify the hypothesis that base defects shrink faster than the
-    grid grows.
+    grid grows.  They derive from the entries, so repr and == leave them
+    out.
     """
 
     entries: tuple
     target_eps: float
-    witnesses: tuple = field(init=False)
+    witnesses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = tuple((int(n), mu) for n, mu in self.entries)
@@ -331,8 +336,7 @@ class Schedule:
                 raise InvalidSchedule("all entries must share one group")
             gens = group.generators()
             if len(set(mu.weights)) == 1:  # uniform on A: TV(mu, g mu) = |gA \ A| / |A|
-                atoms = set(mu.support)
-                tv = max(len(atoms.difference(group.translate_all(g, mu.support))) for g in gens) / len(atoms)
+                tv = max(mu.escape_count(g) for g in gens) / len(mu.weights)
             else:
                 tv = max(mu.tv_distance(mu.translate(g)) for g in gens)
             witnesses.append(n * tv)
@@ -404,7 +408,7 @@ def run_schedule(
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    sizes = [(n_i, len(mu_i.support)) for n_i, mu_i in schedule.entries]
+    sizes = [(n_i, len(mu_i.weights)) for n_i, mu_i in schedule.entries]
     modes = stage_modes(sizes, g, member_pieces(family), mode=mode, samples=samples, exact_cap=exact_cap)
     rows = []
     bounded = True

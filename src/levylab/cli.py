@@ -54,6 +54,8 @@ from .wordgroups import (
 
 # the most radii an eps grid may list, checked before the list is built
 EPS_GRID_LIMIT = 10**5
+# the most stages a schedule's index range may list, checked before any stage is evaluated
+STAGE_LIMIT = 10**4
 
 
 class UsageError(Exception):
@@ -192,7 +194,7 @@ def _parse_schedule_expr(expr: str, i: int) -> int:
 
 
 def _parse_schedule(group: WordGroup, text: str) -> tuple:
-    """The schedule's (n, k) pairs: grid n and box [-k, k]^d per stage, once every box's size is checked."""
+    """The schedule's (n, k) pairs: grid n and box [-k, k]^d per stage, once the stage count and box sizes hold."""
     m = re.fullmatch(r"k=([^,]+),n=([^,]+),i=(\d+)\.\.(\d+)", text.replace(" ", ""))
     if not m:
         raise UsageError(f"bad schedule {text!r}, expected k=<expr>,n=<expr>,i=a..b")
@@ -201,6 +203,8 @@ def _parse_schedule(group: WordGroup, text: str) -> tuple:
     lo, hi = int(m.group(3)), int(m.group(4))
     if lo < 1 or hi < lo:
         raise UsageError("schedule index range must satisfy 1 <= a <= b")
+    if hi - lo + 1 > STAGE_LIMIT:
+        raise SpaceTooLarge(f"the schedule's index range {lo}..{hi} lists more than {STAGE_LIMIT} stages")
     sizes = []
     for i in range(lo, hi + 1):
         k = _parse_schedule_expr(m.group(1), i)

@@ -4,22 +4,22 @@ A BLFamily is a finite list of evaluable members with a shared sup-norm
 bound B and Lipschitz constant L for the carrier's metric (word metric on
 a group carrier, disagreement pseudometric on a step-map carrier).  The
 built-in members are stepmaps.IntegralMember h -> phi(int k(t, h(t)) dt)
-on step maps, and wordgroups.ClampedLength, with its bulk path, on groups.
-All suprema over a family are maxima over the list.
+on step maps, whose kernels are wordgroups.Mismatch, and
+wordgroups.ClampedLength on groups; both have bulk paths.  All suprema
+over a family are maxima over the list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import ne
 
 import numpy as np
 
 from . import rng
 from .errors import CarrierMismatch
 from .stepmaps import IntegralMember, PiecewiseMap
-from .wordgroups import ClampedLength, FinSuppMeasure, WordGroup
+from .wordgroups import ClampedLength, FinSuppMeasure, Mismatch, WordGroup
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class BLFamily:
         object.__setattr__(self, "members", tuple(self.members))
 
 
-def _zero(x) -> float:
-    return 0.0
-
-
 def invariance_defect(mu: FinSuppMeasure, g, family: BLFamily) -> float:
     """max over the family of |E_mu(f) - E_mu(f o lambda_g)|.
 
@@ -88,7 +84,7 @@ def wordlen_clamp_family(group: WordGroup, caps, *, normalize: bool = True) -> B
 
 def disagreement_member(reference: PiecewiseMap) -> IntegralMember:
     """The member h -> disagreement(reference, h); 1-bounded, 1-Lipschitz."""
-    kernel = tuple(partial(ne, v) for v in reference.values)
+    kernel = tuple(Mismatch(reference.group, v) for v in reference.values)
     return IntegralMember(tuple(reference.breakpoints), kernel)
 
 
@@ -125,10 +121,11 @@ def disagreement_family(
 
 def cell_window_member(group: WordGroup, lo: float, hi: float, value, width: float) -> IntegralMember:
     """h -> max(0, 1 - |{t in [lo, hi) : h(t) != value}| / width)."""
-    mismatch = partial(ne, group.validate(value))
+    value = group.validate(value)
     # lo == hi cuts once: IntegralMember takes strictly increasing breakpoints
     breaks = tuple(b for b in sorted({lo, hi}) if 0.0 < b < 1.0)
-    kernel = tuple(mismatch if lo <= start < hi else _zero for start in (0.0,) + breaks)
+    # weight 0.0 outside the window: the zero kernel
+    kernel = tuple(Mismatch(group, value, float(lo <= start < hi)) for start in (0.0,) + breaks)
     return IntegralMember(breaks, kernel, partial(_clipped_slope, width))
 
 

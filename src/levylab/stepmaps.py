@@ -115,8 +115,11 @@ class IntegralMember:
     Each kernel must be a pure function of the element: one
     amplify.expectations call builds the column of a kernel over a
     translated support once and reuses it for every cell and shift of that
-    call that carries the same shift value.  phi maps the integral, a float
-    or an array of them, to the value, each entry on its own, so that
+    call that carries the same shift value: by its optional bulk method
+    ``values(elements)`` when it has one for the base group (as
+    wordgroups.Mismatch does), else once per canonical element (a tuple
+    of Python ints on Z^d, a Python int on Z_m, a word).  phi maps the
+    integral, a float or an array of them, to the value, each entry on its own, so that
     members sharing a phi may take it on one table of their integrals.
     """
 

@@ -13,14 +13,19 @@ map value, so measures and maps hold canonical elements and nothing
 downstream validates them again.  The library's own
 measure builders (boxes, balls, Haar measure, translates) produce
 canonical, distinct supports and valid weights by construction and skip
-those checks.  Whole canonical supports go through
-two bulk kernels: ``translate_all`` (left translation; on F2 only the
-junction of g and x cancels) and ``word_lengths`` (an integer array, of
-Python ints where a length would not fit int64).  The base class applies
-the per-element methods, exact at any coordinate size.  Z^d overrides
-``translate_all``, F2 overrides both, Z_m uses the defaults.
-Measures, the clamped word-length member ``ClampedLength`` and the
-step-map tables evaluate supports through them.
+those checks.
+
+Measures hold supports in the group's bulk form (``pack``; ``unpack``
+gives the elements back): an integer array, (m, d) on Z^d and (m,) on
+Z_m, int64 when every entry fits it and else of dtype object holding
+Python ints, so one code path is exact at any size; the base class, and
+F2, keep tuples.  Two bulk kernels act on it: ``translate_all`` and
+``word_lengths``.  Z^d and Z_m override pack, unpack and both kernels,
+adding in int64 only where no sum can leave it; F2 overrides both
+kernels (only the junction of g and x cancels).  A kernel with a
+``group`` and a method ``values(elements)``, its float column over a
+bulk support of that group, has a bulk path: ``ClampedLength`` and
+``Mismatch`` do, and ``FinSuppMeasure.column`` takes it.
 """
 
 from __future__ import annotations
@@ -44,14 +49,27 @@ _F2_LETTERS = "aAbB"
 _F2_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 # the letters that may follow a word's last letter, in _F2_LETTERS order
 _F2_NEXT = {"": "aAbB", "a": "abB", "A": "AbB", "b": "aAb", "B": "aAB"}
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # float64 holds every integer up to 2^53 exactly
 _EXACT_FLOAT_INT = 1 << 53
+_UNPACK_ROWS = 4096  # rows of a Z^d array made into tuples at a time
 
 
-def _length_array(lengths: list) -> np.ndarray:
-    """Non-negative lengths as int64, or as Python ints when one does not fit int64."""
-    return np.array(lengths, np.int64 if max(lengths, default=0) <= _INT64_MAX else object)
+def _int_array(values) -> np.ndarray:
+    """Integers as an int64 array, or as Python ints (dtype object) when one does not fit int64."""
+    array = np.array(values, object)
+    if array.size and not (_INT64_MIN <= array.min() and array.max() <= _INT64_MAX):
+        return array
+    return array.astype(np.int64)
+
+
+def _shift(elements: np.ndarray, g: tuple) -> np.ndarray:
+    """elements + g along the last axis: in int64 when g and the array's extremes plus g fit it, else in Python ints."""
+    if elements.dtype == np.int64 and elements.size:
+        low, high = min(g), max(g)
+        if _INT64_MIN <= min(low, int(elements.min()) + low) and max(high, int(elements.max()) + high) <= _INT64_MAX:
+            return elements + np.array(g, np.int64)
+    return _int_array(elements.astype(object) + np.array(g, object))
 
 
 class WordGroup:
@@ -74,13 +92,21 @@ class WordGroup:
     def word_length(self, x) -> int:
         raise NotImplementedError
 
-    def translate_all(self, g, elements) -> tuple:
-        """The products g * x, for canonical g and canonical elements x."""
+    def pack(self, elements):
+        """Canonical elements in the group's bulk form, the form a measure stores: here a tuple."""
+        return tuple(elements)
+
+    def unpack(self, elements) -> tuple:
+        """The canonical elements of a bulk form, in order."""
+        return tuple(elements)
+
+    def translate_all(self, g, elements):
+        """The products g * x in bulk form, for canonical g and elements x in bulk form."""
         return tuple(self.op(g, x) for x in elements)
 
     def word_lengths(self, elements) -> np.ndarray:
-        """The word lengths of canonical elements: int64, or Python ints when one exceeds int64."""
-        return _length_array(list(map(self.word_length, elements)))
+        """The word lengths of elements in bulk form: int64, or Python ints when one exceeds int64."""
+        return _int_array(list(map(self.word_length, elements)))
 
     def generators(self) -> tuple:
         raise NotImplementedError
@@ -141,10 +167,27 @@ class ZdGroup(WordGroup):
     def word_length(self, x) -> int:
         return sum(abs(c) for c in self.validate(x))
 
-    def translate_all(self, g, elements) -> tuple:
-        # shift each coordinate column by its entry of g, then zip the columns back into tuples
-        shifted = (map(operator.add, col, itertools.repeat(c)) for col, c in zip(zip(*elements), g))
-        return tuple(zip(*shifted))
+    def pack(self, elements) -> np.ndarray:
+        elements = tuple(elements)
+        return _int_array(elements).reshape(len(elements), self.d)
+
+    def unpack(self, elements) -> tuple:
+        # the tuples share one int per distinct coordinate, as itertools.product's do, and
+        # are made a block of rows at a time, so no full-length list of coordinates is held
+        shared, rows = {}, range(0, len(elements), _UNPACK_ROWS)
+        blocks = (elements[i : i + _UNPACK_ROWS].ravel().tolist() for i in rows)
+        coords = itertools.chain.from_iterable(map(shared.setdefault, block, block) for block in blocks)
+        return tuple(zip(*[coords] * self.d))
+
+    def translate_all(self, g, elements) -> np.ndarray:
+        return _shift(elements, g)
+
+    def word_lengths(self, elements) -> np.ndarray:
+        # d * max |x_i| bounds every sum; |x_i| of -2^63 itself leaves int64
+        bound = max(-int(elements.min()), int(elements.max())) if elements.size else 0
+        if elements.dtype == np.int64 and self.d * bound <= _INT64_MAX:
+            return np.abs(elements).sum(axis=1)
+        return _int_array(np.abs(elements.astype(object)).sum(axis=1))
 
     def generators(self) -> tuple:
         gens = []
@@ -195,6 +238,24 @@ class CyclicGroup(WordGroup):
     def word_length(self, x) -> int:
         r = self.validate(x)
         return min(r, self.m - r)
+
+    def pack(self, elements) -> np.ndarray:
+        return _int_array(tuple(elements))
+
+    def unpack(self, elements) -> tuple:
+        return tuple(elements.tolist())
+
+    def translate_all(self, g, elements) -> np.ndarray:
+        sums = _shift(elements, (g,))
+        if sums.dtype == np.int64 and self.m <= _INT64_MAX:
+            return sums % self.m
+        return _int_array(sums.astype(object) % self.m)
+
+    def word_lengths(self, elements) -> np.ndarray:
+        if elements.dtype == np.int64 and self.m <= _INT64_MAX:
+            return np.minimum(elements, self.m - elements)
+        elements = elements.astype(object)
+        return _int_array(np.minimum(elements, self.m - elements))
 
     def generators(self) -> tuple:
         return (1, self.m - 1)
@@ -307,35 +368,58 @@ class ClampedLength:
         return min(self.group.word_length(x), self.cap) / self.scale
 
     def values(self, elements) -> np.ndarray:
-        """The member on canonical elements, from one word_lengths call.
+        """The member on canonical elements in bulk form, from one word_lengths call.
 
         min(length, cap) / scale is exact in float64 while cap and scale are
         at most 2^53; larger ones take the per-element call.
         """
         if max(self.cap, self.scale) > _EXACT_FLOAT_INT:
-            return np.array(list(map(self, elements)), np.float64)
+            return np.array(list(map(self, self.group.unpack(elements))), np.float64)
         clamped = np.minimum(self.group.word_lengths(elements), self.cap)
         return np.asarray(clamped / self.scale, np.float64)
 
 
-@dataclass(frozen=True)
+class Mismatch:
+    """The kernel x -> weight * (x != value), value canonical in group; weight 0.0 is the zero kernel."""
+
+    def __init__(self, group: WordGroup, value, weight: float = 1.0):
+        self.group, self.value, self.weight = group, value, weight
+        # value in bulk form; on Z^d and Z_m an array of one row, so that an int64 support
+        # and a value past int64 (or the reverse) are compared as Python ints, exactly
+        self._packed = group.pack((value,))
+
+    def __call__(self, x) -> float:
+        return self.weight * (x != self.value)
+
+    def values(self, elements) -> np.ndarray:
+        """The kernel on canonical elements in bulk form: one array comparison on Z^d and Z_m."""
+        if not self.weight:
+            return np.zeros(len(elements))
+        if not isinstance(elements, np.ndarray):  # words on F2
+            return np.fromiter(map(self, elements), np.float64, len(elements))
+        hits = (elements != self._packed).reshape(len(elements), self._packed.size)
+        return hits.any(axis=1) * self.weight
+
+
 class FinSuppMeasure:
     """A finitely supported probability measure on a word group.
 
-    The constructor and ``uniform`` check outside input: each element is
-    put in canonical form by ``group.validate``, the elements must be
-    distinct, and the weights positive with sum 1.  The library's builders
-    (``folner_measure``, ``ball_uniform``, ``haar``, ``translate``) go
-    through ``_unchecked``, which stores the fields as given.
+    ``elements`` is the support in the group's bulk form (an array support
+    is read-only); ``support``, the
+    tuple of its canonical elements, is built on first access and read by
+    no library path.  ``==`` and ``hash`` are equality of group, elements
+    and weights.  The constructor and ``uniform`` check outside input:
+    each element is put in canonical form by ``group.validate``, the
+    elements must be distinct, and the weights positive with sum 1.  The
+    library's builders (``folner_measure``, ``ball_uniform``, ``haar``,
+    ``translate``) go through ``_unchecked``, which stores the bulk form
+    as given.  ``column(f)`` takes f's bulk path when ``f.group`` is this
+    group, and otherwise calls f once per element of ``support``.
     """
 
-    group: WordGroup
-    support: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        support = tuple(map(self.group.validate, self.support))
-        weights = tuple(map(float, self.weights))
+    def __init__(self, group: WordGroup, support, weights):
+        support = tuple(map(group.validate, support))
+        weights = tuple(map(float, weights))
         if len(support) != len(weights):
             raise LengthMismatch("support and weights must have equal length")
         if len(support) != len(set(support)):
@@ -345,23 +429,50 @@ class FinSuppMeasure:
         # written so that a NaN weight, or a NaN sum, fails
         if not all(w > 0 for w in weights) or not abs(math.fsum(weights) - 1.0) <= _MASS_TOL:
             raise InvalidMeasure("weights must be positive and sum to 1")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "weights", weights)
+        self._set(group, group.pack(support), weights, support)
+
+    def _set(self, group: WordGroup, elements, weights: tuple, support: tuple | None = None) -> None:
+        if isinstance(elements, np.ndarray):
+            elements.flags.writeable = False
+        self.__dict__.update(group=group, elements=elements, weights=weights, _support=support)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a FinSuppMeasure is immutable; cannot set {name!r}")
 
     @classmethod
-    def _unchecked(cls, group: WordGroup, support: tuple, weights: tuple | None = None) -> "FinSuppMeasure":
-        """A measure whose support is canonical and distinct by construction.
+    def _unchecked(cls, group: WordGroup, elements, weights: tuple | None = None) -> "FinSuppMeasure":
+        """A measure whose elements, in bulk form, are canonical and distinct by construction.
 
         weights are float, positive and sum to 1, or None for the uniform
         weights; nothing is checked.
         """
         if weights is None:
-            weights = (1.0 / len(support),) * len(support)
+            weights = (1.0 / len(elements),) * len(elements)
         measure = object.__new__(cls)
-        object.__setattr__(measure, "group", group)
-        object.__setattr__(measure, "support", support)
-        object.__setattr__(measure, "weights", weights)
+        measure._set(group, elements, weights)
         return measure
+
+    @property
+    def support(self) -> tuple:
+        if self._support is None:
+            self.__dict__["_support"] = self.group.unpack(self.elements)
+        return self._support
+
+    def __eq__(self, other):
+        if not isinstance(other, FinSuppMeasure):
+            return NotImplemented
+        mine, theirs = self.elements, other.elements  # one group, one bulk form
+        return (
+            self.group == other.group
+            and self.weights == other.weights
+            and (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs)
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.weights))
+
+    def __repr__(self):
+        return f"FinSuppMeasure(group={self.group!r}, support={self.support!r}, weights={self.weights!r})"
 
     @classmethod
     def uniform(cls, group: WordGroup, elements) -> "FinSuppMeasure":
@@ -373,24 +484,32 @@ class FinSuppMeasure:
     def haar(cls, group: CyclicGroup) -> "FinSuppMeasure":
         if not isinstance(group, CyclicGroup):
             raise WrongKind("haar measure is only materialized for cyclic groups")
-        return cls._unchecked(group, tuple(range(group.m)))
+        return cls._unchecked(group, group.pack(range(group.m)))
+
+    def column(self, f) -> np.ndarray:
+        """f at each atom, in support order, as float64: by f.values when f has a bulk path here."""
+        if getattr(f, "group", None) == self.group and hasattr(f, "values"):
+            return f.values(self.elements)
+        return np.fromiter(map(f, self.support), np.float64, len(self.weights))
 
     def expectation(self, f) -> float:
-        """The sum of w * f(x) over the support, added left to right in support order.
-
-        A ClampedLength on the measure's group is evaluated on the whole
-        support at once; any other callable is called once per element.
-        """
-        if isinstance(f, ClampedLength) and f.group == self.group:
-            values = f.values(self.support)
-        else:
-            values = np.fromiter(map(f, self.support), np.float64, len(self.support))
-        return float(np.cumsum(np.multiply(self.weights, values))[-1])
+        """The sum of w * f(x) over the support, added left to right in support order, from column(f)."""
+        return float(np.cumsum(np.multiply(self.weights, self.column(f)))[-1])
 
     def translate(self, g) -> "FinSuppMeasure":
         g = self.group.validate(g)
         # left translation is a bijection of canonical elements
-        return FinSuppMeasure._unchecked(self.group, self.group.translate_all(g, self.support), self.weights)
+        return FinSuppMeasure._unchecked(self.group, self.group.translate_all(g, self.elements), self.weights)
+
+    def escape_count(self, g) -> int:
+        """|gA \\ A| for the support A: how many atoms left translation by g moves off the support."""
+        moved = self.translate(g).elements
+        if not isinstance(moved, np.ndarray):
+            return len(set(moved).difference(self.elements))
+        # A and gA each hold distinct rows, so sorted together every shared row is one equal pair
+        both = np.concatenate((self.elements, moved)).reshape(2 * len(moved), -1)
+        rows = both[np.lexsort(both.T)]
+        return len(moved) - int(np.count_nonzero((rows[1:] == rows[:-1]).all(axis=1)))
 
     def tv_distance(self, other: "FinSuppMeasure") -> float:
         if self.group != other.group:
@@ -435,11 +554,13 @@ def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_support_size(group, k)
-    return FinSuppMeasure._unchecked(group, tuple(itertools.product(range(-k, k + 1), repeat=group.d)))
+    # the box in itertools.product order: the first coordinate varies slowest
+    axes = np.meshgrid(*[np.arange(-k, k + 1, dtype=np.int64)] * group.d, indexing="ij", copy=False)
+    return FinSuppMeasure._unchecked(group, np.stack(axes, axis=-1).reshape(-1, group.d))
 
 
 def ball_uniform(group: WordGroup, k: int) -> FinSuppMeasure:
     """Uniform measure on the word-metric ball of radius k."""
     if isinstance(group, FreeGroup2):
         _check_support_size(group, k)
-    return FinSuppMeasure._unchecked(group, tuple(group.ball(k)))
+    return FinSuppMeasure._unchecked(group, group.pack(group.ball(k)))

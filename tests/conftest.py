@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -269,6 +270,30 @@ def rational_profile(weights, kernel, n: int, eps: Fraction) -> tuple[Fraction, 
     return median, sum((p for v, p in law.items() if abs(v - median) > eps), Fraction(0))
 
 
+def tuple_translate_all(group, g, elements) -> tuple:
+    """The products g * x over a tuple of canonical elements, computed on tuples of Python ints.
+
+    On Z^d each coordinate column is shifted by its entry of g and the
+    columns are zipped back into tuples; elsewhere group.op is applied to
+    each element.
+    """
+    if isinstance(group, ZdGroup):
+        shifted = (map(operator.add, col, itertools.repeat(c)) for col, c in zip(zip(*elements), g))
+        return tuple(zip(*shifted))
+    return tuple(group.op(g, x) for x in elements)
+
+
+def set_escape_count(mu, g) -> int:
+    """|gA \\ A| for the support A of mu, from sets of tuples."""
+    atoms = set(mu.support)
+    return len(atoms.difference(tuple_translate_all(mu.group, mu.group.validate(g), mu.support)))
+
+
+def per_element_column(kernel, elements) -> np.ndarray:
+    """The kernel called once per canonical element, as a float64 column."""
+    return np.fromiter(map(kernel, elements), np.float64, len(elements))
+
+
 def loop_invariance_defect(mu, g, family) -> float:
     """The invariance defect from one member call per element, shifted by op, summed left to right."""
     group = mu.group
@@ -346,7 +371,7 @@ def reference_expectations(nu, members, shifts=(None,)):
         values = [group.validate(v) for v in by.values]
         for v in values:
             if v not in moved:
-                moved[v] = group.translate_all(v, atoms)
+                moved[v] = tuple_translate_all(group, v, atoms)
         # the grid refined by the shift: the grid and shift cell of each piece, and the inner cuts
         refined = list(merge_breakpoints([i / n for i in range(1, n)], by.breakpoints))
         cuts = [stop for _, stop, _, _ in refined[:-1]]
@@ -360,7 +385,7 @@ def reference_expectations(nu, members, shifts=(None,)):
                 _, _, gi, si = refined[ri]
                 key = (fi, values[si], p)
                 if key not in columns:
-                    columns[key] = np.fromiter(map(f.kernel[p], moved[values[si]]), np.float64, len(atoms))
+                    columns[key] = per_element_column(f.kernel[p], moved[values[si]])
                 table[gi] += (stop - start) * columns[key]
             rows[fi] = f.phi(np.cumsum(table.ravel()[at], axis=0)[-1])
             means[-1][fi] = (rows[fi] * nu.weights).sum()

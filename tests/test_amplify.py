@@ -20,6 +20,7 @@ from conftest import (
     pullback_family,
     reference_expectations,
     searchsorted_choice,
+    set_escape_count,
     step_maps,
 )
 from levylab import (
@@ -56,7 +57,7 @@ from levylab import (
     invariance_defect,
     sample_indices,
 )
-from levylab import amplify, cli, hamming, rng
+from levylab import amplify, cli, hamming, rng, wordgroups
 from levylab.hamming import EXACT_PRODUCT_LIMIT
 from levylab.families import cell_window_member
 
@@ -374,14 +375,25 @@ class TestSchedule:
         sched = Schedule(entries, target_eps=0.1)
         expected = [i / (8 * i * i + 1) for i in (1, 2, 3)]
         assert list(sched.witnesses) == pytest.approx(expected, abs=1e-12)
-        # a declared field: shown by repr, compared by ==, and not a constructor argument
-        assert f"witnesses={sched.witnesses!r}" in repr(sched)
-        assert sched == Schedule(entries, target_eps=0.1)
+        # derived from the entries: not a constructor argument, not in repr, not compared by ==
+        assert "witnesses" not in repr(sched)
+        assert repr(sched) == f"Schedule(entries={sched.entries!r}, target_eps=0.1)"
+        equal = tuple((n, FinSuppMeasure.uniform(Z, mu.support)) for n, mu in entries)
+        assert sched == Schedule(equal, target_eps=0.1) and hash(sched) == hash(Schedule(equal, target_eps=0.1))
         other = Schedule(entries, target_eps=0.1)
         object.__setattr__(other, "witnesses", sched.witnesses[:2])
-        assert sched != other
+        assert sched == other
+        assert sched != Schedule(entries[:2], target_eps=0.1) and sched != Schedule(entries, target_eps=0.2)
         with pytest.raises(TypeError):
             Schedule(entries, target_eps=0.1, witnesses=())
+
+    @pytest.mark.parametrize("d, ks", [(1, (1, 7, 200000)), (2, (1, 5, 40)), (3, (1, 2, 6))])
+    def test_uniform_witnesses_equal_the_set_count(self, d, ks):
+        # the array count |gA \ A| against sets of tuples, up to the k = 200,000 box of Z
+        group = ZdGroup(d)
+        entries = tuple((1, folner_measure(group, k)) for k in ks)
+        want = tuple(max(set_escape_count(mu, g) for g in group.generators()) / len(mu.weights) for _, mu in entries)
+        assert Schedule(entries, target_eps=0.5).witnesses == want
 
     def test_uniform_witnesses_are_counted(self, monkeypatch):
         # TV(mu, g mu) = |gA \ A| / |A| for a uniform mu on A, without tv_distance
@@ -676,7 +688,7 @@ class TestSharedColumns:
     def test_cli_amplify_calls(self, tmp_path, monkeypatch):
         # 8 stages, each one l0_defect call and so one expectations call: the identity, the
         # target and its grid approximation, with the 17 of 36 cells where it is not e as moved
-        calls, columns, moved = [], [], []
+        calls, columns, moved, bulk = [], [], [], []
 
         def counting(nu, members, shifts=(None,), cells=()):
             shifts = tuple(shifts)
@@ -684,18 +696,14 @@ class TestSharedColumns:
             moved.append(list(cells))
             return expectations(nu, members, shifts, cells)
 
-        class CountingNumpy:
-            # expectations builds each kernel column with one np.fromiter
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def fromiter(self, *args, **kwargs):
-                columns.append(args[0])
-                return np.fromiter(*args, **kwargs)
-
+        # expectations builds each kernel column with one FinSuppMeasure.column call, and the
+        # family's Mismatch kernels take their bulk path there, never one call per element
+        column, values = FinSuppMeasure.column, wordgroups.Mismatch.values
         expectations = amplify.expectations
         monkeypatch.setattr(amplify, "expectations", counting)
-        monkeypatch.setattr(amplify, "np", CountingNumpy())
+        monkeypatch.setattr(FinSuppMeasure, "column", lambda mu, f: columns.append(f) or column(mu, f))
+        monkeypatch.setattr(wordgroups.Mismatch, "values", lambda k, e: bulk.append(k) or values(k, e))
+        monkeypatch.setattr(wordgroups.Mismatch, "__call__", None)
         out, summary = tmp_path / "a.csv", tmp_path / "a.json"
         # the default family (seed 42); the counts do not depend on the sample count
         argv = ["amplify", "--samples", "500"]
@@ -705,6 +713,35 @@ class TestSharedColumns:
         assert sum(len(shifts) for shifts in calls) == 24
         assert sum(map(len, moved)) == 17
         assert 0 < len(columns) <= 582
+        assert bulk == columns
+
+    @pytest.mark.parametrize(
+        "group, atoms, g",
+        [
+            (ZdGroup(2), ((0, 0), (1, -1), (2**63, 5)), (1, 2**63)),  # coordinates past int64 too
+            (ZdGroup(3), ((0, 0, 0), (1, 2, 3)), (-1, 0, 4)),
+            (CyclicGroup(7), (0, 3, 6), 4),
+            (CyclicGroup(2**64 + 3), (0, 2**64 + 2), 2**63),
+        ],
+    )
+    def test_kernels_without_values_receive_canonical_elements(self, group, atoms, g):
+        # a kernel with no bulk path is called on tuples of Python ints, or Python ints, once
+        # per translated atom; a Mismatch piece of the same member takes its bulk path
+        seen = Counter()
+
+        def counting(x):
+            assert type(x) is (tuple if isinstance(group, ZdGroup) else int)
+            assert all(type(c) is int for c in (x if type(x) is tuple else (x,)))
+            seen[x] += 1
+            return float(hash(x) % 3)
+
+        member = IntegralMember((0.5,), (counting, wordgroups.Mismatch(group, atoms[-1])))
+        nu = push_forward(FinSuppMeasure.uniform(group, atoms), 2, "exact")
+        shifts = (None, h_embed(group, (g, group.identity)))
+        means, values = amplify.expectations(nu, (member,), shifts)
+        assert seen == Counter([*atoms, *(group.op(g, x) for x in atoms)])
+        want_means, want_values = reference_expectations(nu, (member,), shifts)
+        assert means.tolist() == want_means.tolist() and values.tolist() == want_values.tolist()
 
     def test_identity_coordinates_give_zero_steps(self):
         gp = z_elems(0, 1, 0, 0, -2, 0)

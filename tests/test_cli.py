@@ -194,6 +194,22 @@ class TestAmplifyCommand:
         code, _, _ = run(tmp_path, "amplify", "amplify", "--schedule", "k=i..3")
         assert code == 1
 
+    @pytest.mark.parametrize("hi", [cli.STAGE_LIMIT + 1, 100000, 10**30])
+    def test_stage_count_is_refused_before_any_stage(self, tmp_path, monkeypatch, capsys, hi):
+        def no_stage(*args):
+            raise AssertionError("a stage expression was evaluated before the stage count was checked")
+
+        monkeypatch.setattr(cli, "_parse_schedule_expr", no_stage)
+        code, out, _ = run(tmp_path, "amplify", "amplify", "--schedule", f"k=2,n=i,i=1..{hi}", "--samples", "1")
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"computation error: the schedule's index range 1..{hi} lists more than {cli.STAGE_LIMIT} stages\n"
+        )
+
+    def test_stage_count_at_the_cap_is_parsed(self):
+        sizes = cli._parse_schedule(cli.make_group("Z"), f"k=1,n=i,i=1..{cli.STAGE_LIMIT}")
+        assert len(sizes) == cli.STAGE_LIMIT and sizes[-1] == (cli.STAGE_LIMIT, 1)
+
     def test_exact_mode_over_cap_is_computation_error(self, tmp_path):
         # stage 2 of the default schedule has 33^2 tuples
         code, _, _ = run(tmp_path, "amplify", "amplify", "--mode", "exact", "--exact-cap", "10")
@@ -558,6 +574,8 @@ class TestDefaultsSmoke:
             ["amplify", "--family", "disagreement:count=100000000", "--samples", "10"],
             # 3 x 10^5 + 1 planned runs, each cut into a piece per member: 20 x 300,001 entries
             ["amplify", "--schedule", "k=1,n=100000,i=1..1", "--samples", "1"],
+            # 100,000 stages, refused by their count before any stage is parsed
+            ["amplify", "--schedule", "k=2,n=i,i=1..100000", "--samples", "1"],
         ],
     )
     def test_oversized_inputs_are_refused_before_building(self, tmp_path, args):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import element_strategy, group_strategy, group_with_elements, left_sum, loop_invariance_defect
-from conftest import pullback_family, word_distance
+from conftest import per_element_column, pullback_family, set_escape_count, tuple_translate_all, word_distance
 from levylab import wordgroups
+from levylab.wordgroups import Mismatch
 from levylab import (
     ClampedLength,
     CyclicGroup,
@@ -391,13 +392,16 @@ class TestBulkKernels:
         else:
             g = data.draw(element_strategy(group))
         elements = tuple(data.draw(st.lists(element_strategy(group), max_size=10)))
-        assert typed(group.translate_all(g, elements)) == typed(tuple(group.op(g, x) for x in elements))
-        lengths = group.word_lengths(elements)
+        packed = group.pack(elements)
+        assert typed(group.unpack(packed)) == typed(elements)
+        moved = group.unpack(group.translate_all(g, packed))
+        assert typed(moved) == typed(tuple(group.op(g, x) for x in elements))
+        lengths = group.word_lengths(packed)
         assert lengths.tolist() == [group.word_length(x) for x in elements]
         for cap in (1, 3):
             for scale in (1, cap):
                 member = ClampedLength(group, cap, scale)
-                assert member.values(elements).tolist() == [member(x) for x in elements]
+                assert member.values(packed).tolist() == [member(x) for x in elements]
 
     def test_f2_shifts_of_length_zero_to_four(self):
         ball = F2.ball(5)
@@ -445,17 +449,17 @@ class TestBulkKernels:
         for normalize in (True, False):
             family = wordlen_clamp_family(group, [3, 2**60], normalize=normalize)
             assert invariance_defect(mu, g, family) == loop_invariance_defect(mu, g, family)
-        moved = mu.translate(g).support
-        assert group.word_lengths(moved).tolist() == [group.word_length(x) for x in moved]
+        moved = mu.translate(g)
+        assert group.word_lengths(moved.elements).tolist() == [group.word_length(x) for x in moved.support]
 
     def test_caps_beyond_float_precision_match_per_element(self):
         # 3531295936391233072 / 66 rounds differently once the length is a float64
         for elements in (((3531295936391233072,), (-3,)), ((2**60 + 1,), (2**70,))):
             for cap, scale in ((2**80, 1), (2**62, 66), (2**80, 2**80), (5, 2**60 + 1)):
                 member = ClampedLength(Z, cap, scale)
-                assert member.values(elements).tolist() == [member(x) for x in elements]
+                assert member.values(Z.pack(elements)).tolist() == [member(x) for x in elements]
         cyclic = CyclicGroup(2**70)
-        assert cyclic.word_lengths((2**69, 3)).tolist() == [2**69, 3]
+        assert cyclic.word_lengths(cyclic.pack((2**69, 3))).tolist() == [2**69, 3]
 
     def test_member_on_another_group_takes_per_element_calls(self):
         # 6 is not a residue mod 5: the member reduces it, as its call does
@@ -476,6 +480,112 @@ class TestBulkKernels:
             mu = folner_measure(Z, k)
             for g in ((1,), (-3,)):
                 assert invariance_defect(mu, g, pulled) == loop_invariance_defect(mu, g, pulled)
+
+
+# coordinates at and past the ends of int64, and small ones that collide
+EDGE = (2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**62, 2**64, -(2**70))
+coordinates = st.one_of(st.integers(-3, 3), st.sampled_from(EDGE), st.integers(-(2**65), 2**65))
+# moduli below, at and past int64, where x + g may leave it
+MODULI = (2, 7, 12, 2**62 + 1, 2**63, 2**63 + 1, 2**64 + 3, 2**70)
+
+
+def int_array_group():
+    return st.one_of(st.sampled_from([Z, ZdGroup(2), ZdGroup(3)]), st.sampled_from(MODULI).map(CyclicGroup))
+
+
+def int_element(group):
+    if isinstance(group, ZdGroup):
+        return st.tuples(*[coordinates] * group.d)
+    residue = st.one_of(st.integers(0, min(group.m - 1, 5)), st.integers(0, group.m - 1))
+    return st.one_of(residue, st.sampled_from([group.m - 1, group.m // 2]))
+
+
+def fits_int64(elements) -> bool:
+    flat = [c for x in elements for c in (x if isinstance(x, tuple) else (x,))]
+    return all(-(2**63) <= c < 2**63 for c in flat)
+
+
+class TestIntArraySupports:
+    # Z^d and Z_m hold supports as int64 arrays, or as Python ints past int64; every bulk
+    # kernel must equal the tuple oracles of tests/conftest.py exactly
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_array_path_equals_the_tuple_oracles(self, data):
+        group = data.draw(int_array_group(), label="group")
+        elements = tuple(data.draw(st.lists(int_element(group), min_size=1, max_size=8, unique=True)))
+        g = data.draw(int_element(group), label="g")
+        packed = group.pack(elements)
+        assert packed.dtype == (np.int64 if fits_int64(elements) else object)
+        assert typed(group.unpack(packed)) == typed(elements)
+        want = tuple_translate_all(group, g, elements)
+        moved = group.translate_all(g, packed)
+        assert moved.dtype == (np.int64 if fits_int64(want) else object)
+        assert typed(group.unpack(moved)) == typed(want)
+        assert group.word_lengths(moved).tolist() == [group.word_length(x) for x in want]
+        kernels = [Mismatch(group, g), Mismatch(group, elements[0], 0.0), ClampedLength(group, 3, 3)]
+        for kernel in kernels:
+            assert kernel.values(moved).tolist() == per_element_column(kernel, want).tolist()
+        mu = FinSuppMeasure.uniform(group, elements)
+        assert mu.escape_count(g) == set_escape_count(mu, g)
+        for kernel in kernels:
+            assert mu.column(kernel).tolist() == per_element_column(kernel, mu.support).tolist()
+
+    @pytest.mark.parametrize(
+        "group, g",
+        [(Z, (2**63,)), (ZdGroup(2), (-(2**63), 1)), (ZdGroup(3), (1, 2**70, -1)), (CyclicGroup(2**64 + 3), 2**63)],
+    )
+    def test_translates_past_int64_come_back(self, group, g):
+        mu = ball_uniform(group, 2) if isinstance(group, ZdGroup) else FinSuppMeasure.uniform(group, range(5))
+        assert mu.elements.dtype == np.int64
+        moved = mu.translate(g)
+        assert moved.elements.dtype == object
+        back = moved.translate(group.inv(g))
+        assert back.elements.dtype == np.int64
+        assert back == mu and hash(back) == hash(mu)
+        assert typed(back.support) == typed(mu.support)
+        assert moved.escape_count(group.inv(g)) == set_escape_count(moved, group.inv(g)) == len(mu.weights)
+
+    def test_equality_and_immutability(self):
+        mu = folner_measure(ZdGroup(2), 2)
+        same = FinSuppMeasure.uniform(ZdGroup(2), itertools.product(range(-2, 3), repeat=2))
+        assert mu == same and hash(mu) == hash(same)
+        assert mu != folner_measure(ZdGroup(2), 1) and mu != folner_measure(Z, 2)
+        assert mu != mu.translate((1, 0)) and mu != FinSuppMeasure(ZdGroup(2), same.support[::-1], same.weights)
+        assert repr(mu) == f"FinSuppMeasure(group={ZdGroup(2)!r}, support={same.support!r}, weights={same.weights!r})"
+        with pytest.raises(AttributeError):
+            mu.weights = (1.0,)
+        with pytest.raises(ValueError):  # the array support is read-only, so == and hash cannot drift
+            mu.elements[0] = (5, 5)
+        assert mu.translate((1, 0)).elements.flags.writeable is False
+
+    @pytest.mark.parametrize("group, near, far", [
+        (CyclicGroup(2**64 + 3), 2**63 - 1, 2**63),
+        (Z, (2**63 - 1,), (2**63,)),
+        (ZdGroup(2), (2**63 - 1, 0), (2**63, 0)),
+    ])
+    def test_mismatch_is_exact_between_int64_supports_and_values_past_it(self, group, near, far):
+        # near and far round to one float64; an int64 support against a value past
+        # int64 must still compare as integers
+        mu = FinSuppMeasure.uniform(group, (near,))
+        assert mu.elements.dtype == np.int64
+        assert mu.column(Mismatch(group, far)).tolist() == [1.0]
+        assert mu.column(Mismatch(group, near)).tolist() == [0.0]
+        beyond = FinSuppMeasure.uniform(group, (far,))
+        assert beyond.column(Mismatch(group, near)).tolist() == [1.0]
+
+    def test_support_is_built_once_on_first_access(self):
+        mu = folner_measure(ZdGroup(2), 3)
+        assert mu.support is mu.support
+        assert typed(mu.support) == typed(tuple(itertools.product(range(-3, 4), repeat=2)))
+
+    def test_large_supports_unpack_in_blocks_with_shared_ints(self):
+        # 6,561 rows, past one block of rows; the translate past int64 has dtype object
+        big = folner_measure(ZdGroup(2), 40)
+        assert typed(big.support) == typed(tuple(itertools.product(range(-40, 41), repeat=2)))
+        assert big.support[0][0] is big.support[1][0]
+        far = big.translate((2**63, -1))
+        assert typed(far.support) == typed(tuple_translate_all(ZdGroup(2), (2**63, -1), big.support))
 
 
 Z7 = CyclicGroup(7)
