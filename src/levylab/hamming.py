@@ -8,12 +8,14 @@ medians.  Large products are probed by sampled deviation profiles; exact
 enumeration runs up to EXACT_PRODUCT_LIMIT tuples.
 
 Profiles take coordinate means x -> (1/n) * sum_i kernel(x_i), the
-one-piece IntegralMembers with the default phi.  They are evaluated on
-atom indices: one table of kernel values over the base atoms, summed along
-each row of indices left to right (sampled rows as the columns of a
-C-ordered array: numpy adds those row after row), then divided by n.  The
-table's max minus its min is the exact Lipschitz constant under d_n (for
-the identity phi only), against which the declared constant is checked.
+one-piece IntegralMembers with the default phi.  They are evaluated from
+one table of kernel values over the base atoms, added over each tuple's
+coordinates left to right, then divided by n.  Exact mode gathers the
+table along every tuple of atom indices; sampled mode draws each
+coordinate's value from the table through one rng.Guide per call, in
+coordinate-major blocks whose columns are the samples.  The table's max
+minus its min is the exact Lipschitz constant under d_n (for the identity
+phi only), against which the declared constant is checked.
 """
 
 from __future__ import annotations
@@ -195,10 +197,11 @@ def lipschitz_profile(
     over the atoms, added along rows of atom indices.  Exact mode
     enumerates all index tuples (up to EXACT_PRODUCT_LIMIT) in
     itertools.product order, aligned with product_weights; sampled mode
-    draws `samples` seeded rows through sample_indices in blocks of about
-    PROFILE_BLOCK_DRAWS coordinates and reports a binomial standard error
-    and a Wilson upper bound; more samples than SAMPLE_ARRAY_LIMIT raise
-    TooManySamples before any allocation.  The declared Lipschitz constant
+    draws the values of the `samples` seeded rows of sample_indices in
+    blocks of about PROFILE_BLOCK_DRAWS coordinates and reports a binomial
+    standard error and a Wilson upper bound; more samples, or more
+    coordinates in a block, than SAMPLE_ARRAY_LIMIT raise TooManySamples
+    before any allocation.  The declared Lipschitz constant
     is checked exactly in both modes: under d_n, f's constant is
     max(table) - min(table).
     """
@@ -227,13 +230,18 @@ def lipschitz_profile(
         raise ValueError(f"unknown mode {mode!r}")
     if samples is None or samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
+    rows = min(samples, max(1, PROFILE_BLOCK_DRAWS // n))
     _check_sample_array(samples)
+    _check_sample_array(rows, n)
     values = np.empty(samples)
-    rows = max(1, PROFILE_BLOCK_DRAWS // n)
+    draw = rng.Guide(np.cumsum(product.base.weights), samples * n, table)
+    offsets = rng.counter_offsets(n, rows)
     for start in range(0, samples, rows):
-        idx = sample_indices(product.base.weights, n, min(rows, samples - start), seed, start=start)
-        # numpy adds pairwise along a contiguous axis, but row after row down the outer one
-        values[start : start + len(idx)] = np.ascontiguousarray(table[idx].T).sum(axis=0)
+        # terms[j, i] is coordinate j of sample start + i.  numpy adds a C-ordered array's
+        # rows one after another, but one column pairwise, so a lone column is cumulated
+        terms = draw(rng.hashes(seed, start * n, offsets[:, : samples - start]))
+        sums = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms, axis=0)[-1]
+        values[start : start + len(sums)] = sums
     values /= n
     weights = np.full(samples, 1.0 / samples)
     m = weighted_median(values, weights)

@@ -141,7 +141,8 @@ def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
     its lightest point.  Such an A = high | low (low ``N // 2`` bits) has
     1/2 <= mass_lo + mass_hi < 1/2 + lightest_hi: per high subset, one
     window of the sorted low masses of ``_half_tables``, widened by
-    ``_WINDOW_SLACK``, whose candidates alone get index-order masses.
+    ``_WINDOW_SLACK``.  Of those, A also has mass_lo + mass_hi < 1/2 +
+    lightest_lo; the candidates that pass alone get index-order masses.
     A's distances are the minimum of two table rows; radii go in one pass.
     """
     eps_values = np.asarray(eps_values, dtype=np.float64)
@@ -172,6 +173,9 @@ def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
         k = np.arange(lo, min(lo + _MASK_BLOCK, total))
         high = np.searchsorted(ends, k, side="right")
         low = order[stop[high] - (ends[high] - k)]
+        # a minimal A weighs < 1/2 without its lightest point, so also without its lightest low one
+        keep = mass_lo[low] + mass_hi[high] - weight_lo[low] < 0.5 + _WINDOW_SLACK
+        low, high = low[keep], high[keep]
         mass = _masses(((low | high << nlo) >> points) & 1, space.mu)
         # skip A when A minus its lightest point keeps mass >= 1/2: that is 1e-12
         # above the heavy threshold, so the smaller set is heavy despite rounding
@@ -208,15 +212,24 @@ def weighted_median(values, weights):
     values holds one value per weight (a float is returned) or a table
     with one such row per function (an array of one median per row).
     Each row is sorted stably and its weights cumulated on their own, so a
-    row's median has the bits it has alone.
+    row's median has the bits it has alone.  Equal weights cumulate the
+    same in any order, so there the median is an order statistic, taken
+    from an unstable sort (of the zeros, the one the stable sort puts in
+    its place).
     """
     values, weights = _function_table(values, weights)
     rows = np.atleast_2d(values)
     medians = []
-    for row, order in zip(rows, np.argsort(rows, axis=1, kind="stable")):
-        cum = np.cumsum(weights[order])
-        pos = int(np.searchsorted(cum, 0.5 - _MASS_TOL, side="left"))
-        medians.append(row[order[min(pos, len(order) - 1)]])
+    if weights.size and weights.min() == weights.max():
+        pos = min(int(np.searchsorted(np.cumsum(weights), 0.5 - _MASS_TOL, side="left")), len(weights) - 1)
+        for row, m in zip(rows, np.sort(rows, axis=1)[:, pos]):
+            # -0.0 ties 0.0: the stable sort puts the zeros in index order
+            medians.append(row[np.flatnonzero(row == 0)[pos - np.count_nonzero(row < 0)]] if m == 0 else m)
+    else:
+        for row, order in zip(rows, np.argsort(rows, axis=1, kind="stable")):
+            cum = np.cumsum(weights[order])
+            pos = int(np.searchsorted(cum, 0.5 - _MASS_TOL, side="left"))
+            medians.append(row[order[min(pos, len(order) - 1)]])
     return float(medians[0]) if values.ndim == 1 else np.array(medians)
 
 

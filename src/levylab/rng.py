@@ -7,7 +7,9 @@ in several chunks (or in parallel) yields bit-identical output.
 A draw hashes its counter to 53 bits x and inverts the cumulative weights at
 u = x * 2^-53 by a guide table and bisection on integers (Chen and Asau).  As
 cum[j] <= u exactly when ceil(cum[j] * 2^53) <= x, the indices are those of
-np.searchsorted(cum, u, "right") on the float uniforms, bit for bit.
+np.searchsorted(cum, u, "right") on the float uniforms, bit for bit.  One
+Guide serves many blocks of hashes, laid out coordinate-major by
+counter_offsets, and can return a table's values in place of the indices.
 """
 
 from __future__ import annotations
@@ -45,22 +47,47 @@ def derive_seed(seed: int, *parts: int | str) -> int:
     return int(state)
 
 
+class Guide:
+    """Maps 53-bit hashes x to table[min(#{j : cum_weights[j] <= x * 2^-53}, k - 1)], or to that index.
+
+    Bucket x >> shift holds the index in [low, low + span]; if all spans are 0, the bucket decides it.
+    """
+
+    def __init__(self, cum_weights, draws: int, table=None):
+        k = len(cum_weights)
+        shift = 53 - min((k - 1).bit_length(), draws.bit_length())  # few draws build no large table
+        thresh = np.ceil(np.asarray(cum_weights, np.float64) * 2.0**53).astype(np.uint64)
+        # the answer for an x in bucket b, which holds [edges[b], edges[b + 1]), lies in [low[b], high[b]]
+        edges = np.arange((1 << (53 - shift)) + 1, dtype=np.uint64) << np.uint64(shift)
+        self.low = np.searchsorted(thresh, edges[:-1], "right")
+        self.span = int((np.searchsorted(thresh, edges[1:], "left") - self.low).max())
+        self.thresh = np.append(thresh, np.full(max(self.span, 1), 1 << 53, np.uint64))  # no probe passes the end
+        self.shift, self.last, self.table = np.uint64(shift), k - 1, table
+        self.direct = np.minimum(self.low, k - 1) if table is None else table[np.minimum(self.low, k - 1)]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        bucket = (x >> self.shift).view(np.int64)
+        if self.span == 0:
+            return self.direct[bucket]
+        lo = self.low[bucket]
+        # while the answer is in [lo, lo + 2 * step), probing lo + step - 1 leaves it in [lo, lo + step)
+        for step in (1 << j for j in reversed(range(self.span.bit_length()))):
+            np.add(lo, step, out=lo, where=self.thresh[lo + (step - 1)] <= x)
+        lo = np.minimum(lo, self.last, out=lo)
+        return lo if self.table is None else self.table[lo]
+
+
+def counter_offsets(n: int, rows: int) -> np.ndarray:
+    """(i * n + j + 1) * golden at [j, i]: the counters of rows i < rows of n, coordinate-major and C-ordered."""
+    return (np.arange(rows, dtype=np.uint64) * np.uint64(n) + np.arange(1, n + 1, dtype=np.uint64)[:, None]) * _GOLDEN
+
+
+def hashes(seed: int, first: int, offsets: np.ndarray) -> np.ndarray:
+    """The 53-bit hashes of counters first + c, from offsets (c + 1) * golden as counter_offsets gives them."""
+    x = offsets + np.uint64((seed + first * int(_GOLDEN)) & _MASK)
+    return np.right_shift(_finalize(x), np.uint64(11), out=x)
+
+
 def counter_choice(seed: int, start: int, count: int, cum_weights: np.ndarray) -> np.ndarray:
     """For counters start..start+count-1, min(#{j : cum_weights[j] <= u}, k - 1) at each one's uniform u."""
-    k = len(cum_weights)
-    shift = 53 - min((k - 1).bit_length(), count.bit_length())  # few draws build no large table
-    thresh = np.ceil(np.asarray(cum_weights, np.float64) * 2.0**53).astype(np.uint64)
-    # the answer for an x in bucket b, which holds [edges[b], edges[b + 1]), lies in [low[b], high[b]]
-    edges = np.arange((1 << (53 - shift)) + 1, dtype=np.uint64) << np.uint64(shift)
-    low = np.searchsorted(thresh, edges[:-1], "right")
-    span = int((np.searchsorted(thresh, edges[1:], "left") - low).max())
-    thresh = np.append(thresh, np.full(max(span, 1), 1 << 53, np.uint64))  # no probe passes the end
-    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    x *= _GOLDEN
-    x += np.uint64(seed & _MASK)
-    np.right_shift(_finalize(x), np.uint64(11), out=x)
-    lo = low[(x >> np.uint64(shift)).view(np.int64)]
-    # while the answer is in [lo, lo + 2 * step), probing lo + step - 1 leaves it in [lo, lo + step)
-    for step in (1 << j for j in reversed(range(span.bit_length()))):
-        np.add(lo, step, out=lo, where=thresh[lo + (step - 1)] <= x)
-    return np.minimum(lo, k - 1, out=lo)
+    return Guide(cum_weights, count)(hashes(seed, start, counter_offsets(1, count)[0]))

@@ -220,6 +220,17 @@ def brute_median(values, weights) -> float:
     return best
 
 
+def sorted_median(values, weights):
+    """weighted_median by a stable sort of each row and the cumulative sum of its weights in that order."""
+    values, weights = np.asarray(values, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+    medians = []
+    for row in np.atleast_2d(values):
+        order = np.argsort(row, kind="stable")
+        pos = int(np.searchsorted(np.cumsum(weights[order]), 0.5 - 1e-12, side="left"))
+        medians.append(row[order[min(pos, len(order) - 1)]])
+    return float(medians[0]) if values.ndim == 1 else np.array(medians)
+
+
 def tuple_profile(product, f, eps: float, mode: str = "exact", samples: int = 0, seed: int = 0):
     """(median, deviation mass) of the one-piece member f, one coordinate mean per tuple of atoms.
 

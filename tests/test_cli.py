@@ -353,6 +353,10 @@ class TestGoldenOutputs:
             ("amplify_merged_target", ["amplify", "--schedule", "k=4i^2,n=i,i=1..4", "--g", "0.3,0.65:1|1|0",
                                        "--samples", "400", "--seed", "42"]),
             ("phi-check_Zm3", ["phi-check", "--group", "Zm:3", "--trials", "200", "--seed", "42"]),
+            # four equal weights put every threshold on a bucket edge, so each bucket decides
+            # its value; three do not, so their draws bisect
+            ("profile_uniform4", ["profile", "--base", "uniform4", "--n", "30", "--samples", "20000"]),
+            ("profile_uniform3", ["profile", "--base", "uniform3", "--n", "30", "--samples", "20000"]),
         ],
     )
     def test_csv_matches_the_recorded_run(self, tmp_path, name, args):

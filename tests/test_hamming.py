@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,34 @@ class TestSampleProduct:
         lipschitz_profile(line, f, bound=1.0, lipschitz=1.0, eps=0.3, mode="sampled", samples=1000)
         with pytest.raises(TooManySamples):
             lipschitz_profile(line, f, bound=1.0, lipschitz=1.0, eps=0.3, mode="sampled", samples=1001)
+
+    def test_profile_refuses_too_many_values_or_block_coordinates(self, monkeypatch):
+        # a profile holds samples values and draws blocks of min(samples, max(1, PROFILE_BLOCK_DRAWS // n))
+        # samples of n coordinates; above the cap, either is refused before the draw is set up
+        f = fraction_differing(0)
+
+        def profile(n, samples):
+            lipschitz_profile(HammingProduct(UNIFORM2, n), f, bound=1.0, lipschitz=1.0, eps=0.3,
+                              mode="sampled", samples=samples)
+
+        monkeypatch.setattr(hamming, "SAMPLE_ARRAY_LIMIT", 1000)
+        for n, samples in ((1000, 1), (1, 1000), (40, 25)):
+            profile(n, samples)
+        monkeypatch.setattr(hamming.rng, "counter_offsets", None)
+        for n, samples in ((1000, 2), (1001, 1), (1, 1001), (40, 26)):
+            with pytest.raises(TooManySamples):
+                profile(n, samples)
+        monkeypatch.undo()
+        # at the real cap, a refused profile allocates neither its values nor its counters
+        tracemalloc.start()
+        try:
+            for n, samples in ((hamming.SAMPLE_ARRAY_LIMIT + 1, 1), (1, hamming.SAMPLE_ARRAY_LIMIT + 1)):
+                with pytest.raises(TooManySamples):
+                    profile(n, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_empirical_frequency(self):
         # binomial tail: P(|freq - 0.5| > 0.01) < 4e-10 at 1e5 draws

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_alpha, brute_median, mm_space_strategy, reference_alpha_profile
+from conftest import brute_alpha, brute_median, mm_space_strategy, reference_alpha_profile, sorted_median
 from levylab import (
     FiniteMMSpace,
     InvalidFunctionTable,
@@ -246,6 +246,35 @@ class TestAlpha:
         alpha_profile(space, [0.1, 0.5])
         assert 0 < sum(checked) < (1 << 20) // 16
 
+    def test_light_low_points_leave_the_window_before_the_mass_check(self, monkeypatch):
+        # six light points form the low half and six heavy ones the high half. The windows
+        # bound mass - lightest_hi only, so they hold sets that stay heavy without a light
+        # low point; those are dropped before _masses, and every minimal set is kept
+        gen = np.random.default_rng(12)
+        pts = gen.random((12, 2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        space = FiniteMMSpace(tuple(range(12)), dist, np.array([0.02] * 6 + [0.88 / 6] * 6))
+        radii = np.unique(dist[np.triu_indices(12, 1)])[::8]
+        checked = []
+        masses = mmspace._masses
+
+        def counting(members, mu):
+            if isinstance(members, np.ndarray):
+                checked.append(members.shape[1])
+            return masses(members, mu)
+
+        monkeypatch.setattr(mmspace, "_masses", counting)
+        assert alpha_profile(space, radii).tolist() == [brute_alpha(space, float(eps)) for eps in radii]
+        # the windows: mass_lo in [1/2 - 1e-12 - slack - mass_hi, 1/2 + slack + lightest_hi - mass_hi)
+        _, weight_lo, mass_lo = mmspace._half_tables(space, 0, 6)
+        _, weight_hi, mass_hi = mmspace._half_tables(space, 6, 6)
+        slack = mmspace._WINDOW_SLACK
+        windows = ((mass_lo[:, None] >= 0.5 - 1e-12 - slack - mass_hi)
+                   & (mass_lo[:, None] < 0.5 + slack + weight_hi - mass_hi))
+        kept = windows & (mass_lo[:, None] + mass_hi - weight_lo[:, None] < 0.5 + slack)
+        assert sum(checked) == kept.sum() == 715
+        assert windows.sum() == 1470
+
     def test_uniform_line_stays_under_the_scan_peak(self):
         # the scan of every mask peaked at 5,970,800 traced bytes on this call (Python 3.11,
         # numpy 2.4): blocks of 2^14 masks, each with its N x block member flags
@@ -295,6 +324,37 @@ class TestMedian:
         assert above >= 0.5 - 1e-9
         assert below >= 0.5 - 1e-9
         assert m == brute_median(values, space.mu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=40),
+        functions=st.integers(min_value=0, max_value=3),
+        weight=st.sampled_from(["1/size", 0.1, 0.5, 0.03, "unequal"]),
+        data=st.data(),
+    )
+    def test_matches_the_stable_sort(self, size, functions, weight, data):
+        # few distinct values, so rows tie; -0.0 ties 0.0 but has other bits. Equal weights
+        # take the order statistic, unequal ones the sort; 0 functions is one row as a vector
+        pool = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+        rows = [data.draw(st.lists(pool, min_size=size, max_size=size)) for _ in range(max(functions, 1))]
+        values = np.array(rows) if functions else np.array(rows[0])
+        if weight == "unequal":
+            weights = np.array(data.draw(st.lists(st.sampled_from([0.01, 0.1, 0.3]), min_size=size, max_size=size)))
+        else:
+            weights = np.full(size, 1.0 / size if weight == "1/size" else weight)
+        got, want = weighted_median(values, weights), sorted_median(values, weights)
+        assert type(got) is type(want)
+        assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want)
+
+    def test_equal_weights_skip_the_stable_argsort(self, monkeypatch):
+        values = np.random.default_rng(0).random(1001)
+        want = sorted_median(values, np.full(1001, 1.0 / 1001))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argsort on equal weights")
+
+        monkeypatch.setattr(mmspace.np, "argsort", refuse)
+        assert weighted_median(values, np.full(1001, 1.0 / 1001)) == want
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

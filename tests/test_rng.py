@@ -30,6 +30,10 @@ def splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# bases for the bucket-edge test: two bisect, three look values up from the bucket
+EDGE_BASES = [(0.2, 0.3, 0.5), (0.5, 0.5), (0.25,) * 4, (0.1,) * 10, (0.0, 0.7, 0.0, 0.3), (1.0,)]
+
+
 @st.composite
 def cum_weights(draw, max_k=600):
     """Cumulative weights of k in [1, max_k] atoms: uniform, Dirichlet(1), Dirichlet(0.05),
@@ -95,10 +99,16 @@ class TestCounterChoice:
         blocks = [rng.counter_choice(seed, a, b - a, cum) for a, b in zip(edges, edges[1:])]
         assert np.array_equal(np.concatenate(blocks), rng.counter_choice(seed, 0, 500, cum))
 
-    @pytest.mark.parametrize("weights", [(0.2, 0.3, 0.5), (0.5, 0.5), (0.25,) * 4, (0.1,) * 10, (0.0, 0.7, 0.0, 0.3)])
+    def test_edge_bases_drive_both_lookups(self):
+        # bases whose thresholds all sit on bucket edges look values up from the bucket
+        spans = {w: rng.Guide(np.cumsum(w), 1 << 10).span for w in EDGE_BASES}
+        assert {w for w, span in spans.items() if span == 0} == {(0.5, 0.5), (0.25,) * 4, (1.0,)}
+
+    @pytest.mark.parametrize("weights", EDGE_BASES)
     def test_hashes_on_and_next_to_every_threshold_and_bucket_edge(self, monkeypatch, weights):
         # the hash is replaced by chosen 53-bit values: 0, the last, and each threshold
-        # and each edge of the 2^B buckets, with its two neighbours
+        # and each edge of the 2^B buckets, with its two neighbours; the indices and the
+        # values of a table are checked
         cum = np.cumsum(weights)
         k = len(cum)
         bits = (k - 1).bit_length()
@@ -107,9 +117,55 @@ class TestCounterChoice:
         xs = sorted({x + d for x in (*thresh, *edges) for d in (-1, 0, 1)} | {0, (1 << 53) - 1})
         xs = np.array([x for x in xs if 0 <= x < 1 << 53], dtype=np.uint64)
         monkeypatch.setattr(rng, "_finalize", lambda z: xs << np.uint64(11))
-        got = rng.counter_choice(0, 0, len(xs), cum)
         want = np.minimum(np.searchsorted(cum, xs.astype(np.float64) * 2.0**-53, side="right"), k - 1)
-        assert np.array_equal(got, want)
+        assert np.array_equal(rng.counter_choice(0, 0, len(xs), cum), want)
+        table = np.arange(k) * -1.5 + 0.25
+        draw = rng.Guide(cum, len(xs), table)
+        assert np.array_equal(draw(rng.hashes(0, 0, rng.counter_offsets(1, len(xs))))[0], table[want])
+
+
+@st.composite
+def profile_weights(draw):
+    """Weights of k <= 40 atoms whose cumulative sums cover both guide branches: those of
+    cum_weights, uniform ones (2^B atoms put every threshold on a bucket edge), one atom,
+    and sums that end an ulp below 1 (ten of 0.1) or above it."""
+    kind = draw(st.sampled_from(["drawn", "uniform", "fixed"]))
+    if kind == "drawn":
+        return tuple(np.diff(draw(cum_weights(max_k=40)), prepend=0.0).tolist())
+    if kind == "uniform":
+        k = draw(st.sampled_from([2, 3, 4, 7, 8, 16, 37]))
+        return (1.0 / k,) * k
+    return draw(st.sampled_from([(1.0,), (0.1,) * 10, (0.05, 0.53, 0.32, 0.1), (0.0, 0.7, 0.0, 0.3)]))
+
+
+class TestProfileDraws:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=profile_weights(),
+        seed=st.integers(min_value=0, max_value=MASK),
+        n=st.integers(min_value=1, max_value=12),
+        samples=st.integers(min_value=1, max_value=120),
+        block=st.integers(min_value=1, max_value=200),
+    )
+    def test_values_add_the_looked_up_table_left_to_right(self, weights, seed, n, samples, block):
+        # blocks of max(1, block // n) samples, the last one cut, and one-sample blocks
+        # (a lone column); against the binary search of the uniforms, summed left to right
+        table = 10.0 ** np.random.default_rng(n).uniform(-8.0, 8.0, size=len(weights))
+        product = HammingProduct(DiscreteBase(tuple(range(len(weights))), weights), n)
+        f = IntegralMember((), (lambda a: float(table[a]),))
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hamming, "PROFILE_BLOCK_DRAWS", block)
+            mp.setattr(hamming, "weighted_median", lambda v, w: seen.append(v.copy()) or weighted_median(v, w))
+            lipschitz_profile(product, f, bound=1.0, lipschitz=float(table.max() - table.min()), eps=1.0,
+                              mode="sampled", samples=samples, seed=seed)
+        codes = searchsorted_choice(seed, 0, samples * n, np.cumsum(weights)).reshape(samples, n)
+        assert seen[0].tolist() == [reduce(add, row) / n for row in table[codes].tolist()]
+
+    def test_offsets_are_the_counters_coordinate_major(self):
+        offsets = rng.counter_offsets(3, 4)
+        assert offsets.shape == (3, 4) and offsets.flags.c_contiguous
+        assert offsets.tolist() == [[(i * 3 + j + 1) * GOLDEN & MASK for i in range(4)] for j in range(3)]
 
 
 class TestRowSums:
