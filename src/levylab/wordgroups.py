@@ -16,16 +16,19 @@ canonical, distinct supports and valid weights by construction and skip
 those checks.
 
 Measures hold supports in the group's bulk form (``pack``; ``unpack``
-gives the elements back): an integer array, (m, d) on Z^d and (m,) on
-Z_m, int64 when every entry fits it and else of dtype object holding
-Python ints, so one code path is exact at any size; the base class, and
-F2, keep tuples.  Two bulk kernels act on it: ``translate_all`` and
-``word_lengths``.  Z^d and Z_m override pack, unpack and both kernels,
-adding in int64 only where no sum can leave it; F2 overrides both
-kernels (only the junction of g and x cancels).  A kernel with a
-``group`` and a method ``values(elements)``, its float column over a
-bulk support of that group, has a bulk path: ``ClampedLength`` and
-``Mismatch`` do, and ``FinSuppMeasure.column`` takes it.
+gives the elements back): an integer array, (m, d) on Z^d, (m,) on Z_m
+and (m,) of word codes on F2, where the reduced word d_1 ... d_L, its
+letters numbered 0..3 in the order a, A, b, B, is 4^L + sum d_i 4^(L-i).
+The array is int64 when every entry fits it (on F2, words of at most 31
+letters) and else of dtype object holding Python ints, so one code path
+is exact at any size.  Each group defines pack, unpack and two bulk
+kernels on it: ``translate_all`` and ``word_lengths``.  Z^d and Z_m add
+in int64 only where no sum can leave it; F2 translates by one letter of
+g at a time, cancelling or prepending a first letter, in int64 while no
+product can pass 31 letters.  A kernel with a ``group`` and a method
+``values(elements)``, its float column over a bulk support of that
+group, has a bulk path: ``ClampedLength`` and ``Mismatch`` do, and
+``FinSuppMeasure.column`` takes it.
 """
 
 from __future__ import annotations
@@ -52,7 +55,11 @@ _F2_NEXT = {"": "aAbB", "a": "abB", "A": "AbB", "b": "aAb", "B": "aAB"}
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # float64 holds every integer up to 2^53 exactly
 _EXACT_FLOAT_INT = 1 << 53
-_UNPACK_ROWS = 4096  # rows of a Z^d array made into tuples at a time
+_UNPACK_ROWS = 4096  # rows of a bulk array made into elements at a time
+_F2_DIGITS = str.maketrans(_F2_LETTERS, "0123")  # code digits (module docstring); letter d has inverse d ^ 1
+_F2_CHARS = np.array(list(map(ord, _F2_LETTERS)), np.uint32)  # UCS4, numpy's str character
+# row d: the letters that may follow letter d, as digits in _F2_NEXT order
+_F2_FOLLOW = np.array([[_F2_LETTERS.index(ch) for ch in _F2_NEXT[last]] for last in _F2_LETTERS], np.int8)
 
 
 def _int_array(values) -> np.ndarray:
@@ -92,21 +99,21 @@ class WordGroup:
     def word_length(self, x) -> int:
         raise NotImplementedError
 
-    def pack(self, elements):
-        """Canonical elements in the group's bulk form, the form a measure stores: here a tuple."""
-        return tuple(elements)
+    def pack(self, elements) -> np.ndarray:
+        """Canonical elements in the group's bulk form, the integer array a measure stores."""
+        raise NotImplementedError
 
     def unpack(self, elements) -> tuple:
         """The canonical elements of a bulk form, in order."""
-        return tuple(elements)
+        raise NotImplementedError
 
-    def translate_all(self, g, elements):
+    def translate_all(self, g, elements) -> np.ndarray:
         """The products g * x in bulk form, for canonical g and elements x in bulk form."""
-        return tuple(self.op(g, x) for x in elements)
+        raise NotImplementedError
 
     def word_lengths(self, elements) -> np.ndarray:
         """The word lengths of elements in bulk form: int64, or Python ints when one exceeds int64."""
-        return _int_array(list(map(self.word_length, elements)))
+        raise NotImplementedError
 
     def generators(self) -> tuple:
         raise NotImplementedError
@@ -303,29 +310,47 @@ class FreeGroup2(WordGroup):
     def word_length(self, x) -> int:
         return len(self.validate(x))
 
-    def translate_all(self, g, elements) -> tuple:
-        # g and x are reduced, so g * x cancels at most the first |g| letters of x:
-        # g * x = (g * head) + rest for x = head + rest with |head| = min(|g|, |x|)
-        cut = len(g)
-        heads = list(map(operator.getitem, elements, itertools.repeat(slice(cut))))
-        product = {head: self.op(g, head) for head in set(heads)}
-        rests = map(operator.getitem, elements, itertools.repeat(slice(cut, None)))
-        return tuple(map(operator.add, map(product.__getitem__, heads), rests))
+    def pack(self, elements) -> np.ndarray:
+        return _int_array([int("1" + word.translate(_F2_DIGITS), 4) for word in elements])
+
+    def unpack(self, elements) -> tuple:
+        def words(codes: np.ndarray) -> list:
+            # letter j of a word of L letters is (code >> 2(L - 1 - j)) & 3; numpy strips the zero
+            # characters past L from the end of each word
+            lengths = self.word_lengths(codes)[:, None]
+            shifts = 2 * (lengths - 1) - 2 * np.arange(max(1, lengths.max(initial=0)))
+            digits = ((codes[:, None] >> np.maximum(shifts, 0)) & 3).astype(np.intp)
+            letters = _F2_CHARS[digits] * (shifts >= 0)
+            return letters.view(f"U{letters.shape[1]}").ravel().tolist()
+
+        blocks = (elements[i : i + _UNPACK_ROWS] for i in range(0, len(elements), _UNPACK_ROWS))
+        return tuple(itertools.chain.from_iterable(map(words, blocks)))
+
+    def translate_all(self, g, elements) -> np.ndarray:
+        # the letters of g from the right: each cancels x's first letter when that is its
+        # inverse and is prepended otherwise (a reduced g cancels nothing after a prepend)
+        lengths = self.word_lengths(elements)
+        if elements.dtype != np.int64 or lengths.max(initial=0) + len(g) > 31:  # a longer word leaves int64
+            elements, lengths = elements.astype(object), lengths.astype(object)
+        for d in map(_F2_LETTERS.index, reversed(g)):
+            below = np.maximum(2 * lengths - 2, 0)  # x's first letter sits above the 4^(L-1) place
+            lead = elements >> below  # 4 + that letter, or 1 for the identity
+            cancel = lead == 4 + (d ^ 1)
+            elements = np.where(cancel, elements - ((lead - 1) << below), elements + ((3 + d) << 2 * lengths))
+            lengths = np.where(cancel, lengths - 1, lengths + 1)
+        return elements if elements.dtype == np.int64 else _int_array(elements)
 
     def word_lengths(self, elements) -> np.ndarray:
-        return np.fromiter(map(len, elements), np.int64, len(elements))
+        # a code in [4^L, 2 * 4^L) has binary exponent 2L + 1, and 2L + 2 if float64 rounds it up to 2 * 4^L
+        if elements.dtype == np.int64:
+            return (np.frexp(elements.astype(np.float64))[1].astype(np.int64) - 1) // 2
+        return _int_array([(code.bit_length() - 1) // 2 for code in elements.tolist()])
 
     def generators(self) -> tuple:
         return ("a", "A", "b", "B")
 
     def ball(self, radius: int) -> list:
-        # direct enumeration of reduced words; |ball(k)| = 2*3^k - 1
-        order = [""]
-        frontier = [""]
-        for _ in range(radius):
-            frontier = [w + ch for w in frontier for ch in _F2_NEXT[w[-1:]]]
-            order.extend(frontier)
-        return order
+        return list(self.unpack(_f2_ball(radius)))
 
     def random_element(self, gen: np.random.Generator, radius: int = 4):
         length = int(gen.integers(0, radius + 1))
@@ -340,6 +365,19 @@ class FreeGroup2(WordGroup):
         if body in ("e", "1"):
             return ""
         return self.validate(body)
+
+
+def _f2_ball(radius: int) -> np.ndarray:
+    """The codes of the F2 ball of radius r, 2*3^r - 1 words, breadth first: a word of length l < r is
+    followed at length l + 1 by word * 4 + c for each letter c of _F2_NEXT of its last letter, in order."""
+    codes = np.empty(2 * 3**radius - 1, np.int64)
+    codes[:5] = (1, 4, 5, 6, 7)[: len(codes)]
+    start, stop = 1, min(5, len(codes))
+    while stop < len(codes):
+        front, end = codes[start:stop], stop + 3 * (stop - start)
+        np.add(front[:, None] << 2, _F2_FOLLOW[front & 3], out=codes[stop:end].reshape(-1, 3))
+        start, stop = stop, end
+    return codes
 
 
 def make_group(spec: str) -> WordGroup:
@@ -384,19 +422,17 @@ class Mismatch:
 
     def __init__(self, group: WordGroup, value, weight: float = 1.0):
         self.group, self.value, self.weight = group, value, weight
-        # value in bulk form; on Z^d and Z_m an array of one row, so that an int64 support
-        # and a value past int64 (or the reverse) are compared as Python ints, exactly
+        # value in bulk form, an array of one row, so that an int64 support and a value
+        # past int64 (or the reverse) are compared as Python ints, exactly
         self._packed = group.pack((value,))
 
     def __call__(self, x) -> float:
         return self.weight * (x != self.value)
 
     def values(self, elements) -> np.ndarray:
-        """The kernel on canonical elements in bulk form: one array comparison on Z^d and Z_m."""
+        """The kernel on canonical elements in bulk form: one array comparison."""
         if not self.weight:
             return np.zeros(len(elements))
-        if not isinstance(elements, np.ndarray):  # words on F2
-            return np.fromiter(map(self, elements), np.float64, len(elements))
         hits = (elements != self._packed).reshape(len(elements), self._packed.size)
         return hits.any(axis=1) * self.weight
 
@@ -404,17 +440,17 @@ class Mismatch:
 class FinSuppMeasure:
     """A finitely supported probability measure on a word group.
 
-    ``elements`` is the support in the group's bulk form (an array support
-    is read-only); ``support``, the
-    tuple of its canonical elements, is built on first access and read by
-    no library path.  ``==`` and ``hash`` are equality of group, elements
-    and weights.  The constructor and ``uniform`` check outside input:
-    each element is put in canonical form by ``group.validate``, the
-    elements must be distinct, and the weights positive with sum 1.  The
-    library's builders (``folner_measure``, ``ball_uniform``, ``haar``,
-    ``translate``) go through ``_unchecked``, which stores the bulk form
-    as given.  ``column(f)`` takes f's bulk path when ``f.group`` is this
-    group, and otherwise calls f once per element of ``support``.
+    ``elements`` is the support in the group's bulk form, a read-only
+    integer array; ``support``, the tuple of its canonical elements, is
+    built on first access and read by no library path.  ``==`` and
+    ``hash`` are equality of group, elements and weights.  The constructor
+    and ``uniform`` check outside input: each element is put in canonical
+    form by ``group.validate``, the elements must be distinct, and the
+    weights positive with sum 1.  The library's builders
+    (``folner_measure``, ``ball_uniform``, ``haar``, ``translate``) go
+    through ``_unchecked``, which stores the bulk form as given.
+    ``column(f)`` takes f's bulk path when ``f.group`` is this group, and
+    otherwise calls f once per element of ``support``.
     """
 
     def __init__(self, group: WordGroup, support, weights):
@@ -432,8 +468,7 @@ class FinSuppMeasure:
         self._set(group, group.pack(support), weights, support)
 
     def _set(self, group: WordGroup, elements, weights: tuple, support: tuple | None = None) -> None:
-        if isinstance(elements, np.ndarray):
-            elements.flags.writeable = False
+        elements.flags.writeable = False
         self.__dict__.update(group=group, elements=elements, weights=weights, _support=support)
 
     def __setattr__(self, name, value):
@@ -461,12 +496,8 @@ class FinSuppMeasure:
     def __eq__(self, other):
         if not isinstance(other, FinSuppMeasure):
             return NotImplemented
-        mine, theirs = self.elements, other.elements  # one group, one bulk form
-        return (
-            self.group == other.group
-            and self.weights == other.weights
-            and (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs)
-        )
+        same = self.group == other.group and self.weights == other.weights
+        return same and np.array_equal(self.elements, other.elements)
 
     def __hash__(self):
         return hash((self.group, self.weights))
@@ -504,8 +535,6 @@ class FinSuppMeasure:
     def escape_count(self, g) -> int:
         """|gA \\ A| for the support A: how many atoms left translation by g moves off the support."""
         moved = self.translate(g).elements
-        if not isinstance(moved, np.ndarray):
-            return len(set(moved).difference(self.elements))
         # A and gA each hold distinct rows, so sorted together every shared row is one equal pair
         both = np.concatenate((self.elements, moved)).reshape(2 * len(moved), -1)
         rows = both[np.lexsort(both.T)]
@@ -563,4 +592,5 @@ def ball_uniform(group: WordGroup, k: int) -> FinSuppMeasure:
     """Uniform measure on the word-metric ball of radius k."""
     if isinstance(group, FreeGroup2):
         _check_support_size(group, k)
+        return FinSuppMeasure._unchecked(group, _f2_ball(k))
     return FinSuppMeasure._unchecked(group, group.pack(group.ball(k)))

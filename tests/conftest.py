@@ -294,6 +294,34 @@ def tuple_translate_all(group, g, elements) -> tuple:
     return tuple(group.op(g, x) for x in elements)
 
 
+F2_NEXT = {"": "aAbB", "a": "abB", "A": "AbB", "b": "aAb", "B": "aAB"}
+
+
+def f2_ball_words(radius: int) -> list:
+    """The F2 ball of radius r as strings, breadth-first: each reduced word of length l is
+    followed at length l + 1 by itself with each letter that does not cancel its last one,
+    in the order a, A, b, B."""
+    order = [""]
+    frontier = [""]
+    for _ in range(radius):
+        frontier = [w + ch for w in frontier for ch in F2_NEXT[w[-1:]]]
+        order.extend(frontier)
+    return order
+
+
+def f2_translate_words(g: str, words) -> tuple:
+    """The products g * x over reduced words, on strings.
+
+    g and x are reduced, so g * x cancels at most the first |g| letters of x:
+    g * x = (g * head) + rest for x = head + rest with |head| = min(|g|, |x|).
+    """
+    f2, cut = FreeGroup2(), len(g)
+    heads = list(map(operator.getitem, words, itertools.repeat(slice(cut))))
+    product = {head: f2.op(g, head) for head in set(heads)}
+    rests = map(operator.getitem, words, itertools.repeat(slice(cut, None)))
+    return tuple(map(operator.add, map(product.__getitem__, heads), rests))
+
+
 def set_escape_count(mu, g) -> int:
     """|gA \\ A| for the support A of mu, from sets of tuples."""
     atoms = set(mu.support)

@@ -357,6 +357,8 @@ class TestGoldenOutputs:
             # its value; three do not, so their draws bisect
             ("profile_uniform4", ["profile", "--base", "uniform4", "--n", "30", "--samples", "20000"]),
             ("profile_uniform3", ["profile", "--base", "uniform3", "--n", "30", "--samples", "20000"]),
+            # a two-letter shift at the benchmark's radius: aB * x cancels up to two letters of x
+            ("defect_F2_aB", ["defect", "--group", "F2", "--k-range", "1..10", "--g", "aB"]),
         ],
     )
     def test_csv_matches_the_recorded_run(self, tmp_path, name, args):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import element_strategy, group_strategy, group_with_elements, left_sum, loop_invariance_defect
 from conftest import per_element_column, pullback_family, set_escape_count, tuple_translate_all, word_distance
+from conftest import f2_ball_words, f2_translate_words
 from levylab import wordgroups
 from levylab.wordgroups import Mismatch
 from levylab import (
@@ -404,9 +406,12 @@ class TestBulkKernels:
                 assert member.values(packed).tolist() == [member(x) for x in elements]
 
     def test_f2_shifts_of_length_zero_to_four(self):
-        ball = F2.ball(5)
-        for g in F2.ball(4):
-            assert F2.translate_all(g, ball) == tuple(F2.op(g, x) for x in ball)
+        ball = f2_ball_words(5)
+        codes = F2.pack(ball)
+        for g in f2_ball_words(4):
+            want = tuple(F2.op(g, x) for x in ball)
+            assert F2.unpack(F2.translate_all(g, codes)) == want
+            assert f2_translate_words(g, ball) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -586,6 +591,91 @@ class TestIntArraySupports:
         assert big.support[0][0] is big.support[1][0]
         far = big.translate((2**63, -1))
         assert typed(far.support) == typed(tuple_translate_all(ZdGroup(2), (2**63, -1), big.support))
+
+
+@st.composite
+def reduced_word(draw, min_size=0, max_size=40):
+    """A reduced word of min_size to max_size letters: each letter is one that does not cancel the last."""
+    word = ""
+    for pick in draw(st.lists(st.integers(0, 3), min_size=min_size, max_size=max_size)):
+        choices = "aAbB".replace(F2.inv(word[-1:]), "") if word else "aAbB"
+        word += choices[pick % len(choices)]
+    return word
+
+
+class TestF2Codes:
+    # a reduced word of L letters is the code 4^L + sum d_i 4^(L-i): int64 up to 31 letters,
+    # Python ints (dtype object) past that, equal to the string oracles of tests/conftest.py
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(reduced_word(), max_size=8))
+    def test_pack_and_unpack_round_trip(self, words):
+        codes = F2.pack(words)
+        assert codes.dtype == (np.int64 if all(len(w) <= 31 for w in words) else object)
+        assert F2.unpack(codes) == tuple(words)
+        assert F2.word_lengths(codes).tolist() == [len(w) for w in words]
+        assert codes.tolist() == [int("1" + w.translate(str.maketrans("aAbB", "0123")), 4) for w in words]
+
+    @settings(max_examples=200, deadline=None)
+    @given(reduced_word(), st.lists(reduced_word(), max_size=8), st.integers(0, 40))
+    def test_translate_all_matches_op(self, g, words, short):
+        # short words keep int64 input codes; a long g takes the product past int64 or not
+        for batch in (words, [w[:short % 12] for w in words]):
+            want = tuple(F2.op(g, x) for x in batch)
+            moved = F2.translate_all(g, F2.pack(batch))
+            assert moved.dtype == (np.int64 if all(len(w) <= 31 for w in want) else object)
+            assert F2.unpack(moved) == want == f2_translate_words(g, batch)
+            assert F2.word_lengths(moved).tolist() == [len(w) for w in want]
+
+    @pytest.mark.parametrize("g, x", [("a", "a" * 30), ("a", "a" * 31), ("b" * 16, "a" * 15), ("b" * 16, "a" * 16),
+                                      ("B" * 31, "b"), ("B" * 31, "a"), ("A", "a" * 32), ("A", "a" * 33)])
+    def test_products_at_the_int64_edge(self, g, x):
+        # 31 letters are the longest int64 code; a product of 32 comes out in Python ints, and
+        # one of 31 from a word of 32 in int64
+        want = F2.op(g, x)
+        moved = F2.translate_all(g, F2.pack([x, ""]))
+        assert moved.dtype == (np.int64 if len(want) <= 31 else object)
+        assert F2.unpack(moved) == (want, g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(reduced_word(min_size=40, max_size=40))
+    def test_a_long_shift_and_its_inverse_come_back_to_int64(self, g):
+        mu = ball_uniform(F2, 4)
+        moved = mu.translate(g)
+        assert moved.elements.dtype == object
+        back = moved.translate(F2.inv(g))
+        assert back.elements.dtype == np.int64
+        assert np.array_equal(back.elements, mu.elements) and back == mu
+        assert moved.escape_count(F2.inv(g)) == set_escape_count(moved, F2.inv(g)) == len(mu.weights)
+
+    def test_word_lengths_where_float64_rounds_codes_up(self):
+        lengths = range(25, 32)
+        codes = np.array([2 * 4**n - 1 for n in lengths], np.int64)
+        # 2L + 1 one bits: exact in float64 up to L = 26, rounded up to 2 * 4^L from L = 27
+        assert [float(c) == 2 * 4**n for c, n in zip(codes.tolist(), lengths)] == [False] * 2 + [True] * 5
+        assert F2.word_lengths(codes).tolist() == list(lengths)
+        assert F2.word_lengths(codes.astype(object)).tolist() == list(lengths)
+
+    def test_ball_order_matches_the_string_enumeration(self):
+        for radius in range(9):
+            want = f2_ball_words(radius)
+            assert F2.ball(radius) == want
+            assert ball_uniform(F2, radius).elements.tolist() == F2.pack(want).tolist()
+
+    def test_elements_are_read_only(self):
+        for mu in (ball_uniform(F2, 3), FinSuppMeasure.uniform(F2, ["ab", "B"]), ball_uniform(F2, 2).translate("ab")):
+            with pytest.raises(ValueError):
+                mu.elements[0] = 1
+
+    def test_ball_build_peaks_under_12_mib(self):
+        # 354,293 int64 codes are 2.7 MiB; a build through strings peaked near 25 MiB
+        tracemalloc.start()
+        try:
+            mu = ball_uniform(F2, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mu.weights) == 354_293 and peak < 12 * 2**20
 
 
 Z7 = CyclicGroup(7)
