@@ -335,7 +335,7 @@ class Schedule:
             if mu.group != group:
                 raise InvalidSchedule("all entries must share one group")
             gens = group.generators()
-            if len(set(mu.weights)) == 1:  # uniform on A: TV(mu, g mu) = |gA \ A| / |A|
+            if mu.weights.min() == mu.weights.max():  # uniform on A: TV(mu, g mu) = |gA \ A| / |A|
                 tv = max(mu.escape_count(g) for g in gens) / len(mu.weights)
             else:
                 tv = max(mu.tv_distance(mu.translate(g)) for g in gens)

@@ -104,6 +104,10 @@ def disagreement_family(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if max_pieces < 1:
+        raise ValueError("max_pieces must be >= 1")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     members = []
     for j in range(count):
         gen = np.random.default_rng(rng.derive_seed(seed, "disagreement", j))
@@ -151,6 +155,8 @@ def cell_window_family(
         raise ValueError("count must be >= 1")
     if not 0.0 < width <= 1.0:
         raise ValueError("width must lie in (0, 1]")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     members = []
     for j in range(count):
         gen = np.random.default_rng(rng.derive_seed(seed, "cell-window", j))

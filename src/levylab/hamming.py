@@ -54,23 +54,24 @@ WILSON_Z = 4.0
 _MASS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteBase:
-    """A finite probability space of distinct atoms."""
+    """A finite probability space of distinct atoms; weights is a read-only float64 array."""
 
     atoms: tuple
-    weights: tuple
+    weights: np.ndarray
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
-        weights = tuple(float(w) for w in self.weights)
+        weights = np.fromiter(map(float, self.weights), np.float64)
         if len(atoms) != len(set(atoms)):
             raise InvalidMeasure("atoms must be distinct")
         if len(atoms) != len(weights):
             raise LengthMismatch("atoms and weights must have equal length")
-        # written so that a NaN weight, or a NaN sum, fails
-        if not all(w >= 0 for w in weights) or not abs(math.fsum(weights) - 1.0) <= _MASS_TOL:
+        # written so that a NaN weight, or a NaN sum, fails; no weight above 1 reaches fsum, which overflows
+        if not ((weights >= 0) & (weights <= 1)).all() or not abs(math.fsum(weights) - 1.0) <= _MASS_TOL:
             raise InvalidMeasure("weights must be a probability vector")
+        weights.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 

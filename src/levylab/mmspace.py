@@ -77,8 +77,8 @@ class FiniteMMSpace:
                 raise InvalidSpace("triangle inequality violated")
         if mu.shape != (n,):
             raise InvalidSpace(f"measure length {mu.shape} does not match {n} points")
-        # written so that a NaN weight, or a NaN sum, fails
-        if not np.all(mu >= -_MASS_TOL) or not abs(math.fsum(mu) - 1.0) <= _MASS_TOL:
+        # written so that a NaN weight, or a NaN sum, fails; no weight above 1 reaches fsum, which overflows
+        if not np.all((mu >= -_MASS_TOL) & (mu <= 1 + _MASS_TOL)) or not abs(math.fsum(mu) - 1.0) <= _MASS_TOL:
             raise InvalidSpace("measure must be a probability vector")
         dist.flags.writeable = False
         mu.flags.writeable = False

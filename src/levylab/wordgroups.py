@@ -15,29 +15,28 @@ measure builders (boxes, balls, Haar measure, translates) produce
 canonical, distinct supports and valid weights by construction and skip
 those checks.
 
-Measures hold supports in the group's bulk form (``pack``; ``unpack``
-gives the elements back): an integer array, (m, d) on Z^d, (m,) on Z_m
-and (m,) of word codes on F2, where the reduced word d_1 ... d_L, its
-letters numbered 0..3 in the order a, A, b, B, is 4^L + sum d_i 4^(L-i).
-The array is int64 when every entry fits it (on F2, words of at most 31
-letters) and else of dtype object holding Python ints, so one code path
-is exact at any size.  Each group defines pack, unpack and two bulk
-kernels on it: ``translate_all`` and ``word_lengths``.  Z^d and Z_m add
-in int64 only where no sum can leave it; F2 translates by one letter of
-g at a time, cancelling or prepending a first letter, in int64 while no
-product can pass 31 letters.  A kernel with a ``group`` and a method
-``values(elements)``, its float column over a bulk support of that
-group, has a bulk path: ``ClampedLength`` and ``Mismatch`` do, and
-``FinSuppMeasure.column`` takes it.
+A measure is two read-only arrays: float64 weights, and its support in
+the group's bulk form (``pack``, undone by ``unpack``): an integer
+array, (m, d) on Z^d, (m,) on Z_m and (m,) of word codes on F2, where
+the reduced word d_1 ... d_L, its letters numbered 0..3 in the order a,
+A, b, B, is 4^L + sum d_i 4^(L-i).  The array is int64 when every entry
+fits it (on F2, words of at most 31 letters) and else of dtype object
+holding Python ints, so one code path is exact at any size.  Each group
+defines pack, unpack and two bulk kernels on it: ``translate_all`` and
+``word_lengths``.  Z^d and Z_m add in int64 only where no sum can leave
+it; F2 translates by one letter of g at a time, cancelling or prepending
+a first letter, in int64 while no product can pass 31 letters.  A kernel
+with a ``group`` and a method ``values(elements)``, its float column
+over a bulk support of that group, has a bulk path: ``ClampedLength``
+and ``Mismatch`` do, and ``FinSuppMeasure.column`` takes it.  Measures
+pair their atoms (``_join``) by one stable sort of their stacked rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -440,49 +439,49 @@ class Mismatch:
 class FinSuppMeasure:
     """A finitely supported probability measure on a word group.
 
-    ``elements`` is the support in the group's bulk form, a read-only
-    integer array; ``support``, the tuple of its canonical elements, is
-    built on first access and read by no library path.  ``==`` and
-    ``hash`` are equality of group, elements and weights.  The constructor
+    A measure is two read-only arrays, ``elements`` (the support in the
+    group's bulk form) and float64 ``weights``; ``support``, the tuple of
+    canonical elements, is built on first access, for ``column``'s per-element
+    path and ``repr`` only.  ``==`` is equality of group, elements and weights.  The constructor
     and ``uniform`` check outside input: each element is put in canonical
     form by ``group.validate``, the elements must be distinct, and the
     weights positive with sum 1.  The library's builders
     (``folner_measure``, ``ball_uniform``, ``haar``, ``translate``) go
-    through ``_unchecked``, which stores the bulk form as given.
+    through ``_unchecked``, which stores the arrays as given.
     ``column(f)`` takes f's bulk path when ``f.group`` is this group, and
     otherwise calls f once per element of ``support``.
     """
 
     def __init__(self, group: WordGroup, support, weights):
         support = tuple(map(group.validate, support))
-        weights = tuple(map(float, weights))
+        weights = np.fromiter(map(float, weights), np.float64)
         if len(support) != len(weights):
             raise LengthMismatch("support and weights must have equal length")
         if len(support) != len(set(support)):
             raise InvalidMeasure("support entries must be distinct")
         if not support:
             raise InvalidMeasure("support must be non-empty")
-        # written so that a NaN weight, or a NaN sum, fails
-        if not all(w > 0 for w in weights) or not abs(math.fsum(weights) - 1.0) <= _MASS_TOL:
+        # written so that a NaN weight, or a NaN sum, fails; no weight above 1 reaches fsum, which overflows
+        if not ((weights > 0) & (weights <= 1)).all() or not abs(math.fsum(weights) - 1.0) <= _MASS_TOL:
             raise InvalidMeasure("weights must be positive and sum to 1")
         self._set(group, group.pack(support), weights, support)
 
-    def _set(self, group: WordGroup, elements, weights: tuple, support: tuple | None = None) -> None:
-        elements.flags.writeable = False
+    def _set(self, group: WordGroup, elements, weights, support: tuple | None = None) -> None:
+        elements.flags.writeable = weights.flags.writeable = False
         self.__dict__.update(group=group, elements=elements, weights=weights, _support=support)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a FinSuppMeasure is immutable; cannot set {name!r}")
 
     @classmethod
-    def _unchecked(cls, group: WordGroup, elements, weights: tuple | None = None) -> "FinSuppMeasure":
+    def _unchecked(cls, group: WordGroup, elements, weights=None) -> "FinSuppMeasure":
         """A measure whose elements, in bulk form, are canonical and distinct by construction.
 
-        weights are float, positive and sum to 1, or None for the uniform
-        weights; nothing is checked.
+        weights are a float64 array, positive with sum 1, or None for the
+        uniform weights; nothing is checked.
         """
         if weights is None:
-            weights = (1.0 / len(elements),) * len(elements)
+            weights = np.full(len(elements), 1.0 / len(elements))
         measure = object.__new__(cls)
         measure._set(group, elements, weights)
         return measure
@@ -496,11 +495,11 @@ class FinSuppMeasure:
     def __eq__(self, other):
         if not isinstance(other, FinSuppMeasure):
             return NotImplemented
-        same = self.group == other.group and self.weights == other.weights
+        same = self.group == other.group and np.array_equal(self.weights, other.weights)
         return same and np.array_equal(self.elements, other.elements)
 
     def __hash__(self):
-        return hash((self.group, self.weights))
+        return hash((self.group, len(self.weights)))
 
     def __repr__(self):
         return f"FinSuppMeasure(group={self.group!r}, support={self.support!r}, weights={self.weights!r})"
@@ -525,30 +524,35 @@ class FinSuppMeasure:
 
     def expectation(self, f) -> float:
         """The sum of w * f(x) over the support, added left to right in support order, from column(f)."""
-        return float(np.cumsum(np.multiply(self.weights, self.column(f)))[-1])
+        return float(np.cumsum(self.weights * self.column(f))[-1])
 
     def translate(self, g) -> "FinSuppMeasure":
         g = self.group.validate(g)
         # left translation is a bijection of canonical elements
         return FinSuppMeasure._unchecked(self.group, self.group.translate_all(g, self.elements), self.weights)
 
+    def _join(self, other: "FinSuppMeasure") -> tuple[np.ndarray, np.ndarray]:
+        """The index pairs (i, j) with self.elements[i] == other.elements[j], as two arrays."""
+        # each side holds distinct rows, so sorted together (stably: self's first) a shared row is one equal pair
+        both = np.concatenate((self.elements, other.elements)).reshape(len(self.weights) + len(other.weights), -1)
+        order = np.lexsort(both.T)
+        rows = both[order]
+        pairs = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        return order[pairs], order[pairs + 1] - len(self.weights)
+
     def escape_count(self, g) -> int:
         """|gA \\ A| for the support A: how many atoms left translation by g moves off the support."""
-        moved = self.translate(g).elements
-        # A and gA each hold distinct rows, so sorted together every shared row is one equal pair
-        both = np.concatenate((self.elements, moved)).reshape(2 * len(moved), -1)
-        rows = both[np.lexsort(both.T)]
-        return len(moved) - int(np.count_nonzero((rows[1:] == rows[:-1]).all(axis=1)))
+        return len(self.weights) - len(self._join(self.translate(g))[0])
 
     def tv_distance(self, other: "FinSuppMeasure") -> float:
         if self.group != other.group:
             raise WrongKind("total variation needs measures on the same group")
-        mine = dict(zip(self.support, self.weights))
-        theirs = dict(zip(other.support, other.weights))
-        # support order, then left to right from 0.0: a set's order of words follows string
-        # hashing, which changes between processes, and from Python 3.12 on sum() compensates
-        keys = {**mine, **theirs}
-        return 0.5 * reduce(operator.add, (abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys), 0.0)
+        mine, theirs = self._join(other)
+        matched = np.zeros(len(self.weights))
+        matched[mine] = other.weights[theirs]
+        # |w - w'| on self's atoms, then other's unmatched weights, each in support order and added left to right
+        terms = np.concatenate((np.abs(self.weights - matched), np.delete(other.weights, theirs)))
+        return 0.5 * float(np.cumsum(terms)[-1])
 
 
 def _power_over(k: int, n: int, cap: int) -> str:
@@ -589,8 +593,18 @@ def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:
 
 
 def ball_uniform(group: WordGroup, k: int) -> FinSuppMeasure:
-    """Uniform measure on the word-metric ball of radius k."""
+    """Uniform measure on the word-metric ball of radius k; above SUPPORT_LIMIT elements, SpaceTooLarge before building."""
     if isinstance(group, FreeGroup2):
         _check_support_size(group, k)
         return FinSuppMeasure._unchecked(group, _f2_ball(k))
+    # the ball holds min(m, 2k + 1) residues on Z_m, and sum_i 2^i C(d, i) C(k, i) points on Z^d,
+    # added only until they pass the limit: term i is at least 2^i
+    over = False
+    if isinstance(group, CyclicGroup):
+        over = min(group.m, 2 * k + 1) > SUPPORT_LIMIT
+    elif isinstance(group, ZdGroup):
+        terms = (2**i * math.comb(group.d, i) * math.comb(k, i) for i in range(min(group.d, k) + 1))
+        over = any(total > SUPPORT_LIMIT for total in itertools.accumulate(terms))
+    if over:
+        raise SpaceTooLarge(f"the ball of radius {k} in {group!r} has more than {SUPPORT_LIMIT} elements")
     return FinSuppMeasure._unchecked(group, group.pack(group.ball(k)))

@@ -328,6 +328,13 @@ def set_escape_count(mu, g) -> int:
     return len(atoms.difference(tuple_translate_all(mu.group, mu.group.validate(g), mu.support)))
 
 
+def dict_tv_distance(mu, nu) -> float:
+    """Total variation from dictionaries over the canonical supports: |w - w'| over mu's atoms in
+    support order, then nu's other atoms in their order, added left to right from 0.0."""
+    mine, theirs = dict(zip(mu.support, mu.weights.tolist())), dict(zip(nu.support, nu.weights.tolist()))
+    return 0.5 * left_sum(abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in {**mine, **theirs})
+
+
 def per_element_column(kernel, elements) -> np.ndarray:
     """The kernel called once per canonical element, as a float64 column."""
     return np.fromiter(map(kernel, elements), np.float64, len(elements))

@@ -486,6 +486,12 @@ class TestMalformedValues:
             ["amplify", "--target-eps", "0"],
             ["profile", "--eps", "0"],
             ["profile", "--base", "0.5,0.6"],
+            # math.fsum overflows on these
+            ["profile", "--base", "1e308,1e308"],
+            # numpy's "low >= high" when drawn
+            ["amplify", "--family", "disagreement:pieces=0"],
+            ["amplify", "--family", "disagreement:radius=-1"],
+            ["amplify", "--family", "cell-indicator-smoothed:radius=-1"],
             ["profile", "--base", "nan,1"],
             ["alpha", "--eps-grid", "nan"],
             ["profile", "--eps", "nan"],
@@ -505,6 +511,16 @@ class TestMalformedValues:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["profile", "--base", "1e308,1e308"], "weights must be a probability vector"),
+        (["amplify", "--family", "disagreement:pieces=0"], "max_pieces must be >= 1"),
+        (["amplify", "--family", "disagreement:radius=-1"], "radius must be >= 0"),
+        (["amplify", "--family", "cell-indicator-smoothed:radius=-1"], "radius must be >= 0"),
+    ])
+    def test_refused_inputs_are_named(self, tmp_path, capsys, args, message):
+        assert run(tmp_path, "bad", *args)[0] == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import compose_with_translation, disagreement, pullback_family, pu
 from levylab import (
     BLFamily,
     CarrierMismatch,
+    CyclicGroup,
     DimensionMismatch,
     FinSuppMeasure,
     FreeGroup2,
@@ -167,6 +169,17 @@ class TestBuilders:
         fam = cell_window_family(Z, 6, seed=3, width=0.25)
         assert fam.lipschitz == 4.0
         spot_check_lipschitz(fam, seed=4, pairs=40)
+
+    @pytest.mark.parametrize("build, message", [
+        (partial(disagreement_family, max_pieces=0), "max_pieces must be >= 1"),
+        (partial(disagreement_family, radius=-1), "radius must be >= 0"),
+        (partial(cell_window_family, radius=-1), "radius must be >= 0"),
+    ])
+    def test_bad_parameters_are_named_before_drawing(self, build, message):
+        # drawing with them raises numpy's "low >= high"
+        for group in (Z, CyclicGroup(5), F2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(group, 2, 0)
 
     def test_wordlen_clamp_unnormalized(self):
         fam = wordlen_clamp_family(Z, [3], normalize=False)

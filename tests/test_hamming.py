@@ -166,6 +166,17 @@ class TestSampleProduct:
         with pytest.raises(InvalidMeasure):
             DiscreteBase.uniform(())
 
+    def test_huge_weights_rejected_before_summing(self):
+        # math.fsum overflows on 1e308 + 1e308; no weight above 1 reaches it
+        with pytest.raises(InvalidMeasure, match="^weights must be a probability vector$"):
+            DiscreteBase((0, 1), (1e308, 1e308))
+
+    def test_weights_are_a_read_only_float64_array(self):
+        for base in (DiscreteBase((0, 1), (0.9, 0.1)), DiscreteBase((0, 1), [1, 0]), DiscreteBase.uniform("abc")):
+            assert base.weights.dtype == np.float64 and base.weights.flags.writeable is False
+            with pytest.raises(ValueError):
+                base.weights[0] = 0.5
+
 
 class TestProductWeights:
     # one atom past 64 coordinates, more than a numpy array has axes

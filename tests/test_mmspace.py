@@ -73,6 +73,11 @@ class TestConstruction:
         with pytest.raises(InvalidSpace):
             FiniteMMSpace.uniform((), np.zeros((0, 0)))
 
+    def test_rejects_huge_weights_before_summing(self):
+        # math.fsum overflows on 1e308 + 1e308; no weight above 1 + tolerance reaches it
+        with pytest.raises(InvalidSpace, match="^measure must be a probability vector$"):
+            FiniteMMSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), [1e308, 1e308])
+
 
 # builds the n-point line space
 LINE_SPACE = """

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import element_strategy, group_strategy, group_with_elements, left_sum, loop_invariance_defect
 from conftest import per_element_column, pullback_family, set_escape_count, tuple_translate_all, word_distance
+from conftest import dict_tv_distance
 from conftest import f2_ball_words, f2_translate_words
 from levylab import wordgroups
 from levylab.wordgroups import Mismatch
@@ -19,6 +20,7 @@ from levylab import (
     FreeGroup2,
     InvalidElement,
     InvalidMeasure,
+    Schedule,
     SpaceTooLarge,
     WrongKind,
     ZdGroup,
@@ -560,6 +562,8 @@ class TestIntArraySupports:
         assert repr(mu) == f"FinSuppMeasure(group={ZdGroup(2)!r}, support={same.support!r}, weights={same.weights!r})"
         with pytest.raises(AttributeError):
             mu.weights = (1.0,)
+        with pytest.raises(ValueError):
+            mu.weights[0] = 0.5
         with pytest.raises(ValueError):  # the array support is read-only, so == and hash cannot drift
             mu.elements[0] = (5, 5)
         assert mu.translate((1, 0)).elements.flags.writeable is False
@@ -700,7 +704,7 @@ class TestLibraryBuiltMeasures:
     def assert_same(self, built, checked):
         assert built == checked
         assert typed(built.support) == typed(checked.support)
-        assert typed(built.weights) == typed(checked.weights)
+        assert (built.weights.dtype, built.weights.tobytes()) == (checked.weights.dtype, checked.weights.tobytes())
 
     def test_builders_match_checked_constructor(self):
         for _, built, checked in library_built_measures():
@@ -713,3 +717,125 @@ class TestLibraryBuiltMeasures:
             for g in shifts:
                 checked = FinSuppMeasure(group, [group.op(g, x) for x in mu.support], mu.weights)
                 self.assert_same(mu.translate(g), checked)
+
+
+ZM = CyclicGroup(2**64 + 3)
+
+
+def weighted(group, atoms, raw) -> FinSuppMeasure:
+    """The checked measure on atoms with weights proportional to raw."""
+    return FinSuppMeasure(group, atoms, [r / math.fsum(raw) for r in raw])
+
+
+@st.composite
+def measure_pairs(draw):
+    """Two measures on one group whose supports overlap: subsets of one pool, or a measure and a translate.
+
+    Pools past int64 (coordinates, residues of Z_m with m = 2^64 + 3, F2 words past 31
+    letters) give pairs where one support is int64 and the other has dtype object."""
+    group = draw(st.sampled_from([Z, ZdGroup(2), ZM, F2]), label="group")
+    element = st.one_of(reduced_word(max_size=8), reduced_word(28, 40)) if group == F2 else int_element(group)
+    pool = draw(st.lists(element, min_size=1, max_size=10, unique=True), label="pool")
+
+    def measure():
+        atoms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+        return weighted(group, atoms, draw(st.lists(st.integers(1, 9), min_size=len(atoms), max_size=len(atoms))))
+
+    mu = measure()
+    return mu, mu.translate(draw(element)) if draw(st.booleans()) else measure()
+
+
+class TestArrayMeasures:
+    # a measure is two read-only arrays, elements and weights; every measure operation works on them alone
+
+    @settings(max_examples=400, deadline=None)
+    @given(measure_pairs())
+    def test_tv_distance_matches_the_dictionary_oracle(self, pair):
+        mu, nu = pair
+        assert mu.tv_distance(nu).hex() == dict_tv_distance(mu, nu).hex()
+        assert nu.tv_distance(mu).hex() == dict_tv_distance(nu, mu).hex()
+
+    @pytest.mark.parametrize("group, mine, theirs", [
+        (Z, [(0,), (1,), (2**63,)], [(2**63,), (5,), (0,)]),
+        (ZdGroup(2), [(0, 0), (1, -(2**63) - 1)], [(1, -(2**63) - 1), (0, 1), (0, 0)]),
+        (ZM, [0, 2**64 + 2, 2**63], [2**63 - 1, 2**63, 0]),
+        (F2, ["a" * 32, "b", ""], ["", "a" * 32, "ab" * 20, "B"]),
+        (F2, ["a" * 31, "b"], ["b", "a" * 30]),
+    ])
+    def test_tv_distance_across_int64_and_object_supports(self, group, mine, theirs):
+        mu, nu = weighted(group, mine, range(1, len(mine) + 1)), weighted(group, theirs, range(len(theirs), 0, -1))
+        assert {mu.elements.dtype, nu.elements.dtype} <= {np.dtype(np.int64), np.dtype(object)}
+        assert mu.tv_distance(nu).hex() == dict_tv_distance(mu, nu).hex()
+        assert nu.tv_distance(mu).hex() == dict_tv_distance(nu, mu).hex()
+
+    def test_tv_distance_on_balls_and_boxes(self):
+        for mu, g in ((ball_uniform(F2, 3), "a"), (ball_uniform(F2, 8), "aB"), (folner_measure(ZdGroup(2), 12), (3, -1))):
+            size = len(mu.weights)
+            skewed = np.arange(1.0, size + 1) / (size * (size + 1) // 2)
+            for nu in (mu.translate(g), FinSuppMeasure._unchecked(mu.group, mu.translate(g).elements, skewed)):
+                assert mu.tv_distance(nu).hex() == dict_tv_distance(mu, nu).hex()
+
+    def test_measure_operations_never_unpack(self, monkeypatch):
+        def refuse(self, elements):
+            raise AssertionError("unpack called")
+
+        for cls in (ZdGroup, CyclicGroup, FreeGroup2):
+            monkeypatch.setattr(cls, "unpack", refuse)
+        for mu, g in ((folner_measure(ZdGroup(2), 3), (1, 0)), (FinSuppMeasure.haar(Z7), 3), (ball_uniform(F2, 4), "a")):
+            group = mu.group
+            skewed = FinSuppMeasure._unchecked(group, mu.elements, np.arange(1.0, len(mu.weights) + 1) / 2)
+            for nu in (mu, skewed):
+                nu.expectation(ClampedLength(group, 3, 3))
+                nu.expectation(Mismatch(group, g))
+                moved = nu.translate(g)
+                assert moved.weights is nu.weights
+                nu.escape_count(g)
+                nu.tv_distance(moved)
+                assert nu == FinSuppMeasure._unchecked(group, nu.elements, nu.weights) and nu != moved
+                hash(nu)
+                Schedule(((1, nu),), 1.0).witnesses
+                assert nu._support is None
+
+    def test_weights_are_a_read_only_float64_array(self):
+        unchecked = FinSuppMeasure._unchecked(Z7, Z7.pack([1, 2]))
+        measures = [
+            FinSuppMeasure(Z, [(0,), (1,)], (0.25, 0.75)), FinSuppMeasure(Z7, [3], [1]), FinSuppMeasure.uniform(F2, "ab"),
+            FinSuppMeasure.haar(Z7), folner_measure(ZdGroup(2), 2), ball_uniform(F2, 2), ball_uniform(Z, 2),
+            ball_uniform(F2, 2).translate("b"), unchecked,
+        ]
+        for mu in measures:
+            assert mu.weights.dtype == np.float64 and mu.weights.flags.writeable is False
+        assert unchecked.weights.tolist() == [0.5, 0.5]
+
+    def test_huge_weights_rejected_before_summing(self):
+        # math.fsum overflows on 1e308 + 1e308; no weight above 1 reaches it
+        with pytest.raises(InvalidMeasure, match="^weights must be positive and sum to 1$"):
+            FinSuppMeasure(Z, [(0,), (1,)], (1e308, 1e308))
+
+    def test_lattice_ball_limit_at_its_edge(self, monkeypatch):
+        # the l1 ball of radius k in Z^d holds sum_i 2^i C(d, i) C(k, i) points
+        for d in (1, 2, 3, 4):
+            group = ZdGroup(d)
+            for k in range(5):
+                size = len(group.ball(k))
+                monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size)
+                assert len(ball_uniform(group, k).weights) == size
+                monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size - 1)
+                with pytest.raises(SpaceTooLarge, match=f"radius {k}"):
+                    ball_uniform(group, k)
+        monkeypatch.undo()
+        with pytest.raises(SpaceTooLarge):  # 2,333,121 points
+            ball_uniform(ZdGroup(3), 120)
+
+    def test_cyclic_ball_limit_at_its_edge(self, monkeypatch):
+        # min(m, 2k + 1) residues: the ball of radius 2 in Z_7 holds 5, and from radius 3 on all 7
+        for k, size in ((0, 1), (2, 5), (3, 7), (10, 7)):
+            assert len(Z7.ball(k)) == size
+            monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size)
+            assert len(ball_uniform(Z7, k).weights) == size
+            monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size - 1)
+            with pytest.raises(SpaceTooLarge, match=f"radius {k}"):
+                ball_uniform(Z7, k)
+        monkeypatch.undo()
+        with pytest.raises(SpaceTooLarge):
+            ball_uniform(CyclicGroup(10**7), 10**7)
