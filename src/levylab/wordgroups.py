@@ -30,6 +30,12 @@ with a ``group`` and a method ``values(elements)``, its float column
 over a bulk support of that group, has a bulk path: ``ClampedLength``
 and ``Mismatch`` do, and ``FinSuppMeasure.column`` takes it.  Measures
 pair their atoms (``_join``) by one stable sort of their stacked rows.
+
+Balls are built as arrays in breadth-first order over the generators
+e_1, -e_1, ..., e_d, -e_d: by word length, then coordinate by coordinate,
+each positive before negative before 0 and a larger |x_i| first within a
+sign, in d passes (``_lattice_ball``) and one stable sort by length.  A
+Z_m ball is the start of the ball of Z reduced mod m; F2's is ``_f2_ball``.
 """
 
 from __future__ import annotations
@@ -116,23 +122,6 @@ class WordGroup:
 
     def generators(self) -> tuple:
         raise NotImplementedError
-
-    def ball(self, radius: int) -> list:
-        """All elements of word length <= radius, in breadth-first order."""
-        seen = {self.identity}
-        order = [self.identity]
-        frontier = [self.identity]
-        for _ in range(radius):
-            nxt = []
-            for x in frontier:
-                for g in self.generators():
-                    y = self.op(g, x)
-                    if y not in seen:
-                        seen.add(y)
-                        order.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        return order
 
     def random_element(self, gen: np.random.Generator, radius: int = 4):
         raise NotImplementedError
@@ -348,9 +337,6 @@ class FreeGroup2(WordGroup):
     def generators(self) -> tuple:
         return ("a", "A", "b", "B")
 
-    def ball(self, radius: int) -> list:
-        return list(self.unpack(_f2_ball(radius)))
-
     def random_element(self, gen: np.random.Generator, radius: int = 4):
         length = int(gen.integers(0, radius + 1))
         word = ""
@@ -377,6 +363,26 @@ def _f2_ball(radius: int) -> np.ndarray:
         np.add(front[:, None] << 2, _F2_FOLLOW[front & 3], out=codes[stop:end].reshape(-1, 3))
         start, stop = stop, end
     return codes
+
+
+def _lattice_ball(d: int, radius: int) -> np.ndarray:
+    """The l1 ball of radius r >= 0 in Z^d as int64 rows, in breadth-first order (module docstring): pass i
+    gives each row of the ball in Z^(i-1) every value its unused radius s allows, as s..1, -s..-1, 0; the
+    columns are gathered from each pass's values and parent rows, last first, in O(points * d)."""
+    used, passes = np.zeros(1, np.int64), []  # each row's word length so far
+    for _ in range(d if radius else 0):  # radius 0: the one row of zeros, with no pass per coordinate
+        spare = radius - used
+        counts = 2 * spare + 1
+        parent = np.repeat(np.arange(len(used)), counts)
+        s, j = spare[parent], np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+        value = np.where(j < s, s - j, j - 2 * s)
+        used = used[parent] + np.abs(value)
+        passes.append((value, parent))
+    rows, index = np.zeros((len(used), d), np.int64), np.argsort(used, kind="stable")
+    for i, (value, parent) in reversed(list(enumerate(passes))):
+        rows[:, i] = value[index]
+        index = parent[index]
+    return rows
 
 
 def make_group(spec: str) -> WordGroup:
@@ -514,7 +520,9 @@ class FinSuppMeasure:
     def haar(cls, group: CyclicGroup) -> "FinSuppMeasure":
         if not isinstance(group, CyclicGroup):
             raise WrongKind("haar measure is only materialized for cyclic groups")
-        return cls._unchecked(group, group.pack(range(group.m)))
+        if group.m > SUPPORT_LIMIT:
+            raise SpaceTooLarge(f"the Haar measure of {group!r} has more than {SUPPORT_LIMIT} atoms")
+        return cls._unchecked(group, np.arange(group.m, dtype=np.int64))
 
     def column(self, f) -> np.ndarray:
         """f at each atom, in support order, as float64: by f.values when f has a bulk path here."""
@@ -593,18 +601,27 @@ def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:
 
 
 def ball_uniform(group: WordGroup, k: int) -> FinSuppMeasure:
-    """Uniform measure on the word-metric ball of radius k; above SUPPORT_LIMIT elements, SpaceTooLarge before building."""
+    """Uniform measure on the word-metric ball of radius k, in breadth-first order; above SUPPORT_LIMIT
+    elements, or 10 * SUPPORT_LIMIT coordinates on Z^d, SpaceTooLarge before building."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if isinstance(group, FreeGroup2):
         _check_support_size(group, k)
         return FinSuppMeasure._unchecked(group, _f2_ball(k))
-    # the ball holds min(m, 2k + 1) residues on Z_m, and sum_i 2^i C(d, i) C(k, i) points on Z^d,
-    # added only until they pass the limit: term i is at least 2^i
-    over = False
+    too_large = f"the ball of radius {k} in {group!r} has more than {SUPPORT_LIMIT} elements"
     if isinstance(group, CyclicGroup):
-        over = min(group.m, 2 * k + 1) > SUPPORT_LIMIT
-    elif isinstance(group, ZdGroup):
-        terms = (2**i * math.comb(group.d, i) * math.comb(k, i) for i in range(min(group.d, k) + 1))
-        over = any(total > SUPPORT_LIMIT for total in itertools.accumulate(terms))
-    if over:
-        raise SpaceTooLarge(f"the ball of radius {k} in {group!r} has more than {SUPPORT_LIMIT} elements")
-    return FinSuppMeasure._unchecked(group, group.pack(group.ball(k)))
+        # min(m, 2k + 1) residues: the start of the ball of Z, reduced mod m
+        if (size := min(group.m, 2 * k + 1)) > SUPPORT_LIMIT:
+            raise SpaceTooLarge(too_large)
+        line, m = _lattice_ball(1, min(k, group.m // 2))[:size, 0], group.m
+        return FinSuppMeasure._unchecked(group, line % m if m <= _INT64_MAX else _int_array(line.astype(object) % m))
+    if not isinstance(group, ZdGroup):
+        raise WrongKind("word balls are built on Z^d, Z_m and F2")
+    # sum_i 2^i C(d, i) C(k, i) points, added only until they pass the cap (term i is at least 2^i), of d
+    # coordinates each: at most 10 * SUPPORT_LIMIT, which each d <= 12 ball under the point cap meets (Z^11
+    # at radius 7 has the most, 8.75 million)
+    cap = min(SUPPORT_LIMIT, 10 * SUPPORT_LIMIT // group.d)
+    terms = (2**i * math.comb(group.d, i) * math.comb(k, i) for i in range(min(group.d, k) + 1))
+    if any(total > cap for total in itertools.accumulate(terms)):
+        raise SpaceTooLarge(f"{too_large} or {10 * SUPPORT_LIMIT} coordinates")
+    return FinSuppMeasure._unchecked(group, _lattice_ball(group.d, k))

@@ -9,9 +9,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
+import resource
+import subprocess
+import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -105,6 +110,27 @@ def mm_space_strategy(draw, max_points=6):
     raw = [draw(st.floats(min_value=0.05, max_value=1.0)) for _ in range(n)]
     mu = np.asarray(raw) / sum(raw)
     return FiniteMMSpace(tuple(range(n)), dist, mu)
+
+
+# ---------------------------------------------------------------------------
+# child processes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_capped(argv, limit_mib: int = 768, env=(), **kwargs) -> subprocess.CompletedProcess:
+    """Run python with argv in a child process whose address space is capped at limit_mib, with
+    src/ on its path, one BLAS thread and env added, so that a build that outgrows the cap fails
+    in the child rather than filling the runner's memory."""
+    limit = limit_mib << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **dict(env))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120, **kwargs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +318,26 @@ def tuple_translate_all(group, g, elements) -> tuple:
         shifted = (map(operator.add, col, itertools.repeat(c)) for col, c in zip(zip(*elements), g))
         return tuple(zip(*shifted))
     return tuple(group.op(g, x) for x in elements)
+
+
+def bfs_ball(group, radius: int) -> list:
+    """All elements of word length <= radius, breadth first: each element of a layer is followed in the
+    next by its new products g * x, for g in generators() order.  On Z^d and Z_m this is the order of
+    ball_uniform's support."""
+    seen = {group.identity}
+    order = [group.identity]
+    frontier = [group.identity]
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for g in group.generators():
+                y = group.op(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return order
 
 
 F2_NEXT = {"": "aAbB", "a": "abB", "A": "AbB", "b": "aAb", "B": "aAB"}

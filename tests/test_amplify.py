@@ -276,6 +276,25 @@ class TestL0Defect:
         assert res.defect == pytest.approx(0.0, abs=1e-12)
         assert res.bound == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 7])
+    def test_haar_is_invariant_under_on_grid_targets(self, m):
+        # Haar^(x)n on Z_m is invariant under h_embed(g) for every g in Z_m^n, so the defect, every
+        # telescope step and the grid disagreement are 0 up to the order of summation
+        group = CyclicGroup(m)
+        families = (disagreement_family(group, 4, seed=m), cell_window_family(group, 4, seed=m))
+        gen = np.random.default_rng(m)
+        for n in range(1, 5):
+            nu = push_forward(FinSuppMeasure.haar(group), n)
+            targets = list(itertools.product(range(m), repeat=n))
+            if len(targets) > 125:  # Z_7 from n = 3 and Z_5 at n = 4: 25 seeded targets
+                targets = [targets[i] for i in gen.choice(len(targets), 25, replace=False)]
+            for values in targets:
+                for family in families:
+                    res = l0_defect(nu, h_embed(group, values), family)
+                    assert len(res.per_step) == n
+                    worst = max(abs(res.defect), abs(res.grid_disagreement), *map(abs, res.per_step))
+                    assert worst <= 1e-12, (n, values)
+
     def test_sixteen_support_example_vs_oracle(self):
         mu = z_uniform(*range(16))
         fam = BLFamily(L0Carrier(Z), (wl_mean_member(8.0),), bound=1.0, lipschitz=2.0)

@@ -1,16 +1,13 @@
 import ast
 import csv
 import json
-import os
 import re
-import resource
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from conftest import SRC, run_capped
 from levylab import FinSuppMeasure, amplify, cli
 from levylab.cli import main
 
@@ -523,26 +520,9 @@ class TestMalformedValues:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
 def run_child(tmp_path, args, limit_mib, **env):
     """Run the CLI in a child process whose address space is capped at limit_mib, with env added."""
-    limit = limit_mib << 20
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **env)
-    return subprocess.run(
-        [sys.executable, "-m", "levylab.cli", *args],
-        cwd=tmp_path,
-        env=env,
-        preexec_fn=cap,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    return run_capped(["-m", "levylab.cli", *args], limit_mib, env, cwd=tmp_path)
 
 
 class TestDefaultsSmoke:

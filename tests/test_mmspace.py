@@ -1,16 +1,11 @@
-import os
-import resource
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_alpha, brute_median, mm_space_strategy, reference_alpha_profile, sorted_median
+from conftest import brute_alpha, brute_median, mm_space_strategy, reference_alpha_profile, run_capped, sorted_median
 from levylab import (
     FiniteMMSpace,
     InvalidFunctionTable,
@@ -93,21 +88,7 @@ print("built")
 
 def build_line_space(n, limit_mib=768):
     """Build a line space in a child whose address space is capped at limit_mib."""
-    limit = limit_mib << 20
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", LINE_SPACE, str(n)],
-        env=env,
-        preexec_fn=cap,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_capped(["-c", LINE_SPACE, str(n)], limit_mib)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 

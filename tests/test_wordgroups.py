@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import element_strategy, group_strategy, group_with_elements, left_sum, loop_invariance_defect
 from conftest import per_element_column, pullback_family, set_escape_count, tuple_translate_all, word_distance
 from conftest import dict_tv_distance
-from conftest import f2_ball_words, f2_translate_words
+from conftest import bfs_ball, f2_ball_words, f2_translate_words, run_capped
 from levylab import wordgroups
 from levylab.wordgroups import Mismatch
 from levylab import (
@@ -85,10 +85,11 @@ def test_right_invariance(data):
 class TestBalls:
     def test_f2_ball_sizes(self):
         for k in range(0, 6):
-            assert len(F2.ball(k)) == 2 * 3**k - 1
+            assert len(f2_ball_words(k)) == len(ball_uniform(F2, k).weights) == 2 * 3**k - 1
 
     def test_z_ball(self):
-        assert sorted(Z.ball(2)) == [(-2,), (-1,), (0,), (1,), (2,)]
+        assert sorted(bfs_ball(Z, 2)) == [(-2,), (-1,), (0,), (1,), (2,)]
+        assert ball_uniform(Z, 2).support == ((0,), (1,), (-1,), (2,), (-2,))
 
     def test_make_group(self):
         assert make_group("Z") == Z
@@ -147,7 +148,7 @@ class TestMeasures:
 
     def test_tv_distance_adds_in_support_order(self):
         # unequal terms over words: a set's order of them changes with PYTHONHASHSEED
-        words = F2.ball(3)
+        words = f2_ball_words(3)
         raw = [1.0 / (i + 3) for i in range(len(words))]
         mu = FinSuppMeasure(F2, words, [r / math.fsum(raw) for r in raw])
         nu = mu.translate("a")
@@ -597,6 +598,69 @@ class TestIntArraySupports:
         assert typed(far.support) == typed(tuple_translate_all(ZdGroup(2), (2**63, -1), big.support))
 
 
+def searched_ball(group, k) -> np.ndarray:
+    """conftest's breadth-first search as a measure stores it: int64, or Python ints once one leaves int64."""
+    ball = bfs_ball(group, k)
+    rows = np.array(ball, object)
+    return rows.astype(np.int64) if fits_int64(ball) else rows
+
+
+def assert_searched(mu: FinSuppMeasure, k: int) -> None:
+    want = searched_ball(mu.group, k)
+    assert mu.elements.dtype == want.dtype and mu.elements.shape == want.shape
+    assert mu.elements.tolist() == want.tolist()
+
+
+# the largest radius whose Z^d ball, d = 1..6, the search builds in a few milliseconds
+SEARCH_RADII = (40, 12, 6, 4, 3, 3)
+lattice_balls = st.integers(1, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, SEARCH_RADII[d - 1])))
+# m = 2, small odd and even m (below 2k + 1 for most k), and m at and past int64
+ball_moduli = st.one_of(st.integers(2, 61), st.sampled_from(MODULI))
+
+
+class TestClosedFormBalls:
+    # ball_uniform builds Z^d and Z_m balls in closed form, in the order of the breadth-first search
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_balls)
+    def test_lattice_balls_are_the_search(self, ball):
+        d, k = ball
+        assert_searched(ball_uniform(ZdGroup(d), k), k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ball_moduli, st.integers(0, 40))
+    def test_cyclic_balls_are_the_search(self, m, k):
+        assert_searched(ball_uniform(CyclicGroup(m), k), k)
+
+    @pytest.mark.parametrize("d, k", [(1, 300), (2, 39), (3, 12), (7, 3), (9, 2), (40, 1), (500, 0)])
+    def test_larger_lattice_balls_are_the_search(self, d, k):
+        assert_searched(ball_uniform(ZdGroup(d), k), k)
+
+    def test_cyclic_balls_past_int64_hold_python_ints(self):
+        m = 2**70
+        mu = ball_uniform(CyclicGroup(m), 2)
+        assert mu.elements.dtype == object and mu.elements.tolist() == [0, 1, m - 1, 2, m - 2]
+        assert ball_uniform(CyclicGroup(m), 0).elements.dtype == np.int64
+        assert ball_uniform(CyclicGroup(2**63), 5).elements.dtype == np.int64  # m - 1 = 2^63 - 1 fits
+        assert ball_uniform(CyclicGroup(2**63 + 1), 1).elements.dtype == object
+
+    def test_builds_call_no_per_element_method(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a per-element method was called")
+
+        for cls in (ZdGroup, CyclicGroup):
+            for name in ("generators", "op", "pack", "validate"):
+                monkeypatch.setattr(cls, name, refuse)
+        for group, k in ((ZdGroup(3), 4), (Z, 9), (Z7, 2), (Z7, 9), (CyclicGroup(2**70), 3)):
+            ball_uniform(group, k)
+        FinSuppMeasure.haar(Z7)
+
+    def test_negative_radius_refused(self):
+        for group in (Z, ZdGroup(3), Z7, F2):
+            with pytest.raises(ValueError, match="^k must be >= 0$"):
+                ball_uniform(group, -1)
+
+
 @st.composite
 def reduced_word(draw, min_size=0, max_size=40):
     """A reduced word of min_size to max_size letters: each letter is one that does not cancel the last."""
@@ -663,7 +727,7 @@ class TestF2Codes:
     def test_ball_order_matches_the_string_enumeration(self):
         for radius in range(9):
             want = f2_ball_words(radius)
-            assert F2.ball(radius) == want
+            assert list(ball_uniform(F2, radius).support) == want
             assert ball_uniform(F2, radius).elements.tolist() == F2.pack(want).tolist()
 
     def test_elements_are_read_only(self):
@@ -690,7 +754,8 @@ def library_built_measures():
     checked public construction from the same support and weights."""
     for group in (Z, ZdGroup(2), Z7, F2):
         for k in range(7):
-            yield group, ball_uniform(group, k), FinSuppMeasure.uniform(group, group.ball(k))
+            ball = f2_ball_words(k) if group == F2 else bfs_ball(group, k)
+            yield group, ball_uniform(group, k), FinSuppMeasure.uniform(group, ball)
     for group, ks in ((Z, range(1, 7)), (ZdGroup(2), range(1, 5))):
         for k in ks:
             box = itertools.product(range(-k, k + 1), repeat=group.d)
@@ -711,7 +776,7 @@ class TestLibraryBuiltMeasures:
             self.assert_same(built, checked)
 
     def test_translates_match_checked_constructor(self):
-        f2_words = [w for w in F2.ball(4) if len(w) >= 2]
+        f2_words = [w for w in f2_ball_words(4) if len(w) >= 2]
         for group, mu, _ in library_built_measures():
             shifts = group.generators() + (tuple(f2_words) if group == F2 else ())
             for g in shifts:
@@ -817,7 +882,7 @@ class TestArrayMeasures:
         for d in (1, 2, 3, 4):
             group = ZdGroup(d)
             for k in range(5):
-                size = len(group.ball(k))
+                size = len(bfs_ball(group, k))
                 monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size)
                 assert len(ball_uniform(group, k).weights) == size
                 monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size - 1)
@@ -830,7 +895,7 @@ class TestArrayMeasures:
     def test_cyclic_ball_limit_at_its_edge(self, monkeypatch):
         # min(m, 2k + 1) residues: the ball of radius 2 in Z_7 holds 5, and from radius 3 on all 7
         for k, size in ((0, 1), (2, 5), (3, 7), (10, 7)):
-            assert len(Z7.ball(k)) == size
+            assert len(bfs_ball(Z7, k)) == size
             monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size)
             assert len(ball_uniform(Z7, k).weights) == size
             monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size - 1)
@@ -839,3 +904,45 @@ class TestArrayMeasures:
         monkeypatch.undo()
         with pytest.raises(SpaceTooLarge):
             ball_uniform(CyclicGroup(10**7), 10**7)
+
+    def test_haar_limit_at_its_edge(self, monkeypatch):
+        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", 7)
+        mu = FinSuppMeasure.haar(Z7)
+        assert mu.elements.dtype == np.int64 and mu.elements.tolist() == list(range(7))
+        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", 6)
+        with pytest.raises(SpaceTooLarge, match="^the Haar measure of CyclicGroup\\(m=7\\) has more than 6 atoms$"):
+            FinSuppMeasure.haar(Z7)
+        monkeypatch.undo()
+        for m in (1_500_000, 2**70):  # refused before anything is built
+            with pytest.raises(SpaceTooLarge):
+                FinSuppMeasure.haar(CyclicGroup(m))
+
+    def test_lattice_ball_coordinate_limit_at_its_edge(self, monkeypatch):
+        # Z^20 at radius 1 holds 41 points of 20 coordinates: 820 in all, under a point limit of 81
+        group = ZdGroup(20)
+        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", 82)
+        assert len(ball_uniform(group, 1).weights) == 41
+        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", 81)
+        with pytest.raises(SpaceTooLarge, match="radius 1 .* 810 coordinates$"):
+            ball_uniform(group, 1)
+
+    def test_lattice_balls_at_the_caps_build_or_are_refused_under_768_mib(self):
+        # Z^11 at radius 7 holds the most coordinates of any d <= 12 under the point limit
+        # (8,750,005), Z^2235 at radius 1 the most a ball of radius 1 may hold (9,992,685);
+        # Z^20000 at radius 1 (8 x 10^8) once ended in a MemoryError under this cap
+        proc = run_capped(["-c", LATTICE_BALLS_AT_THE_CAPS], 768)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "11 7 795455", "2235 1 4471", "1 499999 999999", "6 14 880685",
+            "2236 1 refused", "20000 1 refused", "34 4 refused", "11 8 refused",
+        ]
+
+
+LATTICE_BALLS_AT_THE_CAPS = """
+from levylab import SpaceTooLarge, ZdGroup, ball_uniform
+for d, k in ((11, 7), (2235, 1), (1, 499999), (6, 14), (2236, 1), (20000, 1), (34, 4), (11, 8)):
+    try:
+        print(d, k, len(ball_uniform(ZdGroup(d), k).weights))
+    except SpaceTooLarge:
+        print(d, k, "refused")
+"""
