@@ -31,8 +31,8 @@ from .hamming import (
     DiscreteBase,
     HammingProduct,
     _check_sample_array,
+    _profiles,
     fraction_differing,
-    lipschitz_profile,
     product_space,
     talagrand_bound,
 )
@@ -212,12 +212,20 @@ def _parse_schedule(group: WordGroup, text: str) -> tuple:
         if k < 1 or n < 1:
             raise UsageError(f"schedule produced non-positive k={k} or n={n} at i={i}")
         sizes.append((n, k))
-    # every box's size, and their sum, before the first is built
-    for _, k in sizes:
-        _check_support_size(group, k)
-    if (points := sum((2 * k + 1) ** group.d for _, k in sizes)) > SUPPORT_LIMIT:
-        raise SpaceTooLarge(f"the schedule's boxes hold {points} points together, more than {SUPPORT_LIMIT}")
+    _check_sweep_size(group, [k for _, k in sizes])
     return tuple(sizes)
+
+
+def _check_sweep_size(group: WordGroup, ks) -> None:
+    """Refuse the boxes [-k, k]^d of Z^d, or F2 balls of radius k, for k in ks when one or all together
+    hold more than SUPPORT_LIMIT points, before any is built: each is checked alone before its (2k+1)^d or
+    2*3^k - 1 points are added, and the sum stops once it passes the limit."""
+    total = 0
+    for k in ks:
+        _check_support_size(group, k)
+        total += (2 * k + 1) ** group.d if isinstance(group, ZdGroup) else 2 * 3**k - 1
+        if total > SUPPORT_LIMIT:
+            raise SpaceTooLarge(f"the measures of the sweep hold more than {SUPPORT_LIMIT} points together")
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +255,12 @@ def _cmd_profile(ns) -> tuple[list[str], list[tuple], dict]:
     grid = _parse_eps_grid(ns.eps_grid) if ns.eps_grid else [ns.eps]
     product = HammingProduct(base, ns.n)
     f = fraction_differing(base.atoms[0])
+    # one draw, or enumeration, and one median for every radius
+    results = _profiles(product, f, 1.0, grid, ns.mode, ns.samples, ns.seed)
     rows = []
     uppers = []
     ok = True
-    for eps in grid:
-        result = lipschitz_profile(
-            product,
-            f,
-            bound=1.0,
-            lipschitz=1.0,
-            eps=eps,
-            mode=ns.mode,
-            samples=ns.samples,
-            seed=ns.seed,
-        )
+    for eps, result in zip(grid, results):
         bound = talagrand_bound(eps, ns.n)
         rows.append((eps, ns.n, result.estimate, result.stderr, bound))
         uppers.append(float(result.upper))
@@ -291,9 +291,13 @@ def _parse_group_family(group: WordGroup, text: str):
 def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
     group = make_group(ns.group)
     ks = _parse_k_range(ns.k_range)
+    if not isinstance(group, (ZdGroup, FreeGroup2)):
+        raise UsageError(f"defect sweeps boxes of Z^d or balls of F2, not the group {ns.group!r}")
+    # the largest measure, then all of them together, before the first or a generator is built
+    _check_support_size(group, ks[-1])
+    _check_sweep_size(group, ks)
     rows = []
     if isinstance(group, ZdGroup):
-        _check_support_size(group, ks[-1])  # the largest box, before it or a generator is built
         family = _parse_group_family(group, ns.family)
         g = group.parse(ns.g) if ns.g else group.generators()[0]
         ok = True
@@ -304,10 +308,7 @@ def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
             rows.append((k, d, bound))
             ok &= d <= bound + 1e-12
         return ["k", "defect", "bound"], rows, {"probe": "folner", "defect_within_bound": ok}
-    if not isinstance(group, FreeGroup2):
-        raise UsageError(f"defect sweeps boxes of Z^d or balls of F2, not the group {ns.group!r}")
     g = group.parse(ns.g) if ns.g else "a"
-    _check_support_size(group, ks[-1])  # the largest ball, before the first is built
     floor = 0.2
     ok = True
     for k in ks:

@@ -206,12 +206,17 @@ def lipschitz_profile(
     is checked exactly in both modes: under d_n, f's constant is
     max(table) - min(table).
     """
-    if not eps > 0:
+    del bound  # recorded by callers; the profile itself only needs L
+    return _profiles(product, f, lipschitz, (eps,), mode, samples, seed)[0]
+
+
+def _profiles(product: HammingProduct, f, lipschitz: float, grid, mode: str, samples, seed: int) -> list:
+    """lipschitz_profile's ProfileResult at each radius of grid, from one enumeration or draw and one median."""
+    if not all(eps > 0 for eps in grid):
         raise NegativeEps("eps must be > 0")
     # max(table) - min(table) is the Lipschitz constant only for the identity phi
     if not isinstance(f, IntegralMember) or f.breakpoints or f.phi is not np.asarray:
         raise CarrierMismatch("lipschitz_profile evaluates one-piece IntegralMembers with the default phi only")
-    del bound  # recorded by callers; the profile itself only needs L
     table = np.array([f.kernel[0](a) for a in product.base.atoms], dtype=np.float64)
     spread = float(table.max() - table.min())
     if not spread <= lipschitz + 1e-9:
@@ -224,8 +229,8 @@ def lipschitz_profile(
         values = reduce(lambda s, t: (s[:, None] + t[None, :]).ravel(), [table] * n) / n
         weights = product_weights(product.base.weights, n)
         m = weighted_median(values, weights)
-        mass = weighted_deviation_mass(values, weights, m, eps, n)
-        return ProfileResult(mass, 0.0, m, "exact", len(values), mass)
+        masses = [weighted_deviation_mass(values, weights, m, eps, n) for eps in grid]
+        return [ProfileResult(mass, 0.0, m, "exact", len(values), mass) for mass in masses]
 
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
@@ -246,6 +251,9 @@ def lipschitz_profile(
     values /= n
     weights = np.full(samples, 1.0 / samples)
     m = weighted_median(values, weights)
-    mass = weighted_deviation_mass(values, weights, m, eps, n)
-    stderr = math.sqrt(max(mass * (1.0 - mass), 0.0) / samples)
-    return ProfileResult(mass, stderr, m, "sampled", samples, _wilson_upper(mass, samples))
+    results = []
+    for eps in grid:
+        mass = weighted_deviation_mass(values, weights, m, eps, n)
+        stderr = math.sqrt(max(mass * (1.0 - mass), 0.0) / samples)
+        results.append(ProfileResult(mass, stderr, m, "sampled", samples, _wilson_upper(mass, samples)))
+    return results

@@ -1,8 +1,15 @@
 """Word-metric groups and finitely supported measures on them.
 
-Three concrete group kinds are provided: integer lattices Z^d under the
-l1 word length, cyclic groups Z_m under the cyclic distance, and the free
-group on two letters as reduced words over {a, A, b, B}.  The word length
+There are three group kinds, and they are the whole set: integer
+lattices Z^d under the l1 word length, cyclic groups Z_m under the cyclic
+distance, and the free group on two letters as reduced words over
+{a, A, b, B}.  ``WordGroup`` is their union, ``ZdGroup | CyclicGroup |
+FreeGroup2``, with no base class.  Every kind defines ``identity``,
+``op``, ``inv``, ``validate`` (the canonical form of x, or
+InvalidElement), ``word_length``, ``pack`` and ``unpack`` (to and from
+the bulk form below), ``translate_all`` (g * x for a whole support in
+bulk form), ``word_lengths`` (int64, or Python ints past int64),
+``generators``, ``random_element`` and ``parse``.  The word length
 induces the right-invariant metric d(x, y) = wl(x * y^-1), which realizes
 the right uniformity all defect computations refer to.
 
@@ -21,11 +28,10 @@ array, (m, d) on Z^d, (m,) on Z_m and (m,) of word codes on F2, where
 the reduced word d_1 ... d_L, its letters numbered 0..3 in the order a,
 A, b, B, is 4^L + sum d_i 4^(L-i).  The array is int64 when every entry
 fits it (on F2, words of at most 31 letters) and else of dtype object
-holding Python ints, so one code path is exact at any size.  Each group
-defines pack, unpack and two bulk kernels on it: ``translate_all`` and
-``word_lengths``.  Z^d and Z_m add in int64 only where no sum can leave
-it; F2 translates by one letter of g at a time, cancelling or prepending
-a first letter, in int64 while no product can pass 31 letters.  A kernel
+holding Python ints, so one code path is exact at any size.  In the
+bulk kernels, Z^d and Z_m add in int64 only where no sum can leave it;
+F2 translates by one letter of g at a time, cancelling or prepending a
+first letter, in int64 while no product can pass 31 letters.  A kernel
 with a ``group`` and a method ``values(elements)``, its float column
 over a bulk support of that group, has a bulk path: ``ClampedLength``
 and ``Mismatch`` do, and ``FinSuppMeasure.column`` takes it.  Measures
@@ -84,54 +90,8 @@ def _shift(elements: np.ndarray, g: tuple) -> np.ndarray:
     return _int_array(elements.astype(object) + np.array(g, object))
 
 
-class WordGroup:
-    """Group with identity, composition, inverse, and a word-length metric."""
-
-    @property
-    def identity(self):
-        raise NotImplementedError
-
-    def op(self, x, y):
-        raise NotImplementedError
-
-    def inv(self, x):
-        raise NotImplementedError
-
-    def validate(self, x):
-        """Return the canonical form of x, or raise InvalidElement."""
-        raise NotImplementedError
-
-    def word_length(self, x) -> int:
-        raise NotImplementedError
-
-    def pack(self, elements) -> np.ndarray:
-        """Canonical elements in the group's bulk form, the integer array a measure stores."""
-        raise NotImplementedError
-
-    def unpack(self, elements) -> tuple:
-        """The canonical elements of a bulk form, in order."""
-        raise NotImplementedError
-
-    def translate_all(self, g, elements) -> np.ndarray:
-        """The products g * x in bulk form, for canonical g and elements x in bulk form."""
-        raise NotImplementedError
-
-    def word_lengths(self, elements) -> np.ndarray:
-        """The word lengths of elements in bulk form: int64, or Python ints when one exceeds int64."""
-        raise NotImplementedError
-
-    def generators(self) -> tuple:
-        raise NotImplementedError
-
-    def random_element(self, gen: np.random.Generator, radius: int = 4):
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ZdGroup(WordGroup):
+class ZdGroup:
     """Z^d with the l1 word length; elements are integer d-tuples."""
 
     d: int = 1
@@ -206,7 +166,7 @@ class ZdGroup(WordGroup):
 
 
 @dataclass(frozen=True)
-class CyclicGroup(WordGroup):
+class CyclicGroup:
     """Z_m with the cyclic word length min(x, m - x); elements are residues."""
 
     m: int
@@ -277,7 +237,7 @@ def _reduce_word(word: str) -> str:
 
 
 @dataclass(frozen=True)
-class FreeGroup2(WordGroup):
+class FreeGroup2:
     """The free group on {a, b}; elements are reduced words, A = a^-1."""
 
     @property
@@ -350,6 +310,9 @@ class FreeGroup2(WordGroup):
         if body in ("e", "1"):
             return ""
         return self.validate(body)
+
+
+WordGroup = ZdGroup | CyclicGroup | FreeGroup2
 
 
 def _f2_ball(radius: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SRC, run_capped
-from levylab import FinSuppMeasure, amplify, cli
+from levylab import FinSuppMeasure, amplify, cli, hamming, wordgroups
 from levylab.cli import main
 
 
@@ -105,6 +105,48 @@ class TestProfileCommand:
         else:
             assert all(est < up <= 1.0 for est, up in zip(estimates, uppers))
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_grid_draws_once_and_matches_per_radius_runs(self, tmp_path, monkeypatch, mode):
+        # one draw (or enumeration) and one median serve every radius of the grid, with the
+        # rows and flags that one run per radius gives
+        medians, guides = [], []
+        monkeypatch.setattr(hamming, "weighted_median", _counted(hamming.weighted_median, medians))
+        monkeypatch.setattr(hamming.rng, "Guide", _counted(hamming.rng.Guide, guides))
+        flags = ["--n", "8", "--mode", mode, "--samples", "3000", "--seed", "7"]
+        code, out, summary = run(tmp_path, "grid", "profile", "--eps-grid", "0.05:0.45:0.1", *flags)
+        assert code == 0 and len(medians) == 1 and len(guides) == (mode == "sampled")
+        lines = out.read_text().splitlines()
+        grid = [float(line.split(",")[0]) for line in lines[1:]]
+        assert len(grid) == 5
+        one_radius = []
+        for eps in grid:
+            code, out_eps, summary_eps = run(tmp_path, "one", "profile", "--eps", repr(eps), *flags)
+            assert code == 0
+            one_radius.append((out_eps.read_text().splitlines(), json.loads(summary_eps.read_text())["flags"]))
+        assert len(medians) == 1 + len(grid)
+        assert lines == [lines[0]] + [csv_lines[1] for csv_lines, _ in one_radius]
+        got = json.loads(summary.read_text())["flags"]
+        assert got["wilson_upper"] == [f["wilson_upper"][0] for _, f in one_radius]
+        assert got["within_bound_plus_4sigma"] == all(f["within_bound_plus_4sigma"] for _, f in one_radius)
+
+    def test_bad_radius_is_refused_before_drawing(self, tmp_path, monkeypatch, capsys):
+        guides = []
+        monkeypatch.setattr(hamming.rng, "Guide", _counted(hamming.rng.Guide, guides))
+        for grid in ("0.1,0.2,-0.1", "0.1,nan"):
+            code, out, _ = run(tmp_path, "bad", "profile", "--eps-grid", grid, "--samples", "100")
+            assert code == 1 and not out.exists() and guides == []
+            assert capsys.readouterr().err == "error: eps must be > 0\n"
+
+
+def _counted(fn, calls):
+    """fn, appending its arguments to calls on every call."""
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return counted
+
 
 class TestDefectCommand:
     def test_folner_sweep(self, tmp_path):
@@ -163,6 +205,40 @@ class TestDefectCommand:
         code, out, _ = run(tmp_path, "defect", "defect", "--group", group, "--k-range", k_range)
         assert code == 2 and not out.exists()
         assert re.search(match, capsys.readouterr().err)
+
+
+    @pytest.mark.parametrize(
+        "args,points",
+        [
+            (["defect", "--group", "Z", "--k-range", "1..3"], 3 + 5 + 7),
+            (["defect", "--group", "Z^2", "--k-range", "1..2"], 9 + 25),
+            (["defect", "--group", "F2", "--k-range", "1..2"], 5 + 17),
+            (["amplify", "--schedule", "k=i,n=1,i=1..3", "--family", "disagreement:count=2", "--samples", "10"],
+             3 + 5 + 7),
+        ],
+        ids=["Z", "Z2", "F2", "amplify"],
+    )
+    def test_sweep_limit_at_its_edge(self, tmp_path, monkeypatch, capsys, args, points):
+        # the measures of one sweep or schedule may hold SUPPORT_LIMIT points together, and no more
+        for module in (cli, wordgroups):
+            monkeypatch.setattr(module, "SUPPORT_LIMIT", points)
+        assert run(tmp_path, "edge", *args)[0] == 0
+        for module in (cli, wordgroups):
+            monkeypatch.setattr(module, "SUPPORT_LIMIT", points - 1)
+        code, out, _ = run(tmp_path, "over", *args)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"computation error: the measures of the sweep hold more than {points - 1} points together\n"
+        )
+
+    def test_sweep_sum_stops_past_the_limit(self, monkeypatch):
+        # a sweep's points are counted only until they pass the limit, not over every k
+        counted = []
+        monkeypatch.setattr(cli, "_check_support_size", lambda group, k: counted.append(k))
+        with pytest.raises(cli.SpaceTooLarge, match="together"):
+            cli._check_sweep_size(cli.make_group("Z"), range(1, 10**12))
+        # the boxes for k = 1..999 hold 999^2 + 2 * 999 = 999,999 points; k = 1000 brings them past 10^6
+        assert counted == list(range(1, 1001))
 
 
 class TestAmplifyCommand:
@@ -572,6 +648,8 @@ class TestDefaultsSmoke:
             ["phi-check", "--group", "Z^10000000", "--trials", "1"],
             ["phi-check", "--trials", "100000000"],
             ["amplify", "--group", "Z^2", "--g", ":(1,0)", "--schedule", "k=i,n=1,i=1..499", "--samples", "100"],
+            ["defect", "--k-range", "1..499999"],
+            ["defect", "--group", "Z^2", "--k-range", "1..499"],
             # a member has one kernel piece or more, so the count alone exceeds the table cap
             ["amplify", "--family", "disagreement:count=100000000", "--samples", "10"],
             # 3 x 10^5 + 1 planned runs, each cut into a piece per member: 20 x 300,001 entries

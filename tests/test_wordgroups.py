@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from levylab import (
     InvalidMeasure,
     Schedule,
     SpaceTooLarge,
+    WordGroup,
     WrongKind,
     ZdGroup,
     ball_uniform,
@@ -98,6 +100,14 @@ class TestBalls:
         assert make_group("F2") == F2
         with pytest.raises(WrongKind):
             make_group("S5")
+
+    def test_group_kinds_are_a_closed_set(self):
+        # WordGroup is the union of the three kinds, with no base class for a fourth to derive from
+        assert typing.get_args(WordGroup) == (ZdGroup, CyclicGroup, FreeGroup2)
+        for spec in ("Z", "Z^3", "Zm:7", "F2"):
+            assert isinstance(make_group(spec), WordGroup)
+        assert all(kind.__bases__ == (object,) for kind in typing.get_args(WordGroup))
+        assert not isinstance(object(), WordGroup)
 
     def test_element_literals_round_trip(self):
         z2 = ZdGroup(2)
