@@ -52,6 +52,7 @@ from .hamming import (
     DiscreteBase,
     HammingProduct,
     ProfileResult,
+    coordinate_sum_law,
     fraction_differing,
     lipschitz_profile,
     product_space,
@@ -67,6 +68,7 @@ from .mean_transfer import (
 from .mmspace import (
     FiniteMMSpace,
     alpha_profile,
+    deviation_masses,
     weighted_deviation_mass,
     weighted_median,
 )

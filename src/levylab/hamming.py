@@ -5,17 +5,21 @@ d_n(x, y) = #{i : x_i != y_i} / n.  The exponential bound 2*exp(-eps^2 n)
 controls both the concentration function and, after rescaling by the
 Lipschitz constant, deviation masses of Lipschitz functions about their
 medians.  Large products are probed by sampled deviation profiles; exact
-enumeration runs up to EXACT_PRODUCT_LIMIT tuples.
+profiles run up to EXACT_PRODUCT_LIMIT tuples.
 
 Profiles take coordinate means x -> (1/n) * sum_i kernel(x_i), the
 one-piece IntegralMembers with the default phi.  They are evaluated from
 one table of kernel values over the base atoms, added over each tuple's
-coordinates left to right, then divided by n.  Exact mode gathers the
-table along every tuple of atom indices; sampled mode draws each
-coordinate's value from the table through one rng.Guide per call, in
-coordinate-major blocks whose columns are the samples.  The table's max
-minus its min is the exact Lipschitz constant under d_n (for the identity
-phi only), against which the declared constant is checked.
+coordinates left to right, then divided by n.  Exact mode takes the law of
+that sum, an n-fold convolution of the table's law (coordinate_sum_law):
+its distinct values are exactly the sums the k^n tuples form, each with
+the mass of the tuples that form it.  Sampled mode draws each coordinate's
+value from the table through one rng.Guide per call, in coordinate-major
+blocks whose columns are the samples, into buffers made once per call.
+The median is taken once, and the masses at all radii come from one sort.
+The table's max minus its min is the exact Lipschitz constant under d_n
+(for the identity phi only), against which the declared constant is
+checked.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import (
     TooLargeForExact,
     TooManySamples,
 )
-from .mmspace import DEFAULT_ENUMERATION_LIMIT, FiniteMMSpace, weighted_deviation_mass, weighted_median
+from .mmspace import DEFAULT_ENUMERATION_LIMIT, FiniteMMSpace, deviation_masses, weighted_median
 from .stepmaps import IntegralMember, hamming_distance
 from .wordgroups import _power_over
 
@@ -195,9 +199,11 @@ def lipschitz_profile(
 
     f must be a one-piece IntegralMember with the default phi; anything else
     raises CarrierMismatch.  Its values come from one table of f.kernel[0]
-    over the atoms, added along rows of atom indices.  Exact mode
-    enumerates all index tuples (up to EXACT_PRODUCT_LIMIT) in
-    itertools.product order, aligned with product_weights; sampled mode
+    over the atoms, added along rows of atom indices.  Exact mode takes the
+    median and the mass on the law of the coordinate sum
+    (coordinate_sum_law): the values the k^n tuples take, each with its
+    mass.  It runs only where k^n is at most EXACT_PRODUCT_LIMIT, and
+    ``count`` is k^n, the number of tuples the law stands for.  Sampled mode
     draws the values of the `samples` seeded rows of sample_indices in
     blocks of about PROFILE_BLOCK_DRAWS coordinates and reports a binomial
     standard error and a Wilson upper bound; more samples, or more
@@ -211,7 +217,7 @@ def lipschitz_profile(
 
 
 def _profiles(product: HammingProduct, f, lipschitz: float, grid, mode: str, samples, seed: int) -> list:
-    """lipschitz_profile's ProfileResult at each radius of grid, from one enumeration or draw and one median."""
+    """lipschitz_profile's ProfileResult at each radius of grid, from one law or draw and one median."""
     if not all(eps > 0 for eps in grid):
         raise NegativeEps("eps must be > 0")
     # max(table) - min(table) is the Lipschitz constant only for the identity phi
@@ -225,35 +231,70 @@ def _profiles(product: HammingProduct, f, lipschitz: float, grid, mode: str, sam
 
     if mode == "exact":
         _check_enumeration(len(product.base.atoms), n)
-        # flat after each coordinate, in product_weights' order
-        values = reduce(lambda s, t: (s[:, None] + t[None, :]).ravel(), [table] * n) / n
-        weights = product_weights(product.base.weights, n)
-        m = weighted_median(values, weights)
-        masses = [weighted_deviation_mass(values, weights, m, eps, n) for eps in grid]
-        return [ProfileResult(mass, 0.0, m, "exact", len(values), mass) for mass in masses]
-
-    if mode != "sampled":
+        values, weights = coordinate_sum_law(table, product.base.weights, n)
+    elif mode == "sampled":
+        if samples is None or samples < 1:
+            raise ValueError("sampled mode needs samples >= 1")
+        values, weights = _sampled_values(product, table, samples, seed), np.full(samples, 1.0 / samples)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if samples is None or samples < 1:
-        raise ValueError("sampled mode needs samples >= 1")
+    m = weighted_median(values, weights)
+    masses = deviation_masses(values, weights, m, grid, n)
+    if mode == "exact":
+        count = len(product.base.atoms) ** n
+        return [ProfileResult(mass, 0.0, m, "exact", count, mass) for mass in masses]
+    return [
+        ProfileResult(mass, math.sqrt(max(mass * (1.0 - mass), 0.0) / samples), m, "sampled", samples,
+                      _wilson_upper(mass, samples))
+        for mass in masses
+    ]
+
+
+def coordinate_sum_law(table, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law of (1/n) * sum_i table[X_i], X_i independent of law weights: values and their masses.
+
+    The sums are formed as an enumeration of the k^n tuples forms them,
+    left to right from the table row itself; after each of the n - 1
+    additions of the row, partial sums with equal bits are merged
+    (np.unique on their int64 view, so +0.0 and -0.0 stay apart) and their
+    masses added by np.bincount.  So the distinct sums are those of the
+    enumeration bit for bit, and only the order in which masses are added
+    differs.  The sums are divided by n once, at the end; two sums may
+    round to one value there, which is then listed twice.
+    """
+    table = np.asarray(table, np.float64)
+    weights = np.asarray(weights, np.float64)
+    sums, masses = table, weights
+    for step in range(n):
+        if step:
+            sums = (sums[:, None] + table).ravel()
+            masses = (masses[:, None] * weights).ravel()
+        bits, where = np.unique(sums.view(np.int64), return_inverse=True)
+        sums, masses = bits.view(np.float64), np.bincount(where, masses)
+    return sums / n, masses
+
+
+def _sampled_values(product: HammingProduct, table: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """The coordinate means of the `samples` rows of sample_indices, drawn in blocks of rows into buffers made once."""
+    n = product.n
     rows = min(samples, max(1, PROFILE_BLOCK_DRAWS // n))
     _check_sample_array(samples)
     _check_sample_array(rows, n)
     values = np.empty(samples)
     draw = rng.Guide(np.cumsum(product.base.weights), samples * n, table)
     offsets = rng.counter_offsets(n, rows)
+    # flat, so that the first n * block entries are a C-ordered (n, block) array for every block
+    h, scratch, terms = np.empty(n * rows, np.uint64), np.empty(n * rows, np.uint64), np.empty(n * rows)
     for start in range(0, samples, rows):
-        # terms[j, i] is coordinate j of sample start + i.  numpy adds a C-ordered array's
+        block = min(rows, samples - start)
+        shape, size = (n, block), n * block
+        hashed = rng.hashes(seed, start * n, offsets[:, :block], h[:size].reshape(shape), scratch[:size].reshape(shape))
+        # drawn[j, i] is coordinate j of sample start + i.  numpy adds a C-ordered array's
         # rows one after another, but one column pairwise, so a lone column is cumulated
-        terms = draw(rng.hashes(seed, start * n, offsets[:, : samples - start]))
-        sums = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms, axis=0)[-1]
-        values[start : start + len(sums)] = sums
+        drawn = draw(hashed, terms[:size].reshape(shape))
+        if block > 1:
+            np.sum(drawn, axis=0, out=values[start : start + block])
+        else:
+            values[start] = np.cumsum(drawn)[-1]
     values /= n
-    weights = np.full(samples, 1.0 / samples)
-    m = weighted_median(values, weights)
-    results = []
-    for eps in grid:
-        mass = weighted_deviation_mass(values, weights, m, eps, n)
-        stderr = math.sqrt(max(mass * (1.0 - mass), 0.0) / samples)
-        results.append(ProfileResult(mass, stderr, m, "sampled", samples, _wilson_upper(mass, samples)))
-    return results
+    return values

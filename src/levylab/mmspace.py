@@ -262,3 +262,38 @@ def weighted_deviation_mass(values, weights, center, eps: float, terms: int = 1)
     far = _beyond(np.abs(values - center), eps, terms, np.abs(values) + np.abs(center) + eps)
     masses = [weights[row].sum() for row in np.atleast_2d(far)]
     return float(masses[0]) if values.ndim == 1 else np.array(masses)
+
+
+def deviation_masses(values, weights, center: float, grid, terms: int = 1) -> list[float]:
+    """weighted_deviation_mass(values, weights, center, eps, terms) at each eps of grid, bit for bit.
+
+    values is one row.  Unequal weights take one weighted_deviation_mass
+    per radius.  Equal weights w sort the values once; at each radius, the
+    values farther from center than eps plus four times _beyond's rounding
+    allowance are far and those nearer than eps minus it are not, both
+    counted by np.searchsorted, and _beyond decides the rest.  k far values
+    have the mass np.full(k, w).sum(), the bits of weights[far].sum().
+    """
+    values, weights = _function_table(values, weights)
+    if values.ndim != 1:
+        raise LengthMismatch("deviation_masses takes one row of values")
+    if not (weights.size and weights.min() == weights.max()):
+        return [weighted_deviation_mass(values, weights, center, eps, terms) for eps in grid]
+    if not all(eps > 0 for eps in grid):
+        raise NonPositiveEps("eps must be > 0")
+    ranked = np.sort(values)
+    largest = max(-ranked[0], ranked[-1])
+    mass_of_count = {}
+    masses = []
+    for eps in grid:
+        slack = 4 * (terms + 2) * np.finfo(np.float64).eps * (largest + abs(center) + eps)
+        # below low or from high_end on: far; from low_end to high: near; the two edges between
+        low, high = np.searchsorted(ranked, [center - eps - slack, center + eps - slack], "left")
+        low_end, high_end = np.searchsorted(ranked, [center - eps + slack, center + eps + slack], "right")
+        edges = np.concatenate((ranked[low:low_end], ranked[max(high, low_end) : high_end]))
+        far = _beyond(np.abs(edges - center), eps, terms, np.abs(edges) + abs(center) + eps)
+        k = int(low + len(ranked) - high_end + np.count_nonzero(far))
+        if k not in mass_of_count:
+            mass_of_count[k] = float(np.full(k, weights[0]).sum())
+        masses.append(mass_of_count[k])
+    return masses

@@ -6,6 +6,7 @@ library shortcuts, so tests can pin library outputs against them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -257,25 +258,30 @@ def sorted_median(values, weights):
     return float(medians[0]) if values.ndim == 1 else np.array(medians)
 
 
-def tuple_profile(product, f, eps: float, mode: str = "exact", samples: int = 0, seed: int = 0):
-    """(median, deviation mass) of the one-piece member f, one coordinate mean per tuple of atoms.
+def tuple_values(product, f, mode: str = "exact", samples: int = 0, seed: int = 0):
+    """(values, weights) of the one-piece member f, one coordinate mean per tuple of atoms.
 
-    Each tuple x gives left_sum(map(f.kernel[0], x)) / len(x).  Exact mode
-    walks itertools.product; sampled mode looks up the atoms of the rows of
-    sample_indices, so the draws are those of lipschitz_profile.
+    Each tuple x gives reduce(add, map(f.kernel[0], x)) / len(x): its terms
+    added left to right from the first, so a tuple of -0.0 sums to -0.0.
+    Exact mode walks itertools.product with product_weights; sampled mode
+    looks up the atoms of the rows of sample_indices, so the draws are those
+    of lipschitz_profile, each of weight 1 / samples.
     """
 
     def mean(x):
-        return left_sum(map(f.kernel[0], x)) / len(x)
+        return functools.reduce(operator.add, map(f.kernel[0], x)) / len(x)
 
     if mode == "exact":
         tuples = itertools.product(product.base.atoms, repeat=product.n)
-        values = np.asarray([mean(x) for x in tuples])
-        weights = product_weights(product.base.weights, product.n)
-    else:
-        rows = sample_indices(product.base.weights, product.n, samples, seed).tolist()
-        values = np.asarray([mean(tuple(product.base.atoms[c] for c in row)) for row in rows])
-        weights = np.full(samples, 1.0 / samples)
+        return np.asarray([mean(x) for x in tuples]), product_weights(product.base.weights, product.n)
+    rows = sample_indices(product.base.weights, product.n, samples, seed).tolist()
+    values = np.asarray([mean(tuple(product.base.atoms[c] for c in row)) for row in rows])
+    return values, np.full(samples, 1.0 / samples)
+
+
+def tuple_profile(product, f, eps: float, mode: str = "exact", samples: int = 0, seed: int = 0):
+    """(median, deviation mass) of f's tuple_values, the per-tuple oracle of lipschitz_profile."""
+    values, weights = tuple_values(product, f, mode, samples, seed)
     m = weighted_median(values, weights)
     return m, weighted_deviation_mass(values, weights, m, eps, product.n)
 

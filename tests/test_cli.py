@@ -673,6 +673,15 @@ class TestDefaultsSmoke:
         assert proc.returncode == 0, proc.stderr
         assert elapsed < 5.0
 
+    def test_a_fine_eps_grid_costs_one_sort(self, tmp_path):
+        # 5,000 radii on the default 10^5 samples: each radius is a binary search, not a pass
+        start = time.perf_counter()
+        proc = run_child(tmp_path, ["profile", "--eps-grid", "0.0001:0.5:0.0001"], 768)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_csv(tmp_path / "profile.csv")) == 5001
+        assert elapsed < 2.0
+
     def test_large_cube_is_refused_before_building(self, tmp_path):
         proc = run_child(tmp_path, ["alpha", "--space", "cube:10"], 1024)
         assert proc.returncode == 2

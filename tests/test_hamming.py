@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rational_profile, tuple_profile
+from conftest import rational_profile, tuple_profile, tuple_values
 from levylab import (
     CarrierMismatch,
     CyclicGroup,
@@ -22,6 +22,7 @@ from levylab import (
     TooLargeForExact,
     TooManySamples,
     alpha_profile,
+    coordinate_sum_law,
     fraction_differing,
     h_embed,
     hamming_distance,
@@ -346,11 +347,13 @@ class TestProfileOracle:
     @pytest.mark.parametrize("base", BASES, ids=["uniform2", "three", "five"])
     @pytest.mark.parametrize("n", [1, 2, 5, 7])
     def test_exact(self, base, n):
+        # the law of the coordinate sum adds the masses in another order than the tuples' pairwise sum
         product = HammingProduct(base, n)
         for f, lipschitz in self.members(base):
             for eps in (0.05, 0.2, 0.45):
                 res = lipschitz_profile(product, f, bound=1.0, lipschitz=lipschitz, eps=eps)
-                assert (res.median, res.estimate) == tuple_profile(product, f, eps)
+                median, mass = tuple_profile(product, f, eps)
+                assert res.median == median and abs(res.estimate - mass) <= 1e-12
                 assert res.count == len(base.atoms) ** n
 
     @pytest.mark.parametrize("base", BASES, ids=["uniform2", "three", "five"])
@@ -367,6 +370,72 @@ class TestProfileOracle:
                 samples=samples, seed=n,
             )
             assert (res.median, res.estimate) == tuple_profile(product, f, 0.1, "sampled", samples, n)
+
+
+@st.composite
+def law_bases(draw):
+    """1 to 5 atoms with dyadic weights (halves and quarters split off 1) or non-dyadic ones."""
+    k = draw(st.integers(1, 5), label="atoms")
+    if draw(st.booleans(), label="dyadic"):
+        weights = [1.0]
+        for _ in range(k - 1):
+            w = weights.pop(draw(st.integers(0, len(weights) - 1)))
+            part = draw(st.sampled_from([0.5, 0.25])) * w
+            weights += [part, w - part]
+    else:
+        raw = draw(st.lists(st.integers(1, 97), min_size=k, max_size=k))
+        weights = [r / sum(raw) for r in raw]
+    return DiscreteBase(tuple(range(k)), weights)
+
+
+class TestCoordinateSumLaw:
+    # the law of the coordinate sum against one call of f per tuple (conftest.tuple_values)
+
+    # sums of 0.1, 0.7 or 0.33 round, so their order of addition shows; -0.0 + -0.0 is -0.0
+    KERNEL_VALUES = [0.0, -0.0, 1.0, 0.1, 0.7, 0.33, -0.25, 1e-17]
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=law_bases(), n=st.integers(1, 8), data=st.data())
+    def test_matches_enumeration(self, base, n, data):
+        kernel = data.draw(st.lists(st.sampled_from(self.KERNEL_VALUES), min_size=len(base.atoms),
+                                    max_size=len(base.atoms)), label="kernel")
+        f = IntegralMember((), (kernel.__getitem__,))
+        product = HammingProduct(base, n)
+        values, masses = coordinate_sum_law(kernel, base.weights, n)
+        assert values.dtype == masses.dtype == np.float64 and values.shape == masses.shape
+
+        def by_bits(values, weights):
+            law = {}
+            for v, w in zip(values.tolist(), weights.tolist()):
+                law.setdefault(v.hex(), []).append(w)
+            return {bits: math.fsum(ws) for bits, ws in law.items()}
+
+        got, want = by_bits(values, masses), by_bits(*tuple_values(product, f))
+        assert sorted(got) == sorted(want)
+        assert all(abs(got[bits] - want[bits]) <= 1e-15 for bits in want)
+        spread = max(kernel) - min(kernel)
+        res = lipschitz_profile(product, f, bound=1.0, lipschitz=spread, eps=0.1)
+        assert res.median == tuple_profile(product, f, 0.1)[0]
+
+    def test_signed_zeros_stay_apart(self):
+        # -0.0 + -0.0 is -0.0 and -0.0 + 0.0 is 0.0: the all -0.0 tuple keeps its sign
+        values, masses = coordinate_sum_law([-0.0, 0.0, 1.0], [0.25, 0.25, 0.5], 3)
+        assert [v.hex() for v in values.tolist()][:2] == [(-0.0).hex(), (0.0).hex()]
+        assert masses.tolist()[:2] == [1 / 64, 7 / 64]
+
+    def test_exact_profile_holds_the_law_not_the_tuples(self):
+        # base (0.2, 0.3, 0.5) at n = 12: 531,441 tuples, 13 values
+        product = HammingProduct(DiscreteBase((0, 1, 2), (0.2, 0.3, 0.5)), 12)
+        f = fraction_differing(0)
+        lipschitz_profile(product, f, bound=1.0, lipschitz=1.0, eps=0.3)
+        tracemalloc.start()
+        try:
+            res = lipschitz_profile(product, f, bound=1.0, lipschitz=1.0, eps=0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.count == 3**12
+        assert peak < 1 << 20
 
 
 class TestRationalMasses:

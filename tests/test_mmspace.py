@@ -1,3 +1,5 @@
+import functools
+import operator
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from levylab import (
     NonPositiveEps,
     SpaceTooLarge,
     alpha_profile,
+    deviation_masses,
     weighted_deviation_mass,
     weighted_median,
 )
@@ -374,6 +377,52 @@ class TestDeviationMass:
     def test_non_finite_table(self):
         with pytest.raises(InvalidFunctionTable):
             weighted_deviation_mass([0.0, float("inf")], TWO_POINT.mu, 0.0, 0.1)
+
+
+class TestDeviationMasses:
+    # every radius from one sort, against one weighted_deviation_mass per radius, compared with ==
+
+    TERMS = [0.0, -0.0, 0.1, 0.25, 1 / 3, 0.7, 1.0, -0.4]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_each_radius_has_the_bits_of_its_own_call(self, data):
+        # values are sums of `terms` floats divided by terms, so lattice values k/terms sit
+        # exactly eps = j/m from a lattice center, where the gaps round either way
+        terms = data.draw(st.integers(1, 12), label="terms")
+        count = data.draw(st.integers(1, 80), label="count")
+        rows = data.draw(st.lists(st.lists(st.sampled_from(self.TERMS), min_size=terms, max_size=terms),
+                                  min_size=count, max_size=count))
+        values = np.array([functools.reduce(operator.add, row) / terms for row in rows])
+        if data.draw(st.booleans(), label="equal weights"):
+            weights = np.full(count, 1.0 / count)
+        else:
+            gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            weights = gen.dirichlet(np.full(count, 0.5)) * gen.integers(0, 2, size=count)
+        center = data.draw(st.sampled_from([weighted_median(values, weights), *values.tolist(), 0.0, -0.0]))
+        m = data.draw(st.integers(1, 12), label="m")
+        grid = [j / m for j in range(1, 2 * m + 1)] + data.draw(st.lists(st.floats(1e-300, 1e3), max_size=3))
+        assert deviation_masses(values, weights, center, grid, terms) == [
+            weighted_deviation_mass(values, weights, center, eps, terms) for eps in grid
+        ]
+
+    def test_many_radii_on_a_large_sample(self):
+        values = np.random.default_rng(3).integers(0, 41, size=100_000) / 40
+        weights = np.full(len(values), 1e-5)
+        grid = np.arange(1, 1000) / 1000
+        m = weighted_median(values, weights)
+        assert deviation_masses(values, weights, m, grid, 40) == [
+            weighted_deviation_mass(values, weights, m, eps, 40) for eps in grid
+        ]
+
+    def test_checks(self):
+        with pytest.raises(NonPositiveEps):
+            deviation_masses([0.0], [1.0], 0.0, [0.1, 0.0])
+        with pytest.raises(LengthMismatch):
+            deviation_masses(np.zeros((2, 2)), [0.5, 0.5], 0.0, [0.1])
+        with pytest.raises(InvalidFunctionTable):
+            deviation_masses([0.0, float("nan")], [0.5, 0.5], 0.0, [0.1])
+        assert deviation_masses([], [], 0.0, [0.1, 0.2]) == [0.0, 0.0]
 
 
 class TestRowTables:

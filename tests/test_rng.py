@@ -116,7 +116,13 @@ class TestCounterChoice:
         edges = [b << (53 - bits) for b in range(1 << bits)]
         xs = sorted({x + d for x in (*thresh, *edges) for d in (-1, 0, 1)} | {0, (1 << 53) - 1})
         xs = np.array([x for x in xs if 0 <= x < 1 << 53], dtype=np.uint64)
-        monkeypatch.setattr(rng, "_finalize", lambda z: xs << np.uint64(11))
+
+        def finalize(z, scratch=None):
+            # the finalizer mixes in place: its hashes become xs, as the top 53 bits
+            z[...] = xs << np.uint64(11)
+            return z
+
+        monkeypatch.setattr(rng, "_finalize", finalize)
         want = np.minimum(np.searchsorted(cum, xs.astype(np.float64) * 2.0**-53, side="right"), k - 1)
         assert np.array_equal(rng.counter_choice(0, 0, len(xs), cum), want)
         table = np.arange(k) * -1.5 + 0.25
