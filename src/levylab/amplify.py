@@ -13,25 +13,25 @@ call there takes every shift of one question (in l0_defect: the
 identity, the target g and its grid approximation g') and builds each
 kernel column once for all of them.  Shifts and targets are
 stepmaps.PiecewiseMap, whose partition is canonical, so a cell's runs
-depend only on the function the shift is.  The shifts agree on most grid
-cells, so each distinct cell (its runs of start, stop and value, cut
-from the shift by stepmaps.cut_runs, the walk every step-map quantity
-uses) gets one members x atoms table and one members x maps block per
-call, and a shift's member values add its n blocks left to right.  The
-telescope's steps come from the same blocks: the prefix
-a_j = (g'_1..g'_j, e..e) is the identity with g''s blocks in place of
-e's on cells 1..j, so no prefix map is built or planned.  A schedule
-checks every entry's size caps, then runs l0_defect on each of a
-sequence of (n_i, mu_i) pairs and reports defects, bounds, concentration
-masses, and expectation-median gaps, with one median and two
-deviation-mass calls per stage on the members x maps table.
+depend only on the function the shift is.  The call plans with no Python
+step per cell and member: the shifts agree on most grid cells, so each
+distinct cell (a grid cell and the runs a shift makes in it) gets one
+members x atoms table and one members x maps block per call, and a
+shift's member values add its n blocks left to right.  The telescope's steps come from the same blocks:
+the prefix a_j = (g'_1..g'_j, e..e) is the identity with g''s blocks in
+place of e's on cells 1..j, so no prefix map is built or planned.  A
+schedule checks every entry's size caps, then runs l0_defect on each of
+a sequence of (n_i, mu_i) pairs and reports defects, bounds,
+concentration masses, and expectation-median gaps, with one median and
+two deviation-mass calls per stage on the members x maps table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import inf, sqrt
 from operator import add
 
@@ -54,8 +54,8 @@ from .hamming import (
     talagrand_bound,
 )
 from .mmspace import weighted_deviation_mass, weighted_median
-from .stepmaps import IntegralMember, PiecewiseMap, cut_runs, grid_approximate, h_embed, runs_of
-from .wordgroups import FinSuppMeasure, _power_over
+from .stepmaps import IntegralMember, PiecewiseMap, grid_approximate, h_embed
+from .wordgroups import FinSuppMeasure, Mismatch, _power_over
 
 _TOL = 1e-9
 # the most table entries one l0_defect call may count, (member pieces x shift values + n)
@@ -64,6 +64,8 @@ TABLE_ENTRY_LIMIT = 1 << 22
 # the most floats one expectations call holds in members x maps blocks, one per distinct
 # grid cell; members are taken in groups that fit, at least one at a time
 BLOCK_ENTRY_LIMIT = 1 << 18
+# the most floats in one batch of members x atoms tables, kept small enough to stay in cache
+TABLE_BATCH = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +114,11 @@ def push_forward(
     k = len(mu.weights)
     if mode == "exact":
         _check_enumeration(k, n)
-        # the index tuples in itertools.product order, matching product_weights:
-        # column i holds the base-k digit of the tuple's rank at place n-1-i
-        rank = np.arange(k**n)
-        codes = np.stack([rank // k ** (n - 1 - i) % k for i in range(n)], axis=1)
+        # the index tuples in itertools.product order, matching product_weights: column i holds the
+        # base-k digit of the tuple's rank at place n-1-i, each digit on k ** (n-1-i) rows in a row
+        codes = np.empty((k**n, n), np.intp)
+        for i in range(n):
+            codes.reshape(k**i, k, k ** (n - 1 - i), n)[..., i] = np.arange(k)[:, None]
         return L0Measure(mu, n, codes, product_weights(mu.weights, n), "exact")
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
@@ -125,31 +128,185 @@ def push_forward(
     return L0Measure(mu, n, codes, np.full(samples, 1.0 / samples), "sampled")
 
 
+def _plan_cells(group, shifts, n: int):
+    """The distinct grid cells of the shifts: (values, slots, cells, edges, runs), all but values arrays.
+
+    values lists the shift values, the identity first; a value is named by
+    its index.  A grid cell that one run of a shift covers is keyed by the
+    integer value * n + cell, the value at its left edge from one
+    np.searchsorted of the grid's edges in the shift's breakpoints; a cell
+    that a breakpoint cuts is keyed by its runs, found per breakpoint.  One
+    dictionary numbers the keys in the order they first appear: slots[k]
+    holds shift k's n cell numbers, and cells the grid cell of each
+    distinct cell.  edges are the grid's n + 1 points and runs is (cell,
+    start, end, value) per run of a distinct cell, in cell order, with the
+    indices of each cell's first run and of the runs after it.  Nothing
+    here runs per member.
+    """
+    edges = np.arange(n + 1) / n  # i / n, correctly rounded as in stepmaps.h_embed
+    ids, keys, at = {group.identity: 0}, [], edges.tolist()
+    for shift in shifts:
+        if shift is None:
+            keys.append(range(n))
+            continue
+        values, first = [ids.setdefault(v, len(ids)) for v in shift.values], [0] * n  # the run at each left edge
+        if shift.breakpoints:
+            first = np.array(shift.breakpoints, np.float64).searchsorted(edges[:-1], "right").tolist()
+        key = [values[r] * n + c for c, r in enumerate(first)]
+        # a breakpoint off the grid cuts its cell into runs
+        for r, x in enumerate(shift.breakpoints):
+            c = bisect_right(at, x) - 1
+            if x != at[c]:
+                _, starts, cut = key[c] if type(key[c]) is tuple else (c, (at[c],), (values[first[c]],))
+                key[c] = (c, (*starts, x), (*cut, values[r + 1]))
+        keys.append(key)
+    number = {}
+    slots = [np.array([number.setdefault(k, len(number)) for k in key]) for key in keys]
+    runs, cells, firsts, later = [], [], [], []
+    for c, k in enumerate(number):
+        gi, starts, cut = (k % n, (at[k % n],), (k // n,)) if type(k) is int else k
+        cells.append(gi)
+        firsts.append(len(runs))
+        later += range(len(runs) + 1, len(runs) + len(starts))
+        runs.extend(zip([c] * len(starts), starts, (*starts[1:], at[gi + 1]), cut))
+    return list(ids), slots, np.array(cells, np.intp), edges, (*map(np.array, zip(*runs)), firsts, later)
+
+
+def _running_sums(blocks, terms, emit, acc):
+    """Add blocks[t], or subtract blocks[~t] for t < 0, over terms from the left (the first term adds), and
+    yield (the rows emit gives a run of term positions, the sums after those terms).
+
+    Numpy's cumulative sum adds in order, but runs one inner loop per block
+    entry, so it pays only for many terms of narrow blocks (more than four
+    terms per entry).  There the blocks are gathered in runs of terms that
+    fit in a quarter of BLOCK_ENTRY_LIMIT floats.  Otherwise each term is
+    one numpy call into acc, a buffer of one block, and the sum after it
+    is yielded alone, in acc.  x - b is x + (-b) in floats, so both add the
+    same floats.
+    """
+    if len(terms) <= 4 * blocks[0].size:
+        np.copyto(acc, blocks[terms[0]])
+        for i, t in enumerate(terms.tolist()):
+            if i:
+                (np.add if t >= 0 else np.subtract)(acc, blocks[t if t >= 0 else ~t], out=acc)
+            if i in emit:
+                yield [emit[i]], acc[None]
+        return
+    step, total, at = max(1, BLOCK_ENTRY_LIMIT // 4 // blocks[0].size), None, sorted(emit)
+    for lo in range(0, len(terms), step):
+        t = terms[lo : lo + step]
+        part = blocks[np.where(t < 0, ~t, t)]
+        np.negative(part, out=part, where=(t < 0)[:, None, None])
+        if total is not None:
+            part[0] += total
+        np.cumsum(part, axis=0, out=part)
+        if here := at[bisect_left(at, lo) : bisect_left(at, lo + len(t))]:
+            yield [emit[i] for i in here], part[np.array(here) - lo]
+        total = part[-1]
+
+
+def _columns(base: FinSuppMeasure, values, kernels, *keys) -> np.ndarray:
+    """Row q * len(values) + u: kernels[q] over the support translated by values[u], for each key of the arrays keys.
+
+    The support is translated by all values at once (group.translate_each,
+    one broadcast add on Z^d and Z_m).  The Mismatch kernels of the base
+    group take one Mismatch.columns comparison, each against its value's
+    translate, and any other kernel one FinSuppMeasure.column call per
+    value; other rows are left unset.
+    """
+    group, size = base.group, len(values)
+    bulk = np.array([isinstance(k, Mismatch) and k.group == group for k in kernels], bool)
+    used = np.zeros(len(kernels) * size, bool)
+    for some in keys:
+        used[some] = True
+    named = used.nonzero()[0]
+    columns = np.empty((len(used), len(base.weights)))
+    translated = group.translate_each(values, base.elements)
+    mine = bulk[named // size]
+    if mine.any():
+        kernel_of, value_of = named[mine] // size, named[mine] % size
+        supports = np.asarray(translated)[value_of]
+        columns[named[mine]] = Mismatch.columns([kernels[q] for q in kernel_of.tolist()], supports)
+    measures = {0: base}  # shift values are canonical, so the identity's translate is the base
+    for key in named[~mine].tolist():
+        q, u = divmod(key, size)
+        if u not in measures:  # no value is validated again
+            measures[u] = FinSuppMeasure._unchecked(group, translated[u], base.weights)
+        columns[key] = measures[u].column(kernels[q])
+    return columns
+
+
+def _pieces(members, size: int, edges, cells, runs):
+    """Each member's pieces in each distinct cell, as lengths and column keys q * size + u (kernel q, value u).
+
+    Returns the first pieces as (cells x members) lengths and keys, and the
+    others as arrays (cell, member, slot, length, key), slot s >= 1 being
+    the piece's place in its cell (empty when no cell holds another).  A
+    member's piece that starts at t has the member's kernel p, the number
+    of its breakpoints at or before t: for every run and member at once,
+    from one cumulative count down a breakpoints x runs comparison.  After
+    the first, pieces start only at a breakpoint inside a run, or at a
+    later run's start in a cut cell; one np.lexsort puts them in order of
+    cell and member (as cell * members + member) and start.
+    """
+    run_cell, run_start, run_end, run_value, firsts, later = runs
+    m, breaks, owner, after = len(members), [], [], []
+    first = list(accumulate((len(f.kernel) for f in members), initial=0))  # each member's first kernel
+    for g, f in enumerate(members):  # each breakpoint, its member and the kernel of the piece after it
+        breaks += f.breakpoints
+        owner += [g] * len(f.breakpoints)
+        after += range(first[g] + 1, first[g] + 1 + len(f.breakpoints))
+    # count[i, r]: breakpoints before the i-th at or before run r's start; member f's p is the count over its own
+    before = np.array(breaks, np.float64)[:, None] <= run_start
+    count = np.zeros((len(breaks) + 1, len(run_start)), np.int32)
+    np.cumsum(before, axis=0, out=count[1:])
+    bound = list(accumulate((len(f.breakpoints) for f in members), initial=0))
+    keys = ((np.array(first[:-1], np.intp)[:, None] + count[bound[1:]] - count[bound[:-1]]) * size + run_value).T
+    hit, run = (~before & (np.array(breaks, np.float64)[:, None] < run_end)).nonzero()
+    cell_end = edges[cells + 1]
+    stop = cell_end[:, None].repeat(m, axis=1)
+    if not len(hit) + len(later):
+        none = np.empty(0, np.intp)
+        return stop - edges[cells, None], keys[firsts], (none, none, none, np.empty(0), none)
+    later = np.array(later, np.intp)
+    pair = np.concatenate(
+        (run_cell[run] * m + np.array(owner, np.intp)[hit], (run_cell[later, None] * m + np.arange(m)).ravel())
+    )
+    start = np.concatenate((np.array(breaks, np.float64)[hit], run_start[later].repeat(m)))
+    key = np.concatenate((np.array(after, np.intp)[hit] * size + run_value[run], keys[later].ravel()))
+    order = np.lexsort((start, pair))
+    pair, start, key = pair[order], start[order], key[order]
+    slot = np.arange(len(pair)) - pair.searchsorted(pair) + 1
+    # a piece ends at the next one of its cell and member, the last at the cell's end
+    end, same = cell_end[pair // m], pair[1:] == pair[:-1]
+    end[:-1][same] = start[1:][same]
+    stop.reshape(-1)[pair[slot == 1]] = start[slot == 1]  # each cell's first piece per member ends at its next cut
+    return stop - edges[cells, None], keys[firsts], (pair // m, pair % m, slot, end - start, key)
+
+
 def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
     """The shifts x members expectations E_nu(f o lambda_s), and the members x maps values f(shifts[0] * h).
 
     shifts is walked once; None is the identity.  This is the one place an
-    expectation under an L0Measure is formed: each member's row of values *
-    weights is added by numpy's pairwise .sum(), one row at a time and
-    never by a BLAS product, so it has the same bits in any company and on
-    every BLAS kernel.  A member must be an IntegralMember (else
-    CarrierMismatch); it is integrated per grid cell and support atom on
-    the joint refinement of the grid, the shift and its own breakpoints,
-    and a map's value adds its n cells left to right, whatever the number
-    of maps in nu.
+    expectation under an L0Measure is formed: each member's values *
+    weights are added by numpy's pairwise sum along the maps, one
+    .sum(axis=2) per running sum and never by a BLAS product, so a row has
+    the bits of its own .sum() in any company and on every BLAS kernel.  A
+    member must be an IntegralMember (else CarrierMismatch); it is
+    integrated per grid cell and support atom on the joint refinement of
+    the grid, the shift and its own breakpoints, and a map's value adds
+    its n cells left to right, whatever the number of maps in nu.
 
-    Both refinements are stepmaps.cut_runs walks: the shift's runs cut at
-    the grid, then each cell's runs cut at a member's breakpoints.  A grid
-    cell is keyed by the runs (start, stop, value) the shift makes in it,
-    and shifts share most cells.  For each distinct cell, a members
-    x atoms table adds each member's pieces left to right from 0.0, built
-    once from kernel columns (the kernel of one piece over the support
-    translated by one value, each built once by FinSuppMeasure.column, in
-    one call for a kernel with a bulk path), and is gathered once into a
-    members x maps block.  A shift's values add its n blocks into one
-    buffer, and phi is applied to each member's row, or to the rows of
-    adjacent members with the same phi at once.  Members are taken in
-    groups whose blocks fit in BLOCK_ENTRY_LIMIT floats, at least one
+    No Python step runs per cell and member.  _plan_cells numbers the
+    distinct cells, _pieces gives each member's pieces in them, and
+    _columns builds every kernel column a piece names once.  For each
+    distinct cell, a members x atoms table adds each member's pieces left
+    to right from 0.0: the first pieces of a batch of cells in one np.take
+    from the columns, the others slot by slot.  One np.take per cell
+    gathers its table into a members x maps block, and a shift's values
+    add its n blocks left to right (_running_sums).  phi is applied to the
+    rows of adjacent members with the same phi at once.  Members are taken
+    in groups whose blocks fit in BLOCK_ENTRY_LIMIT floats, at least one
     member at a time.
 
     moved, when not empty, lists the increasing cells (from 0) where the
@@ -159,74 +316,70 @@ def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
     one before it by the two shifts' blocks on cell j.
     """
     base, group, n = nu.base, nu.base.group, nu.n
-    grid = [i / n for i in range(1, n)]
-    cells, plan = {}, []  # (grid cell, runs) -> block slot; each shift's n slots
-    for shift in shifts:
-        by = [(0.0, 1.0, group.identity)] if shift is None else runs_of(shift)
-        runs = [[] for _ in range(n)]
-        for start, stop, v, gi in cut_runs(by, grid):
-            runs[gi].append((start, stop, v))
-        plan.append([cells.setdefault((gi, tuple(r)), len(cells)) for gi, r in enumerate(runs)])
-    end = plan.pop() if moved else None  # the telescope's last shift: its blocks, not its mean
-    if not plan:
+    shifts = tuple(shifts)
+    if len(shifts) <= bool(moved):  # the telescope's last shift gives blocks, not a mean
         raise ValueError("expectations needs at least one shift")
+    values, plan, cells, edges, runs = _plan_cells(group, shifts, n)
+    end = plan.pop() if moved else None
     for fi, f in enumerate(members):
         if not isinstance(f, IntegralMember):
             raise CarrierMismatch(f"member {fi} is not an IntegralMember")
-    # per cell and member, its pieces as (length, kernel column) in order of position
-    keys = {}
-    cut = [
-        [[(b - a, keys.setdefault((fi, v, p), len(keys))) for a, b, v, p in cut_runs(runs, f.breakpoints)]
-         for fi, f in enumerate(members)]
-        for _, runs in cells
-    ]
-    # shift values are canonical, so the identity's translate is the base and no value is validated again
-    translated = {v: base if v == group.identity else
-                  FinSuppMeasure._unchecked(group, group.translate_all(v, base.elements), base.weights)
-                  for v in {v for _, v, _ in keys}}
-    columns = np.empty((len(keys), len(base.weights)))
-    for (fi, v, p), k in keys.items():
-        columns[k] = translated[v].column(members[fi].kernel[p])
+    first_lengths, first_keys, (piece_cell, piece_member, slot, lengths, piece_key) = _pieces(
+        members, len(values), edges, cells, runs
+    )
+    columns = _columns(base, values, [k for f in members for k in f.kernel], first_keys, piece_key)
 
     codes = np.ascontiguousarray(nu.codes.T)  # row i: the atom of cell i in each map
-    weights, maps = nu.weights, codes.shape[1]
-    size = max(1, min(len(members), BLOCK_ENTRY_LIMIT // (len(cells) * maps)))
-    # allocated once: fresh arrays of this size per cell would fault in new pages each time
-    table, blocks = np.empty((size, len(base.weights))), np.empty((len(cells), size, maps))
-    total, product = np.empty((size, maps)), np.empty((size, maps))
+    weights, maps, atoms = nu.weights, codes.shape[1], len(base.weights)
+    rows_max = max(1, min(len(members), BLOCK_ENTRY_LIMIT // (len(cells) * maps)))
+    span = max(1, min(len(cells), TABLE_BATCH // (rows_max * atoms)))  # cells per batch of tables
+    batches = -(-len(cells) // span)
+    # allocated once: fresh arrays of this size per batch or cell would fault in new pages each time
+    tables, blocks = np.empty(span * rows_max * atoms), np.empty((len(cells), rows_max, maps))
     means, out = np.empty((len(plan) + len(moved), len(members))), np.empty((len(members), maps))
-    for lo in range(0, len(members), size):
-        part = range(lo, min(lo + size, len(members)))
-        rows = len(part)
-        for c, ((gi, _), pieces) in enumerate(zip(cells, cut)):
-            table.fill(0.0)
-            for s in range(max(len(pieces[fi]) for fi in part)):
-                hit = [(r, *pieces[fi][s]) for r, fi in enumerate(part) if s < len(pieces[fi])]
-                at, lengths, ks = (list(x) for x in zip(*hit))
-                # every member has a first piece in every cell, so the first add takes a slice
-                table[at if s else slice(rows)] += np.array(lengths)[:, None] * columns[ks]
-            np.take(table[:rows], codes[gi], axis=1, out=blocks[c, :rows], mode="clip")
-        acc, prod = total[:rows], product[:rows]
-        def mean(k):
-            # phi acts on each value alone, so members with one phi take it together
-            r = 0
-            for phi, same in groupby(members[fi].phi for fi in part):
-                stop = r + len(list(same))
-                values = phi(acc[r:stop])
-                if k == 0:
-                    out[lo + r : lo + stop] = values
-                np.multiply(values, weights, out=prod[r:stop])
-                r = stop
-            means[k, lo : lo + rows] = [row.sum() for row in prod]
-        for k, slots in enumerate(plan):
-            np.copyto(acc, blocks[slots[0], :rows])
-            for c in slots[1:]:
-                np.add(acc, blocks[c, :rows], out=acc)
-            mean(k)
-            for t, j in enumerate(moved if k == 0 else (), start=len(plan)):
-                np.add(acc, blocks[end[j], :rows], out=acc)
-                np.subtract(acc, blocks[slots[j], :rows], out=acc)
-                mean(t)
+    total, product = np.empty((2, rows_max, maps))  # a running sum, and its products with the weights
+    # the running sums: each shift's, then the telescope's prefixes, changed cell by moved cell
+    sums = [(slots, {n - 1: k}) for k, slots in enumerate(plan)]
+    if moved:
+        j, steps = np.array(moved), np.empty(2 * len(moved), np.intp)
+        steps[0::2], steps[1::2] = end[j], ~plan[0][j]
+        prefixes = {n + 1 + 2 * t: len(plan) + t for t in range(len(j))}  # after each moved cell's two steps
+        sums[0] = (np.concatenate((plan[0], steps)), {n - 1: 0, **prefixes})
+    extras = {}  # (member group, batch of cells) as one number: their extra pieces, one index array per slot
+    if len(slot):
+        top = int(slot.max()) + 1
+        place = (piece_member // rows_max * batches + piece_cell // span) * top + slot
+        at = np.argsort(place, kind="stable")
+        place = place[at]
+        cuts = (np.flatnonzero(place[1:] != place[:-1]) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, len(at)]):
+            extras.setdefault(int(place[a]) // top, []).append(at[a:b])
+    for lo in range(0, len(members), rows_max):
+        hi = min(lo + rows_max, len(members))
+        phis, stop = [], 0  # (phi, first row, end row) of each run of adjacent members with one phi
+        for phi, same in groupby(members[fi].phi for fi in range(lo, hi)):
+            start, stop = stop, stop + len(list(same))
+            phis.append((phi, start, stop))
+        for c0 in range(0, len(cells), span):
+            c1 = min(c0 + span, len(cells))
+            table = tables[: (c1 - c0) * (hi - lo) * atoms].reshape(c1 - c0, hi - lo, atoms)
+            np.take(columns, first_keys[c0:c1, lo:hi], axis=0, out=table, mode="clip")
+            np.multiply(table, first_lengths[c0:c1, lo:hi, None], out=table)
+            np.add(table, 0.0, out=table)  # the first pieces, added to 0.0
+            for e in extras.get(lo // rows_max * batches + c0 // span, ()):
+                table[piece_cell[e] - c0, piece_member[e] - lo] += lengths[e, None] * columns[piece_key[e]]
+            for c in range(c0, c1):
+                np.take(table[c - c0], codes[cells[c]], axis=1, out=blocks[c, : hi - lo], mode="clip")
+        for terms, emit in sums:
+            for ks, acc in _running_sums(blocks[:, : hi - lo], terms, emit, total[: hi - lo]):
+                # phi acts on each value alone, so members with one phi take it together
+                prod = product[None, : hi - lo] if len(ks) == 1 else np.empty_like(acc)
+                for phi, r, stop in phis:
+                    image = phi(acc[:, r:stop])
+                    if ks[0] == 0:
+                        out[lo + r : lo + stop] = image[0]
+                    np.multiply(image, weights, out=prod[:, r:stop])
+                means[ks, lo:hi] = prod.sum(axis=2)
     return means, out
 
 

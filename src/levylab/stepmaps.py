@@ -14,10 +14,11 @@ product measure are the Hamming product: disagreement is then
 hamming_distance of the value tuples, and a one-piece IntegralMember (the
 member type of step maps and profiles) is a coordinate mean.
 
-Every quantity here and in amplify walks the common refinement of two
-partitions of [0, 1), and one routine walks it: cut_runs cuts a map's
-runs (start, stop, value) at a sorted breakpoint list and numbers each
-piece by the breaks before it.
+Every quantity here walks the common refinement of two partitions of
+[0, 1), and one routine walks it: cut_runs cuts a map's runs (start,
+stop, value) at a sorted breakpoint list and numbers each piece by the
+breaks before it.  amplify.expectations makes the same cuts for every
+cell of many shifts and members at once, with array searches.
 """
 
 from __future__ import annotations
@@ -115,10 +116,12 @@ class IntegralMember:
     Each kernel must be a pure function of the element: one
     amplify.expectations call builds the column of a kernel over a
     translated support once and reuses it for every cell and shift of that
-    call that carries the same shift value: by its optional bulk method
-    ``values(elements)`` when it has one for the base group (as
-    wordgroups.Mismatch does), else once per canonical element (a tuple
-    of Python ints on Z^d, a Python int on Z_m, a word).  phi maps the
+    call that carries the same shift value.  The wordgroups.Mismatch
+    kernels of the base group take one Mismatch.columns comparison per
+    call, each against its shift value's translate; another kernel takes
+    its optional bulk method ``values(elements)`` when it has one for the
+    base group, else one call per canonical element (a tuple of Python
+    ints on Z^d, a Python int on Z_m, a word).  phi maps the
     integral, a float or an array of them, to the value, each entry on its own, so that
     members sharing a phi may take it on one table of their integrals.
     """

@@ -8,7 +8,8 @@ FreeGroup2``, with no base class.  Every kind defines ``identity``,
 ``op``, ``inv``, ``validate`` (the canonical form of x, or
 InvalidElement), ``word_length``, ``pack`` and ``unpack`` (to and from
 the bulk form below), ``translate_all`` (g * x for a whole support in
-bulk form), ``word_lengths`` (int64, or Python ints past int64),
+bulk form), ``translate_each`` (the same for several g, on Z^d and Z_m
+in one broadcast add), ``word_lengths`` (int64, or Python ints past int64),
 ``generators``, ``random_element`` and ``parse``.  The word length
 induces the right-invariant metric d(x, y) = wl(x * y^-1), which realizes
 the right uniformity all defect computations refer to.
@@ -31,11 +32,15 @@ fits it (on F2, words of at most 31 letters) and else of dtype object
 holding Python ints, so one code path is exact at any size.  In the
 bulk kernels, Z^d and Z_m add in int64 only where no sum can leave it;
 F2 translates by one letter of g at a time, cancelling or prepending a
-first letter, in int64 while no product can pass 31 letters.  A kernel
-with a ``group`` and a method ``values(elements)``, its float column
-over a bulk support of that group, has a bulk path: ``ClampedLength``
-and ``Mismatch`` do, and ``FinSuppMeasure.column`` takes it.  Measures
-pair their atoms (``_join``) by one stable sort of their stacked rows.
+first letter, in int64 while no product can pass 31 letters; a
+translate of several g checks the int64 bound once for all of them.  A
+kernel with a ``group`` and a method ``values(elements)``, its float
+column over a bulk support of that group, has a bulk path:
+``ClampedLength`` and ``Mismatch`` do, and ``FinSuppMeasure.column``
+takes it.  ``Mismatch.columns`` builds the columns of many Mismatch
+kernels, each over its own support, from one comparison per
+coordinate.  Measures pair their atoms (``_join``) by one stable sort
+of their stacked rows.
 
 Balls are built as arrays in breadth-first order over the generators
 e_1, -e_1, ..., e_d, -e_d: by word length, then coordinate by coordinate,
@@ -81,13 +86,15 @@ def _int_array(values) -> np.ndarray:
     return array.astype(np.int64)
 
 
-def _shift(elements: np.ndarray, g: tuple) -> np.ndarray:
-    """elements + g along the last axis: in int64 when g and the array's extremes plus g fit it, else in Python ints."""
+def _shift(elements: np.ndarray, gs) -> np.ndarray:
+    """elements + g along the last axis for each g of gs, stacked on a new first axis: in int64 when every g
+    and the array's extremes plus them fit it, else in Python ints."""
+    shape = (len(gs), *[1] * (elements.ndim - 1), -1)
     if elements.dtype == np.int64 and elements.size:
-        low, high = min(g), max(g)
+        low, high = min(map(min, gs)), max(map(max, gs))
         if _INT64_MIN <= min(low, int(elements.min()) + low) and max(high, int(elements.max()) + high) <= _INT64_MAX:
-            return elements + np.array(g, np.int64)
-    return _int_array(elements.astype(object) + np.array(g, object))
+            return elements + np.array(gs, np.int64).reshape(shape)
+    return _int_array(elements.astype(object) + np.array(gs, object).reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,10 @@ class ZdGroup:
         return tuple(zip(*[coords] * self.d))
 
     def translate_all(self, g, elements) -> np.ndarray:
-        return _shift(elements, g)
+        return self.translate_each((g,), elements)[0]
+
+    def translate_each(self, gs, elements) -> np.ndarray:
+        return _shift(elements, gs)
 
     def word_lengths(self, elements) -> np.ndarray:
         # d * max |x_i| bounds every sum; |x_i| of -2^63 itself leaves int64
@@ -201,7 +211,10 @@ class CyclicGroup:
         return tuple(elements.tolist())
 
     def translate_all(self, g, elements) -> np.ndarray:
-        sums = _shift(elements, (g,))
+        return self.translate_each((g,), elements)[0]
+
+    def translate_each(self, gs, elements) -> np.ndarray:
+        sums = _shift(elements, [(g,) for g in gs])
         if sums.dtype == np.int64 and self.m <= _INT64_MAX:
             return sums % self.m
         return _int_array(sums.astype(object) % self.m)
@@ -287,6 +300,9 @@ class FreeGroup2:
             elements = np.where(cancel, elements - ((lead - 1) << below), elements + ((3 + d) << 2 * lengths))
             lengths = np.where(cancel, lengths - 1, lengths + 1)
         return elements if elements.dtype == np.int64 else _int_array(elements)
+
+    def translate_each(self, gs, elements) -> list:
+        return [self.translate_all(g, elements) for g in gs]
 
     def word_lengths(self, elements) -> np.ndarray:
         # a code in [4^L, 2 * 4^L) has binary exponent 2L + 1, and 2L + 2 if float64 rounds it up to 2 * 4^L
@@ -399,10 +415,26 @@ class Mismatch:
 
     def values(self, elements) -> np.ndarray:
         """The kernel on canonical elements in bulk form: one array comparison."""
-        if not self.weight:
-            return np.zeros(len(elements))
-        hits = (elements != self._packed).reshape(len(elements), self._packed.size)
-        return hits.any(axis=1) * self.weight
+        return Mismatch.columns((self,), elements[None])[0]
+
+    @staticmethod
+    def columns(kernels, supports) -> np.ndarray:
+        """Row i is kernels[i].values(supports[i]), for Mismatch kernels of the supports' group.
+
+        supports is a stack of supports in bulk form, one per kernel or one
+        for all.  One comparison per coordinate; weight 0.0 gives zeros.
+        """
+        weights = np.array([k.weight for k in kernels], np.float64)[:, None]
+        coords = supports.reshape(*supports.shape[:2], -1)
+        packed = np.concatenate([k._packed for k in kernels]).reshape(len(kernels), -1)
+        hits = coords[..., 0] != packed[:, :1]
+        for c in range(1, coords.shape[2]):
+            hits |= coords[..., c] != packed[:, c : c + 1]
+        out = hits.astype(np.float64)
+        out *= weights
+        if not weights.all():
+            out[weights[:, 0] == 0] = 0.0  # a -0.0 weight too
+        return out
 
 
 class FinSuppMeasure:

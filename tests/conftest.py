@@ -258,6 +258,20 @@ def sorted_median(values, weights):
     return float(medians[0]) if values.ndim == 1 else np.array(medians)
 
 
+def masked_deviation_mass(values, weights, center, eps: float, terms: int = 1):
+    """weighted_deviation_mass with each row's far weights gathered and added by weights[far].sum().
+
+    The same _beyond comparison as the library; the library counts the far
+    values of equal weights instead, which must give these bits.
+    """
+    values, weights = np.asarray(values, np.float64), np.asarray(weights, np.float64)
+    center = np.asarray(center, np.float64)
+    center = center[..., None] if values.ndim == 2 else center
+    far = mmspace._beyond(np.abs(values - center), eps, terms, np.abs(values) + np.abs(center) + eps)
+    masses = [weights[row].sum() for row in np.atleast_2d(far)]
+    return float(masses[0]) if values.ndim == 1 else np.array(masses)
+
+
 def tuple_values(product, f, mode: str = "exact", samples: int = 0, seed: int = 0):
     """(values, weights) of the one-piece member f, one coordinate mean per tuple of atoms.
 

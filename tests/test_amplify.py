@@ -57,7 +57,7 @@ from levylab import (
     invariance_defect,
     sample_indices,
 )
-from levylab import amplify, cli, hamming, rng, wordgroups
+from levylab import amplify, cli, hamming, rng, stepmaps, wordgroups
 from levylab.hamming import EXACT_PRODUCT_LIMIT
 from levylab.families import cell_window_member
 
@@ -707,21 +707,28 @@ class TestSharedColumns:
     def test_cli_amplify_calls(self, tmp_path, monkeypatch):
         # 8 stages, each one l0_defect call and so one expectations call: the identity, the
         # target and its grid approximation, with the 17 of 36 cells where it is not e as moved
-        calls, columns, moved, bulk = [], [], [], []
+        calls, moved, built, columns, bulk_calls = [], [], [], [], []
 
         def counting(nu, members, shifts=(None,), cells=()):
             shifts = tuple(shifts)
             calls.append(shifts)
             moved.append(list(cells))
+            built.append(Counter())
             return expectations(nu, members, shifts, cells)
 
-        # expectations builds each kernel column with one FinSuppMeasure.column call, and the
-        # family's Mismatch kernels take their bulk path there, never one call per element
-        column, values = FinSuppMeasure.column, wordgroups.Mismatch.values
-        expectations = amplify.expectations
+        # every Mismatch column takes the bulk path, one Mismatch.columns comparison per call,
+        # each kernel against the support translated by its shift value, and is built once
+        # per call: never one call per element, and no kernel column through FinSuppMeasure.column
+        def bulk(kernels, supports):
+            assert len(supports) == len(kernels)
+            built[-1].update((id(k), support.tobytes()) for k, support in zip(kernels, supports))
+            bulk_calls.append(len(built))
+            return mismatch_columns(kernels, supports)
+
+        expectations, mismatch_columns = amplify.expectations, wordgroups.Mismatch.columns
         monkeypatch.setattr(amplify, "expectations", counting)
-        monkeypatch.setattr(FinSuppMeasure, "column", lambda mu, f: columns.append(f) or column(mu, f))
-        monkeypatch.setattr(wordgroups.Mismatch, "values", lambda k, e: bulk.append(k) or values(k, e))
+        monkeypatch.setattr(wordgroups.Mismatch, "columns", staticmethod(bulk))
+        monkeypatch.setattr(FinSuppMeasure, "column", lambda mu, f: columns.append(f))
         monkeypatch.setattr(wordgroups.Mismatch, "__call__", None)
         out, summary = tmp_path / "a.csv", tmp_path / "a.json"
         # the default family (seed 42); the counts do not depend on the sample count
@@ -731,8 +738,12 @@ class TestSharedColumns:
         assert all(shifts[0] is None and shifts[1] is not None for shifts in calls)
         assert sum(len(shifts) for shifts in calls) == 24
         assert sum(map(len, moved)) == 17
-        assert 0 < len(columns) <= 582
-        assert bulk == columns
+        assert columns == []
+        assert bulk_calls == list(range(1, 9))
+        # the target 1 | 0 and its grid approximation take the values 1 and 0 = e: two supports
+        assert [len({support for _, support in counts}) for counts in built] == [2] * 8
+        assert all(set(counts.values()) == {1} for counts in built)
+        assert 0 < sum(map(len, built)) <= 582
 
     @pytest.mark.parametrize(
         "group, atoms, g",
@@ -897,9 +908,10 @@ class TestDistinctCells:
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            def take(self, *args, **kwargs):
-                taken.append(args[0].shape)
-                return np.take(*args, **kwargs)
+            def take(self, a, indices, axis=None, out=None, mode="raise"):
+                if axis == 1:  # a members x atoms table gathered into its cell's members x maps block
+                    taken.append((a.shape, out.shape))
+                return np.take(a, indices, axis=axis, out=out, mode=mode)
 
         monkeypatch.setattr(amplify, "np", CountingNumpy())
         g = PiecewiseMap(Z, (0.35,), z_elems(1, 0))
@@ -910,7 +922,7 @@ class TestDistinctCells:
             nu = push_forward(mu, 8, "sampled", samples=samples, seed=1)
             l0_defect(nu, g, fam)
             assert len(taken) == 12 * groups
-            assert set(taken) == {(20 // groups, 513)}
+            assert set(taken) == {((20 // groups, 513), (20 // groups, samples))}
             # at 20,000 samples the blocks of two members would not fit the budget
             assert groups == 1 or 12 * 2 * samples > amplify.BLOCK_ENTRY_LIMIT
 
@@ -994,6 +1006,150 @@ class TestTelescopeFromBlocks:
         assert res.bound == pytest.approx(bound, abs=1e-12)
         unmoved = [j for j, v in enumerate(res.gprime) if v == group.identity]
         assert [res.per_step[j] for j in unmoved] == [0.0] * len(unmoved)
+
+
+def _bits(a) -> list:
+    return np.asarray(a, np.float64).view(np.int64).tolist()
+
+
+class TestOneReductionMeans:
+    # expectations takes the means of each running sum in one .sum over the maps axis of an
+    # (outputs, members, maps) array, often the first rows of a buffer with a new first axis;
+    # every row must keep the bits of its own .sum(), which numpy adds pairwise
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 8), extra=st.integers(0, 3), maps=st.integers(1, 20_000), seed=st.integers(0, 2**32 - 1))
+    def test_a_row_of_a_slice_sums_like_the_row_alone(self, rows, extra, maps, seed):
+        gen = np.random.default_rng(seed)
+        scale = gen.choice([1e-9, 1.0, 1e9], size=(rows + extra, maps))
+        buffer = gen.standard_normal((rows + extra, maps)) * scale
+        buffer[:, gen.integers(0, maps, size=maps // 3)] = -0.0
+        prod = buffer[:rows]  # the first rows of a larger buffer, as a member group's rows
+        alone = [row.sum() for row in prod]
+        assert _bits(prod.sum(axis=1)) == _bits(alone)
+        assert _bits(buffer[None, :rows].sum(axis=2)[0]) == _bits(alone)
+        stack = np.stack((prod, prod[::-1]))
+        assert _bits(stack.sum(axis=2)) == _bits([alone, alone[::-1]])
+
+    @pytest.mark.parametrize("rows, maps", [(1, 1), (1, 9), (9, 1), (20, 500), (2, 20_000)])
+    def test_one_row_and_one_map(self, rows, maps):
+        prod = np.linspace(-1.0, 1.0, rows * maps).reshape(rows, maps) / 3
+        assert _bits(prod.sum(axis=1)) == _bits([row.sum() for row in prod])
+        assert _bits(prod[None].sum(axis=2)[0]) == _bits([row.sum() for row in prod])
+
+
+BIG = 2**63
+
+
+def _plan_elements(group, big):
+    """Elements of group for TestArrayPlan, and with big the elements whose bulk codes pass int64."""
+    small = element_strategy(group)
+    if not big:
+        return small, small
+    if isinstance(group, ZdGroup):
+        large = st.integers(-3, 3).map(lambda k: (BIG + k if k >= 0 else -BIG + k,))
+    elif isinstance(group, CyclicGroup):
+        large = st.integers(0, 9).map(lambda k: group.m - 1 - k)
+    else:  # words of 32 letters or more
+        large = st.lists(st.sampled_from("aAbB"), min_size=40, max_size=48).map(lambda ls: group.validate("".join(ls)))
+    return small | large, large
+
+
+PLAN_GROUPS = [
+    (Z, False), (CyclicGroup(7), False), (FreeGroup2(), False),
+    (Z, True), (CyclicGroup(2**64 + 3), True), (FreeGroup2(), True),
+]
+PLAN_IDS = ["Z", "Z7", "F2", "Z-big", "Zm-big", "F2-big"]
+
+
+class TestArrayPlan:
+    # expectations plans cells and member pieces with no Python step per cell and member;
+    # conftest.reference_expectations and prefix_telescope build each table and prefix cell by
+    # cell, with no shared plan
+
+    @staticmethod
+    def _case(data, group, big):
+        n = data.draw(st.integers(1, 6), label="n")
+        elements, large = _plan_elements(group, big)
+        atoms = data.draw(st.lists(elements, max_size=2), label="atoms")
+        atoms = tuple(dict.fromkeys([*atoms, data.draw(large)]))  # with big, one atom's code passes int64
+        raw = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(atoms), max_size=len(atoms))))
+        mode = data.draw(st.sampled_from(["exact", "sampled"]), label="mode")
+        nu = push_forward(FinSuppMeasure(group, tuple(atoms), tuple(raw / raw.sum())), n, mode,
+                          samples=data.draw(st.integers(1, 30)), seed=data.draw(st.integers(0, 99)))
+        cell = data.draw(st.integers(0, n - 1), label="cell")
+        inner = ((cell + 0.25) / n, (cell + 0.625) / n)  # two breakpoints inside one cell
+        on_grid = tuple(i / n for i in range(1, n))
+
+        def piecewise(breaks):
+            return PiecewiseMap(group, breaks, tuple(data.draw(elements) for _ in range(len(breaks) + 1)))
+
+        members = [
+            disagreement_member(piecewise(inner)),
+            disagreement_member(piecewise(tuple(sorted({*inner, *_cuts(data, n, 2)})))),
+            # zero-weight kernels outside the window, and a window edge on a grid point
+            cell_window_member(group, *sorted((data.draw(st.sampled_from([0.0, *on_grid, 1.0])),
+                                               data.draw(st.floats(0.0, 1.0)))), data.draw(elements), 0.5),
+            cell_window_member(group, *inner, data.draw(elements), 0.25),
+            phi_member(lambda x: math.sin(group.word_length(x) % 7 + 0.5)),
+        ]
+        members = data.draw(st.permutations(members))[: data.draw(st.integers(1, 5))]
+        # targets whose breakpoints sit on grid points, cut cells, or both
+        targets = [piecewise(on_grid), piecewise(_cuts(data, n, 3)), piecewise(tuple(sorted({*on_grid, *inner})))]
+        return nu, members, targets, elements
+
+    @pytest.mark.parametrize("group, big", PLAN_GROUPS, ids=PLAN_IDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_means_and_values_are_the_reference_bits(self, group, big, data):
+        nu, members, targets, elements = self._case(data, group, big)
+        step = h_embed(group, tuple(data.draw(elements) for _ in range(nu.n)))
+        shifts = data.draw(st.permutations([None, step, *targets]))
+        means, values = amplify.expectations(nu, members, shifts)
+        ref_means, ref_values = reference_expectations(nu, members, shifts)
+        assert np.array_equal(means, ref_means) and np.array_equal(values, ref_values)
+
+    @pytest.mark.parametrize("group, big", PLAN_GROUPS, ids=PLAN_IDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_telescope_steps_match_the_prefix_oracle(self, group, big, data):
+        nu, members, targets, _ = self._case(data, group, big)
+        fam = BLFamily(L0Carrier(group), tuple(members), 1.0, 2.0)
+        g = data.draw(st.sampled_from(targets), label="g")
+        res = l0_defect(nu, g, fam)
+        steps, bound = prefix_telescope(nu, g, fam)
+        assert res.per_step == pytest.approx(steps, abs=1e-12)
+        assert res.bound == pytest.approx(bound, abs=1e-12)
+        unmoved = [j for j, v in enumerate(res.gprime) if v == group.identity]
+        assert [res.per_step[j] for j in unmoved] == [0.0] * len(unmoved)
+
+    def test_no_members_and_no_cuts(self):
+        # no member gives empty tables; one-piece members on uncut cells have no pieces past the first
+        nu = push_forward(z_uniform(0, 1), 3, "exact")
+        g = PiecewiseMap(Z, (0.3,), z_elems(1, 0))
+        means, values = amplify.expectations(nu, (), (None, g))
+        assert means.shape == (2, 0) and values.shape == (0, 8)
+        member = phi_member(lambda x: float(x[0]))
+        shifts = (None, h_embed(Z, z_elems(1)))
+        ref_means, ref_values = reference_expectations(nu, (member,), shifts)
+        means, values = amplify.expectations(nu, (member,), shifts)
+        assert np.array_equal(means, ref_means) and np.array_equal(values, ref_values)
+
+    def test_no_cut_runs_walk_per_cell_and_member(self, monkeypatch):
+        # 3,000 cells, the identity, the target 1 | 0 and its grid approximation: l0_defect walks
+        # the target's runs once, in grid_approximate; expectations cuts nothing with cut_runs
+        walks = []
+        cut_runs = stepmaps.cut_runs
+        monkeypatch.setattr(stepmaps, "cut_runs", lambda runs, breaks: walks.append(1) or cut_runs(runs, breaks))
+        nu = push_forward(folner_measure(Z, 1), 3000, "sampled", samples=1, seed=1)
+        g = PiecewiseMap(Z, (0.35,), z_elems(1, 0))
+        fam = disagreement_family(Z, 20, seed=42)
+        gp, _ = grid_approximate(g, 3000)
+        walks.clear()
+        amplify.expectations(nu, fam.members, (None, g, h_embed(Z, gp)), [j for j, v in enumerate(gp) if v != (0,)])
+        assert walks == []
+        l0_defect(nu, g, fam)
+        assert walks == [1]
 
 
 def _twin(data, group, x):

@@ -432,6 +432,9 @@ class TestGoldenOutputs:
             ("profile_uniform3", ["profile", "--base", "uniform3", "--n", "30", "--samples", "20000"]),
             # a two-letter shift at the benchmark's radius: aB * x cancels up to two letters of x
             ("defect_F2_aB", ["defect", "--group", "F2", "--k-range", "1..10", "--g", "aB"]),
+            # two-coordinate atoms, compared with every Mismatch value of a shift at once
+            ("amplify_Z2", ["amplify", "--group", "Z^2", "--schedule", "k=2i^2,n=i,i=1..3",
+                            "--g", "0.4: (1,0)|(0,-1)", "--samples", "300", "--seed", "42"]),
         ],
     )
     def test_csv_matches_the_recorded_run(self, tmp_path, name, args):

@@ -549,6 +549,51 @@ class TestIntArraySupports:
         for kernel in kernels:
             assert mu.column(kernel).tolist() == per_element_column(kernel, mu.support).tolist()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bulk_translates_and_columns_equal_one_at_a_time(self, data):
+        # translate_each adds every shift in one broadcast add with one int64 bound check, and
+        # Mismatch.columns compares a support with every kernel's value at once; each row must
+        # equal translate_all and values, with an int64 support and values past int64 mixed
+        group = data.draw(int_array_group(), label="group")
+        elements = tuple(data.draw(st.lists(int_element(group), min_size=1, max_size=8, unique=True)))
+        gs = data.draw(st.lists(int_element(group), min_size=1, max_size=4), label="gs")
+        packed = group.pack(elements)
+        rows = group.translate_each(gs, packed)
+        assert len(rows) == len(gs)
+        for g, row in zip(gs, rows):
+            assert typed(group.unpack(row)) == typed(group.unpack(group.translate_all(g, packed)))
+        weight = st.sampled_from([1.0, 0.0, -0.0, 0.5, 3.0])
+        kernels = [Mismatch(group, data.draw(int_element(group)), data.draw(weight))
+                   for _ in range(data.draw(st.integers(1, 5)))]
+        for row in (packed, *rows):
+            columns = Mismatch.columns(kernels, row[None])  # one support for every kernel
+            assert columns.shape == (len(kernels), len(elements))
+            assert [c.view(np.int64).tolist() for c in columns] == [
+                k.values(row).view(np.int64).tolist() for k in kernels
+            ]
+            assert columns.tolist() == [per_element_column(k, group.unpack(row)).tolist() for k in kernels]
+        # one support per kernel, as expectations passes them: each kernel against its own translate
+        own = [data.draw(st.integers(0, len(rows) - 1)) for _ in kernels]
+        supports = np.asarray(rows)[own]
+        assert Mismatch.columns(kernels, supports).tolist() == [
+            per_element_column(k, group.unpack(rows[i])).tolist() for k, i in zip(kernels, own)
+        ]
+
+    def test_f2_translate_each_takes_each_shift(self):
+        codes = F2.pack(f2_ball_words(3) + ["ab" * 20])
+        gs = ["", "a", "Ab", "aB" * 17]
+        rows = F2.translate_each(gs, codes)
+        assert [r.tolist() for r in rows] == [F2.translate_all(g, codes).tolist() for g in gs]
+        kernels = [Mismatch(F2, w) for w in ("", "ab" * 20, "a" + "ab" * 20, "b")]
+        assert Mismatch.columns(kernels, rows[3][None]).tolist() == [
+            per_element_column(k, F2.unpack(rows[3])).tolist() for k in kernels
+        ]
+        # codes of int64 and past it, stacked as Python ints, one support per kernel
+        assert Mismatch.columns(kernels, np.asarray(rows)).tolist() == [
+            per_element_column(k, F2.unpack(row)).tolist() for k, row in zip(kernels, rows)
+        ]
+
     @pytest.mark.parametrize(
         "group, g",
         [(Z, (2**63,)), (ZdGroup(2), (-(2**63), 1)), (ZdGroup(3), (1, 2**70, -1)), (CyclicGroup(2**64 + 3), 2**63)],
