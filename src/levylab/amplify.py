@@ -28,7 +28,7 @@ two deviation-mass calls per stage on the members x maps table.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, groupby
@@ -64,8 +64,6 @@ TABLE_ENTRY_LIMIT = 1 << 22
 # the most floats one expectations call holds in members x maps blocks, one per distinct
 # grid cell; members are taken in groups that fit, at least one at a time
 BLOCK_ENTRY_LIMIT = 1 << 18
-# the most floats in one batch of members x atoms tables, kept small enough to stay in cache
-TABLE_BATCH = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,36 +171,17 @@ def _plan_cells(group, shifts, n: int):
 
 
 def _running_sums(blocks, terms, emit, acc):
-    """Add blocks[t], or subtract blocks[~t] for t < 0, over terms from the left (the first term adds), and
-    yield (the rows emit gives a run of term positions, the sums after those terms).
+    """Add blocks[t], or subtract blocks[~t] for t < 0, into acc over terms from the left (the first term is
+    copied), and yield (emit[i], acc) after each term position i that emit names.
 
-    Numpy's cumulative sum adds in order, but runs one inner loop per block
-    entry, so it pays only for many terms of narrow blocks (more than four
-    terms per entry).  There the blocks are gathered in runs of terms that
-    fit in a quarter of BLOCK_ENTRY_LIMIT floats.  Otherwise each term is
-    one numpy call into acc, a buffer of one block, and the sum after it
-    is yielded alone, in acc.  x - b is x + (-b) in floats, so both add the
-    same floats.
+    Each term is one numpy call into acc, a buffer of one block.
     """
-    if len(terms) <= 4 * blocks[0].size:
-        np.copyto(acc, blocks[terms[0]])
-        for i, t in enumerate(terms.tolist()):
-            if i:
-                (np.add if t >= 0 else np.subtract)(acc, blocks[t if t >= 0 else ~t], out=acc)
-            if i in emit:
-                yield [emit[i]], acc[None]
-        return
-    step, total, at = max(1, BLOCK_ENTRY_LIMIT // 4 // blocks[0].size), None, sorted(emit)
-    for lo in range(0, len(terms), step):
-        t = terms[lo : lo + step]
-        part = blocks[np.where(t < 0, ~t, t)]
-        np.negative(part, out=part, where=(t < 0)[:, None, None])
-        if total is not None:
-            part[0] += total
-        np.cumsum(part, axis=0, out=part)
-        if here := at[bisect_left(at, lo) : bisect_left(at, lo + len(t))]:
-            yield [emit[i] for i in here], part[np.array(here) - lo]
-        total = part[-1]
+    np.copyto(acc, blocks[terms[0]])
+    for i, t in enumerate(terms.tolist()):
+        if i:
+            (np.add if t >= 0 else np.subtract)(acc, blocks[t if t >= 0 else ~t], out=acc)
+        if i in emit:
+            yield emit[i], acc
 
 
 def _columns(base: FinSuppMeasure, values, kernels, *keys) -> np.ndarray:
@@ -290,7 +269,7 @@ def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
     shifts is walked once; None is the identity.  This is the one place an
     expectation under an L0Measure is formed: each member's values *
     weights are added by numpy's pairwise sum along the maps, one
-    .sum(axis=2) per running sum and never by a BLAS product, so a row has
+    .sum(axis=1) per running sum and never by a BLAS product, so a row has
     the bits of its own .sum() in any company and on every BLAS kernel.  A
     member must be an IntegralMember (else CarrierMismatch); it is
     integrated per grid cell and support atom on the joint refinement of
@@ -301,10 +280,10 @@ def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
     distinct cells, _pieces gives each member's pieces in them, and
     _columns builds every kernel column a piece names once.  For each
     distinct cell, a members x atoms table adds each member's pieces left
-    to right from 0.0: the first pieces of a batch of cells in one np.take
-    from the columns, the others slot by slot.  One np.take per cell
-    gathers its table into a members x maps block, and a shift's values
-    add its n blocks left to right (_running_sums).  phi is applied to the
+    to right from 0.0: the first pieces in one np.take from the columns,
+    the others slot by slot.  One np.take gathers the table into the
+    cell's members x maps block, and a shift's values add its n blocks
+    left to right (_running_sums).  phi is applied to the
     rows of adjacent members with the same phi at once.  Members are taken
     in groups whose blocks fit in BLOCK_ENTRY_LIMIT floats, at least one
     member at a time.
@@ -332,10 +311,8 @@ def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
     codes = np.ascontiguousarray(nu.codes.T)  # row i: the atom of cell i in each map
     weights, maps, atoms = nu.weights, codes.shape[1], len(base.weights)
     rows_max = max(1, min(len(members), BLOCK_ENTRY_LIMIT // (len(cells) * maps)))
-    span = max(1, min(len(cells), TABLE_BATCH // (rows_max * atoms)))  # cells per batch of tables
-    batches = -(-len(cells) // span)
-    # allocated once: fresh arrays of this size per batch or cell would fault in new pages each time
-    tables, blocks = np.empty(span * rows_max * atoms), np.empty((len(cells), rows_max, maps))
+    # allocated once: fresh arrays of this size per cell would fault in new pages each time
+    tables, blocks = np.empty((rows_max, atoms)), np.empty((len(cells), rows_max, maps))
     means, out = np.empty((len(plan) + len(moved), len(members))), np.empty((len(members), maps))
     total, product = np.empty((2, rows_max, maps))  # a running sum, and its products with the weights
     # the running sums: each shift's, then the telescope's prefixes, changed cell by moved cell
@@ -345,10 +322,10 @@ def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
         steps[0::2], steps[1::2] = end[j], ~plan[0][j]
         prefixes = {n + 1 + 2 * t: len(plan) + t for t in range(len(j))}  # after each moved cell's two steps
         sums[0] = (np.concatenate((plan[0], steps)), {n - 1: 0, **prefixes})
-    extras = {}  # (member group, batch of cells) as one number: their extra pieces, one index array per slot
+    extras = {}  # (member group, cell) as one number: their extra pieces, one index array per slot
     if len(slot):
         top = int(slot.max()) + 1
-        place = (piece_member // rows_max * batches + piece_cell // span) * top + slot
+        place = (piece_member // rows_max * len(cells) + piece_cell) * top + slot
         at = np.argsort(place, kind="stable")
         place = place[at]
         cuts = (np.flatnonzero(place[1:] != place[:-1]) + 1).tolist()
@@ -360,26 +337,23 @@ def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
         for phi, same in groupby(members[fi].phi for fi in range(lo, hi)):
             start, stop = stop, stop + len(list(same))
             phis.append((phi, start, stop))
-        for c0 in range(0, len(cells), span):
-            c1 = min(c0 + span, len(cells))
-            table = tables[: (c1 - c0) * (hi - lo) * atoms].reshape(c1 - c0, hi - lo, atoms)
-            np.take(columns, first_keys[c0:c1, lo:hi], axis=0, out=table, mode="clip")
-            np.multiply(table, first_lengths[c0:c1, lo:hi, None], out=table)
+        table = tables[: hi - lo]
+        for c in range(len(cells)):
+            np.take(columns, first_keys[c, lo:hi], axis=0, out=table, mode="clip")
+            np.multiply(table, first_lengths[c, lo:hi, None], out=table)
             np.add(table, 0.0, out=table)  # the first pieces, added to 0.0
-            for e in extras.get(lo // rows_max * batches + c0 // span, ()):
-                table[piece_cell[e] - c0, piece_member[e] - lo] += lengths[e, None] * columns[piece_key[e]]
-            for c in range(c0, c1):
-                np.take(table[c - c0], codes[cells[c]], axis=1, out=blocks[c, : hi - lo], mode="clip")
+            for e in extras.get(lo // rows_max * len(cells) + c, ()):
+                table[piece_member[e] - lo] += lengths[e, None] * columns[piece_key[e]]
+            np.take(table, codes[cells[c]], axis=1, out=blocks[c, : hi - lo], mode="clip")
         for terms, emit in sums:
-            for ks, acc in _running_sums(blocks[:, : hi - lo], terms, emit, total[: hi - lo]):
+            for k, acc in _running_sums(blocks[:, : hi - lo], terms, emit, total[: hi - lo]):
                 # phi acts on each value alone, so members with one phi take it together
-                prod = product[None, : hi - lo] if len(ks) == 1 else np.empty_like(acc)
                 for phi, r, stop in phis:
-                    image = phi(acc[:, r:stop])
-                    if ks[0] == 0:
-                        out[lo + r : lo + stop] = image[0]
-                    np.multiply(image, weights, out=prod[:, r:stop])
-                means[ks, lo:hi] = prod.sum(axis=2)
+                    image = phi(acc[r:stop])
+                    if k == 0:
+                        out[lo + r : lo + stop] = image
+                    np.multiply(image, weights, out=product[r:stop])
+                means[k, lo:hi] = product[: hi - lo].sum(axis=1)
     return means, out
 
 

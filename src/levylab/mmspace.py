@@ -245,17 +245,6 @@ def _beyond(gaps, eps: float, terms: int, size):
     return gaps - eps > (terms + 2) * np.finfo(np.float64).eps * size
 
 
-def _equal_weight_masses(counts, weight) -> list[float]:
-    """np.full(k, weight).sum() for each count k, each distinct count summed once.
-
-    numpy adds k equal floats in the same pairwise order wherever they sit,
-    so this has the bits of weights[far].sum() over k far values of equal
-    weights.
-    """
-    masses = {k: float(np.full(k, weight).sum()) for k in set(counts)}
-    return [masses[k] for k in counts]
-
-
 def weighted_deviation_mass(values, weights, center, eps: float, terms: int = 1):
     """Mass of {|f - center| > eps} (strict inequality, up to the rounding of f).
 
@@ -263,19 +252,15 @@ def weighted_deviation_mass(values, weights, center, eps: float, terms: int = 1)
     is one float or one per row, and one mass per row is returned, each
     summed over its own row.  terms is the number of floats added to form
     each value; _beyond is the comparison, with |f| + |center| + eps as the
-    size of the values.  Equal weights count each row's far values and
-    take the mass of each count from _equal_weight_masses.
+    size of the values.
     """
     if not eps > 0:
         raise NonPositiveEps("eps must be > 0")
     values, weights = _function_table(values, weights)
     center = np.asarray(center, dtype=np.float64)
     center = center[..., None] if values.ndim == 2 else center
-    far = np.atleast_2d(_beyond(np.abs(values - center), eps, terms, np.abs(values) + np.abs(center) + eps))
-    if weights.size and weights.min() == weights.max():
-        masses = _equal_weight_masses(far.sum(axis=1).tolist(), weights[0])
-    else:
-        masses = [weights[row].sum() for row in far]
+    far = _beyond(np.abs(values - center), eps, terms, np.abs(values) + np.abs(center) + eps)
+    masses = [weights[row].sum() for row in np.atleast_2d(far)]
     return float(masses[0]) if values.ndim == 1 else np.array(masses)
 
 
@@ -287,7 +272,7 @@ def deviation_masses(values, weights, center: float, grid, terms: int = 1) -> li
     values farther from center than eps plus four times _beyond's rounding
     allowance are far and those nearer than eps minus it are not, both
     counted by np.searchsorted, and _beyond decides the rest.  k far values
-    have the mass _equal_weight_masses gives, the bits of weights[far].sum().
+    have the mass np.full(k, w).sum(), the bits of weights[far].sum().
     """
     values, weights = _function_table(values, weights)
     if values.ndim != 1:
@@ -298,7 +283,8 @@ def deviation_masses(values, weights, center: float, grid, terms: int = 1) -> li
         raise NonPositiveEps("eps must be > 0")
     ranked = np.sort(values)
     largest = max(-ranked[0], ranked[-1])
-    counts = []
+    mass_of_count = {}
+    masses = []
     for eps in grid:
         slack = 4 * (terms + 2) * np.finfo(np.float64).eps * (largest + abs(center) + eps)
         # below low or from high_end on: far; from low_end to high: near; the two edges between
@@ -306,5 +292,8 @@ def deviation_masses(values, weights, center: float, grid, terms: int = 1) -> li
         low_end, high_end = np.searchsorted(ranked, [center - eps + slack, center + eps + slack], "right")
         edges = np.concatenate((ranked[low:low_end], ranked[max(high, low_end) : high_end]))
         far = _beyond(np.abs(edges - center), eps, terms, np.abs(edges) + abs(center) + eps)
-        counts.append(int(low + len(ranked) - high_end + np.count_nonzero(far)))
-    return _equal_weight_masses(counts, weights[0])
+        k = int(low + len(ranked) - high_end + np.count_nonzero(far))
+        if k not in mass_of_count:
+            mass_of_count[k] = float(np.full(k, weights[0]).sum())
+        masses.append(mass_of_count[k])
+    return masses

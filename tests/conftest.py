@@ -258,20 +258,6 @@ def sorted_median(values, weights):
     return float(medians[0]) if values.ndim == 1 else np.array(medians)
 
 
-def masked_deviation_mass(values, weights, center, eps: float, terms: int = 1):
-    """weighted_deviation_mass with each row's far weights gathered and added by weights[far].sum().
-
-    The same _beyond comparison as the library; the library counts the far
-    values of equal weights instead, which must give these bits.
-    """
-    values, weights = np.asarray(values, np.float64), np.asarray(weights, np.float64)
-    center = np.asarray(center, np.float64)
-    center = center[..., None] if values.ndim == 2 else center
-    far = mmspace._beyond(np.abs(values - center), eps, terms, np.abs(values) + np.abs(center) + eps)
-    masses = [weights[row].sum() for row in np.atleast_2d(far)]
-    return float(masses[0]) if values.ndim == 1 else np.array(masses)
-
-
 def tuple_values(product, f, mode: str = "exact", samples: int = 0, seed: int = 0):
     """(values, weights) of the one-piece member f, one coordinate mean per tuple of atoms.
 
@@ -463,42 +449,55 @@ def step_maps(nu) -> tuple:
     return tuple(h_embed(group, tuple(atoms[c] for c in row)) for row in nu.codes.tolist())
 
 
-def reference_expectations(nu, members, shifts=(None,)):
-    """amplify.expectations one (shift, member) table at a time, each table built cell by cell.
+def reference_tables(nu, members, shift, moved: dict, columns: dict) -> list:
+    """Each member's n x atoms table under shift (None is the identity), built cell by cell.
 
-    Each member's n x atoms table adds the kernel columns of its pieces on
-    the joint refinement of the grid, the shift and its breakpoints, left
-    to right from 0.0; a map's value gathers its n cells from the table and
-    adds them down the cells left to right, by a cumulative sum, for any
-    number of maps; each mean is (row * weights).sum().
-    Kernel columns are built once per (member, shift value, piece).
+    A table adds the kernel columns of the member's pieces on the joint
+    refinement of the grid, the shift and its breakpoints, left to right
+    from 0.0.  moved keeps each shift value's translated support and
+    columns each (member, shift value, piece) column, across calls.
     """
     atoms, group, n = nu.base.support, nu.base.group, nu.n
+    by = h_embed(group, (group.identity,)) if shift is None else shift
+    values = [group.validate(v) for v in by.values]
+    for v in values:
+        if v not in moved:
+            moved[v] = tuple_translate_all(group, v, atoms)
+    # the grid refined by the shift: the grid and shift cell of each piece, and the inner cuts
+    refined = list(merge_breakpoints([i / n for i in range(1, n)], by.breakpoints))
+    cuts = [stop for _, stop, _, _ in refined[:-1]]
+    tables = []
+    for fi, f in enumerate(members):
+        if not isinstance(f, IntegralMember):
+            raise CarrierMismatch(f"member {fi} is not an IntegralMember")
+        table = np.zeros((n, len(atoms)))
+        for start, stop, ri, p in merge_breakpoints(cuts, f.breakpoints):
+            _, _, gi, si = refined[ri]
+            key = (fi, values[si], p)
+            if key not in columns:
+                columns[key] = per_element_column(f.kernel[p], moved[values[si]])
+            table[gi] += (stop - start) * columns[key]
+        tables.append(table)
+    return tables
+
+
+def reference_expectations(nu, members, shifts=(None,)):
+    """amplify.expectations one (shift, member) table at a time, each table from reference_tables.
+
+    A map's value gathers its n cells from the table and adds them down
+    the cells left to right, by a cumulative sum, for any number of maps;
+    each mean is (row * weights).sum().  Kernel columns are built once per
+    (member, shift value, piece).
+    """
+    n, size = nu.n, len(nu.base.support)
     moved, columns, means = {}, {}, []
     # cell i of map j in a raveled (n, |support|) table, cell-major so that summing adds rows
-    at = np.ascontiguousarray((nu.codes + np.arange(n) * len(atoms)).T)
+    at = np.ascontiguousarray((nu.codes + np.arange(n) * size).T)
     out = np.empty((len(members), len(nu.weights)))
     for shift in shifts:
-        by = h_embed(group, (group.identity,)) if shift is None else shift
-        values = [group.validate(v) for v in by.values]
-        for v in values:
-            if v not in moved:
-                moved[v] = tuple_translate_all(group, v, atoms)
-        # the grid refined by the shift: the grid and shift cell of each piece, and the inner cuts
-        refined = list(merge_breakpoints([i / n for i in range(1, n)], by.breakpoints))
-        cuts = [stop for _, stop, _, _ in refined[:-1]]
         rows = out if not means else np.empty_like(out)  # the values at shifts[0] are returned
         means.append(np.empty(len(members)))
-        for fi, f in enumerate(members):
-            if not isinstance(f, IntegralMember):
-                raise CarrierMismatch(f"member {fi} is not an IntegralMember")
-            table = np.zeros((n, len(atoms)))
-            for start, stop, ri, p in merge_breakpoints(cuts, f.breakpoints):
-                _, _, gi, si = refined[ri]
-                key = (fi, values[si], p)
-                if key not in columns:
-                    columns[key] = per_element_column(f.kernel[p], moved[values[si]])
-                table[gi] += (stop - start) * columns[key]
+        for fi, (f, table) in enumerate(zip(members, reference_tables(nu, members, shift, moved, columns))):
             rows[fi] = f.phi(np.cumsum(table.ravel()[at], axis=0)[-1])
             means[-1][fi] = (rows[fi] * nu.weights).sum()
     if not means:

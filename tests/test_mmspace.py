@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    brute_alpha,
-    brute_median,
-    masked_deviation_mass,
-    mm_space_strategy,
-    reference_alpha_profile,
-    run_capped,
-    sorted_median,
-)
+from conftest import brute_alpha, brute_median, mm_space_strategy, reference_alpha_profile, run_capped, sorted_median
 from levylab import (
     FiniteMMSpace,
     InvalidFunctionTable,
@@ -431,34 +423,6 @@ class TestDeviationMasses:
         with pytest.raises(InvalidFunctionTable):
             deviation_masses([0.0, float("nan")], [0.5, 0.5], 0.0, [0.1])
         assert deviation_masses([], [], 0.0, [0.1, 0.2]) == [0.0, 0.0]
-
-
-class TestCountedMasses:
-    # equal weights count each row's far values; a count's mass is the bits of the far weights' sum
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_counts_have_the_bits_of_the_masked_sum(self, data):
-        # lattice values k/terms at lattice radii j/m from lattice centers, where gaps round either way
-        terms = data.draw(st.integers(1, 12), label="terms")
-        maps, rows = data.draw(st.integers(1, 120), label="maps"), data.draw(st.integers(1, 5), label="rows")
-        draw = st.lists(st.sampled_from(TestDeviationMasses.TERMS), min_size=terms, max_size=terms)
-        table = np.array([[functools.reduce(operator.add, data.draw(draw)) / terms for _ in range(maps)]
-                          for _ in range(rows)])
-        weights = np.full(maps, 1.0 / data.draw(st.sampled_from([maps, 3, 7])))
-        centers = [data.draw(st.sampled_from([*row[:3].tolist(), 0.0, -0.0, 0.5])) for row in table]
-        eps = data.draw(st.integers(1, 12)) / data.draw(st.integers(1, 12))
-        def bits(masses):
-            return np.asarray(masses, np.float64).view(np.int64).tolist()
-
-        masses = weighted_deviation_mass(table, weights, centers, eps, terms)
-        assert bits(masses) == bits(masked_deviation_mass(table, weights, centers, eps, terms))
-        # one row as a table, and as 1-D values with one center
-        assert bits(weighted_deviation_mass(table[:1], weights, centers[:1], eps, terms)) == bits(masses[:1])
-        alone = weighted_deviation_mass(table[0], weights, centers[0], eps, terms)
-        assert type(alone) is float
-        assert bits([alone]) == bits(masses[:1])
-        assert bits([alone]) == bits([masked_deviation_mass(table[0], weights, centers[0], eps, terms)])
 
 
 class TestRowTables:
