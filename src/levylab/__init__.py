@@ -63,6 +63,7 @@ from .mean_transfer import (
     MeanApprox,
     phi_equivariance_check,
     phi_member,
+    point_mass,
     transfer_defect,
 )
 from .mmspace import (
@@ -77,8 +78,6 @@ from .stepmaps import (
     PiecewiseMap,
     grid_approximate,
     h_embed,
-    hamming_distance,
-    pointwise_translate,
 )
 from .wordgroups import (
     ClampedLength,

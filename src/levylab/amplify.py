@@ -28,7 +28,6 @@ two deviation-mass calls per stage on the members x maps table.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, groupby
@@ -54,7 +53,7 @@ from .hamming import (
     talagrand_bound,
 )
 from .mmspace import weighted_deviation_mass, weighted_median
-from .stepmaps import IntegralMember, PiecewiseMap, grid_approximate, h_embed
+from .stepmaps import IntegralMember, PiecewiseMap, grid_approximate, grid_runs, h_embed
 from .wordgroups import FinSuppMeasure, Mismatch, _power_over
 
 _TOL = 1e-9
@@ -131,10 +130,9 @@ def _plan_cells(group, shifts, n: int):
 
     values lists the shift values, the identity first; a value is named by
     its index.  A grid cell that one run of a shift covers is keyed by the
-    integer value * n + cell, the value at its left edge from one
-    np.searchsorted of the grid's edges in the shift's breakpoints; a cell
-    that a breakpoint cuts is keyed by its runs, found per breakpoint.  One
-    dictionary numbers the keys in the order they first appear: slots[k]
+    integer value * n + cell, the value at its left edge; a cell that a
+    breakpoint cuts is keyed by its runs; both from stepmaps.grid_runs.
+    One dictionary numbers the keys in the order they first appear: slots[k]
     holds shift k's n cell numbers, and cells the grid cell of each
     distinct cell.  edges are the grid's n + 1 points and runs is (cell,
     start, end, value) per run of a distinct cell, in cell order, with the
@@ -147,16 +145,13 @@ def _plan_cells(group, shifts, n: int):
         if shift is None:
             keys.append(range(n))
             continue
-        values, first = [ids.setdefault(v, len(ids)) for v in shift.values], [0] * n  # the run at each left edge
-        if shift.breakpoints:
-            first = np.array(shift.breakpoints, np.float64).searchsorted(edges[:-1], "right").tolist()
+        values = [ids.setdefault(v, len(ids)) for v in shift.values]
+        first, cuts = grid_runs(shift, edges)
         key = [values[r] * n + c for c, r in enumerate(first)]
-        # a breakpoint off the grid cuts its cell into runs
-        for r, x in enumerate(shift.breakpoints):
-            c = bisect_right(at, x) - 1
-            if x != at[c]:
-                _, starts, cut = key[c] if type(key[c]) is tuple else (c, (at[c],), (values[first[c]],))
-                key[c] = (c, (*starts, x), (*cut, values[r + 1]))
+        # a run that starts off the grid cuts its cell into runs
+        for r, c in cuts:
+            _, starts, cut = key[c] if type(key[c]) is tuple else (c, (at[c],), (values[first[c]],))
+            key[c] = (c, (*starts, shift.breakpoints[r - 1]), (*cut, values[r]))
         keys.append(key)
     number = {}
     slots = [np.array([number.setdefault(k, len(number)) for k in key]) for key in keys]

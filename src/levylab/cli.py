@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, rng
-from .amplify import Schedule, member_pieces, run_schedule, stage_modes
+from .amplify import Schedule, expectations, member_pieces, run_schedule, stage_modes
 from .errors import LevyLabError, SpaceTooLarge, WrongKind
 from .families import (
     cell_window_family,
@@ -36,7 +36,7 @@ from .hamming import (
     product_space,
     talagrand_bound,
 )
-from .mean_transfer import phi_equivariance_check, phi_member
+from .mean_transfer import phi_equivariance_check, phi_member, point_mass
 from .mmspace import FiniteMMSpace, alpha_profile
 from .stepmaps import PiecewiseMap, h_embed
 from .wordgroups import (
@@ -378,20 +378,18 @@ def _cmd_phi_check(ns) -> tuple[list[str], list[tuple], dict]:
         f2 = _random_bounded_function(group, gen)
         g = group.random_element(gen, 4)
         n = int(gen.integers(1, 7))
-        h = h_embed(group, tuple(group.random_element(gen, 4) for _ in range(n)))
+        h = tuple(group.random_element(gen, 4) for _ in range(n))
         alpha, beta = (float(v) for v in gen.uniform(-2.0, 2.0, size=2))
-
-        worst["unitality"] = max(worst["unitality"], abs(phi_member(one)(h) - 1.0))
-        lin = abs(
-            phi_member(lambda x: alpha * f1(x) + beta * f2(x))(h)
-            - (alpha * phi_member(f1)(h) + beta * phi_member(f2)(h))
-        )
-        worst["linearity"] = max(worst["linearity"], lin)
+        combo = lambda x: alpha * f1(x) + beta * f2(x)  # noqa: E731
         hi = lambda x: f1(x) + abs(f2(x))  # noqa: E731
-        worst["monotonicity"] = max(worst["monotonicity"], phi_member(f1)(h) - phi_member(hi)(h))
-        worst["equivariance"] = max(
-            worst["equivariance"], phi_equivariance_check(group, f1, g, h)
-        )
+        # the transfers of each function at h, as expectations under the point mass at h
+        members = [phi_member(f) for f in (one, combo, f1, f2, hi)]
+        e_one, e_combo, e1, e2, e_hi = expectations(point_mass(group, h), members)[0][0].tolist()
+
+        worst["unitality"] = max(worst["unitality"], abs(e_one - 1.0))
+        worst["linearity"] = max(worst["linearity"], abs(e_combo - (alpha * e1 + beta * e2)))
+        worst["monotonicity"] = max(worst["monotonicity"], e1 - e_hi)
+        worst["equivariance"] = max(worst["equivariance"], phi_equivariance_check(group, f1, g, h))
     rows = [(case, residual) for case, residual in worst.items()]
     flags = {f"{case}_within_1e-12": residual <= 1e-12 for case, residual in worst.items()}
     return ["case", "residual"], rows, flags

@@ -43,7 +43,7 @@ from .errors import (
     TooManySamples,
 )
 from .mmspace import DEFAULT_ENUMERATION_LIMIT, FiniteMMSpace, deviation_masses, weighted_median
-from .stepmaps import IntegralMember, hamming_distance
+from .stepmaps import IntegralMember
 from .wordgroups import _power_over
 
 EXACT_PRODUCT_LIMIT = 10**6
@@ -107,19 +107,18 @@ def talagrand_bound(eps: float, n: int) -> float:
     return 2.0 * math.exp(-(eps * eps) * n)
 
 
-def sample_indices(weights, n: int, count: int, seed: int, start: int = 0) -> np.ndarray:
-    """Draw samples start..start+count-1 of weights^(x)n, as atom indices of shape (count, n).
+def sample_indices(weights, n: int, count: int, seed: int) -> np.ndarray:
+    """Draw count samples of weights^(x)n, as atom indices of shape (count, n).
 
     weights are the base's atom probabilities, taken as given.  Coordinate
     (i, j) is a pure function of (seed, i, j), so sample i does not depend
-    on count or batching; blocks of rows drawn with ``start``
-    concatenate to the draw made in one call.  More than SAMPLE_ARRAY_LIMIT
-    coordinates raise TooManySamples before anything is drawn.
+    on count.  More than SAMPLE_ARRAY_LIMIT coordinates raise
+    TooManySamples before anything is drawn.
     """
-    if count < 1 or n < 1 or start < 0:
-        raise ValueError("count and n must be >= 1 and start >= 0")
+    if count < 1 or n < 1:
+        raise ValueError("count and n must be >= 1")
     _check_sample_array(count, n)
-    return rng.counter_choice(seed, start * n, count * n, np.cumsum(weights)).reshape(count, n)
+    return rng.counter_choice(seed, 0, count * n, np.cumsum(weights)).reshape(count, n)
 
 
 def _check_enumeration(k: int, n: int) -> None:
@@ -147,9 +146,10 @@ def product_space(product: HammingProduct) -> FiniteMMSpace:
     """Materialize the product as a FiniteMMSpace of at most DEFAULT_ENUMERATION_LIMIT points."""
     if points := _power_over(len(product.base.atoms), product.n, DEFAULT_ENUMERATION_LIMIT):
         raise TooLargeForExact(f"{points} points exceeds limit {DEFAULT_ENUMERATION_LIMIT}")
-    points = list(itertools.product(product.base.atoms, repeat=product.n))
-    dist = np.array([[hamming_distance(x, y) for y in points] for x in points])
-    return FiniteMMSpace(tuple(points), dist, product_weights(product.base.weights, product.n))
+    atoms, n = product.base.atoms, product.n
+    codes = np.array(list(itertools.product(range(len(atoms)), repeat=n)))  # d_n compares atom indices
+    dist = (codes[:, None] != codes[None]).sum(axis=2) / n
+    return FiniteMMSpace(tuple(itertools.product(atoms, repeat=n)), dist, product_weights(product.base.weights, n))
 
 
 def fraction_differing(atom) -> IntegralMember:

@@ -2,14 +2,15 @@
 
 The transfer operator sends a bounded function f on G to the function
 h -> integral of f(h(t)) dt on step maps, the one-piece IntegralMember
-with kernel f: ``phi_member(f)``, evaluated on a map h as
-``phi_member(f)(h)``.  For step data the integral is the cell-length-weighted
-sum, which makes the algebra exact: unitality, linearity, monotonicity,
-and transfer(f o lambda_g) = transfer(f) o lambda_{const g} all hold to
-float roundoff.  Composing with the expectation of a measure on step maps
-turns almost-invariance at the step-map level into almost-invariance on G.
-Expectations come from amplify.expectations, the one place they are
-formed, so a member's expectation here has the same bits as in l0_defect.
+with kernel f: ``phi_member(f)``; its value at a grid map h is its
+expectation under ``point_mass`` at h.  For step data the integral is the
+cell-length-weighted sum, which makes the algebra exact: unitality,
+linearity, monotonicity, and transfer(f o lambda_g) = transfer(f) o
+lambda_{const g} all hold to float roundoff.  Composing with the
+expectation of a measure on step maps turns almost-invariance at the
+step-map level into almost-invariance on G.  Expectations come from
+amplify.expectations, the one place members are evaluated, so a member
+has the same bits here as in l0_defect.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .stepmaps import IntegralMember, PiecewiseMap, h_embed, pointwise_translate
-from .wordgroups import WordGroup
+from .stepmaps import IntegralMember, h_embed
+from .wordgroups import FinSuppMeasure, WordGroup
 
 from .amplify import L0Measure, expectations
 
@@ -28,16 +29,24 @@ def phi_member(f: Callable) -> IntegralMember:
     return IntegralMember((), (f,))
 
 
-def phi_equivariance_check(group: WordGroup, f: Callable, g, h: PiecewiseMap) -> float:
-    """Residual of transfer(f o lambda_g)(h) = transfer(f)(const_g * h).
+def point_mass(group: WordGroup, values) -> L0Measure:
+    """The point mass at the map with value values[i] on grid cell i: one row of codes over its distinct values."""
+    index = {}
+    codes = [index.setdefault(group.validate(v), len(index)) for v in values]
+    return L0Measure(FinSuppMeasure._unchecked(group, group.pack(tuple(index))), len(codes), [codes], (1.0,), "exact")
 
-    Both sides reduce to the same finite cell sum, so the residual is zero
-    up to float roundoff (contract: <= 1e-12).
+
+def phi_equivariance_check(group: WordGroup, f: Callable, g, values) -> float:
+    """Residual of transfer(f o lambda_g)(h) = transfer(f)(const_g * h) at the grid map h with these values.
+
+    Both sides come from one expectations call on the point mass at h, f o
+    lambda_g at the identity and f at the constant map g: the same finite
+    cell sum, so the residual is zero up to float roundoff (contract: <= 1e-12).
     """
     g = group.validate(g)
-    left = phi_member(lambda x: f(group.op(g, x)))(h)
-    right = phi_member(f)(pointwise_translate(h_embed(group, (g,)), h))
-    return abs(left - right)
+    members = (phi_member(lambda x: f(group.op(g, x))), phi_member(f))
+    means = expectations(point_mass(group, values), members, (None, h_embed(group, (g,))))[0]
+    return float(abs(means[0, 0] - means[1, 1]))
 
 
 @dataclass(frozen=True)

@@ -10,27 +10,27 @@ coarsest one: two maps are == (and hash equal) exactly when they are
 equal as functions, and nothing downstream validates again.  For
 discrete base groups, convergence in measure is the disagreement
 pseudometric, the measure of {f != g}.  Step maps on the n-grid under the
-product measure are the Hamming product: disagreement is then
-hamming_distance of the value tuples, and a one-piece IntegralMember (the
-member type of step maps and profiles) is a coordinate mean.
+product measure are the Hamming product: disagreement is then the
+fraction of differing coordinates of the value tuples, and a one-piece
+IntegralMember (the member type of step maps and profiles) is a
+coordinate mean.
 
-Every quantity here walks the common refinement of two partitions of
-[0, 1), and one routine walks it: cut_runs cuts a map's runs (start,
-stop, value) at a sorted breakpoint list and numbers each piece by the
-breaks before it.  amplify.expectations makes the same cuts for every
-cell of many shifts and members at once, with array searches.
+An IntegralMember is data: breakpoints, kernels and phi.  Its one
+evaluator, amplify.expectations, integrates members on the joint
+refinement of the grid, each shift and their own breakpoints, for all
+maps of a measure at once; one grid map is the point mass at it
+(mean_transfer.point_mass).  grid_runs reads a map against the uniform
+grid for grid_approximate and for the cell plan of expectations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Callable
 
 import numpy as np
 
-from .errors import CarrierMismatch, EmptyTuple, LengthMismatch
+from .errors import EmptyTuple
 from .wordgroups import WordGroup
 
 
@@ -78,31 +78,6 @@ def h_embed(group: WordGroup, values) -> PiecewiseMap:
     return PiecewiseMap(group, tuple(i / n for i in range(1, n)), values)
 
 
-def runs_of(f: PiecewiseMap):
-    """The runs (start, stop, value) of f, left to right over [0, 1)."""
-    edges = (0.0, *f.breakpoints, 1.0)
-    return zip(edges, edges[1:], f.values)
-
-
-def cut_runs(runs, breaks):
-    """Yield (start, stop, value, piece) for the runs (start, stop, value) cut at the sorted breaks.
-
-    The runs go left to right; piece is the number of breaks at or before
-    start.  On runs_of(f) and breaks inside (0, 1), this is the common
-    refinement of f's breakpoints and the breaks: every stop is the next
-    start, and a break equal to a breakpoint cuts once.
-    """
-    p = 0
-    for start, stop, v in runs:
-        while p < len(breaks) and breaks[p] <= start:
-            p += 1
-        while p < len(breaks) and breaks[p] < stop:
-            yield start, breaks[p], v, p
-            start = breaks[p]
-            p += 1
-        yield start, stop, v, p
-
-
 @dataclass(frozen=True, eq=False)
 class IntegralMember:
     """The member h -> phi(integral over [0, 1) of kernel[p](h(t)) dt).
@@ -111,12 +86,12 @@ class IntegralMember:
     piece holding t, so the kernel is constant in t on each piece.  The
     constructor checks them as PiecewiseMap checks its own: strictly
     increasing, inside (0, 1), one fewer than the kernels.
-    A call cuts h's runs at the breakpoints and adds the pieces' integrals
-    left to right from 0.0.
-    Each kernel must be a pure function of the element: one
-    amplify.expectations call builds the column of a kernel over a
-    translated support once and reuses it for every cell and shift of that
-    call that carries the same shift value.  The wordgroups.Mismatch
+    A member is evaluated only by amplify.expectations, which adds its
+    pieces' integrals in each grid cell left to right from 0.0 and a
+    map's cells left to right.  Each kernel must be a pure function of
+    the element: one call builds the column of a kernel over a translated
+    support once and reuses it for every cell and shift of that call that
+    carries the same shift value.  The wordgroups.Mismatch
     kernels of the base group take one Mismatch.columns comparison per
     call, each against its shift value's translate; another kernel takes
     its optional bulk method ``values(elements)`` when it has one for the
@@ -135,34 +110,19 @@ class IntegralMember:
         object.__setattr__(self, "breakpoints", _check_breakpoints(self.breakpoints, len(kernel), "kernel"))
         object.__setattr__(self, "kernel", kernel)
 
-    def __call__(self, h: PiecewiseMap) -> float:
-        pieces = cut_runs(runs_of(h), self.breakpoints)
-        # left to right from 0.0: from Python 3.12 on, sum() compensates
-        total = reduce(add, ((stop - start) * self.kernel[p](v) for start, stop, v, p in pieces), 0.0)
-        return float(self.phi(total))
 
+def grid_runs(f: PiecewiseMap, edges: np.ndarray) -> tuple[list, list]:
+    """f against the grid whose points are edges, 0.0 to 1.0: (first, cuts), from two np.searchsorted.
 
-def hamming_distance(x, y) -> float:
-    """Fraction of coordinates where two equal-length tuples differ."""
-    if len(x) != len(y):
-        raise LengthMismatch(f"tuple lengths {len(x)} and {len(y)} differ")
-    if len(x) == 0:
-        raise LengthMismatch("tuples must be non-empty")
-    return sum(1 for a, b in zip(x, y) if a != b) / len(x)
-
-
-def pointwise_translate(g: PiecewiseMap, h: PiecewiseMap) -> PiecewiseMap:
-    """The left translate t -> g(t)*h(t), cut at the breakpoints of g and h, in canonical form.
-
-    Uniform breakpoints i/n are correctly rounded, so grid points shared by
-    two grids cut once; the constructor then merges equal neighbours.
+    first[c] is the run of f at cell c's left edge (run r starts at
+    breakpoint r - 1), and cuts lists (r, c), in order, for each run r
+    that starts inside cell c, off the grid.
     """
-    if g.group != h.group:
-        raise CarrierMismatch("maps live over different groups")
-    group = h.group
-    cells = list(cut_runs(runs_of(h), g.breakpoints))
-    values = tuple(group.op(g.values[p], v) for _, _, v, p in cells)
-    return PiecewiseMap(group, tuple(start for start, _, _, _ in cells[1:]), values)
+    breaks = np.array(f.breakpoints, np.float64)
+    first = breaks.searchsorted(edges[:-1], "right").tolist()
+    cells = edges.searchsorted(breaks, "right") - 1
+    off = (breaks != edges[cells]).nonzero()[0]
+    return first, list(zip((off + 1).tolist(), cells[off].tolist()))
 
 
 def grid_approximate(f: PiecewiseMap, n: int) -> tuple[tuple, float]:
@@ -171,16 +131,18 @@ def grid_approximate(f: PiecewiseMap, n: int) -> tuple[tuple, float]:
     Returns the tuple g with g_i = f((i-1)/n) together with the
     disagreement of f and h_embed(g), the measure of {f != h_embed(g)}; the
     latter is at most (#breakpoints)/n, and the tuple only uses values f
-    already takes.
-    Both come from one walk over f's runs cut at the grid, where each
-    cell's first piece starts at its left endpoint.
+    already takes.  Both come from grid_runs: a run that starts inside a
+    cell and differs from the cell's left-edge value adds its length up to
+    the next breakpoint or grid point, left to right from 0.0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g, dis = [], 0.0
-    for start, stop, v, p in cut_runs(runs_of(f), [i / n for i in range(1, n)]):
-        if p == len(g):
-            g.append(v)
-        elif v != g[p]:
-            dis += stop - start
-    return tuple(g), dis
+    edges = np.arange(n + 1) / n  # i / n, correctly rounded as in h_embed
+    first, cuts = grid_runs(f, edges)
+    g = tuple(f.values[r] for r in first)
+    at, ends = edges.tolist(), (*f.breakpoints, 1.0)  # run r is [ends[r - 1], ends[r])
+    dis = 0.0
+    for r, c in cuts:
+        if f.values[r] != g[c]:
+            dis += min(ends[r], at[c + 1]) - ends[r - 1]
+    return g, dis

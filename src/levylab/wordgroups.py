@@ -7,9 +7,9 @@ distance, and the free group on two letters as reduced words over
 FreeGroup2``, with no base class.  Every kind defines ``identity``,
 ``op``, ``inv``, ``validate`` (the canonical form of x, or
 InvalidElement), ``word_length``, ``pack`` and ``unpack`` (to and from
-the bulk form below), ``translate_all`` (g * x for a whole support in
-bulk form), ``translate_each`` (the same for several g, on Z^d and Z_m
-in one broadcast add), ``word_lengths`` (int64, or Python ints past int64),
+the bulk form below), ``translate_each`` (g * x over a whole support in
+bulk form, one row per g: on Z^d and Z_m in one broadcast add, on F2 one
+g at a time), ``word_lengths`` (int64, or Python ints past int64),
 ``generators``, ``random_element`` and ``parse``.  The word length
 induces the right-invariant metric d(x, y) = wl(x * y^-1), which realizes
 the right uniformity all defect computations refer to.
@@ -141,9 +141,6 @@ class ZdGroup:
         coords = itertools.chain.from_iterable(map(shared.setdefault, block, block) for block in blocks)
         return tuple(zip(*[coords] * self.d))
 
-    def translate_all(self, g, elements) -> np.ndarray:
-        return self.translate_each((g,), elements)[0]
-
     def translate_each(self, gs, elements) -> np.ndarray:
         return _shift(elements, gs)
 
@@ -209,9 +206,6 @@ class CyclicGroup:
 
     def unpack(self, elements) -> tuple:
         return tuple(elements.tolist())
-
-    def translate_all(self, g, elements) -> np.ndarray:
-        return self.translate_each((g,), elements)[0]
 
     def translate_each(self, gs, elements) -> np.ndarray:
         sums = _shift(elements, [(g,) for g in gs])
@@ -287,7 +281,10 @@ class FreeGroup2:
         blocks = (elements[i : i + _UNPACK_ROWS] for i in range(0, len(elements), _UNPACK_ROWS))
         return tuple(itertools.chain.from_iterable(map(words, blocks)))
 
-    def translate_all(self, g, elements) -> np.ndarray:
+    def translate_each(self, gs, elements) -> list:
+        return [self._translate(g, elements) for g in gs]
+
+    def _translate(self, g, elements) -> np.ndarray:
         # the letters of g from the right: each cancels x's first letter when that is its
         # inverse and is prepended otherwise (a reduced g cancels nothing after a prepend)
         lengths = self.word_lengths(elements)
@@ -300,9 +297,6 @@ class FreeGroup2:
             elements = np.where(cancel, elements - ((lead - 1) << below), elements + ((3 + d) << 2 * lengths))
             lengths = np.where(cancel, lengths - 1, lengths + 1)
         return elements if elements.dtype == np.int64 else _int_array(elements)
-
-    def translate_each(self, gs, elements) -> list:
-        return [self.translate_all(g, elements) for g in gs]
 
     def word_lengths(self, elements) -> np.ndarray:
         # a code in [4^L, 2 * 4^L) has binary exponent 2L + 1, and 2L + 2 if float64 rounds it up to 2 * 4^L
@@ -447,8 +441,9 @@ class FinSuppMeasure:
     and ``uniform`` check outside input: each element is put in canonical
     form by ``group.validate``, the elements must be distinct, and the
     weights positive with sum 1.  The library's builders
-    (``folner_measure``, ``ball_uniform``, ``haar``, ``translate``) go
-    through ``_unchecked``, which stores the arrays as given.
+    (``folner_measure``, ``ball_uniform``, ``haar``, ``translate``, and
+    ``mean_transfer.point_mass`` for the base of its one map) go through
+    ``_unchecked``, which stores the arrays as given.
     ``column(f)`` takes f's bulk path when ``f.group`` is this group, and
     otherwise calls f once per element of ``support``.
     """
@@ -532,7 +527,7 @@ class FinSuppMeasure:
     def translate(self, g) -> "FinSuppMeasure":
         g = self.group.validate(g)
         # left translation is a bijection of canonical elements
-        return FinSuppMeasure._unchecked(self.group, self.group.translate_all(g, self.elements), self.weights)
+        return FinSuppMeasure._unchecked(self.group, self.group.translate_each((g,), self.elements)[0], self.weights)
 
     def _join(self, other: "FinSuppMeasure") -> tuple[np.ndarray, np.ndarray]:
         """The index pairs (i, j) with self.elements[i] == other.elements[j], as two arrays."""

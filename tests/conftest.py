@@ -38,7 +38,7 @@ from levylab import (
     weighted_median,
 )
 from levylab import amplify, mmspace, rng
-from levylab.errors import CarrierMismatch, DimensionMismatch, LipschitzViolation
+from levylab.errors import CarrierMismatch, DimensionMismatch, LengthMismatch, LipschitzViolation
 from levylab.hamming import product_weights
 from levylab.stepmaps import IntegralMember
 
@@ -414,7 +414,7 @@ def disagreement(f, g) -> float:
 
     The lengths of the pieces of the common refinement where the values
     differ, added left to right from 0.0; the refinement is this module's
-    own two-list walk, merge_breakpoints, not the library's cut_runs.
+    own two-list walk, merge_breakpoints.
     """
     if f.group != g.group:
         raise CarrierMismatch("maps live over different groups")
@@ -427,7 +427,8 @@ def merge_breakpoints(ab, bb):
 
     Both lists are sorted inside (0, 1); [start, stop) lies in cell ia of
     the first list and in cell ib of the second.  Two lists advanced side
-    by side: an independent walk against stepmaps.cut_runs.
+    by side; the library makes the same cuts with array searches in
+    amplify.expectations.
     """
     ia = ib = 0
     start = 0.0
@@ -441,6 +442,44 @@ def merge_breakpoints(ab, bb):
         if stop == next_b and ib < len(bb):
             ib += 1
         start = stop
+
+
+def evaluate(member, h) -> float:
+    """The IntegralMember's value at the map h, from one walk over the common refinement.
+
+    Each piece [start, stop) of merge_breakpoints(h's breakpoints, the
+    member's) lies in h's run ia and the member's piece ib, and adds
+    (stop - start) * kernel[ib](h.values[ia]), left to right from 0.0; phi
+    then maps the total.  The library evaluates members only in
+    amplify.expectations, cell by cell of a grid.
+    """
+    pieces = merge_breakpoints(h.breakpoints, member.breakpoints)
+    total = left_sum((stop - start) * member.kernel[ib](h.values[ia]) for start, stop, ia, ib in pieces)
+    return float(member.phi(total))
+
+
+def hamming_distance(x, y) -> float:
+    """Fraction of coordinates where two equal-length, non-empty tuples differ."""
+    if len(x) != len(y):
+        raise LengthMismatch(f"tuple lengths {len(x)} and {len(y)} differ")
+    if len(x) == 0:
+        raise LengthMismatch("tuples must be non-empty")
+    return sum(1 for a, b in zip(x, y) if a != b) / len(x)
+
+
+def walk_grid_approximate(f, n: int) -> tuple[tuple, float]:
+    """grid_approximate by one walk over the n-grid and f's breakpoints, merge_breakpoints.
+
+    Each cell's first piece gives its value; every later piece of the
+    cell whose value differs adds its length, left to right from 0.0.
+    """
+    g, dis = [], 0.0
+    for start, stop, cell, run in merge_breakpoints([i / n for i in range(1, n)], f.breakpoints):
+        if cell == len(g):
+            g.append(f.values[run])
+        elif f.values[run] != g[cell]:
+            dis += stop - start
+    return tuple(g), dis
 
 
 def step_maps(nu) -> tuple:
@@ -532,7 +571,9 @@ def value_at(f, t: float):
 
 
 def manual_product_map(g, h) -> PiecewiseMap:
-    """Pointwise product built from value lookups only (oracle path)."""
+    """The pointwise product t -> g(t) * h(t), built from value lookups only, in canonical form."""
+    if g.group != h.group:
+        raise CarrierMismatch("maps live over different groups")
     group = h.group
     breaks = sorted(set(g.breakpoints) | set(h.breakpoints))
     samples = [0.0] + list(breaks)
@@ -548,7 +589,7 @@ def splice(i: int, a: tuple, x) -> tuple:
 
 
 def pullback_member(F, group, n: int, i: int, a: tuple):
-    """Pull a step-map member back to the group: x -> F(h_n(a_1..a_{i-1}, x, a_i..)).
+    """Pull a step-map member back to the group: x -> F(h_n(a_1..a_{i-1}, x, a_i..)), F(h) by evaluate.
 
     For a member with data (B, L) over the disagreement metric, the
     pull-back is B-bounded and (L/n)-Lipschitz for the word metric, since
@@ -558,7 +599,7 @@ def pullback_member(F, group, n: int, i: int, a: tuple):
     if n < 1 or not 1 <= i <= n or len(a) != n - 1:
         raise DimensionMismatch(f"inconsistent pull-back data n={n}, i={i}, |a|={len(a)}")
     a = tuple(group.validate(v) for v in a)
-    return lambda x: F(h_embed(group, splice(i, a, x)))
+    return lambda x: evaluate(F, h_embed(group, splice(i, a, x)))
 
 
 def pullback_family(family, n: int, i: int, a: tuple):
@@ -608,7 +649,8 @@ def spot_check_lipschitz(family, *, seed: int = 0, pairs: int = 64, radius: int 
         x, y = point(), point()
         d = float(word_distance(group, x, y)) if on_group else disagreement(x, y)
         for i, f in enumerate(family.members):
-            gap = abs(float(f(x)) - float(f(y))) - lipschitz * d
+            value = f if on_group else functools.partial(evaluate, f)  # a member over maps is an IntegralMember
+            gap = abs(float(value(x)) - float(value(y))) - lipschitz * d
             if gap > 1e-9:
                 raise LipschitzViolation(
                     f"member {i} exceeds declared L={lipschitz} by {gap:.3e} on a sampled pair"
@@ -626,8 +668,8 @@ def brute_l0_defect(mu, n: int, g, members) -> float:
         for combo in itertools.product(range(len(mu.support)), repeat=n):
             w = math.prod(mu.weights[i] for i in combo)
             hmap = PiecewiseMap(group, grid_breaks, tuple(mu.support[i] for i in combo))
-            direct += w * f(hmap)
-            shifted += w * f(manual_product_map(g, hmap))
+            direct += w * evaluate(f, hmap)
+            shifted += w * evaluate(f, manual_product_map(g, hmap))
         best = max(best, abs(direct - shifted))
     return best
 
@@ -643,7 +685,7 @@ def brute_translated_expectation(mu, n: int, shift_tuple, members) -> list[float
             vals = tuple(
                 group.op(s, mu.support[i]) for s, i in zip(shift_tuple, combo)
             )
-            total += w * f(h_embed(group, vals))
+            total += w * evaluate(f, h_embed(group, vals))
         out.append(total)
     return out
 
@@ -671,8 +713,8 @@ def fubini_telescope_steps(mu, n: int, gprime, members) -> list[float]:
                 direct = 0.0
                 shifted = 0.0
                 for x, wx in zip(mu.support, mu.weights):
-                    direct += wx * f(h_embed(group, head + (x,) + tail))
-                    shifted += wx * f(h_embed(group, head + (group.op(gj, x),) + tail))
+                    direct += wx * evaluate(f, h_embed(group, head + (x,) + tail))
+                    shifted += wx * evaluate(f, h_embed(group, head + (group.op(gj, x),) + tail))
                 accs[fi] += wz * (direct - shifted)
         steps.append(max(abs(a) for a in accs))
     return steps

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_alpha, brute_l0_defect, disagreement, splice
+from conftest import brute_alpha, brute_l0_defect, disagreement, evaluate, hamming_distance, splice
 from levylab import (
     DiscreteBase,
     FinSuppMeasure,
@@ -26,18 +26,19 @@ from levylab import (
     fraction_differing,
     grid_approximate,
     h_embed,
-    hamming_distance,
     invariance_defect,
     l0_defect,
     lipschitz_profile,
     phi_equivariance_check,
     phi_member,
+    point_mass,
     product_space,
     push_forward,
     run_schedule,
     talagrand_bound,
     wordlen_clamp_family,
 )
+from levylab.amplify import expectations
 from levylab.cli import main as cli_main
 
 Z = ZdGroup(1)
@@ -192,18 +193,21 @@ def test_criterion_6_phi_algebra():
             f2 = lambda x: math.cos(a * key(x))  # noqa: E731
             g = group.random_element(gen, 5)
             n = int(gen.integers(1, 7))
-            h_map = h_embed(group, tuple(group.random_element(gen, 5) for _ in range(n)))
+            values = tuple(group.random_element(gen, 5) for _ in range(n))
             al, be = (float(v) for v in gen.uniform(-2, 2, size=2))
-
-            ok &= abs(phi_member(lambda x: 1.0)(h_map) - 1.0) <= 1e-12
-            lin = abs(
-                phi_member(lambda x: al * f1(x) + be * f2(x))(h_map)
-                - (al * phi_member(f1)(h_map) + be * phi_member(f2)(h_map))
-            )
-            ok &= lin <= 1e-12
+            combo = lambda x: al * f1(x) + be * f2(x)  # noqa: E731
             hi = lambda x: f1(x) + abs(f2(x))  # noqa: E731
-            ok &= phi_member(f1)(h_map) <= phi_member(hi)(h_map) + 1e-12
-            ok &= phi_equivariance_check(group, f1, g, h_map) <= 1e-12
+
+            # the transfers at h from the point mass at h, each within 1e-12 of the walk over h's runs
+            members = [phi_member(f) for f in (lambda x: 1.0, combo, f1, f2, hi)]
+            means = expectations(point_mass(group, values), members)[0][0].tolist()
+            h_map = h_embed(group, values)
+            ok &= all(abs(m - evaluate(f, h_map)) <= 1e-12 for m, f in zip(means, members))
+            one, lin, e1, e2, e_hi = means
+            ok &= abs(one - 1.0) <= 1e-12
+            ok &= abs(lin - (al * e1 + be * e2)) <= 1e-12
+            ok &= e1 <= e_hi + 1e-12
+            ok &= phi_equivariance_check(group, f1, g, values) <= 1e-12
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5
     report(6, f"transfer-operator algebra to 1e-12 ({elapsed:.1f}s)", ok)

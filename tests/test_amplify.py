@@ -14,8 +14,10 @@ from conftest import (
     cell_window_closed_form,
     disagreement,
     element_strategy,
+    evaluate,
     fubini_telescope_steps,
     left_sum,
+    manual_product_map,
     prefix_telescope,
     pullback_family,
     reference_expectations,
@@ -52,13 +54,12 @@ from levylab import (
     h_embed,
     l0_defect,
     phi_member,
-    pointwise_translate,
     push_forward,
     run_schedule,
     invariance_defect,
     sample_indices,
 )
-from levylab import amplify, cli, hamming, rng, stepmaps, wordgroups
+from levylab import amplify, cli, hamming, rng, wordgroups
 from levylab.hamming import EXACT_PRODUCT_LIMIT
 from levylab.families import cell_window_member
 
@@ -360,7 +361,7 @@ class TestL0Defect:
     def test_expectation_helper(self):
         nu = push_forward(z_uniform(0, 3), 1)
         member = wl_mean_member(3.0)
-        expected = 0.5 * member(h_embed(Z, z_elems(0))) + 0.5 * member(h_embed(Z, z_elems(3)))
+        expected = 0.5 * evaluate(member, h_embed(Z, z_elems(0))) + 0.5 * evaluate(member, h_embed(Z, z_elems(3)))
         assert MeanApprox(nu).expect(member) == pytest.approx(expected, abs=1e-12)
 
 
@@ -618,7 +619,7 @@ def _distinct_elements(group, gen, size):
 
 
 class TestMemberValues:
-    # the gather path of amplify.expectations against each member called on each translated map
+    # the gather path of amplify.expectations against each member evaluated on each translated map
 
     @pytest.mark.parametrize("group", [Z, CyclicGroup(7), FreeGroup2()], ids=["Z", "Z7", "F2"])
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
@@ -660,9 +661,9 @@ class TestMemberValues:
                 rows = amplify.expectations(nu, members, (shift,))[1]
                 # every shift of one call has the bits of its own call
                 assert means.tolist() == [(row * nu.weights).sum() for row in rows]
-                maps = [h if shift is None else pointwise_translate(shift, h) for h in step_maps(nu)]
+                maps = [h if shift is None else manual_product_map(shift, h) for h in step_maps(nu)]
                 for f, row in zip(members, rows):
-                    assert row == pytest.approx([f(h) for h in maps], abs=1e-12)
+                    assert row == pytest.approx([evaluate(f, h) for h in maps], abs=1e-12)
                 for ref, row in zip(refs, rows):
                     assert row == pytest.approx([disagreement(ref, h) for h in maps], abs=1e-12)
                 for w, row in zip(windows, rows[-len(windows):]):
@@ -1163,22 +1164,6 @@ class TestArrayPlan:
         means, values = amplify.expectations(nu, (member,), shifts)
         assert np.array_equal(means, ref_means) and np.array_equal(values, ref_values)
 
-    def test_no_cut_runs_walk_per_cell_and_member(self, monkeypatch):
-        # 3,000 cells, the identity, the target 1 | 0 and its grid approximation: l0_defect walks
-        # the target's runs once, in grid_approximate; expectations cuts nothing with cut_runs
-        walks = []
-        cut_runs = stepmaps.cut_runs
-        monkeypatch.setattr(stepmaps, "cut_runs", lambda runs, breaks: walks.append(1) or cut_runs(runs, breaks))
-        nu = push_forward(folner_measure(Z, 1), 3000, "sampled", samples=1, seed=1)
-        g = PiecewiseMap(Z, (0.35,), z_elems(1, 0))
-        fam = disagreement_family(Z, 20, seed=42)
-        gp, _ = grid_approximate(g, 3000)
-        walks.clear()
-        amplify.expectations(nu, fam.members, (None, g, h_embed(Z, gp)), [j for j, v in enumerate(gp) if v != (0,)])
-        assert walks == []
-        l0_defect(nu, g, fam)
-        assert walks == [1]
-
 
 def _twin(data, group, x):
     """A non-canonical form of the canonical element x, which group.validate takes back to x."""
@@ -1222,9 +1207,9 @@ class TestCanonicalValues:
             assert twin == f and hash(twin) == hash(f) and twin.values == f.values
             assert disagreement(twin, f) == 0.0 and disagreement(f, twin) == 0.0
             assert disagreement(twin, other) == disagreement(f, other)
-            assert disagreement_member(twin)(other) == disagreement_member(f)(other)
-            assert pointwise_translate(twin, other) == pointwise_translate(f, other)
-            assert pointwise_translate(other, twin) == pointwise_translate(other, f)
+            assert evaluate(disagreement_member(twin), other) == evaluate(disagreement_member(f), other)
+            assert manual_product_map(twin, other) == manual_product_map(f, other)
+            assert manual_product_map(other, twin) == manual_product_map(other, f)
             assert grid_approximate(twin, n) == grid_approximate(f, n)
             for a, b in zip(amplify.expectations(nu, [disagreement_member(twin), window], (None, other)),
                             amplify.expectations(nu, [disagreement_member(f), window], (None, other))):

@@ -435,6 +435,10 @@ class TestGoldenOutputs:
             # two-coordinate atoms, compared with every Mismatch value of a shift at once
             ("amplify_Z2", ["amplify", "--group", "Z^2", "--schedule", "k=2i^2,n=i,i=1..3",
                             "--g", "0.4: (1,0)|(0,-1)", "--samples", "300", "--seed", "42"]),
+            # words, where f(g*x) and f(x*g) differ, and two-coordinate atoms, each through the point
+            # mass at the trial's map
+            ("phi-check_F2", ["phi-check", "--group", "F2", "--trials", "25", "--seed", "42"]),
+            ("phi-check_Z2", ["phi-check", "--group", "Z^2", "--trials", "25", "--seed", "42"]),
         ],
     )
     def test_csv_matches_the_recorded_run(self, tmp_path, name, args):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UNEVEN_BREAKS, alternate_cell_lengths, element_strategy, group_strategy, left_sum
+from conftest import UNEVEN_BREAKS, alternate_cell_lengths, element_strategy, evaluate, group_strategy, left_sum
 from conftest import compose_with_translation, disagreement, pullback_family, pullback_member, splice, spot_check_lipschitz
 from levylab import (
     BLFamily,
@@ -18,6 +18,7 @@ from levylab import (
     GroupCarrier,
     L0Carrier,
     LipschitzViolation,
+    MeanApprox,
     PiecewiseMap,
     ZdGroup,
     cell_window_family,
@@ -25,6 +26,8 @@ from levylab import (
     disagreement_member,
     h_embed,
     invariance_defect,
+    phi_member,
+    point_mass,
     wordlen_clamp_family,
 )
 
@@ -49,10 +52,10 @@ class TestEvalMember:
     def test_disagreement_of_identity_map(self):
         member = disagreement_member(h_embed(Z, (Z.identity,) * 4))
         fam = BLFamily(L0Carrier(Z), (member,), bound=1.0, lipschitz=1.0)
-        assert fam.members[0](h_embed(Z, (Z.identity,) * 2)) == 0.0
+        assert evaluate(fam.members[0], h_embed(Z, (Z.identity,) * 2)) == 0.0
         # a reference of 4 cells against the same function on 2: one kernel piece per value
         member = disagreement_member(h_embed(Z, (E, E, (2,), (2,))))
-        assert len(member.kernel) == 2 and member(h_embed(Z, (E, (2,)))) == 0.0
+        assert len(member.kernel) == 2 and evaluate(member, h_embed(Z, (E, (2,)))) == 0.0
 
 
 class TestPullback:
@@ -69,7 +72,7 @@ class TestPullback:
         assert member((3,)) == 0.5
 
     def test_constant_pullback(self):
-        member = pullback_member(lambda h: 0.75, Z, 3, 1, (E, E))
+        member = pullback_member(phi_member(lambda x: 0.75), Z, 3, 1, (E, E))
         assert member((9,)) == 0.75
 
     def test_dimension_mismatch(self):
@@ -145,7 +148,7 @@ class TestBuilders:
         fam1 = disagreement_family(Z, 3, seed=5)
         fam2 = disagreement_family(Z, 3, seed=5)
         h = h_embed(Z, z_elems(1, 0, -2))
-        assert [m(h) for m in fam1.members] == [m(h) for m in fam2.members]
+        assert [evaluate(m, h) for m in fam1.members] == [evaluate(m, h) for m in fam2.members]
 
     def test_disagreement_member_matches_disagreement(self):
         refs = (
@@ -157,13 +160,14 @@ class TestBuilders:
             member = disagreement_member(ref)
             for n in (1, 2, 3, 5, 8):
                 h = h_embed(Z, z_elems(*range(n)))
-                assert member(h) == pytest.approx(disagreement(ref, h), abs=1e-12)
+                assert evaluate(member, h) == pytest.approx(disagreement(ref, h), abs=1e-12)
 
     def test_integral_adds_pieces_left_to_right(self):
         lengths = alternate_cell_lengths(UNEVEN_BREAKS)
         assert left_sum(lengths) != math.fsum(lengths)
         member = disagreement_member(PiecewiseMap(Z, UNEVEN_BREAKS, z_elems(1, 0, 1, 0, 1, 0, 1)))
-        assert member(h_embed(Z, (Z.identity,))) == left_sum(lengths)
+        # the member's pieces in the one grid cell, as expectations adds them
+        assert MeanApprox(point_mass(Z, (Z.identity,))).expect(member) == left_sum(lengths)
 
     def test_cell_window_family(self):
         fam = cell_window_family(Z, 6, seed=3, width=0.25)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rational_profile, tuple_profile, tuple_values
+from conftest import hamming_distance, rational_profile, tuple_profile, tuple_values
 from levylab import (
     CarrierMismatch,
     CyclicGroup,
@@ -18,15 +18,15 @@ from levylab import (
     InvalidMeasure,
     LengthMismatch,
     LipschitzViolation,
+    MeanApprox,
     NegativeEps,
     TooLargeForExact,
     TooManySamples,
     alpha_profile,
     coordinate_sum_law,
     fraction_differing,
-    h_embed,
-    hamming_distance,
     lipschitz_profile,
+    point_mass,
     product_space,
     sample_indices,
     talagrand_bound,
@@ -98,9 +98,6 @@ class TestSampleProduct:
         # sample i does not depend on how many samples are requested
         w = UNIFORM2.weights
         assert np.array_equal(sample_indices(w, 3, 20, 5)[:7], sample_indices(w, 3, 7, 5))
-        # blocks of rows drawn with start concatenate to the one-call draw
-        blocks = [sample_indices(w, 3, stop - start, 5, start=start) for start, stop in ((0, 7), (7, 8), (8, 20))]
-        assert np.array_equal(np.concatenate(blocks), sample_indices(w, 3, 20, 5))
 
     def test_sample_array_cap(self, monkeypatch):
         # arrays up to the cap are built; one sample more is refused before allocating.
@@ -194,6 +191,14 @@ class TestProductWeights:
         space = product_space(HammingProduct(base, 2))
         assert space.points == ((0, 0), (0, 1), (1, 0), (1, 1))
         assert space.mu.tolist() == [0.3 * 0.3, 0.3 * 0.7, 0.7 * 0.3, 0.7 * 0.7]
+
+    @pytest.mark.parametrize("atoms,n", [(("a",), 3), ((0, 1), 1), ((0, 1), 4), (("x", "y", "z"), 2), ((5, 7), 3)])
+    def test_product_space_distances_are_hamming(self, atoms, n):
+        # one comparison of atom indices gives d_n bit for bit, in itertools.product order
+        space = product_space(HammingProduct(DiscreteBase.uniform(atoms), n))
+        points = list(itertools.product(atoms, repeat=n))
+        assert space.points == tuple(points)
+        assert space.dist.tolist() == [[hamming_distance(x, y) for y in points] for x in points]
 
 
 class TestLipschitzProfile:
@@ -325,8 +330,8 @@ class TestLipschitzProfile:
     def test_coordinate_mean_on_tuples(self):
         # the profile's members are coordinate means of the embedded tuple
         z4 = CyclicGroup(4)
-        assert fraction_differing(0)(h_embed(z4, (0, 1, 2, 0))) == 0.5
-        assert IntegralMember((), (lambda a: 0.25 * a,))(h_embed(z4, (1, 2, 3, 2))) == 0.5
+        assert MeanApprox(point_mass(z4, (0, 1, 2, 0))).expect(fraction_differing(0)) == 0.5
+        assert MeanApprox(point_mass(z4, (1, 2, 3, 2))).expect(IntegralMember((), (lambda a: 0.25 * a,))) == 0.5
 
 
 class TestProfileOracle:

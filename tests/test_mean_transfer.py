@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compose_with_translation, disagreement
+from conftest import compose_with_translation, disagreement, element_strategy, evaluate
 from levylab import (
     CyclicGroup,
     FinSuppMeasure,
@@ -13,15 +13,18 @@ from levylab import (
     MeanApprox,
     PiecewiseMap,
     ZdGroup,
+    disagreement_member,
     h_embed,
     l0_defect,
     phi_equivariance_check,
     phi_member,
+    point_mass,
     push_forward,
     transfer_defect,
 )
 from levylab import mean_transfer
-from levylab.families import BLFamily, L0Carrier
+from levylab.amplify import expectations
+from levylab.families import BLFamily, L0Carrier, cell_window_member
 
 Z = ZdGroup(1)
 
@@ -34,76 +37,119 @@ def clamp5(x):
     return min(abs(x[0]), 5) / 5
 
 
-z_maps = st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(
-    lambda vs: h_embed(Z, z_elems(*vs))
-)
+z_values = st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(lambda vs: z_elems(*vs))
+
+
+def transfer(f, values, group=Z) -> float:
+    """transfer(f) at the grid map with these cell values: its expectation under the point mass there."""
+    return MeanApprox(point_mass(group, values)).expect(phi_member(f))
 
 
 class TestPhiEval:
     def test_unitality(self):
-        for h in (h_embed(Z, z_elems(0)), h_embed(Z, z_elems(3, -1, 2))):
-            assert phi_member(lambda x: 1.0)(h) == 1.0
+        for values in (z_elems(0), z_elems(3, -1, 2)):
+            assert transfer(lambda x: 1.0, values) == 1.0
 
     def test_three_cell_average(self):
-        h = h_embed(Z, z_elems(0, 1, 2))
-        assert phi_member(clamp5)(h) == pytest.approx(0.2, abs=1e-12)
+        assert transfer(clamp5, z_elems(0, 1, 2)) == pytest.approx(0.2, abs=1e-12)
 
     def test_constant_map(self):
-        h = h_embed(Z, z_elems(4))
-        assert phi_member(clamp5)(h) == clamp5((4,))
+        assert transfer(clamp5, z_elems(4)) == clamp5((4,))
 
     def test_piecewise_weights(self):
-        h = PiecewiseMap(Z, (0.25,), z_elems(0, 4))
-        assert phi_member(clamp5)(h) == pytest.approx(0.75 * 0.8, abs=1e-12)
+        # PiecewiseMap(Z, (0.25,), z_elems(0, 4)) is the map of four cells 0 | 4 | 4 | 4
+        assert PiecewiseMap(Z, (0.25,), z_elems(0, 4)) == h_embed(Z, z_elems(0, 4, 4, 4))
+        assert transfer(clamp5, z_elems(0, 4, 4, 4)) == pytest.approx(0.75 * 0.8, abs=1e-12)
+        assert evaluate(phi_member(clamp5), PiecewiseMap(Z, (0.25,), z_elems(0, 4))) == pytest.approx(0.6, abs=1e-12)
 
     def test_bounded_by_sup_norm(self):
-        h = h_embed(Z, z_elems(1, -5, 9))
-        assert abs(phi_member(lambda x: math.sin(x[0]))(h)) <= 1.0
+        assert abs(transfer(lambda x: math.sin(x[0]), z_elems(1, -5, 9))) <= 1.0
 
 
 class TestEquivariance:
     def test_identity_element(self):
-        h = h_embed(Z, z_elems(1, 2))
-        assert phi_equivariance_check(Z, clamp5, (0,), h) == 0.0
+        assert phi_equivariance_check(Z, clamp5, (0,), z_elems(1, 2)) == 0.0
 
     def test_constant_function(self):
-        h = h_embed(Z, z_elems(1, 2, 3))
-        assert phi_equivariance_check(Z, lambda x: 0.7, (5,), h) == 0.0
+        assert phi_equivariance_check(Z, lambda x: 0.7, (5,), z_elems(1, 2, 3)) == 0.0
 
     @settings(max_examples=100, deadline=None)
-    @given(z_maps, st.integers(-5, 5), st.floats(0.1, 2.0))
-    def test_random_triples(self, h, g, a):
+    @given(z_values, st.integers(-5, 5), st.floats(0.1, 2.0))
+    def test_random_triples(self, values, g, a):
         f = lambda x: math.sin(a * x[0])  # noqa: E731
-        assert phi_equivariance_check(Z, f, (g,), h) <= 1e-12
+        assert phi_equivariance_check(Z, f, (g,), values) <= 1e-12
+
+    def test_one_expectations_call(self, monkeypatch):
+        # both sides come from one call: f o lambda_g at the identity and f at the constant map g
+        calls = []
+        expectations = mean_transfer.expectations
+        monkeypatch.setattr(mean_transfer, "expectations", lambda *args: calls.append(args) or expectations(*args))
+        f2 = FreeGroup2()
+        assert phi_equivariance_check(f2, lambda x: math.sin(len(x) + x.count("a")), "ab", ("b", "B", "aa")) == 0.0
+        [(nu, members, shifts)] = calls
+        assert nu.codes.tolist() == [[0, 1, 2]] and len(members) == 2
+        assert shifts == (None, h_embed(f2, ("ab",)))
 
 
 class TestAlgebra:
     @settings(max_examples=80, deadline=None)
-    @given(z_maps, st.floats(-2, 2), st.floats(-2, 2))
-    def test_linearity(self, h, a, b):
+    @given(z_values, st.floats(-2, 2), st.floats(-2, 2))
+    def test_linearity(self, values, a, b):
         f1 = lambda x: math.sin(x[0])  # noqa: E731
         f2 = lambda x: math.cos(0.5 * x[0])  # noqa: E731
         combo = lambda x: a * f1(x) + b * f2(x)  # noqa: E731
-        assert phi_member(combo)(h) == pytest.approx(
-            a * phi_member(f1)(h) + b * phi_member(f2)(h), abs=1e-12
-        )
+        assert transfer(combo, values) == pytest.approx(a * transfer(f1, values) + b * transfer(f2, values), abs=1e-12)
 
     @settings(max_examples=80, deadline=None)
-    @given(z_maps)
-    def test_monotonicity(self, h):
+    @given(z_values)
+    def test_monotonicity(self, values):
         f1 = lambda x: math.sin(x[0])  # noqa: E731
         f2 = lambda x: math.sin(x[0]) + abs(math.cos(x[0]))  # noqa: E731
-        assert phi_member(f1)(h) <= phi_member(f2)(h) + 1e-12
+        assert transfer(f1, values) <= transfer(f2, values) + 1e-12
 
     def test_uniform_continuity_transfer(self):
         # maps agreeing off a set of mass eps' give averages within 2B*eps'
         bound = 1.0
         f = lambda x: math.sin(x[0])  # noqa: E731
-        h0 = h_embed(Z, z_elems(1, 2, 3, 4))
-        h1 = h_embed(Z, z_elems(1, 5, 3, 4))
-        eps_prime = disagreement(h0, h1)
+        v0, v1 = z_elems(1, 2, 3, 4), z_elems(1, 5, 3, 4)
+        eps_prime = disagreement(h_embed(Z, v0), h_embed(Z, v1))
         assert eps_prime == 0.25
-        assert abs(phi_member(f)(h0) - phi_member(f)(h1)) <= 2 * bound * eps_prime + 1e-12
+        assert abs(transfer(f, v0) - transfer(f, v1)) <= 2 * bound * eps_prime + 1e-12
+
+
+class TestPointMass:
+    def test_one_row_over_the_distinct_values(self):
+        nu = point_mass(FreeGroup2(), ("b", "aA", "", "b"))
+        assert nu.base.support == ("b", "") and nu.n == 4
+        assert nu.codes.tolist() == [[0, 1, 1, 0]] and nu.weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize(
+        "group", [Z, CyclicGroup(3), ZdGroup(2), FreeGroup2()], ids=["Z", "Z3", "Z2", "F2"]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_values_are_the_walk_at_the_identity_and_a_constant_shift(self, group, data):
+        # Z_3 maps repeat values in neighbouring cells, which h_embed merges and the walk adds as one
+        # piece while expectations adds cell by cell, so the last bits may differ
+        elements = element_strategy(group)
+        n = data.draw(st.integers(1, 6), label="n")
+        values = tuple(data.draw(elements) for _ in range(n))
+        breaks = data.draw(st.lists(st.floats(0.05, 0.95), max_size=2, unique=True).map(sorted))
+        ref = PiecewiseMap(group, breaks, tuple(data.draw(elements) for _ in range(len(breaks) + 1)))
+        lo, hi = sorted(data.draw(st.floats(0.0, 1.0)) for _ in range(2))
+        a = data.draw(st.floats(0.1, 2.0))
+        members = [
+            phi_member(lambda x: math.sin(a * group.word_length(x) + 0.5)),
+            disagreement_member(ref),
+            disagreement_member(h_embed(group, tuple(data.draw(elements) for _ in range(n)))),
+            cell_window_member(group, lo, hi, data.draw(elements), data.draw(st.floats(0.05, 1.0))),
+        ]
+        g = data.draw(elements, label="g")
+        means = expectations(point_mass(group, values), members, (None, h_embed(group, (g,))))[0]
+        h = h_embed(group, values)
+        moved = h_embed(group, tuple(group.op(g, v) for v in values))
+        assert means[0] == pytest.approx([evaluate(f, h) for f in members], abs=1e-12)
+        assert means[1] == pytest.approx([evaluate(f, moved) for f in members], abs=1e-12)
 
 
 class TestTransferDefect:

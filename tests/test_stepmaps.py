@@ -10,27 +10,32 @@ from conftest import (
     alternate_cell_lengths,
     disagreement,
     element_strategy,
+    evaluate,
     group_strategy,
+    hamming_distance,
     left_sum,
     manual_product_map,
     merge_breakpoints,
     piecewise_strategy,
     step_map_strategy,
     value_at,
+    walk_grid_approximate,
 )
 from levylab import (
     CarrierMismatch,
     EmptyTuple,
     CyclicGroup,
     FreeGroup2,
+    MeanApprox,
     PiecewiseMap,
     ZdGroup,
+    disagreement_member,
     grid_approximate,
     h_embed,
-    hamming_distance,
-    pointwise_translate,
+    point_mass,
 )
-from levylab.stepmaps import IntegralMember, cut_runs, runs_of
+from levylab.amplify import expectations
+from levylab.stepmaps import IntegralMember
 
 Z = ZdGroup(1)
 
@@ -67,50 +72,58 @@ class TestEmbed:
         n = data.draw(st.integers(1, 5))
         xs = tuple(data.draw(element_strategy(group)) for _ in range(n))
         ys = tuple(data.draw(element_strategy(group)) for _ in range(n))
-        lhs = pointwise_translate(h_embed(group, xs), h_embed(group, ys))
+        lhs = manual_product_map(h_embed(group, xs), h_embed(group, ys))
         rhs = h_embed(group, tuple(group.op(a, b) for a, b in zip(xs, ys)))
         assert lhs == rhs
 
 
 class TestPointwiseTranslate:
+    # the pointwise product, manual_product_map, as the library's shifts of step maps use it
+
     def test_inverse_gives_identity(self):
         f = h_embed(Z, (A, B, C))
         inverse = h_embed(Z, tuple(Z.inv(v) for v in f.values))
-        assert pointwise_translate(f, inverse) == h_embed(Z, (Z.identity,) * 3)
+        assert manual_product_map(f, inverse) == h_embed(Z, (Z.identity,) * 3)
 
     def test_merged_breakpoints(self):
         f = h_embed(Z, (A, B))
         g = h_embed(Z, (A, B, C))
-        m = pointwise_translate(f, g)
+        m = manual_product_map(f, g)
         assert m.breakpoints == (1 / 3, 1 / 2, 2 / 3)
         assert m.values == ((2,), (3,), (4,), (5,))
 
     def test_identity_neutral(self):
         f = h_embed(Z, (A, B))
-        assert pointwise_translate(h_embed(Z, (Z.identity,)), f) == f
+        assert manual_product_map(h_embed(Z, (Z.identity,)), f) == f
 
     def test_coprime_grids(self):
         # distinct neighbours: the product's value i + 2048 j grows on every piece, so none merge
         f = h_embed(Z, tuple((i,) for i in range(1021)))
         g = h_embed(Z, tuple((2048 * j,) for j in range(1031)))
-        m = pointwise_translate(f, g)
+        m = manual_product_map(f, g)
         assert len(m.breakpoints) == 1020 + 1030 and len(m.values) == 1021 + 1031 - 1
         assert all(a < b for a, b in zip(m.values, m.values[1:]))
         assert m.values[0] == (0,) and m.values[-1] == (1020 + 2048 * 1030,)
 
     def test_carrier_mismatch(self):
         with pytest.raises(CarrierMismatch):
-            pointwise_translate(h_embed(Z, (A,)), h_embed(ZdGroup(2), ((1, 1),)))
+            manual_product_map(h_embed(Z, (A,)), h_embed(ZdGroup(2), ((1, 1),)))
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_matches_manual_product(self, data):
+        # expectations translates a grid map h by a shift g cell by cell; the disagreement member
+        # of the manual product g * h is 0 at that translate exactly when the two agree everywhere
         group = data.draw(group_strategy())
         g = data.draw(st.one_of(step_map_strategy(group=group), piecewise_strategy(group=group)))
-        h = data.draw(st.one_of(step_map_strategy(group=group), piecewise_strategy(group=group)))
-        m = pointwise_translate(g, h)
-        oracle = manual_product_map(g, h)
-        assert m.breakpoints == oracle.breakpoints and m.values == oracle.values
+        n = data.draw(st.integers(1, 6))
+        values = tuple(data.draw(element_strategy(group)) for _ in range(n))
+        product = manual_product_map(g, h_embed(group, values))
+        other = manual_product_map(h_embed(group, (data.draw(element_strategy(group)),)), product)
+        members = [disagreement_member(product), disagreement_member(other)]
+        means = expectations(point_mass(group, values), members, (g,))[0][0]
+        assert means[0] == 0.0
+        assert means[1] == pytest.approx(disagreement(product, other), abs=1e-12)
 
 
 class TestDisagreement:
@@ -170,26 +183,17 @@ class TestDisagreement:
 
 
 class TestMergeBreakpoints:
-    # cut_runs, the one walk over the common refinement of two partitions of [0, 1)
+    # merge_breakpoints, the oracles' walk over the common refinement of two partitions of [0, 1)
 
     def test_shared_and_distinct_breakpoints(self):
-        h = PiecewiseMap(Z, (0.25, 0.5), (A, B, C))
-        assert list(cut_runs(runs_of(h), (0.5,))) == [
-            (0.0, 0.25, A, 0),
-            (0.25, 0.5, B, 0),
-            (0.5, 1.0, C, 1),
+        assert list(merge_breakpoints((0.25, 0.5), (0.5,))) == [
+            (0.0, 0.25, 0, 0),
+            (0.25, 0.5, 1, 0),
+            (0.5, 1.0, 2, 1),
         ]
 
     def test_no_breakpoints(self):
-        assert list(cut_runs(runs_of(h_embed(Z, (A,))), ())) == [(0.0, 1.0, A, 0)]
-
-    def test_runs_inside_the_unit_interval(self):
-        # expectations cuts one grid cell's runs at a member's breakpoints
-        assert list(cut_runs([(0.25, 0.4, A), (0.4, 0.5, B)], (0.1, 0.3, 0.4, 0.7))) == [
-            (0.25, 0.3, A, 1),
-            (0.3, 0.4, A, 2),
-            (0.4, 0.5, B, 3),
-        ]
+        assert list(merge_breakpoints((), ())) == [(0.0, 1.0, 0, 0)]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -197,35 +201,12 @@ class TestMergeBreakpoints:
         group = data.draw(group_strategy())
         a = data.draw(st.one_of(step_map_strategy(group=group), piecewise_strategy(group=group)))
         b = data.draw(st.one_of(step_map_strategy(group=group), piecewise_strategy(group=group)))
-        cells = list(cut_runs(runs_of(b), a.breakpoints))
+        cells = list(merge_breakpoints(b.breakpoints, a.breakpoints))
         assert cells[0][0] == 0.0 and cells[-1][1] == 1.0
         assert all(c[1] == d[0] for c, d in zip(cells, cells[1:]))
-        for start, stop, vb, ia in cells:
+        for start, stop, ib, ia in cells:
             assert start < stop
-            assert value_at(a, start) == a.values[ia] and value_at(b, start) == vb
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_pieces_are_the_two_list_merge(self, data):
-        # maps that share breakpoints: step maps on grids that divide one another, and
-        # piecewise maps whose breakpoints are drawn from one pool that holds grid points
-        group = data.draw(group_strategy())
-        n = data.draw(st.integers(1, 6))
-        extra = data.draw(st.lists(st.floats(0.05, 0.95), max_size=4))
-        pool = sorted({*(i / (2 * n) for i in range(1, 2 * n)), *extra})
-        elements = element_strategy(group)
-
-        def draw_map():
-            kind = data.draw(st.sampled_from(["step", "double", "piecewise"]))
-            if kind != "piecewise":
-                cells = n if kind == "step" else 2 * n
-                return h_embed(group, tuple(data.draw(elements) for _ in range(cells)))
-            breaks = sorted(data.draw(st.sets(st.sampled_from(pool), max_size=len(pool))))
-            return PiecewiseMap(group, breaks, tuple(data.draw(elements) for _ in range(len(breaks) + 1)))
-
-        a, b = draw_map(), draw_map()
-        merged = merge_breakpoints(a.breakpoints, b.breakpoints)
-        assert list(cut_runs(runs_of(b), a.breakpoints)) == [(x, y, b.values[ib], ia) for x, y, ia, ib in merged]
+            assert value_at(a, start) == a.values[ia] and value_at(b, start) == b.values[ib]
 
 
 class TestGridApproximate:
@@ -247,6 +228,22 @@ class TestGridApproximate:
         n = data.draw(st.integers(1, 64))
         values = tuple(data.draw(element_strategy(group)) for _ in range(n))
         assert grid_approximate(h_embed(group, values), n) == (values, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_walk(self, data):
+        # breakpoints drawn from a pool that holds grid points, so runs start on and off the grid
+        group = data.draw(group_strategy())
+        n = data.draw(st.integers(1, 64), label="n")
+        extra = data.draw(st.lists(st.floats(0.001, 0.999), max_size=5))
+        pool = sorted({*(i / n for i in range(1, n)), *extra})
+        breaks = sorted(data.draw(st.sets(st.sampled_from(pool), max_size=8))) if pool else []
+        # two values, so that equal neighbours merge and a run often differs from its cell's left edge
+        elements = st.sampled_from([data.draw(element_strategy(group)) for _ in range(2)])
+        f = PiecewiseMap(group, breaks, tuple(data.draw(elements) for _ in range(len(breaks) + 1)))
+        g, dis = grid_approximate(f, n)
+        want_g, want_dis = walk_grid_approximate(f, n)
+        assert g == want_g and dis.hex() == want_dis.hex()
 
     @settings(max_examples=120, deadline=None)
     @given(piecewise_strategy(), st.integers(1, 64))
@@ -330,9 +327,9 @@ class TestCanonicalForm:
         f, g, h = data.draw(maps), data.draw(maps), data.draw(maps)
         inverse = PiecewiseMap(group, g.breakpoints, tuple(group.inv(v) for v in g.values))
         identity = h_embed(group, (group.identity,))
-        assert pointwise_translate(inverse, g) == identity == pointwise_translate(g, inverse)
-        assert pointwise_translate(identity, g) == g
-        assert pointwise_translate(pointwise_translate(f, g), h) == pointwise_translate(f, pointwise_translate(g, h))
+        assert manual_product_map(inverse, g) == identity == manual_product_map(g, inverse)
+        assert manual_product_map(identity, g) == g
+        assert manual_product_map(manual_product_map(f, g), h) == manual_product_map(f, manual_product_map(g, h))
 
 
 class TestIntegralMemberValidation:
@@ -351,7 +348,8 @@ class TestIntegralMemberValidation:
     def test_kernels_stay_in_their_range(self):
         # with breakpoints (0.7, 0.3), kernels 0, 1, 0 would integrate a constant map to -0.4
         member = IntegralMember((0.3, 0.7), (lambda x: 0.0, lambda x: 1.0, lambda x: 0.0))
-        assert member(h_embed(Z, (A,))) == pytest.approx(0.4, abs=1e-15)
+        assert evaluate(member, h_embed(Z, (A,))) == pytest.approx(0.4, abs=1e-15)
+        assert MeanApprox(point_mass(Z, (A,))).expect(member) == pytest.approx(0.4, abs=1e-15)
 
     def test_breakpoints_are_stored_as_floats(self):
         member = IntegralMember([Fraction(1, 2)], [float, float])

@@ -409,7 +409,7 @@ class TestBulkKernels:
         elements = tuple(data.draw(st.lists(element_strategy(group), max_size=10)))
         packed = group.pack(elements)
         assert typed(group.unpack(packed)) == typed(elements)
-        moved = group.unpack(group.translate_all(g, packed))
+        moved = group.unpack(group.translate_each((g,), packed)[0])
         assert typed(moved) == typed(tuple(group.op(g, x) for x in elements))
         lengths = group.word_lengths(packed)
         assert lengths.tolist() == [group.word_length(x) for x in elements]
@@ -423,7 +423,7 @@ class TestBulkKernels:
         codes = F2.pack(ball)
         for g in f2_ball_words(4):
             want = tuple(F2.op(g, x) for x in ball)
-            assert F2.unpack(F2.translate_all(g, codes)) == want
+            assert F2.unpack(F2.translate_each((g,), codes)[0]) == want
             assert f2_translate_words(g, ball) == want
 
     @settings(max_examples=100, deadline=None)
@@ -537,7 +537,7 @@ class TestIntArraySupports:
         assert packed.dtype == (np.int64 if fits_int64(elements) else object)
         assert typed(group.unpack(packed)) == typed(elements)
         want = tuple_translate_all(group, g, elements)
-        moved = group.translate_all(g, packed)
+        moved = group.translate_each((g,), packed)[0]
         assert moved.dtype == (np.int64 if fits_int64(want) else object)
         assert typed(group.unpack(moved)) == typed(want)
         assert group.word_lengths(moved).tolist() == [group.word_length(x) for x in want]
@@ -554,7 +554,7 @@ class TestIntArraySupports:
     def test_bulk_translates_and_columns_equal_one_at_a_time(self, data):
         # translate_each adds every shift in one broadcast add with one int64 bound check, and
         # Mismatch.columns compares a support with every kernel's value at once; each row must
-        # equal translate_all and values, with an int64 support and values past int64 mixed
+        # equal a translate by its g alone and values, with an int64 support and values past int64 mixed
         group = data.draw(int_array_group(), label="group")
         elements = tuple(data.draw(st.lists(int_element(group), min_size=1, max_size=8, unique=True)))
         gs = data.draw(st.lists(int_element(group), min_size=1, max_size=4), label="gs")
@@ -562,7 +562,7 @@ class TestIntArraySupports:
         rows = group.translate_each(gs, packed)
         assert len(rows) == len(gs)
         for g, row in zip(gs, rows):
-            assert typed(group.unpack(row)) == typed(group.unpack(group.translate_all(g, packed)))
+            assert typed(group.unpack(row)) == typed(group.unpack(group.translate_each((g,), packed)[0]))
         weight = st.sampled_from([1.0, 0.0, -0.0, 0.5, 3.0])
         kernels = [Mismatch(group, data.draw(int_element(group)), data.draw(weight))
                    for _ in range(data.draw(st.integers(1, 5)))]
@@ -584,7 +584,7 @@ class TestIntArraySupports:
         codes = F2.pack(f2_ball_words(3) + ["ab" * 20])
         gs = ["", "a", "Ab", "aB" * 17]
         rows = F2.translate_each(gs, codes)
-        assert [r.tolist() for r in rows] == [F2.translate_all(g, codes).tolist() for g in gs]
+        assert [F2.unpack(r) for r in rows] == [f2_translate_words(g, F2.unpack(codes)) for g in gs]
         kernels = [Mismatch(F2, w) for w in ("", "ab" * 20, "a" + "ab" * 20, "b")]
         assert Mismatch.columns(kernels, rows[3][None]).tolist() == [
             per_element_column(k, F2.unpack(rows[3])).tolist() for k in kernels
@@ -745,7 +745,7 @@ class TestF2Codes:
         # short words keep int64 input codes; a long g takes the product past int64 or not
         for batch in (words, [w[:short % 12] for w in words]):
             want = tuple(F2.op(g, x) for x in batch)
-            moved = F2.translate_all(g, F2.pack(batch))
+            moved = F2.translate_each((g,), F2.pack(batch))[0]
             assert moved.dtype == (np.int64 if all(len(w) <= 31 for w in want) else object)
             assert F2.unpack(moved) == want == f2_translate_words(g, batch)
             assert F2.word_lengths(moved).tolist() == [len(w) for w in want]
@@ -756,7 +756,7 @@ class TestF2Codes:
         # 31 letters are the longest int64 code; a product of 32 comes out in Python ints, and
         # one of 31 from a word of 32 in int64
         want = F2.op(g, x)
-        moved = F2.translate_all(g, F2.pack([x, ""]))
+        moved = F2.translate_each((g,), F2.pack([x, ""]))[0]
         assert moved.dtype == (np.int64 if len(want) <= 31 else object)
         assert F2.unpack(moved) == (want, g)
 
