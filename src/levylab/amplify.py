@@ -16,10 +16,12 @@ stepmaps.PiecewiseMap, whose partition is canonical, so a cell's runs
 depend only on the function the shift is.  The call plans with no Python
 step per cell and member: the shifts agree on most grid cells, so each
 distinct cell (a grid cell and the runs a shift makes in it) gets one
-members x atoms table and one members x maps block per call, and a
-shift's member values add its n blocks left to right.  The telescope's steps come from the same blocks:
-the prefix a_j = (g'_1..g'_j, e..e) is the identity with g''s blocks in
-place of e's on cells 1..j, so no prefix map is built or planned.  A
+members x atoms table and one members x maps block per call, a cell's
+extra member pieces being one range of the sorted pieces.  Each shift's
+member values add its n blocks left to right; the telescope's prefix
+a_j = (g'_1..g'_j, e..e) is the identity with g''s blocks in place of
+e's on cells 1..j, so each prefix adds one block to the sum before it
+and subtracts one, and no prefix map is built or planned.  A
 schedule checks every entry's size caps, then runs l0_defect on each of
 a sequence of (n_i, mu_i) pairs and reports defects, bounds,
 concentration masses, and expectation-median gaps, with one median and
@@ -126,7 +128,7 @@ def push_forward(
 
 
 def _plan_cells(group, shifts, n: int):
-    """The distinct grid cells of the shifts: (values, slots, cells, edges, runs), all but values arrays.
+    """The distinct grid cells of the shifts: (values, slots, cells, edges, runs), cells and runs arrays.
 
     values lists the shift values, the identity first; a value is named by
     its index.  A grid cell that one run of a shift covers is keyed by the
@@ -154,7 +156,7 @@ def _plan_cells(group, shifts, n: int):
             key[c] = (c, (*starts, shift.breakpoints[r - 1]), (*cut, values[r]))
         keys.append(key)
     number = {}
-    slots = [np.array([number.setdefault(k, len(number)) for k in key]) for key in keys]
+    slots = [[number.setdefault(k, len(number)) for k in key] for key in keys]
     runs, cells, firsts, later = [], [], [], []
     for c, k in enumerate(number):
         gi, starts, cut = (k % n, (at[k % n],), (k // n,)) if type(k) is int else k
@@ -163,20 +165,6 @@ def _plan_cells(group, shifts, n: int):
         later += range(len(runs) + 1, len(runs) + len(starts))
         runs.extend(zip([c] * len(starts), starts, (*starts[1:], at[gi + 1]), cut))
     return list(ids), slots, np.array(cells, np.intp), edges, (*map(np.array, zip(*runs)), firsts, later)
-
-
-def _running_sums(blocks, terms, emit, acc):
-    """Add blocks[t], or subtract blocks[~t] for t < 0, into acc over terms from the left (the first term is
-    copied), and yield (emit[i], acc) after each term position i that emit names.
-
-    Each term is one numpy call into acc, a buffer of one block.
-    """
-    np.copyto(acc, blocks[terms[0]])
-    for i, t in enumerate(terms.tolist()):
-        if i:
-            (np.add if t >= 0 else np.subtract)(acc, blocks[t if t >= 0 else ~t], out=acc)
-        if i in emit:
-            yield emit[i], acc
 
 
 def _columns(base: FinSuppMeasure, values, kernels, *keys) -> np.ndarray:
@@ -214,14 +202,15 @@ def _pieces(members, size: int, edges, cells, runs):
     """Each member's pieces in each distinct cell, as lengths and column keys q * size + u (kernel q, value u).
 
     Returns the first pieces as (cells x members) lengths and keys, and the
-    others as arrays (cell, member, slot, length, key), slot s >= 1 being
-    the piece's place in its cell (empty when no cell holds another).  A
+    others as arrays (pair, slot, length, key), pair being cell * members +
+    member and slot s >= 1 the piece's place in its cell and member (empty
+    when no cell holds another).  A
     member's piece that starts at t has the member's kernel p, the number
     of its breakpoints at or before t: for every run and member at once,
     from one cumulative count down a breakpoints x runs comparison.  After
     the first, pieces start only at a breakpoint inside a run, or at a
     later run's start in a cut cell; one np.lexsort puts them in order of
-    cell and member (as cell * members + member) and start.
+    pair and start.
     """
     run_cell, run_start, run_end, run_value, firsts, later = runs
     m, breaks, owner, after = len(members), [], [], []
@@ -241,7 +230,7 @@ def _pieces(members, size: int, edges, cells, runs):
     stop = cell_end[:, None].repeat(m, axis=1)
     if not len(hit) + len(later):
         none = np.empty(0, np.intp)
-        return stop - edges[cells, None], keys[firsts], (none, none, none, np.empty(0), none)
+        return stop - edges[cells, None], keys[firsts], (none, none, np.empty(0), none)
     later = np.array(later, np.intp)
     pair = np.concatenate(
         (run_cell[run] * m + np.array(owner, np.intp)[hit], (run_cell[later, None] * m + np.arange(m)).ravel())
@@ -255,7 +244,7 @@ def _pieces(members, size: int, edges, cells, runs):
     end, same = cell_end[pair // m], pair[1:] == pair[:-1]
     end[:-1][same] = start[1:][same]
     stop.reshape(-1)[pair[slot == 1]] = start[slot == 1]  # each cell's first piece per member ends at its next cut
-    return stop - edges[cells, None], keys[firsts], (pair // m, pair % m, slot, end - start, key)
+    return stop - edges[cells, None], keys[firsts], (pair, slot, end - start, key)
 
 
 def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
@@ -276,18 +265,21 @@ def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
     _columns builds every kernel column a piece names once.  For each
     distinct cell, a members x atoms table adds each member's pieces left
     to right from 0.0: the first pieces in one np.take from the columns,
-    the others slot by slot.  One np.take gathers the table into the
-    cell's members x maps block, and a shift's values add its n blocks
-    left to right (_running_sums).  phi is applied to the
-    rows of adjacent members with the same phi at once.  Members are taken
-    in groups whose blocks fit in BLOCK_ENTRY_LIMIT floats, at least one
-    member at a time.
+    the others slot by slot from the one range of the pieces (sorted by
+    cell and member) that np.searchsorted finds for the cell and the
+    member group.  One np.take gathers the table into the cell's members x
+    maps block.  Then each shift copies its first cell's block and adds
+    the other n - 1 left to right, and takes its means: phi, applied to
+    the rows of adjacent members with the same phi at once, times the
+    weights, one .sum(axis=1).  Members are taken in groups whose blocks
+    fit in BLOCK_ENTRY_LIMIT floats, at least one member at a time.
 
     moved, when not empty, lists the increasing cells (from 0) where the
     last shift differs from shifts[0]: that shift then forms no mean, and
     in its place come the means of the prefixes, shifts[0] with the last
-    shift's cells up to each moved cell j, each changed in place from the
-    one before it by the two shifts' blocks on cell j.
+    shift's cells up to each moved cell j.  Right after shifts[0]'s means,
+    each moved cell in turn adds the last shift's block, subtracts
+    shifts[0]'s and takes that prefix's means.
     """
     base, group, n = nu.base, nu.base.group, nu.n
     shifts = tuple(shifts)
@@ -295,60 +287,59 @@ def expectations(nu: L0Measure, members, shifts=(None,), moved=()):
         raise ValueError("expectations needs at least one shift")
     values, plan, cells, edges, runs = _plan_cells(group, shifts, n)
     end = plan.pop() if moved else None
+    steps = [(end[j], plan[0][j]) for j in moved]  # the telescope's (g' block, identity block) per moved cell
+    m = len(members)
     for fi, f in enumerate(members):
         if not isinstance(f, IntegralMember):
             raise CarrierMismatch(f"member {fi} is not an IntegralMember")
-    first_lengths, first_keys, (piece_cell, piece_member, slot, lengths, piece_key) = _pieces(
-        members, len(values), edges, cells, runs
-    )
+    first_lengths, first_keys, (pair, slot, lengths, piece_key) = _pieces(members, len(values), edges, cells, runs)
     columns = _columns(base, values, [k for f in members for k in f.kernel], first_keys, piece_key)
 
     codes = np.ascontiguousarray(nu.codes.T)  # row i: the atom of cell i in each map
     weights, maps, atoms = nu.weights, codes.shape[1], len(base.weights)
-    rows_max = max(1, min(len(members), BLOCK_ENTRY_LIMIT // (len(cells) * maps)))
+    rows_max = max(1, min(m, BLOCK_ENTRY_LIMIT // (len(cells) * maps)))
     # allocated once: fresh arrays of this size per cell would fault in new pages each time
     tables, blocks = np.empty((rows_max, atoms)), np.empty((len(cells), rows_max, maps))
-    means, out = np.empty((len(plan) + len(moved), len(members))), np.empty((len(members), maps))
+    means, out = np.empty((len(plan) + len(moved), m)), np.empty((m, maps))
     total, product = np.empty((2, rows_max, maps))  # a running sum, and its products with the weights
-    # the running sums: each shift's, then the telescope's prefixes, changed cell by moved cell
-    sums = [(slots, {n - 1: k}) for k, slots in enumerate(plan)]
-    if moved:
-        j, steps = np.array(moved), np.empty(2 * len(moved), np.intp)
-        steps[0::2], steps[1::2] = end[j], ~plan[0][j]
-        prefixes = {n + 1 + 2 * t: len(plan) + t for t in range(len(j))}  # after each moved cell's two steps
-        sums[0] = (np.concatenate((plan[0], steps)), {n - 1: 0, **prefixes})
-    extras = {}  # (member group, cell) as one number: their extra pieces, one index array per slot
-    if len(slot):
-        top = int(slot.max()) + 1
-        place = (piece_member // rows_max * len(cells) + piece_cell) * top + slot
-        at = np.argsort(place, kind="stable")
-        place = place[at]
-        cuts = (np.flatnonzero(place[1:] != place[:-1]) + 1).tolist()
-        for a, b in zip([0, *cuts], [*cuts, len(at)]):
-            extras.setdefault(int(place[a]) // top, []).append(at[a:b])
-    for lo in range(0, len(members), rows_max):
-        hi = min(lo + rows_max, len(members))
+    for lo in range(0, m, rows_max):
+        hi = min(lo + rows_max, m)
         phis, stop = [], 0  # (phi, first row, end row) of each run of adjacent members with one phi
         for phi, same in groupby(members[fi].phi for fi in range(lo, hi)):
             start, stop = stop, stop + len(list(same))
             phis.append((phi, start, stop))
-        table = tables[: hi - lo]
-        for c in range(len(cells)):
+        table, block, acc = tables[: hi - lo], blocks[:, : hi - lo], total[: hi - lo]
+        # each cell's extra pieces of these members, as one range of the pieces
+        ranges = pair.searchsorted(np.arange(len(cells))[:, None] * m + [lo, hi]).tolist()
+        for c, (a, b) in enumerate(ranges):
             np.take(columns, first_keys[c, lo:hi], axis=0, out=table, mode="clip")
             np.multiply(table, first_lengths[c, lo:hi, None], out=table)
             np.add(table, 0.0, out=table)  # the first pieces, added to 0.0
-            for e in extras.get(lo // rows_max * len(cells) + c, ()):
-                table[piece_member[e] - lo] += lengths[e, None] * columns[piece_key[e]]
-            np.take(table, codes[cells[c]], axis=1, out=blocks[c, : hi - lo], mode="clip")
-        for terms, emit in sums:
-            for k, acc in _running_sums(blocks[:, : hi - lo], terms, emit, total[: hi - lo]):
-                # phi acts on each value alone, so members with one phi take it together
-                for phi, r, stop in phis:
-                    image = phi(acc[r:stop])
-                    if k == 0:
-                        out[lo + r : lo + stop] = image
-                    np.multiply(image, weights, out=product[r:stop])
-                means[k, lo:hi] = product[: hi - lo].sum(axis=1)
+            if a < b:  # slot by slot: a slot holds at most one piece per member, so no row twice
+                for s in range(1, slot[a:b].max() + 1):
+                    e = a + np.flatnonzero(slot[a:b] == s)
+                    table[pair[e] - (c * m + lo)] += lengths[e, None] * columns[piece_key[e]]
+            np.take(table, codes[cells[c]], axis=1, out=block[c], mode="clip")
+
+        def take_means(k):
+            # phi acts on each value alone, so members with one phi take it together
+            for phi, r, stop in phis:
+                image = phi(acc[r:stop])
+                if k == 0:
+                    out[lo + r : lo + stop] = image
+                np.multiply(image, weights, out=product[r:stop])
+            means[k, lo:hi] = product[: hi - lo].sum(axis=1)
+
+        for k, slots in enumerate(plan):
+            np.copyto(acc, block[slots[0]])
+            for c in slots[1:]:
+                np.add(acc, block[c], out=acc)
+            take_means(k)
+            if k == 0:  # each prefix changes the one before it on its moved cell
+                for t, (new, old) in enumerate(steps, len(plan)):
+                    np.add(acc, block[new], out=acc)
+                    np.subtract(acc, block[old], out=acc)
+                    take_means(t)
     return means, out
 
 

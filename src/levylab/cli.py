@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from . import __version__, rng
+from . import __version__, rng, wordgroups
 from .amplify import Schedule, expectations, member_pieces, run_schedule, stage_modes
 from .errors import LevyLabError, SpaceTooLarge, WrongKind
 from .families import (
@@ -42,7 +42,6 @@ from .stepmaps import PiecewiseMap, h_embed
 from .wordgroups import (
     CyclicGroup,
     FreeGroup2,
-    SUPPORT_LIMIT,
     WordGroup,
     ZdGroup,
     _check_support_size,
@@ -114,8 +113,8 @@ def _parse_base(text: str) -> DiscreteBase:
         k = int(m.group(1))
         if k < 2:
             raise UsageError("uniformK needs K >= 2")
-        if k > SUPPORT_LIMIT:
-            raise SpaceTooLarge(f"the base {text} has more than {SUPPORT_LIMIT} atoms")
+        if k > wordgroups.SUPPORT_LIMIT:
+            raise SpaceTooLarge(f"the base {text} has more than {wordgroups.SUPPORT_LIMIT} atoms")
         return DiscreteBase.uniform(tuple(range(k)))
     try:
         weights = tuple(float(p) for p in text.split(","))
@@ -212,20 +211,8 @@ def _parse_schedule(group: WordGroup, text: str) -> tuple:
         if k < 1 or n < 1:
             raise UsageError(f"schedule produced non-positive k={k} or n={n} at i={i}")
         sizes.append((n, k))
-    _check_sweep_size(group, [k for _, k in sizes])
+    _check_support_size(group, [k for _, k in sizes])
     return tuple(sizes)
-
-
-def _check_sweep_size(group: WordGroup, ks) -> None:
-    """Refuse the boxes [-k, k]^d of Z^d, or F2 balls of radius k, for k in ks when one or all together
-    hold more than SUPPORT_LIMIT points, before any is built: each is checked alone before its (2k+1)^d or
-    2*3^k - 1 points are added, and the sum stops once it passes the limit."""
-    total = 0
-    for k in ks:
-        _check_support_size(group, k)
-        total += (2 * k + 1) ** group.d if isinstance(group, ZdGroup) else 2 * 3**k - 1
-        if total > SUPPORT_LIMIT:
-            raise SpaceTooLarge(f"the measures of the sweep hold more than {SUPPORT_LIMIT} points together")
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +281,8 @@ def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
     if not isinstance(group, (ZdGroup, FreeGroup2)):
         raise UsageError(f"defect sweeps boxes of Z^d or balls of F2, not the group {ns.group!r}")
     # the largest measure, then all of them together, before the first or a generator is built
-    _check_support_size(group, ks[-1])
-    _check_sweep_size(group, ks)
+    _check_support_size(group, ks[-1:])
+    _check_support_size(group, ks)
     rows = []
     if isinstance(group, ZdGroup):
         family = _parse_group_family(group, ns.family)
@@ -502,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError, WrongKind) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except LevyLabError as exc:
+    except (LevyLabError, MemoryError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
 

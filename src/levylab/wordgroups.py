@@ -565,13 +565,20 @@ def _power_over(k: int, n: int, cap: int) -> str:
     return str(count) if m == n else f"{k}^{n}"
 
 
-def _check_support_size(group: WordGroup, k: int) -> None:
-    """Refuse a box [-k, k]^d of Z^d or an F2 ball of radius k above SUPPORT_LIMIT points, before building."""
-    if isinstance(group, ZdGroup) and _power_over(2 * k + 1, group.d, SUPPORT_LIMIT):
-        raise SpaceTooLarge(f"the box [-{k}, {k}]^{group.d} has more than {SUPPORT_LIMIT} points")
-    # an F2 ball holds 2*3^k - 1 words, more than the limit exactly when 3^k > (limit + 1) // 2
-    if isinstance(group, FreeGroup2) and _power_over(3, k, (SUPPORT_LIMIT + 1) // 2):
-        raise SpaceTooLarge(f"the F2 ball of radius {k} has more than {SUPPORT_LIMIT} words")
+def _check_support_size(group: WordGroup, ks) -> None:
+    """Refuse the boxes [-k, k]^d of Z^d, or the F2 balls of radius k, for k in ks when one alone or all
+    together hold more than SUPPORT_LIMIT points, before any is built: each is checked alone before its
+    (2k+1)^d or 2*3^k - 1 points are added, and the sum stops once it passes the limit."""
+    total = 0
+    for k in ks:
+        if isinstance(group, ZdGroup) and _power_over(2 * k + 1, group.d, SUPPORT_LIMIT):
+            raise SpaceTooLarge(f"the box [-{k}, {k}]^{group.d} has more than {SUPPORT_LIMIT} points")
+        # an F2 ball holds 2*3^k - 1 words, more than the limit exactly when 3^k > (limit + 1) // 2
+        if isinstance(group, FreeGroup2) and _power_over(3, k, (SUPPORT_LIMIT + 1) // 2):
+            raise SpaceTooLarge(f"the F2 ball of radius {k} has more than {SUPPORT_LIMIT} words")
+        total += (2 * k + 1) ** group.d if isinstance(group, ZdGroup) else 2 * 3**k - 1
+        if total > SUPPORT_LIMIT:
+            raise SpaceTooLarge(f"the measures of the sweep hold more than {SUPPORT_LIMIT} points together")
 
 
 def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:
@@ -584,7 +591,7 @@ def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:
         raise WrongKind("folner boxes are defined for Z^d groups")
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_support_size(group, k)
+    _check_support_size(group, (k,))
     # the box in itertools.product order: the first coordinate varies slowest
     axes = np.meshgrid(*[np.arange(-k, k + 1, dtype=np.int64)] * group.d, indexing="ij", copy=False)
     return FinSuppMeasure._unchecked(group, np.stack(axes, axis=-1).reshape(-1, group.d))
@@ -596,7 +603,7 @@ def ball_uniform(group: WordGroup, k: int) -> FinSuppMeasure:
     if k < 0:
         raise ValueError("k must be >= 0")
     if isinstance(group, FreeGroup2):
-        _check_support_size(group, k)
+        _check_support_size(group, (k,))
         return FinSuppMeasure._unchecked(group, _f2_ball(k))
     too_large = f"the ball of radius {k} in {group!r} has more than {SUPPORT_LIMIT} elements"
     if isinstance(group, CyclicGroup):

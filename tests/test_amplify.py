@@ -900,6 +900,14 @@ class TestDistinctCells:
         means, values = amplify.expectations(nu, members, shifts)
         ref_means, ref_values = reference_expectations(nu, members, shifts)
         assert np.array_equal(means, ref_means) and np.array_equal(values, ref_values)
+        # l0_defect's shifts, whose telescope changes the identity's sum on each moved cell
+        gp = grid_approximate(g, 3)[0]
+        telescope = (None, g, h_embed(Z, gp)), [j for j, v in enumerate(gp) if v != Z.identity]
+        monkeypatch.setattr(amplify, "BLOCK_ENTRY_LIMIT", 10**9)
+        whole = amplify.expectations(nu, members, *telescope)
+        monkeypatch.setattr(amplify, "BLOCK_ENTRY_LIMIT", 8 * 50 * size)
+        grouped = amplify.expectations(nu, members, *telescope)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, grouped))
 
     def test_each_distinct_cell_is_gathered_once_per_member_group(self, monkeypatch):
         # stage 8 of the CLI default: the 8 identity cells, the 3 cells where the target

@@ -219,24 +219,27 @@ class TestDefectCommand:
         ids=["Z", "Z2", "F2", "amplify"],
     )
     def test_sweep_limit_at_its_edge(self, tmp_path, monkeypatch, capsys, args, points):
-        # the measures of one sweep or schedule may hold SUPPORT_LIMIT points together, and no more
-        for module in (cli, wordgroups):
-            monkeypatch.setattr(module, "SUPPORT_LIMIT", points)
+        # the measures of one sweep or schedule may hold wordgroups.SUPPORT_LIMIT points together, and no more
+        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", points)
         assert run(tmp_path, "edge", *args)[0] == 0
-        for module in (cli, wordgroups):
-            monkeypatch.setattr(module, "SUPPORT_LIMIT", points - 1)
+        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", points - 1)
         code, out, _ = run(tmp_path, "over", *args)
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == (
             f"computation error: the measures of the sweep hold more than {points - 1} points together\n"
         )
 
-    def test_sweep_sum_stops_past_the_limit(self, monkeypatch):
+    def test_sweep_sum_stops_past_the_limit(self):
         # a sweep's points are counted only until they pass the limit, not over every k
         counted = []
-        monkeypatch.setattr(cli, "_check_support_size", lambda group, k: counted.append(k))
+
+        def ks():
+            for k in range(1, 10**12):
+                counted.append(k)
+                yield k
+
         with pytest.raises(cli.SpaceTooLarge, match="together"):
-            cli._check_sweep_size(cli.make_group("Z"), range(1, 10**12))
+            wordgroups._check_support_size(cli.make_group("Z"), ks())
         # the boxes for k = 1..999 hold 999^2 + 2 * 999 = 999,999 points; k = 1000 brings them past 10^6
         assert counted == list(range(1, 1001))
 
@@ -439,6 +442,9 @@ class TestGoldenOutputs:
             # mass at the trial's map
             ("phi-check_F2", ["phi-check", "--group", "F2", "--trials", "25", "--seed", "42"]),
             ("phi-check_Z2", ["phi-check", "--group", "Z^2", "--trials", "25", "--seed", "42"]),
+            # one phi per member, zero-weight kernels, and cut cells with several extra pieces
+            ("amplify_cell_window", ["amplify", "--schedule", "k=4i^2,n=i,i=1..3", "--g", "0.3,0.65:5|-7|3",
+                                     "--family", "cell-indicator-smoothed", "--samples", "400", "--seed", "42"]),
         ],
     )
     def test_csv_matches_the_recorded_run(self, tmp_path, name, args):
@@ -667,6 +673,12 @@ class TestDefaultsSmoke:
     )
     def test_oversized_inputs_are_refused_before_building(self, tmp_path, args):
         proc = run_child(tmp_path, args, 768)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("computation error: ") and "Traceback" not in proc.stderr
+
+    def test_running_out_of_memory_is_a_computation_error(self, tmp_path):
+        # the members x maps arrays of 2 x 10^6 samples pass no cap but outgrow the capped address space
+        proc = run_child(tmp_path, ["amplify", "--samples", "2000000"], 768)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("computation error: ") and "Traceback" not in proc.stderr
 
