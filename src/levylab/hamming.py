@@ -15,7 +15,7 @@ that sum, an n-fold convolution of the table's law (coordinate_sum_law):
 its distinct values are exactly the sums the k^n tuples form, each with
 the mass of the tuples that form it.  Sampled mode draws each coordinate's
 value from the table through one rng.Guide per call, in coordinate-major
-blocks whose columns are the samples, into buffers made once per call.
+blocks whose columns are the samples.
 The median is taken once, and the masses at all radii come from one sort.
 The table's max minus its min is the exact Lipschitz constant under d_n
 (for the identity phi only), against which the declared constant is
@@ -39,6 +39,7 @@ from .errors import (
     LengthMismatch,
     LipschitzViolation,
     NegativeEps,
+    NonPositiveEps,
     TooLargeForExact,
     TooManySamples,
 )
@@ -47,8 +48,9 @@ from .stepmaps import IntegralMember
 from .wordgroups import _power_over
 
 EXACT_PRODUCT_LIMIT = 10**6
-# most entries one sampled array may hold (samples x n codes, or samples values): a
-# profile of 2^24 samples completes under a 768 MiB address-space cap, 2 x 10^7 do not
+# most entries one sampled array may hold (samples x n codes, or samples values): under a
+# 768 MiB address-space cap, a profile of 2^24 samples completes and 2 x 10^7 do not, and
+# one block of 2^24 coordinates (--n 16777216 --samples 1) completes on any base
 SAMPLE_ARRAY_LIMIT = 1 << 24
 # coordinates drawn per block of a sampled lipschitz_profile
 PROFILE_BLOCK_DRAWS = 1 << 15
@@ -219,7 +221,7 @@ def lipschitz_profile(
 def _profiles(product: HammingProduct, f, lipschitz: float, grid, mode: str, samples, seed: int) -> list:
     """lipschitz_profile's ProfileResult at each radius of grid, from one law or draw and one median."""
     if not all(eps > 0 for eps in grid):
-        raise NegativeEps("eps must be > 0")
+        raise NonPositiveEps("eps must be > 0")
     # max(table) - min(table) is the Lipschitz constant only for the identity phi
     if not isinstance(f, IntegralMember) or f.breakpoints or f.phi is not np.asarray:
         raise CarrierMismatch("lipschitz_profile evaluates one-piece IntegralMembers with the default phi only")
@@ -275,7 +277,7 @@ def coordinate_sum_law(table, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sampled_values(product: HammingProduct, table: np.ndarray, samples: int, seed: int) -> np.ndarray:
-    """The coordinate means of the `samples` rows of sample_indices, drawn in blocks of rows into buffers made once."""
+    """The coordinate means of the `samples` rows of sample_indices, drawn in blocks of rows."""
     n = product.n
     rows = min(samples, max(1, PROFILE_BLOCK_DRAWS // n))
     _check_sample_array(samples)
@@ -283,18 +285,11 @@ def _sampled_values(product: HammingProduct, table: np.ndarray, samples: int, se
     values = np.empty(samples)
     draw = rng.Guide(np.cumsum(product.base.weights), samples * n, table)
     offsets = rng.counter_offsets(n, rows)
-    # flat, so that the first n * block entries are a C-ordered (n, block) array for every block
-    h, scratch, terms = np.empty(n * rows, np.uint64), np.empty(n * rows, np.uint64), np.empty(n * rows)
     for start in range(0, samples, rows):
         block = min(rows, samples - start)
-        shape, size = (n, block), n * block
-        hashed = rng.hashes(seed, start * n, offsets[:, :block], h[:size].reshape(shape), scratch[:size].reshape(shape))
         # drawn[j, i] is coordinate j of sample start + i.  numpy adds a C-ordered array's
         # rows one after another, but one column pairwise, so a lone column is cumulated
-        drawn = draw(hashed, terms[:size].reshape(shape))
-        if block > 1:
-            np.sum(drawn, axis=0, out=values[start : start + block])
-        else:
-            values[start] = np.cumsum(drawn)[-1]
+        drawn = draw(rng.hashes(seed, start * n, offsets[:, :block]))
+        values[start : start + block] = drawn.sum(axis=0) if block > 1 else np.cumsum(drawn)[-1]
     values /= n
     return values

@@ -10,16 +10,12 @@ integers (Chen and Asau).  As cum[j] <= u exactly when
 ceil(cum[j] * 2^53) <= x, the indices are those of
 np.searchsorted(cum, u, "right") on the float uniforms, bit for bit.  One
 Guide serves many blocks of hashes, laid out coordinate-major by
-counter_offsets, and can return a table's values in place of the indices;
-a caller that draws block after block passes buffers for the hashes, the
-finalizer's shifts and the draws, so that no block allocates.
+counter_offsets, and can return a table's values in place of the indices.
 """
 
 from __future__ import annotations
 
 import hashlib
-import operator
-from functools import partial
 
 import numpy as np
 
@@ -29,17 +25,13 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _finalize(z, scratch=None):
-    """The splitmix64 finalizer; an array is mixed in place, a numpy scalar is replaced.
-
-    With scratch, an array of z's shape, the shifts go there, so that mixing an array allocates nothing.
-    """
-    shift = operator.rshift if scratch is None else partial(np.right_shift, out=scratch)
-    z ^= shift(z, np.uint64(30))
+def _finalize(z):
+    """The splitmix64 finalizer; an array is mixed in place, a numpy scalar is replaced."""
+    z ^= z >> np.uint64(30)
     z *= _MIX1
-    z ^= shift(z, np.uint64(27))
+    z ^= z >> np.uint64(27)
     z *= _MIX2
-    z ^= shift(z, np.uint64(31))
+    z ^= z >> np.uint64(31)
     return z
 
 
@@ -76,19 +68,18 @@ class Guide:
         self.hash_shift = np.uint64(11 + shift)
         self.direct = np.minimum(self.low, k - 1) if table is None else table[np.minimum(self.low, k - 1)]
 
-    def __call__(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The draws at the 64-bit hashes h, which are shifted in place; a table's values go to out if given."""
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        """The draws at the 64-bit hashes h, which are shifted in place."""
         if self.span == 0:
             bucket = np.right_shift(h, self.hash_shift, out=h).view(np.int64)
-            # every bucket is in range; "clip" takes straight into out, where "raise" would buffer
-            return np.take(self.direct, bucket, out=out, mode="clip")
+            return np.take(self.direct, bucket, mode="clip")  # every bucket is in range
         x = np.right_shift(h, np.uint64(11), out=h)
         lo = self.low[(x >> self.shift).view(np.int64)]
         # while the answer is in [lo, lo + 2 * step), probing lo + step - 1 leaves it in [lo, lo + step)
         for step in (1 << j for j in reversed(range(self.span.bit_length()))):
             np.add(lo, step, out=lo, where=self.thresh[lo + (step - 1)] <= x)
         lo = np.minimum(lo, self.last, out=lo)
-        return lo if self.table is None else np.take(self.table, lo, out=out, mode="clip")
+        return lo if self.table is None else np.take(self.table, lo, mode="clip")
 
 
 def counter_offsets(n: int, rows: int) -> np.ndarray:
@@ -96,13 +87,9 @@ def counter_offsets(n: int, rows: int) -> np.ndarray:
     return (np.arange(rows, dtype=np.uint64) * np.uint64(n) + np.arange(1, n + 1, dtype=np.uint64)[:, None]) * _GOLDEN
 
 
-def hashes(seed: int, first: int, offsets: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """The 64-bit hashes of counters first + c, from offsets (c + 1) * golden as counter_offsets gives them.
-
-    They are written to out, and the finalizer's shifts to scratch, where given (both of offsets' shape).
-    """
-    x = np.add(offsets, np.uint64((seed + first * int(_GOLDEN)) & _MASK), out=out)
-    return _finalize(x, scratch)
+def hashes(seed: int, first: int, offsets: np.ndarray) -> np.ndarray:
+    """The 64-bit hashes of counters first + c, from offsets (c + 1) * golden as counter_offsets gives them."""
+    return _finalize(offsets + np.uint64((seed + first * int(_GOLDEN)) & _MASK))
 
 
 def counter_choice(seed: int, start: int, count: int, cum_weights: np.ndarray) -> np.ndarray:

@@ -682,6 +682,14 @@ class TestDefaultsSmoke:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("computation error: ") and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("base", ["uniform3", "0.2,0.3,0.5", "uniform2"])
+    def test_one_block_at_the_coordinate_cap_completes(self, tmp_path, base):
+        # n x samples is SAMPLE_ARRAY_LIMIT: one block of 2^24 coordinates, whose draws
+        # bisect on the first two bases, fits beside the counters in the capped address space
+        proc = run_child(tmp_path, ["profile", "--base", base, "--n", "16777216", "--samples", "1"], 768)
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_csv(tmp_path / "profile.csv")) == 2  # the header and the one radius
+
     def test_a_long_telescope_runs_in_seconds(self, tmp_path):
         # the default target moves 1,050 of 3,000 cells; each step is formed from the cell
         # blocks of the identity and the grid approximation, not from a 3,000-cell prefix map

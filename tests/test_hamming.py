@@ -20,6 +20,7 @@ from levylab import (
     LipschitzViolation,
     MeanApprox,
     NegativeEps,
+    NonPositiveEps,
     TooLargeForExact,
     TooManySamples,
     alpha_profile,
@@ -252,10 +253,24 @@ class TestLipschitzProfile:
             lipschitz_profile(product, f, bound=1.0, lipschitz=0.99, eps=0.3, mode="sampled", samples=100)
 
     def test_nan_eps_rejected(self):
-        with pytest.raises(NegativeEps):
-            lipschitz_profile(
-                HammingProduct(UNIFORM2, 2), fraction_differing(0), bound=1.0, lipschitz=1.0, eps=float("nan")
-            )
+        # a profile's radius must be > 0, as for mmspace.deviation_masses; 0.0 is refused too
+        for eps in (float("nan"), 0.0):
+            with pytest.raises(NonPositiveEps):
+                lipschitz_profile(HammingProduct(UNIFORM2, 2), fraction_differing(0), bound=1.0, lipschitz=1.0, eps=eps)
+
+    @pytest.mark.parametrize("n, samples", [(100, 10**5), (7, 4682), (1000, 2000)])
+    def test_a_draw_holds_its_values_and_a_few_blocks(self, n, samples):
+        # on a base whose draws bisect, the peak is the values plus at most eight blocks of
+        # n x rows coordinates, not all samples x n at once
+        product = HammingProduct(DiscreteBase.uniform((0, 1, 2)), n)
+        rows = min(samples, max(1, hamming.PROFILE_BLOCK_DRAWS // n))
+        tracemalloc.start()
+        try:
+            hamming._sampled_values(product, np.array([0.0, 1.0, 2.0]), samples, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * samples + 8 * (8 * n * rows)
 
     def test_nonincreasing_in_eps(self):
         product = HammingProduct(DiscreteBase.uniform((0, 1, 2)), 4)
