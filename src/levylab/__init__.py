@@ -55,6 +55,7 @@ from .hamming import (
     coordinate_sum_law,
     fraction_differing,
     lipschitz_profile,
+    lipschitz_profiles,
     product_space,
     sample_indices,
     talagrand_bound,

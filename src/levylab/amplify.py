@@ -21,9 +21,9 @@ extra member pieces being one range of the sorted pieces.  Each shift's
 member values add its n blocks left to right; the telescope's prefix
 a_j = (g'_1..g'_j, e..e) is the identity with g''s blocks in place of
 e's on cells 1..j, so each prefix adds one block to the sum before it
-and subtracts one, and no prefix map is built or planned.  A
-schedule checks every entry's size caps, then runs l0_defect on each of
-a sequence of (n_i, mu_i) pairs and reports defects, bounds,
+and subtracts one, and no prefix map is built or planned.  A schedule
+checks every entry against the caps of ``limits``, then runs l0_defect
+on each of a sequence of (n_i, mu_i) pairs and reports defects, bounds,
 concentration masses, and expectation-median gaps, with one median and
 two deviation-mass calls per stage on the members x maps table.
 """
@@ -38,30 +38,20 @@ from operator import add
 
 import numpy as np
 
-from . import rng
+from . import limits, rng
 from .errors import (
     CarrierMismatch,
     DimensionMismatch,
     InvalidSchedule,
-    SpaceTooLarge,
     TooLargeForExact,
 )
 from .families import BLFamily, L0Carrier
-from .hamming import (
-    _check_enumeration,
-    _check_sample_array,
-    product_weights,
-    sample_indices,
-    talagrand_bound,
-)
+from .hamming import product_weights, sample_indices, talagrand_bound
 from .mmspace import weighted_deviation_mass, weighted_median
 from .stepmaps import IntegralMember, PiecewiseMap, grid_approximate, grid_runs, h_embed
-from .wordgroups import FinSuppMeasure, Mismatch, _power_over
+from .wordgroups import FinSuppMeasure, Mismatch
 
 _TOL = 1e-9
-# the most table entries one l0_defect call may count, (member pieces x shift values + n)
-# x atoms plus its planned cell pieces, checked before any kernel column is built
-TABLE_ENTRY_LIMIT = 1 << 22
 # the most floats one expectations call holds in members x maps blocks, one per distinct
 # grid cell; members are taken in groups that fit, at least one at a time
 BLOCK_ENTRY_LIMIT = 1 << 18
@@ -107,12 +97,12 @@ def push_forward(
     samples: int | None = None,
     seed: int = 0,
 ) -> L0Measure:
-    """Transport mu^(x)n to step maps on the uniform n-grid (exactly: up to EXACT_PRODUCT_LIMIT tuples)."""
+    """Transport mu^(x)n to step maps on the uniform n-grid (exactly: up to limits.EXACT_PRODUCT_LIMIT tuples)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = len(mu.weights)
     if mode == "exact":
-        _check_enumeration(k, n)
+        limits.check_enumeration(k, n)
         # the index tuples in itertools.product order, matching product_weights: column i holds the
         # base-k digit of the tuple's rank at place n-1-i, each digit on k ** (n-1-i) rows in a row
         codes = np.empty((k**n, n), np.intp)
@@ -348,26 +338,6 @@ def member_pieces(family: BLFamily) -> int:
     return sum(len(f.kernel) for f in family.members if isinstance(f, IntegralMember))
 
 
-def _check_table_entries(n: int, atoms: int, g: PiecewiseMap, pieces: int) -> None:
-    """Refuse an l0_defect call on n cells, atoms atoms and pieces member pieces above TABLE_ENTRY_LIMIT.
-
-    Kernel columns and tables take (pieces x shift values + n) x atoms
-    entries.  expectations plans the cells of the identity, g and its grid
-    approximation g': at most 3n + (g's breakpoints) runs, each cut into at
-    most pieces cell pieces, so that many more.  The count takes sizes
-    only; no grid cell of g is sampled.
-    """
-    # the identity, g and g' take these shift values
-    shifts = len({g.group.identity, *g.values})
-    cells = 3 * n + len(g.breakpoints)
-    entries = (pieces * shifts + n) * atoms + cells * pieces
-    if entries > TABLE_ENTRY_LIMIT:
-        raise SpaceTooLarge(
-            f"{entries} table entries exceed the cap of {TABLE_ENTRY_LIMIT}: ({pieces} member pieces"
-            f" x {shifts} shift values + {n} cells) x {atoms} atoms + {cells} planned runs x {pieces} pieces"
-        )
-
-
 @dataclass(frozen=True)
 class DefectResult:
     defect: float
@@ -397,15 +367,15 @@ def l0_defect(nu: L0Measure, g: PiecewiseMap, family: BLFamily) -> DefectResult:
     prefix means come from the identity's and g''s cell blocks, so no
     prefix is built, and every kernel column is shared.  The member values
     and expectations at the identity are returned.  More than
-    TABLE_ENTRY_LIMIT column, table and planned entries raise SpaceTooLarge
-    before any is built.
+    limits.TABLE_ENTRY_LIMIT column, table and planned entries raise
+    SpaceTooLarge before any is built.
     """
     group = nu.base.group
     if not isinstance(family.carrier, L0Carrier) or family.carrier.group != group:
         raise CarrierMismatch("family must live over step maps of the same base group")
     if g.group != group:
         raise CarrierMismatch("target map lives over a different group")
-    _check_table_entries(nu.n, len(nu.base.weights), g, member_pieces(family))
+    limits.check_table_entries(nu.n, len(nu.base.weights), g, member_pieces(family))
     gp, dis = grid_approximate(g, nu.n)
     moved = [i for i, v in enumerate(gp) if v != group.identity]
     means, values = expectations(nu, family.members, (None, g, h_embed(group, gp)), moved)
@@ -493,15 +463,15 @@ def stage_modes(sizes, g: PiecewiseMap, pieces: int, *, mode: str, samples: int,
         raise ValueError(f"unknown mode {mode!r}")
     modes = []
     for n_i, atoms in sizes:
-        over = _power_over(atoms, n_i, exact_cap)
+        over = limits.power_over(atoms, n_i, exact_cap)
         if mode == "exact" and over:
             raise TooLargeForExact(f"{over} tuples exceeds exact cap {exact_cap}")
         modes.append("exact" if mode == "exact" or (mode == "auto" and not over) else "sampled")
         if modes[-1] == "exact":
-            _check_enumeration(atoms, n_i)
+            limits.check_enumeration(atoms, n_i)
         else:
-            _check_sample_array(samples, n_i)
-        _check_table_entries(n_i, atoms, g, pieces)
+            limits.check_sample_array(samples, n_i)
+        limits.check_table_entries(n_i, atoms, g, pieces)
     return tuple(modes)
 
 

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from . import __version__, rng, wordgroups
+from . import __version__, limits, rng
 from .amplify import Schedule, expectations, member_pieces, run_schedule, stage_modes
 from .errors import LevyLabError, SpaceTooLarge, WrongKind
 from .families import (
@@ -30,9 +30,8 @@ from .families import (
 from .hamming import (
     DiscreteBase,
     HammingProduct,
-    _check_sample_array,
-    _profiles,
     fraction_differing,
+    lipschitz_profiles,
     product_space,
     talagrand_bound,
 )
@@ -44,17 +43,11 @@ from .wordgroups import (
     FreeGroup2,
     WordGroup,
     ZdGroup,
-    _check_support_size,
     ball_uniform,
+    check_support_size,
     folner_measure,
     make_group,
 )
-
-
-# the most radii an eps grid may list, checked before the list is built
-EPS_GRID_LIMIT = 10**5
-# the most stages a schedule's index range may list, checked before any stage is evaluated
-STAGE_LIMIT = 10**4
 
 
 class UsageError(Exception):
@@ -70,6 +63,18 @@ class _Parser(argparse.ArgumentParser):
 # literal parsers
 
 
+def _count(flag: str, low: int):
+    """An argparse type for flag: an integer of at least low, checked for flags and config values alike."""
+
+    def count(text: str) -> int:
+        if (value := int(text)) < low:
+            raise UsageError(f"{flag} must be >= {low}")
+        return value
+
+    count.__name__ = "int"  # argparse says "invalid int value" of text that is not an integer
+    return count
+
+
 def _parse_eps_grid(text: str) -> list[float]:
     text = text.strip()
     if ":" in text:
@@ -81,8 +86,8 @@ def _parse_eps_grid(text: str) -> list[float]:
             raise UsageError("eps grid step must be > 0")
         # the index of the last radius; NaN fails both tests and gives no radius
         last = (stop - start) / step + 1e-9
-        if last >= EPS_GRID_LIMIT:
-            raise SpaceTooLarge(f"eps grid {text!r} has more than {EPS_GRID_LIMIT} radii")
+        if last >= limits.EPS_GRID_LIMIT:
+            raise SpaceTooLarge(f"eps grid {text!r} has more than {limits.EPS_GRID_LIMIT} radii")
         grid = [start + k * step for k in range(int(last) + 1)] if last >= 0 else []
     else:
         try:
@@ -113,8 +118,8 @@ def _parse_base(text: str) -> DiscreteBase:
         k = int(m.group(1))
         if k < 2:
             raise UsageError("uniformK needs K >= 2")
-        if k > wordgroups.SUPPORT_LIMIT:
-            raise SpaceTooLarge(f"the base {text} has more than {wordgroups.SUPPORT_LIMIT} atoms")
+        if k > limits.SUPPORT_LIMIT:
+            raise SpaceTooLarge(f"the base {text} has more than {limits.SUPPORT_LIMIT} atoms")
         return DiscreteBase.uniform(tuple(range(k)))
     try:
         weights = tuple(float(p) for p in text.split(","))
@@ -202,8 +207,8 @@ def _parse_schedule(group: WordGroup, text: str) -> tuple:
     lo, hi = int(m.group(3)), int(m.group(4))
     if lo < 1 or hi < lo:
         raise UsageError("schedule index range must satisfy 1 <= a <= b")
-    if hi - lo + 1 > STAGE_LIMIT:
-        raise SpaceTooLarge(f"the schedule's index range {lo}..{hi} lists more than {STAGE_LIMIT} stages")
+    if hi - lo + 1 > limits.STAGE_LIMIT:
+        raise SpaceTooLarge(f"the schedule's index range {lo}..{hi} lists more than {limits.STAGE_LIMIT} stages")
     sizes = []
     for i in range(lo, hi + 1):
         k = _parse_schedule_expr(m.group(1), i)
@@ -211,7 +216,7 @@ def _parse_schedule(group: WordGroup, text: str) -> tuple:
         if k < 1 or n < 1:
             raise UsageError(f"schedule produced non-positive k={k} or n={n} at i={i}")
         sizes.append((n, k))
-    _check_support_size(group, [k for _, k in sizes])
+    check_support_size(group, [k for _, k in sizes])
     return tuple(sizes)
 
 
@@ -243,7 +248,7 @@ def _cmd_profile(ns) -> tuple[list[str], list[tuple], dict]:
     product = HammingProduct(base, ns.n)
     f = fraction_differing(base.atoms[0])
     # one draw, or enumeration, and one median for every radius
-    results = _profiles(product, f, 1.0, grid, ns.mode, ns.samples, ns.seed)
+    results = lipschitz_profiles(product, f, lipschitz=1.0, grid=grid, mode=ns.mode, samples=ns.samples, seed=ns.seed)
     rows = []
     uppers = []
     ok = True
@@ -281,8 +286,8 @@ def _cmd_defect(ns) -> tuple[list[str], list[tuple], dict]:
     if not isinstance(group, (ZdGroup, FreeGroup2)):
         raise UsageError(f"defect sweeps boxes of Z^d or balls of F2, not the group {ns.group!r}")
     # the largest measure, then all of them together, before the first or a generator is built
-    _check_support_size(group, ks[-1:])
-    _check_support_size(group, ks)
+    check_support_size(group, ks[-1:])
+    check_support_size(group, ks)
     rows = []
     if isinstance(group, ZdGroup):
         family = _parse_group_family(group, ns.family)
@@ -353,10 +358,8 @@ def _random_bounded_function(group: WordGroup, gen: np.random.Generator):
 
 def _cmd_phi_check(ns) -> tuple[list[str], list[tuple], dict]:
     group = make_group(ns.group)
-    if ns.trials < 1:
-        raise UsageError("--trials must be >= 1")
     # a trial draws at most 9 elements (two coefficient vectors, g and up to 6 cells), d entries each on Z^d
-    _check_sample_array(ns.trials, 9 * (group.d if isinstance(group, ZdGroup) else 1))
+    limits.check_sample_array(ns.trials, 9 * (group.d if isinstance(group, ZdGroup) else 1))
     gen = np.random.default_rng(rng.derive_seed(ns.seed, "phi-check"))
     worst = {"unitality": 0.0, "linearity": 0.0, "monotonicity": 0.0, "equivariance": 0.0}
     one = lambda x: 1.0  # noqa: E731
@@ -414,7 +417,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--eps", type=float, default=0.3)
     p.add_argument("--eps-grid", default=None)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_count("--samples", 1), default=100000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--mode", choices=["exact", "sampled"], default="sampled")
     common(p)
@@ -433,15 +436,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", default="disagreement")
     p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--target-eps", type=float, default=None)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--samples", type=_count("--samples", 1), default=20000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--mode", choices=["auto", "exact", "sampled"], default="auto")
-    p.add_argument("--exact-cap", type=int, default=100000)
+    p.add_argument("--exact-cap", type=_count("--exact-cap", 0), default=100000)
     common(p)
 
     p = sub.add_parser("phi-check", help="transfer-operator identity suites")
     p.add_argument("--group", default="Z")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count("--trials", 1), default=100)
     p.add_argument("--seed", type=int, default=42)
     common(p)
 

@@ -5,7 +5,7 @@ d_n(x, y) = #{i : x_i != y_i} / n.  The exponential bound 2*exp(-eps^2 n)
 controls both the concentration function and, after rescaling by the
 Lipschitz constant, deviation masses of Lipschitz functions about their
 medians.  Large products are probed by sampled deviation profiles; exact
-profiles run up to EXACT_PRODUCT_LIMIT tuples.
+profiles run up to limits.EXACT_PRODUCT_LIMIT tuples.
 
 Profiles take coordinate means x -> (1/n) * sum_i kernel(x_i), the
 one-piece IntegralMembers with the default phi.  They are evaluated from
@@ -32,7 +32,7 @@ from operator import ne
 
 import numpy as np
 
-from . import rng
+from . import limits, rng
 from .errors import (
     CarrierMismatch,
     InvalidMeasure,
@@ -41,18 +41,11 @@ from .errors import (
     NegativeEps,
     NonPositiveEps,
     TooLargeForExact,
-    TooManySamples,
 )
-from .mmspace import DEFAULT_ENUMERATION_LIMIT, FiniteMMSpace, deviation_masses, weighted_median
+from .mmspace import FiniteMMSpace, deviation_masses, weighted_median
 from .stepmaps import IntegralMember
-from .wordgroups import _power_over
 
-EXACT_PRODUCT_LIMIT = 10**6
-# most entries one sampled array may hold (samples x n codes, or samples values): under a
-# 768 MiB address-space cap, a profile of 2^24 samples completes and 2 x 10^7 do not, and
-# one block of 2^24 coordinates (--n 16777216 --samples 1) completes on any base
-SAMPLE_ARRAY_LIMIT = 1 << 24
-# coordinates drawn per block of a sampled lipschitz_profile
+# coordinates drawn per block of a sampled profile
 PROFILE_BLOCK_DRAWS = 1 << 15
 # z of the Wilson score upper bound that sampled profiles report
 WILSON_Z = 4.0
@@ -114,27 +107,13 @@ def sample_indices(weights, n: int, count: int, seed: int) -> np.ndarray:
 
     weights are the base's atom probabilities, taken as given.  Coordinate
     (i, j) is a pure function of (seed, i, j), so sample i does not depend
-    on count.  More than SAMPLE_ARRAY_LIMIT coordinates raise
+    on count.  More than limits.SAMPLE_ARRAY_LIMIT coordinates raise
     TooManySamples before anything is drawn.
     """
     if count < 1 or n < 1:
         raise ValueError("count and n must be >= 1")
-    _check_sample_array(count, n)
+    limits.check_sample_array(count, n)
     return rng.counter_choice(seed, 0, count * n, np.cumsum(weights)).reshape(count, n)
-
-
-def _check_enumeration(k: int, n: int) -> None:
-    """Refuse an enumeration of the k^n n-tuples of k atoms above EXACT_PRODUCT_LIMIT, before it is built."""
-    if tuples := _power_over(k, n, EXACT_PRODUCT_LIMIT):
-        raise TooLargeForExact(f"{tuples} tuples exceeds exact cap {EXACT_PRODUCT_LIMIT}")
-
-
-def _check_sample_array(samples: int, n: int = 1) -> None:
-    """Refuse an array of samples x n entries above SAMPLE_ARRAY_LIMIT before it is allocated."""
-    if samples * n > SAMPLE_ARRAY_LIMIT:
-        raise TooManySamples(
-            f"{samples * n} sampled entries ({samples} samples x {n}) exceed the cap of {SAMPLE_ARRAY_LIMIT}"
-        )
 
 
 def product_weights(weights, n: int) -> np.ndarray:
@@ -145,9 +124,9 @@ def product_weights(weights, n: int) -> np.ndarray:
 
 
 def product_space(product: HammingProduct) -> FiniteMMSpace:
-    """Materialize the product as a FiniteMMSpace of at most DEFAULT_ENUMERATION_LIMIT points."""
-    if points := _power_over(len(product.base.atoms), product.n, DEFAULT_ENUMERATION_LIMIT):
-        raise TooLargeForExact(f"{points} points exceeds limit {DEFAULT_ENUMERATION_LIMIT}")
+    """Materialize the product as a FiniteMMSpace of at most limits.ENUMERATION_LIMIT points."""
+    if points := limits.power_over(len(product.base.atoms), product.n, limits.ENUMERATION_LIMIT):
+        raise TooLargeForExact(f"{points} points exceeds limit {limits.ENUMERATION_LIMIT}")
     atoms, n = product.base.atoms, product.n
     codes = np.array(list(itertools.product(range(len(atoms)), repeat=n)))  # d_n compares atom indices
     dist = (codes[:, None] != codes[None]).sum(axis=2) / n
@@ -187,39 +166,36 @@ class ProfileResult:
 
 
 def lipschitz_profile(
-    product: HammingProduct,
-    f: IntegralMember,
-    *,
-    bound: float,
-    lipschitz: float,
-    eps: float,
-    mode: str = "exact",
-    samples: int | None = None,
-    seed: int = 0,
+    product: HammingProduct, f: IntegralMember, *, bound: float, lipschitz: float, eps: float,
+    mode: str = "exact", samples: int | None = None, seed: int = 0,
 ) -> ProfileResult:
-    """Mass of {|f - median(f)| > eps} under the product measure, past the rounding of n terms.
+    """lipschitz_profiles at the one radius eps; bound is recorded by callers, and the profile needs only L."""
+    del bound
+    return lipschitz_profiles(product, f, lipschitz=lipschitz, grid=(eps,), mode=mode, samples=samples, seed=seed)[0]
+
+
+def lipschitz_profiles(
+    product: HammingProduct, f: IntegralMember, *, lipschitz: float, grid, mode: str = "exact",
+    samples: int | None = None, seed: int = 0,
+) -> list:
+    """Mass of {|f - median(f)| > eps} under the product measure, past the rounding of n terms, per eps in grid.
 
     f must be a one-piece IntegralMember with the default phi; anything else
     raises CarrierMismatch.  Its values come from one table of f.kernel[0]
     over the atoms, added along rows of atom indices.  Exact mode takes the
     median and the mass on the law of the coordinate sum
     (coordinate_sum_law): the values the k^n tuples take, each with its
-    mass.  It runs only where k^n is at most EXACT_PRODUCT_LIMIT, and
+    mass.  It runs only where k^n is at most limits.EXACT_PRODUCT_LIMIT, and
     ``count`` is k^n, the number of tuples the law stands for.  Sampled mode
     draws the values of the `samples` seeded rows of sample_indices in
     blocks of about PROFILE_BLOCK_DRAWS coordinates and reports a binomial
     standard error and a Wilson upper bound; more samples, or more
-    coordinates in a block, than SAMPLE_ARRAY_LIMIT raise TooManySamples
-    before any allocation.  The declared Lipschitz constant
+    coordinates in a block, than limits.SAMPLE_ARRAY_LIMIT raise
+    TooManySamples before any allocation.  The declared Lipschitz constant
     is checked exactly in both modes: under d_n, f's constant is
-    max(table) - min(table).
+    max(table) - min(table).  One law or one draw, and one median, serve
+    every radius.
     """
-    del bound  # recorded by callers; the profile itself only needs L
-    return _profiles(product, f, lipschitz, (eps,), mode, samples, seed)[0]
-
-
-def _profiles(product: HammingProduct, f, lipschitz: float, grid, mode: str, samples, seed: int) -> list:
-    """lipschitz_profile's ProfileResult at each radius of grid, from one law or draw and one median."""
     if not all(eps > 0 for eps in grid):
         raise NonPositiveEps("eps must be > 0")
     # max(table) - min(table) is the Lipschitz constant only for the identity phi
@@ -232,7 +208,7 @@ def _profiles(product: HammingProduct, f, lipschitz: float, grid, mode: str, sam
     n = product.n
 
     if mode == "exact":
-        _check_enumeration(len(product.base.atoms), n)
+        limits.check_enumeration(len(product.base.atoms), n)
         values, weights = coordinate_sum_law(table, product.base.weights, n)
     elif mode == "sampled":
         if samples is None or samples < 1:
@@ -280,8 +256,8 @@ def _sampled_values(product: HammingProduct, table: np.ndarray, samples: int, se
     """The coordinate means of the `samples` rows of sample_indices, drawn in blocks of rows."""
     n = product.n
     rows = min(samples, max(1, PROFILE_BLOCK_DRAWS // n))
-    _check_sample_array(samples)
-    _check_sample_array(rows, n)
+    limits.check_sample_array(samples)
+    limits.check_sample_array(rows, n)
     values = np.empty(samples)
     draw = rng.Guide(np.cumsum(product.base.weights), samples * n, table)
     offsets = rng.counter_offsets(n, rows)

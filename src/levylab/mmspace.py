@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .errors import (
     InvalidFunctionTable,
     InvalidSpace,
@@ -28,8 +29,6 @@ from .errors import (
     NonPositiveEps,
     SpaceTooLarge,
 )
-
-DEFAULT_ENUMERATION_LIMIT = 20
 
 _MASS_TOL = 1e-12
 _DIST_TOL = 1e-12
@@ -149,8 +148,8 @@ def alpha_profile(space: FiniteMMSpace, eps_values) -> np.ndarray:
     if not np.all(eps_values >= 0):
         raise NegativeEps("eps must be >= 0")
     npts = len(space)
-    if npts > DEFAULT_ENUMERATION_LIMIT:
-        raise SpaceTooLarge(f"{npts} points exceeds the enumeration limit {DEFAULT_ENUMERATION_LIMIT}")
+    if npts > limits.ENUMERATION_LIMIT:
+        raise SpaceTooLarge(f"{npts} points exceeds the enumeration limit {limits.ENUMERATION_LIMIT}")
 
     positive = eps_values[eps_values > 0]
     out = np.full(eps_values.shape, 0.5)

@@ -57,12 +57,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .errors import InvalidElement, InvalidMeasure, LengthMismatch, SpaceTooLarge, WrongKind
 
 _MASS_TOL = 1e-12
-# the most elements a box or ball measure may hold, checked before it is built: CLI `defect`
-# on 998,001 Z^2 points peaks near 265 MB, under a 768 MiB address-space cap
-SUPPORT_LIMIT = 10**6
 
 _F2_LETTERS = "aAbB"
 _F2_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -510,8 +508,8 @@ class FinSuppMeasure:
     def haar(cls, group: CyclicGroup) -> "FinSuppMeasure":
         if not isinstance(group, CyclicGroup):
             raise WrongKind("haar measure is only materialized for cyclic groups")
-        if group.m > SUPPORT_LIMIT:
-            raise SpaceTooLarge(f"the Haar measure of {group!r} has more than {SUPPORT_LIMIT} atoms")
+        if group.m > limits.SUPPORT_LIMIT:
+            raise SpaceTooLarge(f"the Haar measure of {group!r} has more than {limits.SUPPORT_LIMIT} atoms")
         return cls._unchecked(group, np.arange(group.m, dtype=np.int64))
 
     def column(self, f) -> np.ndarray:
@@ -553,32 +551,20 @@ class FinSuppMeasure:
         return 0.5 * float(np.cumsum(terms)[-1])
 
 
-def _power_over(k: int, n: int, cap: int) -> str:
-    """k^n as text ("k^n" when it is not formed) if it exceeds cap, else ""; k >= 1 and n >= 0.
-
-    Only k^m, m = min(n, bit length of cap), is formed: for k >= 2 it exceeds cap exactly when k^n does.
-    """
-    m = min(n, cap.bit_length())
-    count = k**m
-    if count <= cap:
-        return ""
-    return str(count) if m == n else f"{k}^{n}"
-
-
-def _check_support_size(group: WordGroup, ks) -> None:
+def check_support_size(group: WordGroup, ks) -> None:
     """Refuse the boxes [-k, k]^d of Z^d, or the F2 balls of radius k, for k in ks when one alone or all
-    together hold more than SUPPORT_LIMIT points, before any is built: each is checked alone before its
+    together hold more than limits.SUPPORT_LIMIT points, before any is built: each is checked alone before its
     (2k+1)^d or 2*3^k - 1 points are added, and the sum stops once it passes the limit."""
     total = 0
     for k in ks:
-        if isinstance(group, ZdGroup) and _power_over(2 * k + 1, group.d, SUPPORT_LIMIT):
-            raise SpaceTooLarge(f"the box [-{k}, {k}]^{group.d} has more than {SUPPORT_LIMIT} points")
+        if isinstance(group, ZdGroup) and limits.power_over(2 * k + 1, group.d, limits.SUPPORT_LIMIT):
+            raise SpaceTooLarge(f"the box [-{k}, {k}]^{group.d} has more than {limits.SUPPORT_LIMIT} points")
         # an F2 ball holds 2*3^k - 1 words, more than the limit exactly when 3^k > (limit + 1) // 2
-        if isinstance(group, FreeGroup2) and _power_over(3, k, (SUPPORT_LIMIT + 1) // 2):
-            raise SpaceTooLarge(f"the F2 ball of radius {k} has more than {SUPPORT_LIMIT} words")
+        if isinstance(group, FreeGroup2) and limits.power_over(3, k, (limits.SUPPORT_LIMIT + 1) // 2):
+            raise SpaceTooLarge(f"the F2 ball of radius {k} has more than {limits.SUPPORT_LIMIT} words")
         total += (2 * k + 1) ** group.d if isinstance(group, ZdGroup) else 2 * 3**k - 1
-        if total > SUPPORT_LIMIT:
-            raise SpaceTooLarge(f"the measures of the sweep hold more than {SUPPORT_LIMIT} points together")
+        if total > limits.SUPPORT_LIMIT:
+            raise SpaceTooLarge(f"the measures of the sweep hold more than {limits.SUPPORT_LIMIT} points together")
 
 
 def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:
@@ -591,34 +577,34 @@ def folner_measure(group: WordGroup, k: int) -> FinSuppMeasure:
         raise WrongKind("folner boxes are defined for Z^d groups")
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_support_size(group, (k,))
+    check_support_size(group, (k,))
     # the box in itertools.product order: the first coordinate varies slowest
     axes = np.meshgrid(*[np.arange(-k, k + 1, dtype=np.int64)] * group.d, indexing="ij", copy=False)
     return FinSuppMeasure._unchecked(group, np.stack(axes, axis=-1).reshape(-1, group.d))
 
 
 def ball_uniform(group: WordGroup, k: int) -> FinSuppMeasure:
-    """Uniform measure on the word-metric ball of radius k, in breadth-first order; above SUPPORT_LIMIT
-    elements, or 10 * SUPPORT_LIMIT coordinates on Z^d, SpaceTooLarge before building."""
+    """Uniform measure on the word-metric ball of radius k, in breadth-first order; above limits.SUPPORT_LIMIT
+    elements, or 10 * limits.SUPPORT_LIMIT coordinates on Z^d, SpaceTooLarge before building."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if isinstance(group, FreeGroup2):
-        _check_support_size(group, (k,))
+        check_support_size(group, (k,))
         return FinSuppMeasure._unchecked(group, _f2_ball(k))
-    too_large = f"the ball of radius {k} in {group!r} has more than {SUPPORT_LIMIT} elements"
+    too_large = f"the ball of radius {k} in {group!r} has more than {limits.SUPPORT_LIMIT} elements"
     if isinstance(group, CyclicGroup):
         # min(m, 2k + 1) residues: the start of the ball of Z, reduced mod m
-        if (size := min(group.m, 2 * k + 1)) > SUPPORT_LIMIT:
+        if (size := min(group.m, 2 * k + 1)) > limits.SUPPORT_LIMIT:
             raise SpaceTooLarge(too_large)
         line, m = _lattice_ball(1, min(k, group.m // 2))[:size, 0], group.m
         return FinSuppMeasure._unchecked(group, line % m if m <= _INT64_MAX else _int_array(line.astype(object) % m))
     if not isinstance(group, ZdGroup):
         raise WrongKind("word balls are built on Z^d, Z_m and F2")
     # sum_i 2^i C(d, i) C(k, i) points, added only until they pass the cap (term i is at least 2^i), of d
-    # coordinates each: at most 10 * SUPPORT_LIMIT, which each d <= 12 ball under the point cap meets (Z^11
+    # coordinates each: at most 10 * limits.SUPPORT_LIMIT, which each d <= 12 ball under the point cap meets (Z^11
     # at radius 7 has the most, 8.75 million)
-    cap = min(SUPPORT_LIMIT, 10 * SUPPORT_LIMIT // group.d)
+    cap = min(limits.SUPPORT_LIMIT, 10 * limits.SUPPORT_LIMIT // group.d)
     terms = (2**i * math.comb(group.d, i) * math.comb(k, i) for i in range(min(group.d, k) + 1))
     if any(total > cap for total in itertools.accumulate(terms)):
-        raise SpaceTooLarge(f"{too_large} or {10 * SUPPORT_LIMIT} coordinates")
+        raise SpaceTooLarge(f"{too_large} or {10 * limits.SUPPORT_LIMIT} coordinates")
     return FinSuppMeasure._unchecked(group, _lattice_ball(group.d, k))

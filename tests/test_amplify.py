@@ -59,8 +59,8 @@ from levylab import (
     invariance_defect,
     sample_indices,
 )
-from levylab import amplify, cli, hamming, rng, wordgroups
-from levylab.hamming import EXACT_PRODUCT_LIMIT
+from levylab import amplify, cli, limits, rng, wordgroups
+from levylab.limits import EXACT_PRODUCT_LIMIT
 from levylab.families import cell_window_member
 
 Z = ZdGroup(1)
@@ -559,10 +559,10 @@ class TestOnePath:
             ("auto", 10**9, {}, TooLargeForExact, "^276922881 tuples exceeds exact cap 1000000$"),
             ("exact", 500_000, {}, TooLargeForExact, "^276922881 tuples exceeds exact cap 500000$"),
             # 100 samples x 4 cells at stage 4
-            ("sampled", 10**5, {(hamming, "SAMPLE_ARRAY_LIMIT"): 300}, TooManySamples, "^400 sampled entries"),
+            ("sampled", 10**5, {(limits, "SAMPLE_ARRAY_LIMIT"): 300}, TooManySamples, "^400 sampled entries"),
             # (1 piece x 2 shift values + 4 cells) x 129 atoms + (3 x 4 planned runs) x 1 piece at
             # stage 4; at stage 3, (2 + 3) x 73 + 3 x 3 = 374
-            ("auto", 10**5, {(amplify, "TABLE_ENTRY_LIMIT"): 374}, SpaceTooLarge, "^786 table entries"),
+            ("auto", 10**5, {(limits, "TABLE_ENTRY_LIMIT"): 374}, SpaceTooLarge, "^786 table entries"),
         ],
         ids=["enumeration-limit", "exact-cap", "sample-array", "table-entries"],
     )
@@ -600,9 +600,9 @@ class TestOnePath:
         fam = BLFamily(L0Carrier(Z), (member,), bound=1.0, lipschitz=1.0)
         nu = push_forward(z_uniform(*range(5)), 2)
         g = PiecewiseMap(Z, (0.5,), z_elems(1, 2))
-        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 54)
+        monkeypatch.setattr(limits, "TABLE_ENTRY_LIMIT", 54)
         l0_defect(nu, g, fam)
-        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 53)
+        monkeypatch.setattr(limits, "TABLE_ENTRY_LIMIT", 53)
         monkeypatch.setattr(amplify, "expectations", None)
         monkeypatch.setattr(amplify, "grid_approximate", None)
         with pytest.raises(SpaceTooLarge, match="54 table entries"):

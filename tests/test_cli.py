@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SRC, run_capped
-from levylab import FinSuppMeasure, amplify, cli, hamming, wordgroups
+from levylab import FinSuppMeasure, cli, hamming, limits, wordgroups
 from levylab.cli import main
 
 
@@ -46,7 +46,7 @@ class TestAlphaCommand:
         assert json.loads(summary.read_text())["flags"]["talagrand_conformance"]
 
     def test_eps_grid_limit(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "EPS_GRID_LIMIT", 11)
+        monkeypatch.setattr(limits, "EPS_GRID_LIMIT", 11)
         assert cli._parse_eps_grid("0:1:0.1") == [k * 0.1 for k in range(11)]
         code, out, _ = run(tmp_path, "alpha", "alpha", "--eps-grid", "0:1.1:0.1")
         assert code == 2 and not out.exists()
@@ -219,10 +219,10 @@ class TestDefectCommand:
         ids=["Z", "Z2", "F2", "amplify"],
     )
     def test_sweep_limit_at_its_edge(self, tmp_path, monkeypatch, capsys, args, points):
-        # the measures of one sweep or schedule may hold wordgroups.SUPPORT_LIMIT points together, and no more
-        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", points)
+        # the measures of one sweep or schedule may hold limits.SUPPORT_LIMIT points together, and no more
+        monkeypatch.setattr(limits, "SUPPORT_LIMIT", points)
         assert run(tmp_path, "edge", *args)[0] == 0
-        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", points - 1)
+        monkeypatch.setattr(limits, "SUPPORT_LIMIT", points - 1)
         code, out, _ = run(tmp_path, "over", *args)
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == (
@@ -239,7 +239,7 @@ class TestDefectCommand:
                 yield k
 
         with pytest.raises(cli.SpaceTooLarge, match="together"):
-            wordgroups._check_support_size(cli.make_group("Z"), ks())
+            wordgroups.check_support_size(cli.make_group("Z"), ks())
         # the boxes for k = 1..999 hold 999^2 + 2 * 999 = 999,999 points; k = 1000 brings them past 10^6
         assert counted == list(range(1, 1001))
 
@@ -270,7 +270,7 @@ class TestAmplifyCommand:
         code, _, _ = run(tmp_path, "amplify", "amplify", "--schedule", "k=i..3")
         assert code == 1
 
-    @pytest.mark.parametrize("hi", [cli.STAGE_LIMIT + 1, 100000, 10**30])
+    @pytest.mark.parametrize("hi", [limits.STAGE_LIMIT + 1, 100000, 10**30])
     def test_stage_count_is_refused_before_any_stage(self, tmp_path, monkeypatch, capsys, hi):
         def no_stage(*args):
             raise AssertionError("a stage expression was evaluated before the stage count was checked")
@@ -279,12 +279,12 @@ class TestAmplifyCommand:
         code, out, _ = run(tmp_path, "amplify", "amplify", "--schedule", f"k=2,n=i,i=1..{hi}", "--samples", "1")
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == (
-            f"computation error: the schedule's index range 1..{hi} lists more than {cli.STAGE_LIMIT} stages\n"
+            f"computation error: the schedule's index range 1..{hi} lists more than {limits.STAGE_LIMIT} stages\n"
         )
 
     def test_stage_count_at_the_cap_is_parsed(self):
-        sizes = cli._parse_schedule(cli.make_group("Z"), f"k=1,n=i,i=1..{cli.STAGE_LIMIT}")
-        assert len(sizes) == cli.STAGE_LIMIT and sizes[-1] == (cli.STAGE_LIMIT, 1)
+        sizes = cli._parse_schedule(cli.make_group("Z"), f"k=1,n=i,i=1..{limits.STAGE_LIMIT}")
+        assert len(sizes) == limits.STAGE_LIMIT and sizes[-1] == (limits.STAGE_LIMIT, 1)
 
     def test_exact_mode_over_cap_is_computation_error(self, tmp_path):
         # stage 2 of the default schedule has 33^2 tuples
@@ -362,7 +362,7 @@ class TestAmplifyCommand:
 
         monkeypatch.setattr(FinSuppMeasure, "tv_distance", no_witness)
         monkeypatch.setattr(FinSuppMeasure, "translate", no_witness)
-        monkeypatch.setattr(amplify, "TABLE_ENTRY_LIMIT", 1000)
+        monkeypatch.setattr(limits, "TABLE_ENTRY_LIMIT", 1000)
         code, _, _ = run(tmp_path, "amplify", "amplify", "--schedule", "k=50,n=1,i=1..1", "--samples", "1000")
         assert code == 2
         err = capsys.readouterr().err
@@ -589,6 +589,10 @@ class TestMalformedValues:
             ["alpha", "--eps-grid", "0.1:0.05:0.01"],
             ["alpha", "--eps-grid", "0:nan:0.1"],
             ["profile", "--eps-grid", ","],
+            # counts below their least value, refused at parse time
+            ["amplify", "--exact-cap", "-1", "--mode", "exact"],
+            ["amplify", "--samples", "-5", "--schedule", "k=1,n=1,i=1..2"],
+            ["profile", "--mode", "exact", "--samples", "0", "--n", "3"],
         ],
     )
     def test_usage_error_without_traceback(self, tmp_path, capsys, args):
@@ -732,3 +736,29 @@ def test_every_export_has_a_caller_outside_the_tests():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             used.update(a.name for a in node.names)
     assert [name for name in exported if name not in used] == []
+
+
+
+CAPS = {"ENUMERATION_LIMIT", "SUPPORT_LIMIT", "EXACT_PRODUCT_LIMIT", "SAMPLE_ARRAY_LIMIT", "TABLE_ENTRY_LIMIT",
+        "EPS_GRID_LIMIT", "STAGE_LIMIT"}
+
+
+def test_no_private_name_crosses_a_module():
+    # a module imports only public names from its siblings, and the refusal caps are set in limits.py
+    # alone, so that one monkeypatch.setattr(limits, ...) moves a cap for every reader
+    found = []
+    for path in sorted((SRC / "levylab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [(path.name, a.name) for a in node.names if a.name.startswith("_") and a.name != "__version__"]
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for leaf in (leaf for t in targets for leaf in ast.walk(t)):
+                name = leaf.id if isinstance(leaf, ast.Name) else getattr(leaf, "attr", None)
+                if name in CAPS and path.name != "limits.py":
+                    found.append((path.name, name))
+    assert found == []

@@ -32,7 +32,7 @@ from levylab import (
     sample_indices,
     talagrand_bound,
 )
-from levylab import hamming
+from levylab import hamming, limits
 from levylab.hamming import PROFILE_BLOCK_DRAWS, WILSON_Z, product_weights
 
 UNIFORM2 = DiscreteBase.uniform((0, 1))
@@ -103,7 +103,7 @@ class TestSampleProduct:
     def test_sample_array_cap(self, monkeypatch):
         # arrays up to the cap are built; one sample more is refused before allocating.
         # sample_indices holds samples x n codes; a profile draws in blocks and holds samples values
-        monkeypatch.setattr(hamming, "SAMPLE_ARRAY_LIMIT", 1000)
+        monkeypatch.setattr(limits, "SAMPLE_ARRAY_LIMIT", 1000)
         assert sample_indices(UNIFORM2.weights, 10, 100, 5).shape == (100, 10)
         with pytest.raises(TooManySamples):
             sample_indices(UNIFORM2.weights, 10, 101, 5)
@@ -122,7 +122,7 @@ class TestSampleProduct:
             lipschitz_profile(HammingProduct(UNIFORM2, n), f, bound=1.0, lipschitz=1.0, eps=0.3,
                               mode="sampled", samples=samples)
 
-        monkeypatch.setattr(hamming, "SAMPLE_ARRAY_LIMIT", 1000)
+        monkeypatch.setattr(limits, "SAMPLE_ARRAY_LIMIT", 1000)
         for n, samples in ((1000, 1), (1, 1000), (40, 25)):
             profile(n, samples)
         monkeypatch.setattr(hamming.rng, "counter_offsets", None)
@@ -133,7 +133,7 @@ class TestSampleProduct:
         # at the real cap, a refused profile allocates neither its values nor its counters
         tracemalloc.start()
         try:
-            for n, samples in ((hamming.SAMPLE_ARRAY_LIMIT + 1, 1), (1, hamming.SAMPLE_ARRAY_LIMIT + 1)):
+            for n, samples in ((limits.SAMPLE_ARRAY_LIMIT + 1, 1), (1, limits.SAMPLE_ARRAY_LIMIT + 1)):
                 with pytest.raises(TooManySamples):
                     profile(n, samples)
             peak = tracemalloc.get_traced_memory()[1]

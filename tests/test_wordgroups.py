@@ -12,7 +12,7 @@ from conftest import element_strategy, group_strategy, group_with_elements, left
 from conftest import per_element_column, pullback_family, set_escape_count, tuple_translate_all, word_distance
 from conftest import dict_tv_distance
 from conftest import bfs_ball, f2_ball_words, f2_translate_words, run_capped
-from levylab import wordgroups
+from levylab import limits
 from levylab.wordgroups import Mismatch
 from levylab import (
     ClampedLength,
@@ -254,7 +254,7 @@ class TestFolner:
         assert math.fsum(mu.weights) == 1.0
 
     def test_support_limit(self, monkeypatch):
-        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", 25)
+        monkeypatch.setattr(limits, "SUPPORT_LIMIT", 25)
         assert len(folner_measure(ZdGroup(2), 2).support) == 25
         with pytest.raises(SpaceTooLarge, match=r"\[-3, 3\]\^2"):
             folner_measure(ZdGroup(2), 3)
@@ -266,7 +266,7 @@ class TestFolner:
     def test_powers_are_compared_with_caps_without_being_formed(self, k, n, delta, cap):
         # a cap of k^n + delta puts the comparison on its edge
         for c in (k**n + delta, cap):
-            text = wordgroups._power_over(k, n, c)
+            text = limits.power_over(k, n, c)
             assert bool(text) == (k**n > c)
             assert text in ("", str(k**n), f"{k}^{n}")
 
@@ -294,9 +294,9 @@ class TestF2Contrast:
 
     def test_ball_limit(self, monkeypatch):
         with monkeypatch.context() as m:
-            m.setattr(wordgroups, "SUPPORT_LIMIT", 53)
+            m.setattr(limits, "SUPPORT_LIMIT", 53)
             assert len(ball_uniform(F2, 3).support) == 53
-            m.setattr(wordgroups, "SUPPORT_LIMIT", 52)
+            m.setattr(limits, "SUPPORT_LIMIT", 52)
             with pytest.raises(SpaceTooLarge):
                 ball_uniform(F2, 3)
         # 2*3^10 - 1 = 118,097 words pass the default limit; radius 10**9 is refused at once
@@ -938,9 +938,9 @@ class TestArrayMeasures:
             group = ZdGroup(d)
             for k in range(5):
                 size = len(bfs_ball(group, k))
-                monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size)
+                monkeypatch.setattr(limits, "SUPPORT_LIMIT", size)
                 assert len(ball_uniform(group, k).weights) == size
-                monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size - 1)
+                monkeypatch.setattr(limits, "SUPPORT_LIMIT", size - 1)
                 with pytest.raises(SpaceTooLarge, match=f"radius {k}"):
                     ball_uniform(group, k)
         monkeypatch.undo()
@@ -951,9 +951,9 @@ class TestArrayMeasures:
         # min(m, 2k + 1) residues: the ball of radius 2 in Z_7 holds 5, and from radius 3 on all 7
         for k, size in ((0, 1), (2, 5), (3, 7), (10, 7)):
             assert len(bfs_ball(Z7, k)) == size
-            monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size)
+            monkeypatch.setattr(limits, "SUPPORT_LIMIT", size)
             assert len(ball_uniform(Z7, k).weights) == size
-            monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", size - 1)
+            monkeypatch.setattr(limits, "SUPPORT_LIMIT", size - 1)
             with pytest.raises(SpaceTooLarge, match=f"radius {k}"):
                 ball_uniform(Z7, k)
         monkeypatch.undo()
@@ -961,10 +961,10 @@ class TestArrayMeasures:
             ball_uniform(CyclicGroup(10**7), 10**7)
 
     def test_haar_limit_at_its_edge(self, monkeypatch):
-        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", 7)
+        monkeypatch.setattr(limits, "SUPPORT_LIMIT", 7)
         mu = FinSuppMeasure.haar(Z7)
         assert mu.elements.dtype == np.int64 and mu.elements.tolist() == list(range(7))
-        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", 6)
+        monkeypatch.setattr(limits, "SUPPORT_LIMIT", 6)
         with pytest.raises(SpaceTooLarge, match="^the Haar measure of CyclicGroup\\(m=7\\) has more than 6 atoms$"):
             FinSuppMeasure.haar(Z7)
         monkeypatch.undo()
@@ -975,9 +975,9 @@ class TestArrayMeasures:
     def test_lattice_ball_coordinate_limit_at_its_edge(self, monkeypatch):
         # Z^20 at radius 1 holds 41 points of 20 coordinates: 820 in all, under a point limit of 81
         group = ZdGroup(20)
-        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", 82)
+        monkeypatch.setattr(limits, "SUPPORT_LIMIT", 82)
         assert len(ball_uniform(group, 1).weights) == 41
-        monkeypatch.setattr(wordgroups, "SUPPORT_LIMIT", 81)
+        monkeypatch.setattr(limits, "SUPPORT_LIMIT", 81)
         with pytest.raises(SpaceTooLarge, match="radius 1 .* 810 coordinates$"):
             ball_uniform(group, 1)
 
